@@ -4,12 +4,14 @@ use crate::error::CoreError;
 use crate::job::{Job, JobId};
 use crate::time::Time;
 
-/// An immutable, validated collection of jobs forming the job part of an
-/// input instance `I` (§II-A).
+/// A validated collection of jobs forming the job part of an input
+/// instance `I` (§II-A).
 ///
 /// Jobs are stored indexed by [`JobId`] (dense ids `0..n`) and the set also
-/// keeps a release-ordered index for simulators.
-#[derive(Debug, Clone, PartialEq)]
+/// keeps a release-ordered index for simulators. A set only grows, one
+/// release-ordered job at a time ([`JobSet::push`]), so a streaming caller
+/// extends it in O(1) instead of rebuilding it.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobSet {
     jobs: Vec<Job>,
     /// Job ids sorted by (release, id).
@@ -49,6 +51,34 @@ impl JobSet {
             .map(|(i, &(r, d, p, v))| Job::new(JobId(i as u64), Time::new(r), Time::new(d), p, v))
             .collect::<Result<Vec<_>, _>>()?;
         JobSet::new(jobs)
+    }
+
+    /// Appends the next job of a release-ordered stream in O(1) amortised.
+    ///
+    /// # Errors
+    /// [`CoreError::UnknownJob`] if `job.id` is not the next dense id
+    /// (`len()`); [`CoreError::InvalidParameter`] if `job.release` precedes
+    /// the latest release already in the set. Under those two rules both
+    /// the id table and the release index stay sorted by appending.
+    pub fn push(&mut self, job: Job) -> Result<(), CoreError> {
+        if job.id.index() != self.jobs.len() {
+            return Err(CoreError::UnknownJob { id: job.id.0 });
+        }
+        let last = self.last_release();
+        if job.release < last {
+            return Err(CoreError::InvalidParameter {
+                name: "release".to_string(),
+                value: job.release.as_f64(),
+                reason: format!(
+                    "job {} precedes the latest release {} in the set",
+                    job.id.0,
+                    last.as_f64()
+                ),
+            });
+        }
+        self.by_release.push(job.id);
+        self.jobs.push(job);
+        Ok(())
     }
 
     /// Number of jobs.
@@ -100,6 +130,14 @@ impl JobSet {
     pub fn first_release(&self) -> Time {
         self.by_release
             .first()
+            .map(|&id| self.get(id).release)
+            .unwrap_or(Time::ZERO)
+    }
+
+    /// Latest release time, or `Time::ZERO` for an empty set.
+    pub fn last_release(&self) -> Time {
+        self.by_release
+            .last()
             .map(|&id| self.get(id).release)
             .unwrap_or(Time::ZERO)
     }
@@ -242,6 +280,52 @@ mod tests {
         assert_eq!(s.total_value(), 0.0);
         assert_eq!(s.importance_ratio(), None);
         assert_eq!(s.first_release(), Time::ZERO);
+    }
+
+    #[test]
+    fn push_matches_batch_construction() {
+        // (r, d, p, v), release-ordered with a tie at r = 1.
+        let tuples = [
+            (0.0, 4.0, 1.0, 3.0),
+            (1.0, 9.0, 4.0, 8.0),
+            (1.0, 5.0, 2.0, 1.0),
+            (2.0, 6.0, 2.0, 2.0),
+        ];
+        let batch = JobSet::from_tuples(&tuples).unwrap();
+        let mut grown = JobSet::new(vec![]).unwrap();
+        for j in batch.iter() {
+            grown.push(j.clone()).unwrap();
+        }
+        assert_eq!(grown, batch);
+        let ids = |s: &JobSet| s.iter_by_release().map(|j| j.id.0).collect::<Vec<_>>();
+        assert_eq!(ids(&grown), vec![0, 1, 2, 3]);
+        assert_eq!(ids(&grown), ids(&batch));
+        assert_eq!(grown.first_release(), batch.first_release());
+        assert_eq!(grown.last_release(), Time::new(2.0));
+        assert_eq!(grown.last_deadline(), batch.last_deadline());
+        assert_eq!(grown.total_value(), batch.total_value());
+    }
+
+    #[test]
+    fn push_rejects_id_gaps_and_backwards_releases() {
+        let j = |id, r| Job::new(JobId(id), Time::new(r), Time::new(9.0), 1.0, 1.0).unwrap();
+        let mut s = JobSet::new(vec![j(0, 2.0)]).unwrap();
+        assert!(matches!(
+            s.push(j(2, 3.0)),
+            Err(CoreError::UnknownJob { id: 2 })
+        ));
+        assert!(matches!(
+            s.push(j(0, 3.0)),
+            Err(CoreError::UnknownJob { id: 0 })
+        ));
+        assert!(matches!(
+            s.push(j(1, 1.0)),
+            Err(CoreError::InvalidParameter { .. })
+        ));
+        // Rejected pushes leave the set untouched.
+        assert_eq!(s.len(), 1);
+        s.push(j(1, 2.0)).unwrap();
+        assert_eq!(s.len(), 2);
     }
 
     #[test]

@@ -39,6 +39,17 @@ fn hx(x: f64) -> String {
     format!("{:016x}", x.to_bits())
 }
 
+/// Appends `hx(x)` to `out` without an intermediate allocation: the
+/// per-job sections hold two floats per job, so this is the encoder's
+/// inner loop.
+fn push_hx(out: &mut String, x: f64) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let bits = x.to_bits();
+    for shift in (0..16).rev() {
+        out.push(char::from(DIGITS[((bits >> (shift * 4)) & 0xf) as usize]));
+    }
+}
+
 /// A decoded snapshot, ready to be applied onto a workspace.
 #[derive(Debug, Clone)]
 pub(crate) struct SnapshotImage {
@@ -130,12 +141,13 @@ pub(crate) fn encode(st: &KernelState, ws: &SimWorkspace, sched_blob: &str) -> S
         .collect::<Vec<_>>()
         .join(",");
 
-    let remaining = ws
-        .remaining
-        .iter()
-        .map(|r| hx(*r))
-        .collect::<Vec<_>>()
-        .join(",");
+    let mut remaining = String::with_capacity(17 * ws.remaining.len());
+    for (i, r) in ws.remaining.iter().enumerate() {
+        if i > 0 {
+            remaining.push(',');
+        }
+        push_hx(&mut remaining, *r);
+    }
 
     // The packed flag byte unpacks into the same five bit-string columns
     // format v1 has always used, so the blob bytes are unchanged.
@@ -161,14 +173,23 @@ pub(crate) fn encode(st: &KernelState, ws: &SimWorkspace, sched_blob: &str) -> S
         .collect::<Vec<_>>()
         .join(":");
 
-    let outcome = (0..ws.remaining.len())
-        .map(|i| match ws.outcome.get(JobId(i as u64)) {
-            JobOutcome::NotReleased => "N".to_string(),
-            JobOutcome::Completed { at } => format!("C{}", hx(at.as_f64())),
-            JobOutcome::Missed { remaining_workload } => format!("M{}", hx(remaining_workload)),
-        })
-        .collect::<Vec<_>>()
-        .join(",");
+    let mut outcome = String::with_capacity(18 * ws.remaining.len());
+    for i in 0..ws.remaining.len() {
+        if i > 0 {
+            outcome.push(',');
+        }
+        match ws.outcome.get(JobId(i as u64)) {
+            JobOutcome::NotReleased => outcome.push('N'),
+            JobOutcome::Completed { at } => {
+                outcome.push('C');
+                push_hx(&mut outcome, at.as_f64());
+            }
+            JobOutcome::Missed { remaining_workload } => {
+                outcome.push('M');
+                push_hx(&mut outcome, remaining_workload);
+            }
+        }
+    }
 
     [
         MAGIC.to_string(),
@@ -508,6 +529,23 @@ mod tests {
         let (q2, s2) = ws2.queue.snapshot();
         assert_eq!(q1, q2);
         assert_eq!(s1, s2);
+    }
+
+    #[test]
+    fn push_hx_matches_the_formatted_bit_pattern() {
+        for x in [
+            0.0,
+            -0.0,
+            1.5,
+            -3.25e-300,
+            f64::INFINITY,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ] {
+            let mut out = String::from("x");
+            push_hx(&mut out, x);
+            assert_eq!(out, format!("x{}", hx(x)));
+        }
     }
 
     #[test]

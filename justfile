@@ -5,7 +5,7 @@
 export CARGO_NET_OFFLINE := "true"
 
 # Run the full CI gauntlet.
-ci: fmt build bench-check test lint golden-trace chaos serve-smoke bench-smoke sweep-smoke fleet-smoke
+ci: fmt build bench-check test lint golden-trace chaos serve-smoke serve-scale bench-smoke sweep-smoke fleet-smoke
 
 fmt:
     cargo fmt --all --check
@@ -141,6 +141,27 @@ serve-smoke:
     cargo run --release -p cloudsched-cli -- serve --in tests/golden/stream_small.jsonl --scheduler vdover --k 7 --snapshot-every 8 --journal /tmp/serve-smoke-crash.wal --crash-after 17
     cargo run --release -p cloudsched-cli -- recover --journal /tmp/serve-smoke-crash.wal --in tests/golden/stream_small.jsonl > /tmp/serve-smoke-recovered.txt
     diff -u tests/golden/serve_stream_small.txt /tmp/serve-smoke-recovered.txt
+
+# Serve scale gate (mirrors the CI step): a deterministic 1e5-arrival λ=8
+# stream through `serve` with no journal must finish within 60 s. A linear
+# service takes well under a second; a per-arrival cost that grows with the
+# stream (Θ(n²) overall) takes minutes.
+serve-scale:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    python3 -c '
+    import random
+    rng = random.Random(20110516)
+    t = 0.0
+    for _ in range(100000):
+        t += rng.expovariate(8.0)
+        p = rng.uniform(0.05, 2.0)
+        d = t + p * rng.uniform(1.0, 4.0)
+        v = p * rng.uniform(1.0, 7.0)
+        print("{\"r\":%.6f,\"d\":%.6f,\"p\":%.6f,\"v\":%.6f}" % (t, d, p, v))
+    ' > /tmp/serve-scale.jsonl
+    cargo build --release -p cloudsched-cli
+    timeout 60 target/release/cloudsched serve --in /tmp/serve-scale.jsonl --scheduler vdover --k 7 > /tmp/serve-scale.txt
 
 # Regenerate the checked-in golden service ledger after an *intentional*
 # change to the admission service, the ledger, or the commitment audit.

@@ -24,7 +24,7 @@ use cloudsched::prelude::*;
 use cloudsched::sched::by_name;
 use cloudsched::sim::{
     audit::commitments::audit_commitments, journal_header, recover, serve, simulate_traced,
-    DegradationPolicy, ServiceConfig,
+    DecisionReason, DegradationPolicy, ServiceConfig, ServiceDecision,
 };
 use cloudsched_core::CoreError;
 use cloudsched_obs::RingTracer;
@@ -115,14 +115,20 @@ fn serve_matches_batch_kernel_on_clean_stream() {
 /// from the durable journal prefix; ledger and trace must match the
 /// uninterrupted run byte for byte.
 fn crash_sweep(scheduler: &str, snapshot_every: u64) {
-    let instance = small_table1(4.0, 4.0, 23);
-    let (c_lo, c_hi) = instance.capacity.bounds();
-    let stream = stream_text(&instance.jobs);
     let mut cfg = ServiceConfig::new(scheduler, 7.0);
     cfg.snapshot_every = snapshot_every;
+    crash_sweep_on(&small_table1(4.0, 4.0, 23), &cfg);
+}
+
+/// The crash sweep over any instance and service config; returns the
+/// uninterrupted run's decisions.
+fn crash_sweep_on(instance: &Instance, cfg: &ServiceConfig) -> Vec<ServiceDecision> {
+    let (scheduler, snapshot_every) = (cfg.scheduler.as_str(), cfg.snapshot_every);
+    let (c_lo, c_hi) = instance.capacity.bounds();
+    let stream = stream_text(&instance.jobs);
 
     let mut sched = by_name(scheduler, 7.0, 5.0, c_lo, c_hi).unwrap();
-    let golden = serve(&instance.capacity, &cfg, sched.as_mut(), &stream, None).unwrap();
+    let golden = serve(&instance.capacity, cfg, sched.as_mut(), &stream, None).unwrap();
     assert!(!golden.crashed && golden.aborted.is_none());
     let golden_lines = events_jsonl(&golden.events);
     let golden_ledger = ledger_render(&golden.events, &golden.jobs);
@@ -171,6 +177,7 @@ fn crash_sweep(scheduler: &str, snapshot_every: u64) {
         );
         assert_eq!(recovered.decisions, golden.decisions);
     }
+    golden.decisions
 }
 
 #[test]
@@ -191,6 +198,22 @@ fn crash_recovery_replays_from_genesis_when_scheduler_cannot_snapshot() {
     // cadence degrades to genesis replay — journaled explicitly, see
     // below — and the recovered result must still be byte-identical.
     crash_sweep("edf", 3);
+}
+
+#[test]
+fn crash_recovery_is_byte_identical_when_backpressure_sheds_after_a_restore() {
+    // A bounded queue on a dense stream: recovery must rebuild the set of
+    // live admissions from the snapshot, or the first post-restore
+    // backpressure verdict diverges from the journaled one.
+    let mut cfg = ServiceConfig::new("vdover", 7.0);
+    cfg.queue_cap = 2;
+    cfg.snapshot_every = 2;
+    let decisions = crash_sweep_on(&small_table1(12.0, 4.0, 23), &cfg);
+    let shed = decisions
+        .iter()
+        .filter(|d| d.reason == DecisionReason::Shed)
+        .count();
+    assert!(shed >= 10, "the stream must shed repeatedly, shed {shed}");
 }
 
 #[test]
@@ -387,7 +410,7 @@ fn backpressure_follows_the_degradation_policy() {
     let shed: Vec<_> = outcome
         .decisions
         .iter()
-        .filter(|d| !d.admitted && d.reason == cloudsched::sim::DecisionReason::Shed)
+        .filter(|d| !d.admitted && d.reason == DecisionReason::Shed)
         .collect();
     assert_eq!(shed.len(), 3, "three arrivals exceed the live cap of 2");
     assert!(outcome.aborted.is_none());
@@ -501,4 +524,175 @@ fn recovery_of_an_uncrashed_journal_is_idempotent() {
         ledger_render(&recovered.events, &recovered.jobs),
         ledger_render(&golden.events, &golden.jobs)
     );
+}
+
+/// FNV-1a 64 over a sequence of text lines (each followed by `\n`).
+fn fnv_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for line in lines {
+        for b in line.bytes().chain(std::iter::once(b'\n')) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Digest of everything `serve` produced that callers can observe: the
+/// verdicts, the trace JSONL, the abort (if any) and the journal lines
+/// (which include the `csnap1` snapshot blobs).
+fn serve_digest(outcome: &cloudsched::sim::ServiceOutcome, journal: &MemJournal) -> u64 {
+    let decisions: Vec<String> = outcome
+        .decisions
+        .iter()
+        .map(|d| format!("{} {} {} {}", d.seq, d.job.0, d.admitted, d.reason.as_str()))
+        .collect();
+    let trace = events_jsonl(&outcome.events);
+    let abort = format!("{:?}", outcome.aborted);
+    fnv_lines(
+        decisions
+            .iter()
+            .chain(trace.iter())
+            .chain(std::iter::once(&abort))
+            .chain(journal.lines().iter())
+            .map(String::as_str),
+    )
+}
+
+/// The admission path's output is pinned to digests recorded from the
+/// original implementation (a full job-table rebuild and a scan of every
+/// past decision per arrival). Any change to the service core must keep
+/// every `(queue_cap, policy)` cell byte-identical.
+#[test]
+fn serve_outputs_match_the_pinned_reference_digests() {
+    const PINNED: [(usize, &str, u64); 12] = [
+        (1, "strict", 0x3319_670c_8f09_6472),
+        (1, "degrade", 0x22d1_21fb_0681_06b9),
+        (1, "best-effort", 0xc877_f6fd_22b8_8c25),
+        (2, "strict", 0xa720_c01c_6e7d_efd6),
+        (2, "degrade", 0x30cf_8769_a156_2b3e),
+        (2, "best-effort", 0xadfe_61be_a95e_02b8),
+        (12, "strict", 0x98e7_4c7e_ff09_c394),
+        (12, "degrade", 0x6d22_1f30_e3d2_8827),
+        (12, "best-effort", 0x4d0b_3e81_646e_fbf5),
+        (usize::MAX, "strict", 0x2ac9_943c_6004_4172),
+        (usize::MAX, "degrade", 0xecf0_fb91_548a_6485),
+        (usize::MAX, "best-effort", 0x4175_5b98_579b_8a1f),
+    ];
+    let instance = small_table1(12.0, 4.0, 23);
+    let (c_lo, c_hi) = instance.capacity.bounds();
+    let mild = StreamFaultConfig {
+        inadmissible: 2,
+        duplicates: 2,
+        value_spikes: 1,
+        spike_factor: 2.0,
+    };
+    let (corrupted, _) = corrupt_stream(&instance.jobs, &mild, c_lo, 7.0, 97).unwrap();
+    let stream = stream_text(&corrupted);
+
+    let mut actual = Vec::new();
+    for &(queue_cap, policy, _) in &PINNED {
+        let mut cfg = ServiceConfig::new("vdover", 7.0);
+        cfg.queue_cap = queue_cap;
+        cfg.policy = DegradationPolicy::parse(policy).unwrap();
+        cfg.snapshot_every = 4;
+        let mut journal = MemJournal::new();
+        let mut sched = by_name("vdover", 7.0, 5.0, c_lo, c_hi).unwrap();
+        let outcome = serve(
+            &instance.capacity,
+            &cfg,
+            sched.as_mut(),
+            &stream,
+            Some(&mut journal),
+        )
+        .unwrap();
+        actual.push((queue_cap, policy, serve_digest(&outcome, &journal)));
+    }
+    let render = |rows: &[(usize, &str, u64)]| -> String {
+        rows.iter()
+            .map(|(cap, policy, h)| format!("({cap}, {policy:?}, {h:#018x}),\n"))
+            .collect()
+    };
+    assert_eq!(
+        render(&actual),
+        render(&PINNED),
+        "service outputs diverge from the pinned reference digests"
+    );
+}
+
+/// Serves `stream` into a fresh in-memory journal, crashing after arrival
+/// `crash_after`, and returns the durable journal lines.
+fn crashed_journal(instance: &Instance, cfg: &ServiceConfig, crash_after: u64) -> Vec<String> {
+    let (c_lo, c_hi) = instance.capacity.bounds();
+    let mut cfg = cfg.clone();
+    cfg.crash_after = Some(crash_after);
+    let mut journal = MemJournal::new();
+    let mut sched = by_name(&cfg.scheduler, cfg.k, 5.0, c_lo, c_hi).unwrap();
+    let out = serve(
+        &instance.capacity,
+        &cfg,
+        sched.as_mut(),
+        &stream_text(&instance.jobs),
+        Some(&mut journal),
+    )
+    .unwrap();
+    assert!(out.crashed);
+    journal.synced_lines().to_vec()
+}
+
+#[test]
+fn journal_header_stops_at_the_open_record_and_recover_reports_the_corrupt_tail() {
+    let instance = small_table1(4.0, 4.0, 23);
+    let (c_lo, c_hi) = instance.capacity.bounds();
+    let mut cfg = ServiceConfig::new("vdover", 7.0);
+    cfg.snapshot_every = 2;
+    let mut lines = crashed_journal(&instance, &cfg, 5);
+    lines.push("{\"svc\":\"arrival\",\"seq\":6,\"r\":tor".to_string());
+    let bad_line = lines.len();
+    let journal = lines.join("\n");
+
+    let header = journal_header(&journal).expect("the header precedes the corrupt tail");
+    assert_eq!(header.config().snapshot_every, 2);
+    assert_eq!(header.scheduler, "vdover");
+
+    let mut fresh = by_name("vdover", 7.0, 5.0, c_lo, c_hi).unwrap();
+    let stream = stream_text(&instance.jobs);
+    match recover(&instance.capacity, fresh.as_mut(), &journal, &stream) {
+        Err(CoreError::CorruptJournal { line, .. }) => assert_eq!(line, bad_line),
+        other => panic!("expected CorruptJournal at line {bad_line}, got {other:?}"),
+    }
+}
+
+#[test]
+fn an_unordered_release_in_the_snapshot_prefix_is_a_corrupt_journal() {
+    let instance = small_table1(4.0, 4.0, 23);
+    let (c_lo, c_hi) = instance.capacity.bounds();
+    let mut cfg = ServiceConfig::new("vdover", 7.0);
+    cfg.snapshot_every = 2;
+    let mut lines = crashed_journal(&instance, &cfg, 6);
+    let snapshot_line = 1 + lines
+        .iter()
+        .rposition(|l| l.starts_with("{\"svc\":\"snapshot\","))
+        .expect("the crashed run took a snapshot");
+    // Move arrival 2 back to t = 0, before arrival 1's release; arrival 2
+    // lies inside the prefix the last snapshot covers.
+    let at = lines
+        .iter()
+        .position(|l| l.starts_with("{\"svc\":\"arrival\",\"seq\":2,"))
+        .expect("arrival 2 is journaled");
+    assert!(at + 1 < snapshot_line);
+    let (head, rest) = lines[at].split_once("\"r\":").unwrap();
+    let (_, tail) = rest.split_once(',').unwrap();
+    lines[at] = format!("{head}\"r\":0,{tail}");
+    let journal = lines.join("\n");
+
+    let mut fresh = by_name("vdover", 7.0, 5.0, c_lo, c_hi).unwrap();
+    let stream = stream_text(&instance.jobs);
+    match recover(&instance.capacity, fresh.as_mut(), &journal, &stream) {
+        Err(CoreError::CorruptJournal { line, reason }) => {
+            assert_eq!(line, snapshot_line, "{reason}");
+            assert!(reason.contains("arrival 2"), "{reason}");
+        }
+        other => panic!("expected CorruptJournal at line {snapshot_line}, got {other:?}"),
+    }
 }
