@@ -15,40 +15,13 @@
 //! ([`MonotonicClock`] — the bench crate is the sanctioned wall-clock
 //! user, lint rules L005/L006).
 
+use crate::row::{fnv1a, Row, Value, FLEET_SCHEMA, FNV_OFFSET};
 use crate::SchedulerSpec;
 use cloudsched_core::rng::{derive_seed, FLEET_DISPATCH_RUN_OFFSET, SEED_STREAM_FLEET};
 use cloudsched_obs::{Clock, MonotonicClock};
 use cloudsched_sched::DispatchPolicy;
 use cloudsched_sim::{run_fleet, FleetReport, RunOptions, Scheduler};
 use cloudsched_workload::FleetScenario;
-
-/// One measurement: a `(machines, threads)` cell of the fleet suite.
-///
-/// Serialized verbatim as one JSON object per row of `BENCH_fleet.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetBenchRow {
-    /// Benchmark family (always `"fleet"`).
-    pub bench: String,
-    /// Fleet size `M`.
-    pub machines: usize,
-    /// Worker threads the per-machine kernels fanned out over.
-    pub threads: usize,
-    /// Monte-Carlo fleet runs in the cell.
-    pub runs: usize,
-    /// Total wall time of the cell, in milliseconds.
-    pub wall_ms: f64,
-    /// Fleet runs per second — the headline scaling number.
-    pub runs_per_sec: f64,
-    /// Cross-machine steals summed over the cell's runs (thread-count
-    /// invariant, like everything the digest covers).
-    pub steals: u64,
-    /// FNV-1a 64 digest of every fleet report in run order, as 16 hex
-    /// digits. Identical across thread counts within a `machines` pair, or
-    /// the bench refuses to emit.
-    pub digest: String,
-    /// Seed stream the per-run seeds derive from.
-    pub seed: u64,
-}
 
 /// Fleet suite configuration.
 #[derive(Debug, Clone)]
@@ -91,18 +64,6 @@ impl FleetBenchConfig {
             runs: 2,
         }
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds one u64 into an FNV-1a 64 state, byte by byte.
-fn fnv1a(mut h: u64, word: u64) -> u64 {
-    for b in word.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 /// Digest of one fleet run: the per-machine observables in machine-index
@@ -170,17 +131,14 @@ pub fn fleet_suite_run(
 /// receives one line per completed cell.
 ///
 /// # Panics
-/// If two cells of the same fleet size disagree on digest or steal count —
-/// output that depends on the thread count is a correctness bug, and the
-/// bench refuses to report throughput for it.
-pub fn run_fleet_bench(
-    cfg: &FleetBenchConfig,
-    mut progress: impl FnMut(&FleetBenchRow),
-) -> Vec<FleetBenchRow> {
+/// If the rows break [`FLEET_SCHEMA`]'s agreement rule (one digest and
+/// steal count per fleet size) — output that depends on the thread count
+/// is a correctness bug, and the bench refuses to report throughput for
+/// it.
+pub fn run_fleet_bench(cfg: &FleetBenchConfig, mut progress: impl FnMut(&Row)) -> Vec<Row> {
     let clock = MonotonicClock::new();
-    let mut rows: Vec<FleetBenchRow> = Vec::new();
+    let mut rows: Vec<Row> = Vec::new();
     for &m in &cfg.machines {
-        let mut pair_digest: Option<String> = None;
         for &threads in &cfg.threads {
             let t0 = clock.now_ns();
             let mut h = FNV_OFFSET;
@@ -191,194 +149,36 @@ pub fn run_fleet_bench(
                 steals += report.steals as u64;
             }
             let wall_ns = clock.now_ns().saturating_sub(t0).max(1);
-            let row = FleetBenchRow {
-                bench: "fleet".into(),
-                machines: m,
-                threads,
-                runs: cfg.runs,
-                wall_ms: wall_ns as f64 / 1e6,
-                runs_per_sec: cfg.runs as f64 / (wall_ns as f64 / 1e9),
-                steals,
-                digest: format!("{h:016x}"),
-                seed: SEED_STREAM_FLEET,
-            };
-            match &pair_digest {
-                None => pair_digest = Some(row.digest.clone()),
-                Some(first) => assert_eq!(
-                    &row.digest, first,
-                    "fleet output diverged at machines={m} threads={threads} — \
-                     equal bytes across thread counts are a hard invariant"
-                ),
-            }
+            let row = Row::new(
+                &FLEET_SCHEMA,
+                vec![
+                    ("machines", m.into()),
+                    ("threads", threads.into()),
+                    ("runs", cfg.runs.into()),
+                    ("wall_ms", (wall_ns as f64 / 1e6).into()),
+                    (
+                        "runs_per_sec",
+                        (cfg.runs as f64 / (wall_ns as f64 / 1e9)).into(),
+                    ),
+                    ("steals", steals.into()),
+                    ("digest", Value::digest(h)),
+                    ("seed", SEED_STREAM_FLEET.into()),
+                ],
+            );
             progress(&row);
             rows.push(row);
         }
     }
+    FLEET_SCHEMA
+        .check_agreement(&rows)
+        .expect("fleet output diverged across thread counts — equal bytes are a hard invariant");
     rows
-}
-
-/// Formats one f64 for the JSON report: fixed 3 decimal places.
-fn fmt_f64(x: f64) -> String {
-    format!("{x:.3}")
-}
-
-/// Serializes rows as a JSON array, one object per line (stable key order).
-pub fn fleet_rows_to_json(rows: &[FleetBenchRow]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"bench\":\"{}\",\"machines\":{},\"threads\":{},\"runs\":{},\"wall_ms\":{},\"runs_per_sec\":{},\"steals\":{},\"digest\":\"{}\",\"seed\":{}}}{}\n",
-            r.bench,
-            r.machines,
-            r.threads,
-            r.runs,
-            fmt_f64(r.wall_ms),
-            fmt_f64(r.runs_per_sec),
-            r.steals,
-            r.digest,
-            r.seed,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// Strictly parses the exact format written by [`fleet_rows_to_json`] —
-/// the schema validator behind the CI fleet-smoke step. Returns the rows,
-/// or the first format violation. Digest and steal-count equality within
-/// each `machines` group is part of the schema.
-pub fn parse_fleet_rows(text: &str) -> Result<Vec<FleetBenchRow>, String> {
-    let mut lines = text.lines().enumerate();
-    let (_, first) = lines.next().ok_or("empty report")?;
-    if first.trim() != "[" {
-        return Err("line 1: expected `[`".into());
-    }
-    let mut rows = Vec::new();
-    let mut closed = false;
-    for (idx, line) in lines {
-        let line_no = idx + 1;
-        let t = line.trim();
-        if t == "]" {
-            closed = true;
-            continue;
-        }
-        if closed {
-            if !t.is_empty() {
-                return Err(format!("line {line_no}: content after closing `]`"));
-            }
-            continue;
-        }
-        let obj = t.trim_end_matches(',');
-        rows.push(parse_fleet_row(obj).map_err(|e| format!("line {line_no}: {e}"))?);
-    }
-    if !closed {
-        return Err("missing closing `]`".into());
-    }
-    if rows.is_empty() {
-        return Err("report carries no rows".into());
-    }
-    // Pairing invariant: within one fleet size, every thread count must
-    // agree on digest and steal count.
-    for r in &rows {
-        let anchor = rows
-            .iter()
-            .find(|a| a.machines == r.machines)
-            .expect("self-inclusive search");
-        if r.digest != anchor.digest {
-            return Err(format!(
-                "digest mismatch: machines={} threads={} disagrees with threads={}",
-                r.machines, r.threads, anchor.threads
-            ));
-        }
-        if r.steals != anchor.steals {
-            return Err(format!(
-                "steal-count mismatch: machines={} threads={} disagrees with threads={}",
-                r.machines, r.threads, anchor.threads
-            ));
-        }
-    }
-    Ok(rows)
-}
-
-/// Parses one row object, requiring the exact field set and order of the
-/// schema: `bench`, `machines`, `threads`, `runs`, `wall_ms`,
-/// `runs_per_sec`, `steals`, `digest`, `seed`.
-fn parse_fleet_row(obj: &str) -> Result<FleetBenchRow, String> {
-    let inner = obj
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or("row is not a JSON object")?;
-    let mut fields = crate::kernel_bench::split_top_level(inner).into_iter();
-    let mut next = |key: &str| -> Result<String, String> {
-        let field = fields.next().ok_or(format!("missing field `{key}`"))?;
-        let (k, v) = field
-            .split_once(':')
-            .ok_or(format!("malformed field `{field}`"))?;
-        if k.trim() != format!("\"{key}\"") {
-            return Err(format!("expected field `{key}`, found `{}`", k.trim()));
-        }
-        Ok(v.trim().to_string())
-    };
-    let bench = crate::kernel_bench::unquote(&next("bench")?)?;
-    let machines: usize = next("machines")?
-        .parse()
-        .map_err(|e| format!("machines: {e}"))?;
-    let threads: usize = next("threads")?
-        .parse()
-        .map_err(|e| format!("threads: {e}"))?;
-    let runs: usize = next("runs")?.parse().map_err(|e| format!("runs: {e}"))?;
-    let wall_ms: f64 = next("wall_ms")?
-        .parse()
-        .map_err(|e| format!("wall_ms: {e}"))?;
-    let runs_per_sec: f64 = next("runs_per_sec")?
-        .parse()
-        .map_err(|e| format!("runs_per_sec: {e}"))?;
-    let steals: u64 = next("steals")?
-        .parse()
-        .map_err(|e| format!("steals: {e}"))?;
-    let digest = crate::kernel_bench::unquote(&next("digest")?)?;
-    let seed: u64 = next("seed")?.parse().map_err(|e| format!("seed: {e}"))?;
-    if let Some(extra) = fields.next() {
-        return Err(format!("unexpected extra field `{extra}`"));
-    }
-    if bench != "fleet" {
-        return Err(format!("bench must be `fleet`, got `{bench}`"));
-    }
-    if machines == 0 {
-        return Err("machines must be positive".into());
-    }
-    if threads == 0 {
-        return Err("threads must be positive".into());
-    }
-    if runs == 0 {
-        return Err("runs must be positive".into());
-    }
-    if !(wall_ms.is_finite() && wall_ms > 0.0) {
-        return Err(format!("wall_ms must be positive, got {wall_ms}"));
-    }
-    if !(runs_per_sec.is_finite() && runs_per_sec > 0.0) {
-        return Err(format!("runs_per_sec must be positive, got {runs_per_sec}"));
-    }
-    if digest.len() != 16 || !digest.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return Err(format!("digest must be 16 hex digits, got `{digest}`"));
-    }
-    Ok(FleetBenchRow {
-        bench,
-        machines,
-        threads,
-        runs,
-        wall_ms,
-        runs_per_sec,
-        steals,
-        digest,
-        seed,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::row::{parse_report, render_report};
 
     fn tiny() -> FleetBenchConfig {
         FleetBenchConfig {
@@ -394,29 +194,29 @@ mod tests {
     fn fleet_rows_round_trip_through_the_schema() {
         let rows = run_fleet_bench(&tiny(), |_| {});
         assert_eq!(rows.len(), 4, "2 fleet sizes x 2 thread counts");
-        let json = fleet_rows_to_json(&rows);
-        let back = parse_fleet_rows(&json).expect("round trip");
+        let json = render_report(&rows);
+        let back = parse_report(&json).expect("round trip");
         assert_eq!(back.len(), rows.len());
         for (a, b) in rows.iter().zip(back.iter()) {
-            assert_eq!(a.machines, b.machines);
-            assert_eq!(a.threads, b.threads);
-            assert_eq!(a.digest, b.digest);
-            assert_eq!(a.steals, b.steals);
+            assert_eq!(a.int("machines"), b.int("machines"));
+            assert_eq!(a.int("threads"), b.int("threads"));
+            assert_eq!(a.text("digest"), b.text("digest"));
+            assert_eq!(a.int("steals"), b.int("steals"));
         }
     }
 
     #[test]
     fn digests_pair_within_a_fleet_size_and_differ_across_sizes() {
         let rows = run_fleet_bench(&tiny(), |_| {});
-        let d2: Vec<&String> = rows
+        let d2: Vec<&str> = rows
             .iter()
-            .filter(|r| r.machines == 2)
-            .map(|r| &r.digest)
+            .filter(|r| r.int("machines") == 2)
+            .map(|r| r.text("digest"))
             .collect();
-        let d3: Vec<&String> = rows
+        let d3: Vec<&str> = rows
             .iter()
-            .filter(|r| r.machines == 3)
-            .map(|r| &r.digest)
+            .filter(|r| r.int("machines") == 3)
+            .map(|r| r.text("digest"))
             .collect();
         assert!(d2.windows(2).all(|w| w[0] == w[1]));
         assert!(d3.windows(2).all(|w| w[0] == w[1]));
@@ -425,9 +225,9 @@ mod tests {
 
     #[test]
     fn validator_rejects_malformed_fleet_reports() {
-        assert!(parse_fleet_rows("").is_err());
-        assert!(parse_fleet_rows("[\n]\n").is_err(), "no rows");
-        assert!(parse_fleet_rows("[\n  {\"bench\":\"fleet\"}\n]\n").is_err());
+        assert!(parse_report("").is_err());
+        assert!(parse_report("[\n]\n").is_err(), "no rows");
+        assert!(parse_report("[\n  {\"bench\":\"fleet\"}\n]\n").is_err());
         let row = |threads: usize, steals: u64, digest: &str| {
             format!(
                 "  {{\"bench\":\"fleet\",\"machines\":4,\"threads\":{threads},\"runs\":2,\"wall_ms\":1.000,\"runs_per_sec\":5.000,\"steals\":{steals},\"digest\":\"{digest}\",\"seed\":1}}"
@@ -438,18 +238,18 @@ mod tests {
             row(1, 3, &"a".repeat(16)),
             row(2, 3, &"a".repeat(16))
         );
-        assert_eq!(parse_fleet_rows(&good).expect("valid").len(), 2);
+        assert_eq!(parse_report(&good).expect("valid").len(), 2);
         let drift = format!(
             "[\n{},\n{}\n]\n",
             row(1, 3, &"a".repeat(16)),
             row(2, 3, &"b".repeat(16))
         );
-        assert!(parse_fleet_rows(&drift).is_err(), "digest drift");
+        assert!(parse_report(&drift).is_err(), "digest drift");
         let steal_drift = format!(
             "[\n{},\n{}\n]\n",
             row(1, 3, &"a".repeat(16)),
             row(2, 4, &"a".repeat(16))
         );
-        assert!(parse_fleet_rows(&steal_drift).is_err(), "steal drift");
+        assert!(parse_report(&steal_drift).is_err(), "steal drift");
     }
 }

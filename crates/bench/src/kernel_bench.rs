@@ -1,8 +1,9 @@
-//! The kernel hot-path benchmark behind `cloudsched bench` and the
-//! `kernel` binary: seeded EDF / Dover / V-Dover runs at n ∈ {1e3, 1e4,
-//! 1e5} jobs, reporting nanoseconds per scheduling decision and total wall
-//! time, serialized to `BENCH_kernel.json` at the repository root so the
-//! perf trajectory of the project is reproducible and diffable.
+//! The kernel hot-path benchmark behind `cloudsched bench`: seeded EDF /
+//! Dover / V-Dover runs at n ∈ {1e3, 1e4, 1e5, 1e6} jobs, reporting
+//! nanoseconds per scheduling decision and total wall time, serialized to
+//! `BENCH_kernel.json` at the repository root (rows laid out by
+//! [`KERNEL_SCHEMA`]) so the perf trajectory of the project is
+//! reproducible and diffable.
 //!
 //! Timing flows through the [`cloudsched_obs::Clock`] seam
 //! ([`MonotonicClock`] — the bench crate is the sanctioned wall-clock user,
@@ -10,6 +11,7 @@
 //! the seed, so two runs on the same machine measure the same instruction
 //! stream.
 
+use crate::row::{Row, KERNEL_SCHEMA};
 use crate::SchedulerSpec;
 use cloudsched_capacity::Instance;
 use cloudsched_core::rng::{Pcg32, Rng};
@@ -19,34 +21,10 @@ use cloudsched_sim::{RunOptions, SimWorkspace};
 use cloudsched_workload::dist::{exponential, uniform};
 use cloudsched_workload::CtmcCapacity;
 
-/// One measurement: a `(bench, n, scheduler, seed)` cell of the sweep.
-///
-/// Serialized verbatim as one JSON object per row of `BENCH_kernel.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelBenchRow {
-    /// Benchmark family (currently always `"kernel"`).
-    pub bench: String,
-    /// Number of jobs in the instance.
-    pub n: usize,
-    /// Scheduler display name (`EDF`, `Dover(c=18)`, `V-Dover`).
-    pub scheduler: String,
-    /// Wall nanoseconds per scheduling decision (kernel events processed).
-    pub ns_per_decision: f64,
-    /// Total wall time of the fastest run, in milliseconds.
-    pub wall_ms: f64,
-    /// Workload seed.
-    pub seed: u64,
-    /// Event-queue backend the cell ran on: `"flat"` (calendar queue, the
-    /// production path) or `"heap"` (reference `BinaryHeap`, emitted by the
-    /// flat-vs-heap comparison mode). Older reports omit the field and
-    /// parse as `"flat"`.
-    pub queue: String,
-}
-
 /// Sweep configuration.
 #[derive(Debug, Clone)]
 pub struct KernelBenchConfig {
-    /// Instance sizes to sweep (default `[1_000, 10_000, 100_000]`).
+    /// Instance sizes to sweep (default `[1_000, 10_000, 100_000, 1_000_000]`).
     pub sizes: Vec<usize>,
     /// Workload seed (default 7, the golden-trace seed).
     pub seed: u64,
@@ -167,13 +145,7 @@ pub fn bench_instance(n: usize, seed: u64) -> Instance {
 /// (the processed-event count, which is independent of wall time). Both
 /// backends get a fresh workspace per repetition, so the comparison
 /// measures the queue, not allocator warm-up asymmetry.
-fn measure(
-    instance: &Instance,
-    spec: &SchedulerSpec,
-    reps: usize,
-    seed: u64,
-    queue: &str,
-) -> KernelBenchRow {
+fn measure(instance: &Instance, spec: &SchedulerSpec, reps: usize, seed: u64, queue: &str) -> Row {
     let clock = MonotonicClock::new();
     let mut best_ns = u64::MAX;
     let mut decisions = 1usize;
@@ -189,25 +161,27 @@ fn measure(
         best_ns = best_ns.min(elapsed.max(1));
         decisions = report.events.max(1);
     }
-    KernelBenchRow {
-        bench: "kernel".into(),
-        n: instance.job_count(),
-        scheduler: spec.name(),
-        ns_per_decision: best_ns as f64 / decisions as f64,
-        wall_ms: best_ns as f64 / 1e6,
-        seed,
-        queue: queue.into(),
-    }
+    Row::new(
+        &KERNEL_SCHEMA,
+        vec![
+            ("n", instance.job_count().into()),
+            ("scheduler", spec.name().into()),
+            (
+                "ns_per_decision",
+                (best_ns as f64 / decisions as f64).into(),
+            ),
+            ("wall_ms", (best_ns as f64 / 1e6).into()),
+            ("seed", seed.into()),
+            ("queue", queue.into()),
+        ],
+    )
 }
 
 /// Runs the full sweep: every scheduler at every size, in deterministic
 /// order (sizes ascending, schedulers EDF → Dover → V-Dover; in comparison
 /// mode each cell's `flat` row is immediately followed by its `heap` row).
 /// `progress` receives one line per completed cell.
-pub fn run_kernel_bench(
-    cfg: &KernelBenchConfig,
-    mut progress: impl FnMut(&KernelBenchRow),
-) -> Vec<KernelBenchRow> {
+pub fn run_kernel_bench(cfg: &KernelBenchConfig, mut progress: impl FnMut(&Row)) -> Vec<Row> {
     let mut rows = Vec::new();
     for &n in &cfg.sizes {
         let instance = bench_instance(n, cfg.seed);
@@ -226,172 +200,10 @@ pub fn run_kernel_bench(
     rows
 }
 
-/// Formats one f64 for the JSON report: fixed 3 decimal places, which is
-/// plenty for nanosecond ratios and keeps rows diff-friendly.
-fn fmt_f64(x: f64) -> String {
-    format!("{x:.3}")
-}
-
-/// Serializes rows as a JSON array, one object per line (stable key order).
-pub fn rows_to_json(rows: &[KernelBenchRow]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"bench\":\"{}\",\"n\":{},\"scheduler\":\"{}\",\"ns_per_decision\":{},\"wall_ms\":{},\"seed\":{},\"queue\":\"{}\"}}{}\n",
-            r.bench,
-            r.n,
-            r.scheduler,
-            fmt_f64(r.ns_per_decision),
-            fmt_f64(r.wall_ms),
-            r.seed,
-            r.queue,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// Strictly parses the exact format written by [`rows_to_json`] — the
-/// schema validator used by the CI bench-smoke step. Returns the rows, or
-/// the first format violation.
-pub fn parse_rows(text: &str) -> Result<Vec<KernelBenchRow>, String> {
-    let mut lines = text.lines().enumerate();
-    let (_, first) = lines.next().ok_or("empty report")?;
-    if first.trim() != "[" {
-        return Err("line 1: expected `[`".into());
-    }
-    let mut rows = Vec::new();
-    let mut closed = false;
-    for (idx, line) in lines {
-        let line_no = idx + 1;
-        let t = line.trim();
-        if t == "]" {
-            closed = true;
-            continue;
-        }
-        if closed {
-            if !t.is_empty() {
-                return Err(format!("line {line_no}: content after closing `]`"));
-            }
-            continue;
-        }
-        let obj = t.trim_end_matches(',');
-        rows.push(parse_row(obj).map_err(|e| format!("line {line_no}: {e}"))?);
-    }
-    if !closed {
-        return Err("missing closing `]`".into());
-    }
-    if rows.is_empty() {
-        return Err("report carries no rows".into());
-    }
-    Ok(rows)
-}
-
-/// Parses one row object, requiring the exact field set and order of the
-/// schema: `bench`, `n`, `scheduler`, `ns_per_decision`, `wall_ms`, `seed`,
-/// plus an optional trailing `queue` (`"flat"`/`"heap"`; pre-comparison
-/// reports omit it and default to `"flat"`).
-fn parse_row(obj: &str) -> Result<KernelBenchRow, String> {
-    let inner = obj
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or("row is not a JSON object")?;
-    let mut fields = split_top_level(inner).into_iter();
-    let mut next = |key: &str| -> Result<String, String> {
-        let field = fields.next().ok_or(format!("missing field `{key}`"))?;
-        let (k, v) = field
-            .split_once(':')
-            .ok_or(format!("malformed field `{field}`"))?;
-        if k.trim() != format!("\"{key}\"") {
-            return Err(format!("expected field `{key}`, found `{}`", k.trim()));
-        }
-        Ok(v.trim().to_string())
-    };
-    let bench = unquote(&next("bench")?)?;
-    let n: usize = next("n")?.parse().map_err(|e| format!("n: {e}"))?;
-    let scheduler = unquote(&next("scheduler")?)?;
-    let ns_per_decision: f64 = next("ns_per_decision")?
-        .parse()
-        .map_err(|e| format!("ns_per_decision: {e}"))?;
-    let wall_ms: f64 = next("wall_ms")?
-        .parse()
-        .map_err(|e| format!("wall_ms: {e}"))?;
-    let seed: u64 = next("seed")?.parse().map_err(|e| format!("seed: {e}"))?;
-    let queue = match fields.next() {
-        Some(field) => {
-            let (k, v) = field
-                .split_once(':')
-                .ok_or(format!("malformed field `{field}`"))?;
-            if k.trim() != "\"queue\"" {
-                return Err(format!("unexpected extra field `{field}`"));
-            }
-            unquote(v.trim())?
-        }
-        None => "flat".to_string(),
-    };
-    if let Some(extra) = fields.next() {
-        return Err(format!("unexpected extra field `{extra}`"));
-    }
-    if !(ns_per_decision.is_finite() && ns_per_decision > 0.0) {
-        return Err(format!(
-            "ns_per_decision must be positive, got {ns_per_decision}"
-        ));
-    }
-    if !(wall_ms.is_finite() && wall_ms > 0.0) {
-        return Err(format!("wall_ms must be positive, got {wall_ms}"));
-    }
-    if n == 0 {
-        return Err("n must be positive".into());
-    }
-    if queue != "flat" && queue != "heap" {
-        return Err(format!("queue must be `flat` or `heap`, got `{queue}`"));
-    }
-    Ok(KernelBenchRow {
-        bench,
-        n,
-        scheduler,
-        ns_per_decision,
-        wall_ms,
-        seed,
-        queue,
-    })
-}
-
-/// Splits a flat JSON-object body on commas that are not inside strings.
-/// Shared with the sweep-bench schema validator.
-pub(crate) fn split_top_level(s: &str) -> Vec<String> {
-    let mut parts = Vec::new();
-    let mut cur = String::new();
-    let mut in_str = false;
-    for c in s.chars() {
-        match c {
-            '"' => {
-                in_str = !in_str;
-                cur.push(c);
-            }
-            ',' if !in_str => {
-                parts.push(std::mem::take(&mut cur));
-            }
-            _ => cur.push(c),
-        }
-    }
-    if !cur.trim().is_empty() {
-        parts.push(cur);
-    }
-    parts
-}
-
-pub(crate) fn unquote(s: &str) -> Result<String, String> {
-    s.strip_prefix('"')
-        .and_then(|x| x.strip_suffix('"'))
-        .map(str::to_string)
-        .ok_or(format!("expected a JSON string, got `{s}`"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::row::{parse_report, render_report, Value};
 
     #[test]
     fn instance_is_deterministic_and_sized() {
@@ -421,15 +233,15 @@ mod tests {
         };
         let rows = run_kernel_bench(&cfg, |_| {});
         assert_eq!(rows.len(), 3, "EDF, Dover, V-Dover");
-        assert!(rows.iter().all(|r| r.queue == "flat"));
-        let json = rows_to_json(&rows);
-        let back = parse_rows(&json).expect("round trip");
+        assert!(rows.iter().all(|r| r.text("queue") == "flat"));
+        let json = render_report(&rows);
+        let back = parse_report(&json).expect("round trip");
         assert_eq!(back.len(), rows.len());
         for (a, b) in rows.iter().zip(back.iter()) {
-            assert_eq!(a.scheduler, b.scheduler);
-            assert_eq!(a.n, b.n);
-            assert_eq!(a.seed, b.seed);
-            assert_eq!(a.queue, b.queue);
+            assert_eq!(a.text("scheduler"), b.text("scheduler"));
+            assert_eq!(a.int("n"), b.int("n"));
+            assert_eq!(a.int("seed"), b.int("seed"));
+            assert_eq!(a.text("queue"), b.text("queue"));
         }
     }
 
@@ -444,50 +256,74 @@ mod tests {
         let rows = run_kernel_bench(&cfg, |_| {});
         assert_eq!(rows.len(), 6, "each scheduler cell measured twice");
         for pair in rows.chunks(2) {
-            assert_eq!(pair[0].scheduler, pair[1].scheduler);
-            assert_eq!(pair[0].n, pair[1].n);
+            assert_eq!(pair[0].text("scheduler"), pair[1].text("scheduler"));
+            assert_eq!(pair[0].int("n"), pair[1].int("n"));
             assert_eq!(
-                (pair[0].queue.as_str(), pair[1].queue.as_str()),
+                (pair[0].text("queue"), pair[1].text("queue")),
                 ("flat", "heap")
             );
         }
-        let back = parse_rows(&rows_to_json(&rows)).expect("round trip");
+        let back = parse_report(&render_report(&rows)).expect("round trip");
         assert_eq!(back, rows_should_eq(&rows));
     }
 
     /// Timing fields survive the 3-decimal serialization only approximately;
     /// normalise them so `compare_mode_emits_paired_flat_and_heap_rows` can
     /// compare full rows.
-    fn rows_should_eq(rows: &[KernelBenchRow]) -> Vec<KernelBenchRow> {
+    fn rows_should_eq(rows: &[Row]) -> Vec<Row> {
         rows.iter()
-            .map(|r| KernelBenchRow {
-                ns_per_decision: format!("{:.3}", r.ns_per_decision).parse().unwrap(),
-                wall_ms: format!("{:.3}", r.wall_ms).parse().unwrap(),
-                ..r.clone()
+            .map(|r| {
+                let fields = KERNEL_SCHEMA.fields.iter().map(|&(name, _)| {
+                    let v = match r.get(name) {
+                        Value::Real(x) => Value::Real(format!("{x:.3}").parse().unwrap()),
+                        v => v.clone(),
+                    };
+                    (name, v)
+                });
+                Row::new(&KERNEL_SCHEMA, fields.collect())
             })
             .collect()
     }
 
     #[test]
     fn validator_rejects_malformed_reports() {
-        assert!(parse_rows("").is_err());
-        assert!(parse_rows("[\n]\n").is_err(), "no rows");
-        assert!(parse_rows("[\n  {\"bench\":\"kernel\"}\n]\n").is_err());
-        assert!(parse_rows(
+        assert!(parse_report("").is_err());
+        assert!(parse_report("[\n]\n").is_err(), "no rows");
+        assert!(parse_report("[\n  {\"bench\":\"kernel\"}\n]\n").is_err());
+        assert!(parse_report(
             "[\n  {\"bench\":\"k\",\"n\":1,\"scheduler\":\"EDF\",\"ns_per_decision\":-1,\"wall_ms\":1,\"seed\":7}\n]\n"
         )
         .is_err(), "negative ns/decision");
-        assert!(parse_rows("[\n  {\"n\":1}\n").is_err(), "unclosed array");
-        // Pre-comparison reports (no queue field) parse as flat rows.
-        let legacy = parse_rows(
+        assert!(parse_report(
+            "[\n  {\"bench\":\"kernel\",\"n\":1,\"scheduler\":\"EDF\",\"ns_per_decision\":-1,\"wall_ms\":1,\"seed\":7,\"queue\":\"flat\"}\n]\n"
+        )
+        .is_err(), "negative ns/decision");
+        assert!(parse_report("[\n  {\"n\":1}\n").is_err(), "unclosed array");
+        // The suite comes from `bench`: a kernel-shaped row under another
+        // name is not a kernel row.
+        assert!(parse_report(
+            "[\n  {\"bench\":\"k\",\"n\":1,\"scheduler\":\"EDF\",\"ns_per_decision\":1,\"wall_ms\":1,\"seed\":7,\"queue\":\"flat\"}\n]\n"
+        ).is_err(), "unknown bench name");
+        // Every row carries `queue`; rows without it are malformed.
+        assert!(parse_report(
             "[\n  {\"bench\":\"kernel\",\"n\":1,\"scheduler\":\"EDF\",\"ns_per_decision\":1,\"wall_ms\":1,\"seed\":7}\n]\n"
-        ).expect("legacy rows stay valid");
-        assert_eq!(legacy[0].queue, "flat");
-        assert!(parse_rows(
+        ).is_err(), "missing queue");
+        assert!(parse_report(
             "[\n  {\"bench\":\"kernel\",\"n\":1,\"scheduler\":\"EDF\",\"ns_per_decision\":1,\"wall_ms\":1,\"seed\":7,\"queue\":\"ring\"}\n]\n"
         ).is_err(), "unknown queue backend");
-        assert!(parse_rows(
+        assert!(parse_report(
             "[\n  {\"bench\":\"kernel\",\"n\":1,\"scheduler\":\"EDF\",\"ns_per_decision\":1,\"wall_ms\":1,\"seed\":7,\"queue\":\"heap\",\"x\":1}\n]\n"
         ).is_err(), "extra field after queue");
+        let good = "  {\"bench\":\"kernel\",\"n\":1,\"scheduler\":\"EDF\",\"ns_per_decision\":1,\"wall_ms\":1,\"seed\":7,\"queue\":\"flat\"}";
+        assert!(parse_report(&format!("[\n{good}\n]\n")).is_ok());
+        assert!(
+            parse_report(&format!("[\n{good}\n]\n{good}\n")).is_err(),
+            "content after `]`"
+        );
+        let sweep = "  {\"bench\":\"sweep\",\"mode\":\"fresh\",\"threads\":1,\"runs\":2,\"wall_ms\":1.000,\"runs_per_sec\":5.000,\"reuse_hits\":0,\"digest\":\"aaaaaaaaaaaaaaaa\",\"seed\":1}";
+        assert!(
+            parse_report(&format!("[\n{good},\n{sweep}\n]\n")).is_err(),
+            "mixed suites"
+        );
     }
 }

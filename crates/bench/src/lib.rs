@@ -16,10 +16,11 @@
 //!
 //! The library part hosts the parallel Monte-Carlo driver, the scheduler
 //! factory, the std-only [`microbench`] timing harness shared by the
-//! binaries and the bench targets, and the two checked-in benchmark
+//! binaries and the bench targets, and the three checked-in benchmark
 //! suites behind `cloudsched bench`: the [`kernel_bench`] hot-path sweep
-//! (`BENCH_kernel.json`) and the [`sweep_bench`] Monte-Carlo throughput
-//! sweep (`BENCH_sweep.json`).
+//! (`BENCH_kernel.json`), the [`sweep_bench`] Monte-Carlo throughput sweep
+//! (`BENCH_sweep.json`) and the [`fleet_bench`] fleet-scaling suite
+//! (`BENCH_fleet.json`). All three reports share the one [`row`] codec.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,23 +31,17 @@ pub mod harness;
 pub mod kernel_bench;
 pub mod microbench;
 pub mod ratio;
+pub mod row;
 pub mod sweep_bench;
 
 pub use algos::SchedulerSpec;
-pub use fleet_bench::{
-    fleet_digest, fleet_rows_to_json, fleet_suite_run, parse_fleet_rows, run_fleet_bench,
-    FleetBenchConfig, FleetBenchRow,
-};
+pub use fleet_bench::{fleet_digest, fleet_suite_run, run_fleet_bench, FleetBenchConfig};
 pub use harness::{
     default_threads, parallel_map, parallel_map_with, run_instance, run_instance_batch,
     run_instance_batch_in, run_instance_in,
 };
-pub use kernel_bench::{
-    bench_instance, parse_rows, rows_to_json, run_kernel_bench, KernelBenchConfig, KernelBenchRow,
-};
+pub use kernel_bench::{bench_instance, run_kernel_bench, KernelBenchConfig};
 pub use microbench::BenchGroup;
 pub use ratio::{empirical_ratio, Normalizer};
-pub use sweep_bench::{
-    parse_sweep_rows, run_sweep_bench, sweep_rows_to_json, sweep_specs, SweepBenchConfig,
-    SweepBenchOutcome, SweepBenchRow,
-};
+pub use row::{parse_report, render_report, Row};
+pub use sweep_bench::{run_sweep_bench, sweep_specs, SweepBenchConfig, SweepBenchOutcome};

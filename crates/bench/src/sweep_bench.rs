@@ -1,11 +1,10 @@
 //! The sweep-scale throughput benchmark behind `cloudsched bench --suite
-//! sweep` and the `sweep` binary: a Table-I-shaped Monte-Carlo sweep
-//! (λ = 8, five policies per seed on the shared instance) timed in two
-//! modes — `fresh` (a throwaway [`SimWorkspace`] per run, the allocation
-//! baseline) and `reuse` (one workspace per worker, recycled across runs)
-//! — at each configured thread count. Results land in `BENCH_sweep.json`
-//! at the repository root, validated by the same strict-schema treatment
-//! as `BENCH_kernel.json`.
+//! sweep`: a Table-I-shaped Monte-Carlo sweep (λ = 8, five policies per
+//! seed on the shared instance) timed in two modes — `fresh` (a throwaway
+//! [`SimWorkspace`] per run, the allocation baseline) and `reuse` (one
+//! workspace per worker, recycled across runs) — at each configured thread
+//! count. Results land in `BENCH_sweep.json` at the repository root, rows
+//! laid out by [`SWEEP_SCHEMA`].
 //!
 //! Every row carries an FNV-1a digest of the per-run reports (value bits,
 //! completed, events, preemptions, dispatches, folded in run order), and
@@ -19,43 +18,12 @@
 //! user, lint rules L005/L006).
 
 use crate::harness::{parallel_map, parallel_map_with, run_instance, run_instance_batch_in};
+use crate::row::{fnv1a, Row, Value, FNV_OFFSET, SWEEP_SCHEMA};
 use crate::SchedulerSpec;
 use cloudsched_core::rng::{derive_seed, SEED_STREAM_TABLE1};
 use cloudsched_obs::{Clock, MetricsRegistry, MetricsSnapshot, MonotonicClock};
 use cloudsched_sim::{RunOptions, RunReport, SimWorkspace};
 use cloudsched_workload::PaperScenario;
-
-/// One measurement: a `(mode, threads)` cell of the sweep.
-///
-/// Serialized verbatim as one JSON object per row of `BENCH_sweep.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepBenchRow {
-    /// Benchmark family (always `"sweep"`).
-    pub bench: String,
-    /// `"fresh"` (workspace per run) or `"reuse"` (workspace per worker).
-    pub mode: String,
-    /// Worker threads the sweep fanned out over.
-    pub threads: usize,
-    /// Monte-Carlo runs (seeds) in the sweep; each run simulates every
-    /// policy of the Table-I panel on the shared instance.
-    pub runs: usize,
-    /// Total wall time of the cell, in milliseconds.
-    pub wall_ms: f64,
-    /// Runs per second (`runs / wall`), the headline throughput number.
-    pub runs_per_sec: f64,
-    /// Workspace reuse hits under the *canonical* accounting: runs (in
-    /// index order) whose job count does not raise the high-water mark of
-    /// a single virtual serial arena. This is a pure function of the seed
-    /// sequence — identical at every thread count — unlike the physical
-    /// per-worker counters, which depend on which runs each worker saw
-    /// first. 0 in `fresh` mode by construction.
-    pub reuse_hits: u64,
-    /// FNV-1a 64 digest of every report in run order, as 16 hex digits.
-    /// Identical across all rows of a report, or the bench refuses to emit.
-    pub digest: String,
-    /// Seed stream the per-run seeds derive from.
-    pub seed: u64,
-}
 
 /// Sweep configuration.
 #[derive(Debug, Clone)]
@@ -104,18 +72,6 @@ pub fn sweep_specs() -> Vec<SchedulerSpec> {
         delta: 35.0,
     });
     specs
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds one u64 into an FNV-1a 64 state, byte by byte.
-fn fnv1a(mut h: u64, word: u64) -> u64 {
-    for b in word.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 /// Digest of one run's reports: the observable outputs a sweep aggregates
@@ -175,7 +131,7 @@ fn combine(cells: &[RunCell]) -> u64 {
 #[derive(Debug, Clone)]
 pub struct SweepBenchOutcome {
     /// One row per `(mode, threads)` cell, in sweep order.
-    pub rows: Vec<SweepBenchRow>,
+    pub rows: Vec<Row>,
     /// Counters `sweep.workspace.runs` (workspace activations — one per
     /// policy simulation) and `sweep.workspace.reuse_hits`, totalled over
     /// every `reuse`-mode cell.
@@ -187,18 +143,19 @@ pub struct SweepBenchOutcome {
 /// receives one line per completed cell.
 ///
 /// # Panics
-/// If any cell's digest diverges from the first — a sweep whose output
-/// depends on the mode or the thread count is a correctness bug, and the
-/// bench refuses to report throughput for it.
+/// If the rows break [`SWEEP_SCHEMA`]'s agreement rule (one digest for
+/// every cell) — a sweep whose output depends on the mode or the thread
+/// count is a correctness bug, and the bench refuses to report throughput
+/// for it.
 pub fn run_sweep_bench(
     cfg: &SweepBenchConfig,
-    mut progress: impl FnMut(&SweepBenchRow),
+    mut progress: impl FnMut(&Row),
 ) -> SweepBenchOutcome {
     let scenario = PaperScenario::table1(cfg.lambda);
     let specs = sweep_specs();
     let clock = MonotonicClock::new();
     let mut metrics = MetricsRegistry::new();
-    let mut rows: Vec<SweepBenchRow> = Vec::new();
+    let mut rows: Vec<Row> = Vec::new();
 
     for &threads in &cfg.threads {
         for mode in ["fresh", "reuse"] {
@@ -248,186 +205,39 @@ pub fn run_sweep_bench(
                 );
                 metrics.incr("sweep.workspace.reuse_hits", reuse_hits);
             }
-            let row = SweepBenchRow {
-                bench: "sweep".into(),
-                mode: mode.into(),
-                threads,
-                runs: cfg.runs,
-                wall_ms: wall_ns as f64 / 1e6,
-                runs_per_sec: cfg.runs as f64 / (wall_ns as f64 / 1e9),
-                reuse_hits,
-                digest: format!("{:016x}", combine(&cells)),
-                seed: SEED_STREAM_TABLE1,
-            };
+            let row = Row::new(
+                &SWEEP_SCHEMA,
+                vec![
+                    ("mode", mode.into()),
+                    ("threads", threads.into()),
+                    ("runs", cfg.runs.into()),
+                    ("wall_ms", (wall_ns as f64 / 1e6).into()),
+                    (
+                        "runs_per_sec",
+                        (cfg.runs as f64 / (wall_ns as f64 / 1e9)).into(),
+                    ),
+                    ("reuse_hits", reuse_hits.into()),
+                    ("digest", Value::digest(combine(&cells))),
+                    ("seed", SEED_STREAM_TABLE1.into()),
+                ],
+            );
             progress(&row);
             rows.push(row);
         }
     }
-    let first = rows[0].digest.clone();
-    for row in &rows {
-        assert_eq!(
-            row.digest, first,
-            "sweep output diverged at mode={} threads={} — equal bytes are a hard invariant",
-            row.mode, row.threads
-        );
-    }
+    SWEEP_SCHEMA
+        .check_agreement(&rows)
+        .expect("sweep output diverged — equal bytes are a hard invariant");
     SweepBenchOutcome {
         rows,
         metrics: metrics.snapshot(),
     }
 }
 
-/// Formats one f64 for the JSON report: fixed 3 decimal places.
-fn fmt_f64(x: f64) -> String {
-    format!("{x:.3}")
-}
-
-/// Serializes rows as a JSON array, one object per line (stable key order).
-pub fn sweep_rows_to_json(rows: &[SweepBenchRow]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"bench\":\"{}\",\"mode\":\"{}\",\"threads\":{},\"runs\":{},\"wall_ms\":{},\"runs_per_sec\":{},\"reuse_hits\":{},\"digest\":\"{}\",\"seed\":{}}}{}\n",
-            r.bench,
-            r.mode,
-            r.threads,
-            r.runs,
-            fmt_f64(r.wall_ms),
-            fmt_f64(r.runs_per_sec),
-            r.reuse_hits,
-            r.digest,
-            r.seed,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// Strictly parses the exact format written by [`sweep_rows_to_json`] —
-/// the schema validator used by the CI sweep-smoke step. Returns the rows,
-/// or the first format violation.
-pub fn parse_sweep_rows(text: &str) -> Result<Vec<SweepBenchRow>, String> {
-    let mut lines = text.lines().enumerate();
-    let (_, first) = lines.next().ok_or("empty report")?;
-    if first.trim() != "[" {
-        return Err("line 1: expected `[`".into());
-    }
-    let mut rows = Vec::new();
-    let mut closed = false;
-    for (idx, line) in lines {
-        let line_no = idx + 1;
-        let t = line.trim();
-        if t == "]" {
-            closed = true;
-            continue;
-        }
-        if closed {
-            if !t.is_empty() {
-                return Err(format!("line {line_no}: content after closing `]`"));
-            }
-            continue;
-        }
-        let obj = t.trim_end_matches(',');
-        rows.push(parse_sweep_row(obj).map_err(|e| format!("line {line_no}: {e}"))?);
-    }
-    if !closed {
-        return Err("missing closing `]`".into());
-    }
-    if rows.is_empty() {
-        return Err("report carries no rows".into());
-    }
-    let digest = &rows[0].digest;
-    if let Some(bad) = rows.iter().find(|r| &r.digest != digest) {
-        return Err(format!(
-            "digest mismatch: mode={} threads={} disagrees with the first row",
-            bad.mode, bad.threads
-        ));
-    }
-    Ok(rows)
-}
-
-/// Parses one row object, requiring the exact field set and order of the
-/// schema: `bench`, `mode`, `threads`, `runs`, `wall_ms`, `runs_per_sec`,
-/// `reuse_hits`, `digest`, `seed`.
-fn parse_sweep_row(obj: &str) -> Result<SweepBenchRow, String> {
-    let inner = obj
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or("row is not a JSON object")?;
-    let mut fields = crate::kernel_bench::split_top_level(inner).into_iter();
-    let mut next = |key: &str| -> Result<String, String> {
-        let field = fields.next().ok_or(format!("missing field `{key}`"))?;
-        let (k, v) = field
-            .split_once(':')
-            .ok_or(format!("malformed field `{field}`"))?;
-        if k.trim() != format!("\"{key}\"") {
-            return Err(format!("expected field `{key}`, found `{}`", k.trim()));
-        }
-        Ok(v.trim().to_string())
-    };
-    let bench = crate::kernel_bench::unquote(&next("bench")?)?;
-    let mode = crate::kernel_bench::unquote(&next("mode")?)?;
-    let threads: usize = next("threads")?
-        .parse()
-        .map_err(|e| format!("threads: {e}"))?;
-    let runs: usize = next("runs")?.parse().map_err(|e| format!("runs: {e}"))?;
-    let wall_ms: f64 = next("wall_ms")?
-        .parse()
-        .map_err(|e| format!("wall_ms: {e}"))?;
-    let runs_per_sec: f64 = next("runs_per_sec")?
-        .parse()
-        .map_err(|e| format!("runs_per_sec: {e}"))?;
-    let reuse_hits: u64 = next("reuse_hits")?
-        .parse()
-        .map_err(|e| format!("reuse_hits: {e}"))?;
-    let digest = crate::kernel_bench::unquote(&next("digest")?)?;
-    let seed: u64 = next("seed")?.parse().map_err(|e| format!("seed: {e}"))?;
-    if let Some(extra) = fields.next() {
-        return Err(format!("unexpected extra field `{extra}`"));
-    }
-    if bench != "sweep" {
-        return Err(format!("bench must be `sweep`, got `{bench}`"));
-    }
-    if mode != "fresh" && mode != "reuse" {
-        return Err(format!("mode must be `fresh` or `reuse`, got `{mode}`"));
-    }
-    if threads == 0 {
-        return Err("threads must be positive".into());
-    }
-    if runs == 0 {
-        return Err("runs must be positive".into());
-    }
-    if !(wall_ms.is_finite() && wall_ms > 0.0) {
-        return Err(format!("wall_ms must be positive, got {wall_ms}"));
-    }
-    if !(runs_per_sec.is_finite() && runs_per_sec > 0.0) {
-        return Err(format!("runs_per_sec must be positive, got {runs_per_sec}"));
-    }
-    if mode == "fresh" && reuse_hits != 0 {
-        return Err(format!(
-            "fresh mode cannot report reuse hits, got {reuse_hits}"
-        ));
-    }
-    if digest.len() != 16 || !digest.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return Err(format!("digest must be 16 hex digits, got `{digest}`"));
-    }
-    Ok(SweepBenchRow {
-        bench,
-        mode,
-        threads,
-        runs,
-        wall_ms,
-        runs_per_sec,
-        reuse_hits,
-        digest,
-        seed,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::row::{parse_report, render_report};
 
     fn tiny() -> SweepBenchConfig {
         SweepBenchConfig {
@@ -441,30 +251,31 @@ mod tests {
     fn sweep_rows_round_trip_through_the_schema() {
         let outcome = run_sweep_bench(&tiny(), |_| {});
         assert_eq!(outcome.rows.len(), 4, "2 modes x 2 thread counts");
-        let json = sweep_rows_to_json(&outcome.rows);
-        let back = parse_sweep_rows(&json).expect("round trip");
+        let json = render_report(&outcome.rows);
+        let back = parse_report(&json).expect("round trip");
         assert_eq!(back.len(), outcome.rows.len());
         for (a, b) in outcome.rows.iter().zip(back.iter()) {
-            assert_eq!(a.mode, b.mode);
-            assert_eq!(a.threads, b.threads);
-            assert_eq!(a.digest, b.digest);
-            assert_eq!(a.reuse_hits, b.reuse_hits);
+            assert_eq!(a.text("mode"), b.text("mode"));
+            assert_eq!(a.int("threads"), b.int("threads"));
+            assert_eq!(a.text("digest"), b.text("digest"));
+            assert_eq!(a.int("reuse_hits"), b.int("reuse_hits"));
         }
     }
 
     #[test]
     fn all_cells_share_one_digest_and_reuse_hits_accrue() {
         let outcome = run_sweep_bench(&tiny(), |_| {});
-        let digest = &outcome.rows[0].digest;
-        assert!(outcome.rows.iter().all(|r| &r.digest == digest));
+        let digest = outcome.rows[0].text("digest");
+        assert!(outcome.rows.iter().all(|r| r.text("digest") == digest));
         // Every run after each worker's first recycles warmed buffers. With
         // 3 runs the single-threaded reuse cell must hit at least once.
         let reuse_1 = outcome
             .rows
             .iter()
-            .find(|r| r.mode == "reuse" && r.threads == 1)
+            .find(|r| r.text("mode") == "reuse" && r.int("threads") == 1)
             .expect("reuse cell at threads=1");
-        assert!(reuse_1.reuse_hits >= 1, "got {}", reuse_1.reuse_hits);
+        let hits = reuse_1.int("reuse_hits");
+        assert!(hits >= 1, "got {hits}");
         // One workspace activation per policy simulation: 2 reuse cells x
         // 3 runs x the 5-spec panel.
         assert_eq!(outcome.metrics.counter("sweep.workspace.runs"), 30);
@@ -473,17 +284,17 @@ mod tests {
             outcome
                 .rows
                 .iter()
-                .filter(|r| r.mode == "reuse")
-                .map(|r| r.reuse_hits)
+                .filter(|r| r.text("mode") == "reuse")
+                .map(|r| r.int("reuse_hits"))
                 .sum::<u64>()
         );
     }
 
     #[test]
     fn validator_rejects_malformed_sweep_reports() {
-        assert!(parse_sweep_rows("").is_err());
-        assert!(parse_sweep_rows("[\n]\n").is_err(), "no rows");
-        assert!(parse_sweep_rows("[\n  {\"bench\":\"sweep\"}\n]\n").is_err());
+        assert!(parse_report("").is_err());
+        assert!(parse_report("[\n]\n").is_err(), "no rows");
+        assert!(parse_report("[\n  {\"bench\":\"sweep\"}\n]\n").is_err());
         let row = |mode: &str, digest: &str| {
             format!(
                 "  {{\"bench\":\"sweep\",\"mode\":\"{mode}\",\"threads\":1,\"runs\":2,\"wall_ms\":1.000,\"runs_per_sec\":5.000,\"reuse_hits\":0,\"digest\":\"{digest}\",\"seed\":1}}"
@@ -494,18 +305,18 @@ mod tests {
             r = r.replace("\"reuse_hits\":0", "\"reuse_hits\":1");
             r
         });
-        assert_eq!(parse_sweep_rows(&good).expect("valid").len(), 2);
+        assert_eq!(parse_report(&good).expect("valid").len(), 2);
         let drift = format!(
             "[\n{},\n{}\n]\n",
             row("fresh", &"a".repeat(16)),
             row("reuse", &"b".repeat(16))
         );
-        assert!(parse_sweep_rows(&drift).is_err(), "digest drift");
+        assert!(parse_report(&drift).is_err(), "digest drift");
         let hits = format!("[\n{}\n]\n", {
             let mut r = row("fresh", &"a".repeat(16));
             r = r.replace("\"reuse_hits\":0", "\"reuse_hits\":3");
             r
         });
-        assert!(parse_sweep_rows(&hits).is_err(), "fresh mode with hits");
+        assert!(parse_report(&hits).is_err(), "fresh mode with hits");
     }
 }

@@ -526,13 +526,14 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> Result<(), String> {
 /// `BENCH_fleet.json`, enforcing bit-identical output at every thread
 /// count. `--quick` selects each suite's CI smoke configuration. All
 /// timing happens inside `cloudsched-bench` behind the `obs::Clock` seam;
-/// the written report is re-parsed through the suite's strict schema
-/// validator so a malformed report fails the command.
+/// the written report is re-parsed through the strict row codec so a
+/// malformed report fails the command.
 ///
 /// `--compare` (flat-vs-heap event queues) only exists for the kernel
 /// suite; asking for it elsewhere is a usage error (exit 2), not a
 /// silently ignored knob.
 fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), CliError> {
+    use cloudsched_bench::{parse_report, render_report};
     let suite = flags.get("suite").map(String::as_str).unwrap_or("kernel");
     let quick = flags.contains_key("quick");
     if flags.contains_key("compare") && suite != "kernel" {
@@ -544,46 +545,106 @@ fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), CliError> {
             ),
         );
     }
-    match suite {
-        "kernel" => cmd_bench_kernel(flags, quick).map_err(CliError::Runtime),
-        "sweep" => cmd_bench_sweep(flags, quick).map_err(CliError::Runtime),
-        "fleet" => cmd_bench_fleet(flags, quick).map_err(CliError::Runtime),
-        other => usage_err(
-            "--suite",
-            &format!("unknown suite `{other}` (kernel|sweep|fleet)"),
-        ),
-    }
+    let rows = match suite {
+        "kernel" => bench_kernel(flags.contains_key("compare"), quick),
+        "sweep" => bench_sweep(quick),
+        "fleet" => bench_fleet(quick),
+        other => {
+            return usage_err(
+                "--suite",
+                &format!("unknown suite `{other}` (kernel|sweep|fleet)"),
+            )
+        }
+    };
+    let out = flags
+        .get("out")
+        .cloned()
+        .unwrap_or_else(|| format!("BENCH_{suite}.json"));
+    let json = render_report(&rows);
+    parse_report(&json).map_err(|e| format!("generated report failed schema validation: {e}"))?;
+    std::fs::write(&out, &json).map_err(|e| format!("{out}: {e}"))?;
+    eprintln!("wrote {} rows to {out}", rows.len());
+    Ok(())
 }
 
-fn cmd_bench_fleet(flags: &HashMap<String, String>, quick: bool) -> Result<(), String> {
-    use cloudsched_bench::{
-        fleet_rows_to_json, parse_fleet_rows, run_fleet_bench, FleetBenchConfig,
+fn bench_kernel(compare: bool, quick: bool) -> Vec<cloudsched_bench::Row> {
+    use cloudsched_bench::{run_kernel_bench, KernelBenchConfig};
+    let mut cfg = if quick {
+        KernelBenchConfig::quick()
+    } else {
+        KernelBenchConfig::default()
     };
+    cfg.compare = compare;
+    eprintln!(
+        "kernel bench: sizes {:?}, seed {}, {} rep(s){}",
+        cfg.sizes,
+        cfg.seed,
+        cfg.reps,
+        if cfg.compare { ", flat-vs-heap" } else { "" }
+    );
+    run_kernel_bench(&cfg, |row| {
+        eprintln!(
+            "  {:<14} n={:<7} [{:<4}] {:>10.1} ns/decision  {:>10.3} ms",
+            row.text("scheduler"),
+            row.int("n"),
+            row.text("queue"),
+            row.real("ns_per_decision"),
+            row.real("wall_ms")
+        );
+    })
+}
+
+fn bench_sweep(quick: bool) -> Vec<cloudsched_bench::Row> {
+    use cloudsched_bench::{run_sweep_bench, SweepBenchConfig};
+    let cfg = if quick {
+        SweepBenchConfig::quick()
+    } else {
+        SweepBenchConfig::default()
+    };
+    eprintln!(
+        "sweep bench: lambda {}, {} runs/cell, threads {:?}",
+        cfg.lambda, cfg.runs, cfg.threads
+    );
+    let outcome = run_sweep_bench(&cfg, |row| {
+        eprintln!(
+            "  {:<5} threads={:<2} {:>9.2} runs/s  {:>10.3} ms  reuse_hits={}",
+            row.text("mode"),
+            row.int("threads"),
+            row.real("runs_per_sec"),
+            row.real("wall_ms"),
+            row.int("reuse_hits")
+        );
+    });
+    eprintln!(
+        "workspace counters: runs={} reuse_hits={}",
+        outcome.metrics.counter("sweep.workspace.runs"),
+        outcome.metrics.counter("sweep.workspace.reuse_hits"),
+    );
+    outcome.rows
+}
+
+fn bench_fleet(quick: bool) -> Vec<cloudsched_bench::Row> {
+    use cloudsched_bench::{run_fleet_bench, FleetBenchConfig};
     let cfg = if quick {
         FleetBenchConfig::quick()
     } else {
         FleetBenchConfig::default()
     };
-    let out = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_fleet.json".into());
     eprintln!(
         "fleet bench: lambda {}/machine, fleets {:?}, threads {:?}, {} runs/cell",
         cfg.lambda, cfg.machines, cfg.threads, cfg.runs
     );
-    let rows = run_fleet_bench(&cfg, |row| {
+    run_fleet_bench(&cfg, |row| {
         eprintln!(
             "  M={:<3} threads={:<2} {:>9.2} runs/s  {:>10.3} ms  steals={:<5} digest={}",
-            row.machines, row.threads, row.runs_per_sec, row.wall_ms, row.steals, row.digest
+            row.int("machines"),
+            row.int("threads"),
+            row.real("runs_per_sec"),
+            row.real("wall_ms"),
+            row.int("steals"),
+            row.text("digest")
         );
-    });
-    let json = fleet_rows_to_json(&rows);
-    parse_fleet_rows(&json)
-        .map_err(|e| format!("generated report failed schema validation: {e}"))?;
-    std::fs::write(&out, &json).map_err(|e| format!("{out}: {e}"))?;
-    eprintln!("wrote {} rows to {out}", rows.len());
-    Ok(())
+    })
 }
 
 /// `cloudsched fleet`: one deterministic multi-machine fleet run
@@ -734,74 +795,6 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> Result<(), CliError> {
                 .into(),
         ));
     }
-    Ok(())
-}
-
-fn cmd_bench_kernel(flags: &HashMap<String, String>, quick: bool) -> Result<(), String> {
-    use cloudsched_bench::{parse_rows, rows_to_json, run_kernel_bench, KernelBenchConfig};
-    let mut cfg = if quick {
-        KernelBenchConfig::quick()
-    } else {
-        KernelBenchConfig::default()
-    };
-    cfg.compare = flags.contains_key("compare");
-    let out = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_kernel.json".into());
-    eprintln!(
-        "kernel bench: sizes {:?}, seed {}, {} rep(s){}",
-        cfg.sizes,
-        cfg.seed,
-        cfg.reps,
-        if cfg.compare { ", flat-vs-heap" } else { "" }
-    );
-    let rows = run_kernel_bench(&cfg, |row| {
-        eprintln!(
-            "  {:<14} n={:<7} [{:<4}] {:>10.1} ns/decision  {:>10.3} ms",
-            row.scheduler, row.n, row.queue, row.ns_per_decision, row.wall_ms
-        );
-    });
-    let json = rows_to_json(&rows);
-    parse_rows(&json).map_err(|e| format!("generated report failed schema validation: {e}"))?;
-    std::fs::write(&out, &json).map_err(|e| format!("{out}: {e}"))?;
-    eprintln!("wrote {} rows to {out}", rows.len());
-    Ok(())
-}
-
-fn cmd_bench_sweep(flags: &HashMap<String, String>, quick: bool) -> Result<(), String> {
-    use cloudsched_bench::{
-        parse_sweep_rows, run_sweep_bench, sweep_rows_to_json, SweepBenchConfig,
-    };
-    let cfg = if quick {
-        SweepBenchConfig::quick()
-    } else {
-        SweepBenchConfig::default()
-    };
-    let out = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_sweep.json".into());
-    eprintln!(
-        "sweep bench: lambda {}, {} runs/cell, threads {:?}",
-        cfg.lambda, cfg.runs, cfg.threads
-    );
-    let outcome = run_sweep_bench(&cfg, |row| {
-        eprintln!(
-            "  {:<5} threads={:<2} {:>9.2} runs/s  {:>10.3} ms  reuse_hits={}",
-            row.mode, row.threads, row.runs_per_sec, row.wall_ms, row.reuse_hits
-        );
-    });
-    eprintln!(
-        "workspace counters: runs={} reuse_hits={}",
-        outcome.metrics.counter("sweep.workspace.runs"),
-        outcome.metrics.counter("sweep.workspace.reuse_hits"),
-    );
-    let json = sweep_rows_to_json(&outcome.rows);
-    parse_sweep_rows(&json)
-        .map_err(|e| format!("generated report failed schema validation: {e}"))?;
-    std::fs::write(&out, &json).map_err(|e| format!("{out}: {e}"))?;
-    eprintln!("wrote {} rows to {out}", outcome.rows.len());
     Ok(())
 }
 
@@ -956,7 +949,8 @@ fn cmd_inspect_ratio(flags: &HashMap<String, String>) -> Result<(), CliError> {
 }
 
 /// `cloudsched bench-diff`: compares two benchmark reports of the same
-/// suite (`BENCH_kernel.json` or `BENCH_sweep.json`) row by row. Exits
+/// suite (`BENCH_kernel.json`, `BENCH_sweep.json` or `BENCH_fleet.json`)
+/// row by row. Exits
 /// non-zero when any metric regresses beyond `--tol` percent (default 10),
 /// so report-only callers append `|| true`.
 fn cmd_bench_diff(flags: &HashMap<String, String>) -> Result<(), CliError> {
@@ -1241,9 +1235,12 @@ mod tests {
         let path = std::env::temp_dir().join("cloudsched-cli-test-bench.json");
         cmd_bench(&flags_of(&["--quick", "--out", path.to_str().unwrap()])).expect("bench");
         let text = std::fs::read_to_string(&path).expect("report file");
-        let rows = cloudsched_bench::parse_rows(&text).expect("schema-valid report");
+        let rows = cloudsched_bench::parse_report(&text).expect("schema-valid report");
+        assert_eq!(rows[0].schema().suite, "kernel");
         assert_eq!(rows.len(), 3, "EDF, Dover, V-Dover at n = 1e3");
-        assert!(rows.iter().all(|r| r.n == 1_000 && r.seed == 7));
+        assert!(rows
+            .iter()
+            .all(|r| r.int("n") == 1_000 && r.int("seed") == 7));
         std::fs::remove_file(path).ok();
     }
 
@@ -1259,10 +1256,11 @@ mod tests {
         ]))
         .expect("sweep bench");
         let text = std::fs::read_to_string(&path).expect("report file");
-        let rows = cloudsched_bench::parse_sweep_rows(&text).expect("schema-valid report");
+        let rows = cloudsched_bench::parse_report(&text).expect("schema-valid report");
+        assert_eq!(rows[0].schema().suite, "sweep");
         assert_eq!(rows.len(), 4, "fresh/reuse at threads {{1, 2}}");
-        let digest = &rows[0].digest;
-        assert!(rows.iter().all(|r| &r.digest == digest));
+        let digest = rows[0].text("digest");
+        assert!(rows.iter().all(|r| r.text("digest") == digest));
         std::fs::remove_file(path).ok();
         assert!(cmd_bench(&flags_of(&["--suite", "espresso"])).is_err());
     }
@@ -1279,12 +1277,17 @@ mod tests {
         ]))
         .expect("fleet bench");
         let text = std::fs::read_to_string(&path).expect("report file");
-        let rows = cloudsched_bench::parse_fleet_rows(&text).expect("schema-valid report");
+        let rows = cloudsched_bench::parse_report(&text).expect("schema-valid report");
+        assert_eq!(rows[0].schema().suite, "fleet");
         assert_eq!(rows.len(), 4, "M in {{2, 4}} x threads in {{1, 2}}");
-        for m in [2usize, 4] {
-            let group: Vec<_> = rows.iter().filter(|r| r.machines == m).collect();
+        for m in [2u64, 4] {
+            let group: Vec<_> = rows.iter().filter(|r| r.int("machines") == m).collect();
             assert_eq!(group.len(), 2);
-            assert_eq!(group[0].digest, group[1].digest, "thread-count invariance");
+            assert_eq!(
+                group[0].text("digest"),
+                group[1].text("digest"),
+                "thread-count invariance"
+            );
         }
         std::fs::remove_file(path).ok();
     }
@@ -1377,21 +1380,26 @@ mod tests {
 
     #[test]
     fn bench_diff_compares_reports_and_flags_regressions() {
-        use cloudsched_bench::{rows_to_json, KernelBenchRow};
-        let row = |ns: f64| KernelBenchRow {
-            bench: "kernel".into(),
-            n: 1000,
-            scheduler: "EDF".into(),
-            ns_per_decision: ns,
-            wall_ms: 1.0,
-            seed: 7,
-            queue: "flat".into(),
+        use cloudsched_bench::row::KERNEL_SCHEMA;
+        use cloudsched_bench::{render_report, Row};
+        let row = |ns: f64| {
+            Row::new(
+                &KERNEL_SCHEMA,
+                vec![
+                    ("n", 1000usize.into()),
+                    ("scheduler", "EDF".into()),
+                    ("ns_per_decision", ns.into()),
+                    ("wall_ms", 1.0.into()),
+                    ("seed", 7u64.into()),
+                    ("queue", "flat".into()),
+                ],
+            )
         };
         let dir = std::env::temp_dir();
         let old = dir.join("cloudsched-cli-test-diff-old.json");
         let new = dir.join("cloudsched-cli-test-diff-new.json");
-        std::fs::write(&old, rows_to_json(&[row(100.0)])).expect("write old");
-        std::fs::write(&new, rows_to_json(&[row(101.0)])).expect("write new");
+        std::fs::write(&old, render_report(&[row(100.0)])).expect("write old");
+        std::fs::write(&new, render_report(&[row(101.0)])).expect("write new");
         let flags = |tol: &str| {
             flags_of(&[
                 "--old",
@@ -1403,7 +1411,7 @@ mod tests {
             ])
         };
         cmd_bench_diff(&flags("10")).expect("1% drift within 10% tolerance");
-        std::fs::write(&new, rows_to_json(&[row(200.0)])).expect("write new");
+        std::fs::write(&new, render_report(&[row(200.0)])).expect("write new");
         let err = cmd_bench_diff(&flags("10")).expect_err("100% slowdown");
         match &err {
             CliError::Runtime(e) => assert!(e.contains("regressed"), "got: {e}"),

@@ -1,15 +1,16 @@
 //! Structural diffs between two benchmark reports.
 //!
 //! Parses two `BENCH_kernel.json`, `BENCH_sweep.json`, or
-//! `BENCH_fleet.json` files with the strict parsers from
-//! `cloudsched-bench`, matches rows by configuration key, and reports
-//! per-metric deltas with a tolerance. Rows present in
-//! only one file (e.g. a `--quick` run covers fewer sizes) are listed as
-//! informational, never as regressions.
+//! `BENCH_fleet.json` files with the strict row codec from
+//! `cloudsched-bench`, matches rows by the suite schema's key, and reports
+//! a delta for each of the schema's metrics with a tolerance. Rows present
+//! in only one file (e.g. a `--quick` run covers fewer sizes) are listed
+//! as informational, never as regressions.
 
 use std::collections::BTreeMap;
 
-use cloudsched_bench::{parse_fleet_rows, parse_rows, parse_sweep_rows};
+use cloudsched_bench::row::Worse;
+use cloudsched_bench::{parse_report, Row};
 
 /// One metric's old-vs-new comparison for one matched row.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,177 +94,55 @@ fn pct(old: f64, new: f64) -> f64 {
     }
 }
 
-/// Compares one metric where *larger is worse* (latency, wall time).
-fn worse_if_up(key: &str, metric: &'static str, old: f64, new: f64, tol_pct: f64) -> MetricDelta {
-    let delta_pct = pct(old, new);
-    MetricDelta {
-        key: key.to_string(),
-        metric,
-        old,
-        new,
-        delta_pct,
-        regression: delta_pct > tol_pct,
-    }
-}
-
-/// Compares one metric where *smaller is worse* (throughput).
-fn worse_if_down(key: &str, metric: &'static str, old: f64, new: f64, tol_pct: f64) -> MetricDelta {
-    let delta_pct = pct(old, new);
-    MetricDelta {
-        key: key.to_string(),
-        metric,
-        old,
-        new,
-        delta_pct,
-        regression: delta_pct < -tol_pct,
-    }
-}
-
-/// Matches two keyed maps and folds each common key through `emit`.
-fn match_rows<T>(
-    old: BTreeMap<String, T>,
-    new: BTreeMap<String, T>,
-    tol_pct: f64,
-    emit: impl Fn(&str, &T, &T, f64, &mut Vec<MetricDelta>),
-) -> (Vec<MetricDelta>, Vec<String>, Vec<String>) {
-    let mut deltas = Vec::new();
-    let mut only_old = Vec::new();
-    let mut only_new: Vec<String> = new
-        .keys()
-        .filter(|k| !old.contains_key(*k))
-        .cloned()
-        .collect();
-    only_new.sort();
-    for (key, o) in &old {
-        match new.get(key) {
-            Some(n) => emit(key, o, n, tol_pct, &mut deltas),
-            None => only_old.push(key.clone()),
-        }
-    }
-    (deltas, only_old, only_new)
-}
-
 /// Diffs two benchmark reports of the same suite.
 ///
-/// The suite is auto-detected: both texts must parse as kernel reports,
-/// both as sweep reports, or both as fleet reports.
+/// The suite is the one each report names in its `"bench"` field; both
+/// must name the same one.
 ///
 /// # Errors
-/// When the two texts parse as different suites, or neither parser accepts
-/// them.
+/// When either text fails the strict parse, or the two name different
+/// suites.
 pub fn diff_reports(old_text: &str, new_text: &str, tol_pct: f64) -> Result<BenchDiff, String> {
     let tol_pct = tol_pct.abs();
-    match (parse_rows(old_text), parse_rows(new_text)) {
-        (Ok(old), Ok(new)) => {
-            // Heap-backend rows from the flat-vs-heap comparison mode get
-            // their own key, so a comparison report diffs cleanly against a
-            // flat-only one (heap rows fall out as only-in-one, informational).
-            let key = |r: &cloudsched_bench::KernelBenchRow| {
-                if r.queue == "heap" {
-                    format!("{} n={} [heap]", r.scheduler, r.n)
-                } else {
-                    format!("{} n={}", r.scheduler, r.n)
-                }
-            };
-            let old: BTreeMap<_, _> = old.into_iter().map(|r| (key(&r), r)).collect();
-            let new: BTreeMap<_, _> = new.into_iter().map(|r| (key(&r), r)).collect();
-            let (deltas, only_old, only_new) =
-                match_rows(old, new, tol_pct, |k, o, n, tol, out| {
-                    out.push(worse_if_up(
-                        k,
-                        "ns_per_decision",
-                        o.ns_per_decision,
-                        n.ns_per_decision,
-                        tol,
-                    ));
-                    out.push(worse_if_up(k, "wall_ms", o.wall_ms, n.wall_ms, tol));
-                });
-            return Ok(BenchDiff {
-                suite: "kernel",
-                deltas,
-                only_old,
-                only_new,
-                tol_pct,
-            });
-        }
-        (Ok(_), Err(e)) => {
-            // Old is a kernel report; new must be too.
-            if parse_sweep_rows(new_text).is_ok() {
-                return Err("cannot diff a kernel report against a sweep report".into());
-            }
-            if parse_fleet_rows(new_text).is_ok() {
-                return Err("cannot diff a kernel report against a fleet report".into());
-            }
-            return Err(format!("new report: {e}"));
-        }
-        (Err(e), Ok(_)) => {
-            if parse_sweep_rows(old_text).is_ok() {
-                return Err("cannot diff a sweep report against a kernel report".into());
-            }
-            if parse_fleet_rows(old_text).is_ok() {
-                return Err("cannot diff a fleet report against a kernel report".into());
-            }
-            return Err(format!("old report: {e}"));
-        }
-        (Err(_), Err(_)) => {}
-    }
-    match (parse_sweep_rows(old_text), parse_sweep_rows(new_text)) {
-        (Ok(old), Ok(new)) => {
-            let key =
-                |r: &cloudsched_bench::SweepBenchRow| format!("{} threads={}", r.mode, r.threads);
-            let old: BTreeMap<_, _> = old.into_iter().map(|r| (key(&r), r)).collect();
-            let new: BTreeMap<_, _> = new.into_iter().map(|r| (key(&r), r)).collect();
-            let (deltas, only_old, only_new) =
-                match_rows(old, new, tol_pct, |k, o, n, tol, out| {
-                    out.push(worse_if_down(
-                        k,
-                        "runs_per_sec",
-                        o.runs_per_sec,
-                        n.runs_per_sec,
-                        tol,
-                    ));
-                    out.push(worse_if_up(k, "wall_ms", o.wall_ms, n.wall_ms, tol));
-                });
-            return Ok(BenchDiff {
-                suite: "sweep",
-                deltas,
-                only_old,
-                only_new,
-                tol_pct,
-            });
-        }
-        (Ok(_), Err(e)) => {
-            if parse_fleet_rows(new_text).is_ok() {
-                return Err("cannot diff a sweep report against a fleet report".into());
-            }
-            return Err(format!("new report: {e}"));
-        }
-        (Err(e), Ok(_)) => {
-            if parse_fleet_rows(old_text).is_ok() {
-                return Err("cannot diff a fleet report against a sweep report".into());
-            }
-            return Err(format!("old report: {e}"));
-        }
-        (Err(_), Err(_)) => {}
-    }
-    let old = parse_fleet_rows(old_text).map_err(|e| format!("old report: {e}"))?;
-    let new = parse_fleet_rows(new_text).map_err(|e| format!("new report: {e}"))?;
-    let key =
-        |r: &cloudsched_bench::FleetBenchRow| format!("M={} threads={}", r.machines, r.threads);
-    let old: BTreeMap<_, _> = old.into_iter().map(|r| (key(&r), r)).collect();
-    let new: BTreeMap<_, _> = new.into_iter().map(|r| (key(&r), r)).collect();
-    let (deltas, only_old, only_new) = match_rows(old, new, tol_pct, |k, o, n, tol, out| {
-        out.push(worse_if_down(
-            k,
-            "runs_per_sec",
-            o.runs_per_sec,
-            n.runs_per_sec,
-            tol,
+    let old = parse_report(old_text).map_err(|e| format!("old report: {e}"))?;
+    let new = parse_report(new_text).map_err(|e| format!("new report: {e}"))?;
+    let (schema, new_suite) = (old[0].schema(), new[0].schema().suite);
+    if schema.suite != new_suite {
+        return Err(format!(
+            "cannot diff a {} report against a {new_suite} report",
+            schema.suite
         ));
-        out.push(worse_if_up(k, "wall_ms", o.wall_ms, n.wall_ms, tol));
-    });
+    }
+    let keyed = |rows: Vec<Row>| -> BTreeMap<String, Row> {
+        rows.into_iter().map(|r| (r.key(), r)).collect()
+    };
+    let (old, new) = (keyed(old), keyed(new));
+    let mut deltas = Vec::new();
+    let mut only_old = Vec::new();
+    for (key, o) in &old {
+        let Some(n) = new.get(key) else {
+            only_old.push(key.clone());
+            continue;
+        };
+        for &(metric, worse) in schema.metrics {
+            let (was, now) = (o.real(metric), n.real(metric));
+            let delta_pct = pct(was, now);
+            deltas.push(MetricDelta {
+                key: key.clone(),
+                metric,
+                old: was,
+                new: now,
+                delta_pct,
+                regression: match worse {
+                    Worse::Up => delta_pct > tol_pct,
+                    Worse::Down => delta_pct < -tol_pct,
+                },
+            });
+        }
+    }
+    let only_new = new.into_keys().filter(|k| !old.contains_key(k)).collect();
     Ok(BenchDiff {
-        suite: "fleet",
+        suite: schema.suite,
         deltas,
         only_old,
         only_new,
@@ -274,45 +153,51 @@ pub fn diff_reports(old_text: &str, new_text: &str, tol_pct: f64) -> Result<Benc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloudsched_bench::{
-        fleet_rows_to_json, rows_to_json, sweep_rows_to_json, FleetBenchRow, KernelBenchRow,
-        SweepBenchRow,
-    };
+    use cloudsched_bench::render_report;
+    use cloudsched_bench::row::{FLEET_SCHEMA, KERNEL_SCHEMA, SWEEP_SCHEMA};
 
-    fn kernel_row(scheduler: &str, n: usize, ns: f64, wall: f64) -> KernelBenchRow {
-        KernelBenchRow {
-            bench: "kernel".into(),
-            n,
-            scheduler: scheduler.into(),
-            ns_per_decision: ns,
-            wall_ms: wall,
-            seed: 7,
-            queue: "flat".into(),
-        }
+    fn kernel_row(scheduler: &str, n: usize, ns: f64, wall: f64) -> Row {
+        kernel_row_on("flat", scheduler, n, ns, wall)
     }
 
-    fn sweep_row(mode: &str, threads: usize, rps: f64, wall: f64) -> SweepBenchRow {
-        SweepBenchRow {
-            bench: "sweep".into(),
-            mode: mode.into(),
-            threads,
-            runs: 64,
-            wall_ms: wall,
-            runs_per_sec: rps,
-            reuse_hits: 0,
-            digest: "00000000deadbeef".into(),
-            seed: 7,
-        }
+    fn kernel_row_on(queue: &str, scheduler: &str, n: usize, ns: f64, wall: f64) -> Row {
+        Row::new(
+            &KERNEL_SCHEMA,
+            vec![
+                ("n", n.into()),
+                ("scheduler", scheduler.into()),
+                ("ns_per_decision", ns.into()),
+                ("wall_ms", wall.into()),
+                ("seed", 7u64.into()),
+                ("queue", queue.into()),
+            ],
+        )
+    }
+
+    fn sweep_row(mode: &str, threads: usize, rps: f64, wall: f64) -> Row {
+        Row::new(
+            &SWEEP_SCHEMA,
+            vec![
+                ("mode", mode.into()),
+                ("threads", threads.into()),
+                ("runs", 64usize.into()),
+                ("wall_ms", wall.into()),
+                ("runs_per_sec", rps.into()),
+                ("reuse_hits", 0u64.into()),
+                ("digest", "00000000deadbeef".into()),
+                ("seed", 7u64.into()),
+            ],
+        )
     }
 
     #[test]
     fn kernel_diff_flags_slowdowns_beyond_tolerance() {
-        let old = rows_to_json(&[
+        let old = render_report(&[
             kernel_row("EDF", 1000, 100.0, 1.0),
             kernel_row("V-Dover", 1000, 200.0, 2.0),
             kernel_row("V-Dover", 10000, 250.0, 20.0),
         ]);
-        let new = rows_to_json(&[
+        let new = render_report(&[
             kernel_row("EDF", 1000, 105.0, 1.0),
             kernel_row("V-Dover", 1000, 300.0, 2.0),
         ]);
@@ -342,8 +227,8 @@ mod tests {
 
     #[test]
     fn sweep_diff_flags_throughput_drops() {
-        let old = sweep_rows_to_json(&[sweep_row("reuse", 4, 1000.0, 64.0)]);
-        let new = sweep_rows_to_json(&[
+        let old = render_report(&[sweep_row("reuse", 4, 1000.0, 64.0)]);
+        let new = render_report(&[
             sweep_row("reuse", 4, 800.0, 80.0),
             sweep_row("fresh", 4, 900.0, 70.0),
         ]);
@@ -361,15 +246,11 @@ mod tests {
 
     #[test]
     fn heap_rows_key_separately_from_flat_rows() {
-        let heap = |mut r: KernelBenchRow| {
-            r.queue = "heap".into();
-            r
-        };
         // Old: flat-only report. New: comparison report with both backends.
-        let old = rows_to_json(&[kernel_row("V-Dover", 1000, 100.0, 1.0)]);
-        let new = rows_to_json(&[
+        let old = render_report(&[kernel_row("V-Dover", 1000, 100.0, 1.0)]);
+        let new = render_report(&[
             kernel_row("V-Dover", 1000, 90.0, 0.9),
-            heap(kernel_row("V-Dover", 1000, 300.0, 3.0)),
+            kernel_row_on("heap", "V-Dover", 1000, 300.0, 3.0),
         ]);
         let diff = diff_reports(&old, &new, 10.0).expect("same suite");
         assert_eq!(diff.deltas.len(), 2, "only the flat rows match");
@@ -379,32 +260,33 @@ mod tests {
 
     #[test]
     fn improvements_are_not_regressions() {
-        let old = rows_to_json(&[kernel_row("EDF", 1000, 100.0, 1.0)]);
-        let new = rows_to_json(&[kernel_row("EDF", 1000, 50.0, 0.5)]);
+        let old = render_report(&[kernel_row("EDF", 1000, 100.0, 1.0)]);
+        let new = render_report(&[kernel_row("EDF", 1000, 50.0, 0.5)]);
         let diff = diff_reports(&old, &new, 10.0).expect("same suite");
         assert_eq!(diff.regressions(), 0);
         assert!(diff.render().contains("-50.0%"));
     }
 
-    fn fleet_row(machines: usize, threads: usize, rps: f64, wall: f64) -> FleetBenchRow {
-        FleetBenchRow {
-            bench: "fleet".into(),
-            machines,
-            threads,
-            runs: 4,
-            wall_ms: wall,
-            runs_per_sec: rps,
-            steals: 3,
-            digest: "00000000deadbeef".into(),
-            seed: 7,
-        }
+    fn fleet_row(machines: usize, threads: usize, rps: f64, wall: f64) -> Row {
+        Row::new(
+            &FLEET_SCHEMA,
+            vec![
+                ("machines", machines.into()),
+                ("threads", threads.into()),
+                ("runs", 4usize.into()),
+                ("wall_ms", wall.into()),
+                ("runs_per_sec", rps.into()),
+                ("steals", 3u64.into()),
+                ("digest", "00000000deadbeef".into()),
+                ("seed", 7u64.into()),
+            ],
+        )
     }
 
     #[test]
     fn fleet_diff_flags_throughput_drops() {
-        let old = fleet_rows_to_json(&[fleet_row(16, 1, 50.0, 80.0), fleet_row(16, 4, 50.0, 80.0)]);
-        let new =
-            fleet_rows_to_json(&[fleet_row(16, 1, 40.0, 100.0), fleet_row(16, 4, 50.0, 80.0)]);
+        let old = render_report(&[fleet_row(16, 1, 50.0, 80.0), fleet_row(16, 4, 50.0, 80.0)]);
+        let new = render_report(&[fleet_row(16, 1, 40.0, 100.0), fleet_row(16, 4, 50.0, 80.0)]);
         let diff = diff_reports(&old, &new, 10.0).expect("same suite");
         assert_eq!(diff.suite, "fleet");
         assert_eq!(diff.deltas.len(), 4, "2 matched rows x 2 metrics");
@@ -415,13 +297,13 @@ mod tests {
 
     #[test]
     fn fleet_and_sweep_reports_do_not_cross_diff() {
-        let fleet = fleet_rows_to_json(&[fleet_row(4, 1, 50.0, 80.0)]);
-        let sweep = sweep_rows_to_json(&[sweep_row("reuse", 4, 1000.0, 64.0)]);
+        let fleet = render_report(&[fleet_row(4, 1, 50.0, 80.0)]);
+        let sweep = render_report(&[sweep_row("reuse", 4, 1000.0, 64.0)]);
         let err = diff_reports(&sweep, &fleet, 10.0).expect_err("mixed suites");
         assert!(err.contains("sweep report against a fleet report"), "{err}");
         let err = diff_reports(&fleet, &sweep, 10.0).expect_err("mixed suites");
         assert!(err.contains("fleet report against a sweep report"), "{err}");
-        let kernel = rows_to_json(&[kernel_row("EDF", 1000, 100.0, 1.0)]);
+        let kernel = render_report(&[kernel_row("EDF", 1000, 100.0, 1.0)]);
         let err = diff_reports(&kernel, &fleet, 10.0).expect_err("mixed suites");
         assert!(
             err.contains("kernel report against a fleet report"),
@@ -431,8 +313,8 @@ mod tests {
 
     #[test]
     fn mixed_suites_are_rejected() {
-        let kernel = rows_to_json(&[kernel_row("EDF", 1000, 100.0, 1.0)]);
-        let sweep = sweep_rows_to_json(&[sweep_row("reuse", 4, 1000.0, 64.0)]);
+        let kernel = render_report(&[kernel_row("EDF", 1000, 100.0, 1.0)]);
+        let sweep = render_report(&[sweep_row("reuse", 4, 1000.0, 64.0)]);
         let err = diff_reports(&kernel, &sweep, 10.0).expect_err("mixed suites");
         assert!(
             err.contains("kernel report against a sweep report"),

@@ -13,7 +13,7 @@
 //!   exact (branch-and-bound) or fractional (LP) offline optimum, printed
 //!   next to the paper's Theorem 3(2) guarantee;
 //! * [`benchdiff`] — structural diffs between two checked-in benchmark
-//!   reports (`BENCH_kernel.json` / `BENCH_sweep.json`).
+//!   reports (`BENCH_kernel.json` / `BENCH_sweep.json` / `BENCH_fleet.json`).
 //!
 //! Everything here is a pure function from parsed trace events (or report
 //! text) to values and rendered text: no filesystem, no clock, no hashing

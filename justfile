@@ -119,9 +119,10 @@ inspect-ratio lambda="8" seed="1" seeds="3":
 golden-inspect-regen:
     cargo run --release -p cloudsched-cli -- inspect --lambda 12 --seed 7 --horizon 6 --scheduler vdover --in tests/golden/trace_seed7_vdover.jsonl > tests/golden/inspect_seed7_vdover.txt
 
-# Compare fresh quick kernel and sweep runs against the checked-in reports
-# (report-only in CI; run `just bench` / `just sweep` on an idle machine for
-# real numbers). bench-diff auto-detects the suite from the report schema.
+# Compare fresh quick kernel, sweep and fleet runs against the checked-in
+# reports (report-only in CI; run `just bench` / `just sweep` / `just fleet`
+# on an idle machine for real numbers). bench-diff takes the suite from each
+# report's `bench` field.
 bench-diff tol="50":
     cargo run --release -p cloudsched-cli -- bench --quick --out /tmp/bench-smoke.json
     cargo run --release -p cloudsched-cli -- bench-diff --old BENCH_kernel.json --new /tmp/bench-smoke.json --tol {{tol}}

@@ -13,8 +13,8 @@ use cloudsched::obs::JsonlTracer;
 use cloudsched::prelude::*;
 use cloudsched::sim::{simulate_into_traced, simulate_traced, SimWorkspace};
 use cloudsched_bench::{
-    parallel_map, parse_sweep_rows, run_instance, run_instance_batch_in, run_instance_in,
-    run_sweep_bench, sweep_rows_to_json, SchedulerSpec, SweepBenchConfig,
+    parallel_map, parse_report, render_report, run_instance, run_instance_batch_in,
+    run_instance_in, run_sweep_bench, SchedulerSpec, SweepBenchConfig,
 };
 use cloudsched_core::rng::{derive_seed, Pcg32, Rng};
 use cloudsched_core::{Job, JobId, Time};
@@ -212,15 +212,17 @@ fn sweep_bench_cells_agree_and_round_trip_the_schema() {
     };
     let outcome = run_sweep_bench(&cfg, |_| {});
     assert_eq!(outcome.rows.len(), 4);
-    let digest = &outcome.rows[0].digest;
+    let digest = outcome.rows[0].text("digest");
     for row in &outcome.rows {
         assert_eq!(
-            &row.digest, digest,
+            row.text("digest"),
+            digest,
             "mode {} threads {}",
-            row.mode, row.threads
+            row.text("mode"),
+            row.int("threads")
         );
-        if row.mode == "fresh" {
-            assert_eq!(row.reuse_hits, 0);
+        if row.text("mode") == "fresh" {
+            assert_eq!(row.int("reuse_hits"), 0);
         }
     }
     // One workspace activation per policy simulation: 2 reuse cells x
@@ -229,8 +231,8 @@ fn sweep_bench_cells_agree_and_round_trip_the_schema() {
         outcome.metrics.counter("sweep.workspace.runs"),
         2 * cfg.runs as u64 * 5,
     );
-    let json = sweep_rows_to_json(&outcome.rows);
-    let back = parse_sweep_rows(&json).expect("schema round trip");
+    let json = render_report(&outcome.rows);
+    let back = parse_report(&json).expect("schema round trip");
     assert_eq!(back.len(), outcome.rows.len());
 }
 
@@ -249,11 +251,11 @@ fn reuse_hits_are_invariant_across_thread_counts() {
         threads: vec![1, 4],
     };
     let outcome = run_sweep_bench(&cfg, |_| {});
-    let reuse: Vec<(usize, u64)> = outcome
+    let reuse: Vec<(u64, u64)> = outcome
         .rows
         .iter()
-        .filter(|r| r.mode == "reuse")
-        .map(|r| (r.threads, r.reuse_hits))
+        .filter(|r| r.text("mode") == "reuse")
+        .map(|r| (r.int("threads"), r.int("reuse_hits")))
         .collect();
     assert_eq!(reuse, vec![(1, reuse[0].1), (4, reuse[0].1)]);
     assert!(
