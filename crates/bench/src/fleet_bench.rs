@@ -4,7 +4,9 @@
 //!
 //! Each `(machines, threads)` cell runs the same Monte-Carlo fleet runs —
 //! power-of-two-choices dispatch over V-Dover machines on the fleet Table-I
-//! scenario — and times the whole thing. Rows are paired by `machines`:
+//! scenario — and times dispatch plus simulation. Each `(machines, run)`
+//! instance is generated once, outside the timed window, and reused for
+//! every thread count. Rows are paired by `machines`:
 //! every thread count must reproduce the *identical* per-run fleet digests
 //! (value bits, completed, events, preemptions, dispatches per machine,
 //! plus the quarantine/steal counters), and [`run_fleet_bench`] refuses to
@@ -21,7 +23,7 @@ use cloudsched_core::rng::{derive_seed, FLEET_DISPATCH_RUN_OFFSET, SEED_STREAM_F
 use cloudsched_obs::{Clock, MonotonicClock};
 use cloudsched_sched::DispatchPolicy;
 use cloudsched_sim::{run_fleet, FleetReport, RunOptions, Scheduler};
-use cloudsched_workload::FleetScenario;
+use cloudsched_workload::{FleetInstance, FleetScenario};
 
 /// Fleet suite configuration.
 #[derive(Debug, Clone)]
@@ -33,7 +35,7 @@ pub struct FleetBenchConfig {
     pub horizon: f64,
     /// Fleet sizes to sweep (default `[4, 16, 64]`).
     pub machines: Vec<usize>,
-    /// Thread counts to pair per fleet size (default `[1, 4]`).
+    /// Thread counts to pair per fleet size (default `[1, 2]`).
     pub threads: Vec<usize>,
     /// Monte-Carlo fleet runs per cell (default 4).
     pub runs: usize,
@@ -45,7 +47,7 @@ impl Default for FleetBenchConfig {
             lambda: 8.0,
             horizon: 250.0,
             machines: vec![4, 16, 64],
-            threads: vec![1, 4],
+            threads: vec![1, 2],
             runs: 4,
         }
     }
@@ -92,6 +94,14 @@ pub fn fleet_digest(report: &FleetReport) -> u64 {
     h
 }
 
+/// The instance of run slot `run` for an `m`-machine fleet.
+fn fleet_suite_instance(cfg: &FleetBenchConfig, m: usize, run: usize) -> FleetInstance {
+    FleetScenario::table1(cfg.lambda, m)
+        .with_horizon(cfg.horizon)
+        .generate(derive_seed(SEED_STREAM_FLEET, cfg.lambda, run))
+        .expect("fleet scenario generation is infallible for valid configs")
+}
+
 /// One Monte-Carlo fleet run of the suite: instance from run slot `run`,
 /// p2c dispatch seeded from the offset run slot, V-Dover (k = 7, δ = 35)
 /// per machine.
@@ -101,11 +111,16 @@ pub fn fleet_suite_run(
     run: usize,
     threads: usize,
 ) -> FleetReport {
-    let scenario = FleetScenario::table1(cfg.lambda, m).with_horizon(cfg.horizon);
-    let seed = derive_seed(SEED_STREAM_FLEET, cfg.lambda, run);
-    let instance = scenario
-        .generate(seed)
-        .expect("fleet scenario generation is infallible for valid configs");
+    run_instance(cfg, &fleet_suite_instance(cfg, m, run), run, threads)
+}
+
+/// [`fleet_suite_run`] on an already generated instance of run slot `run`.
+fn run_instance(
+    cfg: &FleetBenchConfig,
+    instance: &FleetInstance,
+    run: usize,
+    threads: usize,
+) -> FleetReport {
     let mut dispatch = DispatchPolicy::PowerOfTwo.build(derive_seed(
         SEED_STREAM_FLEET,
         cfg.lambda,
@@ -127,8 +142,9 @@ pub fn fleet_suite_run(
 }
 
 /// Runs the full fleet suite: for each fleet size, one cell per thread
-/// count, every cell replaying the identical run sequence. `progress`
-/// receives one line per completed cell.
+/// count, every cell replaying the identical run sequence on the same
+/// pregenerated instances. `progress` receives one line per completed
+/// cell.
 ///
 /// # Panics
 /// If the rows break [`FLEET_SCHEMA`]'s agreement rule (one digest and
@@ -139,12 +155,15 @@ pub fn run_fleet_bench(cfg: &FleetBenchConfig, mut progress: impl FnMut(&Row)) -
     let clock = MonotonicClock::new();
     let mut rows: Vec<Row> = Vec::new();
     for &m in &cfg.machines {
+        let instances: Vec<FleetInstance> = (0..cfg.runs)
+            .map(|run| fleet_suite_instance(cfg, m, run))
+            .collect();
         for &threads in &cfg.threads {
             let t0 = clock.now_ns();
             let mut h = FNV_OFFSET;
             let mut steals = 0u64;
-            for run in 0..cfg.runs {
-                let report = fleet_suite_run(cfg, m, run, threads);
+            for (run, instance) in instances.iter().enumerate() {
+                let report = run_instance(cfg, instance, run, threads);
                 h = fnv1a(h, fleet_digest(&report));
                 steals += report.steals as u64;
             }

@@ -109,17 +109,15 @@ impl Dispatch for LeastLaxityFit {
         "llf"
     }
     fn choose(&mut self, job: &Job, loads: &FleetLoads<'_>) -> usize {
-        let mut best = 0usize;
+        // One read per machine: each `fit_laxity` is a capacity lookup.
+        let mut best = (0usize, loads.fit_laxity(0, job));
         for m in 1..loads.machines() {
-            let better = loads
-                .fit_laxity(m, job)
-                .total_cmp(&loads.fit_laxity(best, job))
-                == Ordering::Greater;
-            if better {
-                best = m;
+            let laxity = loads.fit_laxity(m, job);
+            if laxity.total_cmp(&best.1) == Ordering::Greater {
+                best = (m, laxity);
             }
         }
-        best
+        best.0
     }
 }
 

@@ -15,8 +15,10 @@
 //!
 //! 1. the **dispatch phase is serial**: jobs are walked in release order
 //!    (ties by job id) through a single [`Dispatch`] policy, against
-//!    conservative per-machine backlog estimates aged by each machine's
-//!    *observed past* capacity — everything an online dispatcher may know;
+//!    conservative per-machine backlog estimates drained by each machine's
+//!    *observed past* capacity — everything an online dispatcher may know.
+//!    Backlogs are kept as drain levels and computed on read, so a tick
+//!    costs only the machines the policy reads;
 //! 2. **steals resolve in a fixed barrier order**: capacity-recovery points
 //!    (instants where a machine's rate steps *up*) are processed in
 //!    ascending `(time, machine index)` order, and at each point the
@@ -32,9 +34,11 @@
 //! that machine but becomes steal-eligible. At every capacity-recovery
 //! point the recovering machine scans the quarantine list and claims any
 //! job it can now finish in time under its recovered rate (a persistence
-//! heuristic — documented, not conservative). Unstolen quarantined jobs
-//! still simulate on their owner; every job runs on exactly one machine,
-//! so fleet value accounting is a per-machine partition.
+//! heuristic — documented, not conservative); the same scan drops claimed
+//! and expired entries, so the list holds only jobs a later recovery could
+//! still claim. Unstolen quarantined jobs still simulate on their owner;
+//! every job runs on exactly one machine, so fleet value accounting is a
+//! per-machine partition.
 
 use crate::engine::{simulate_into, RunOptions};
 use crate::report::RunReport;
@@ -48,22 +52,29 @@ use std::cmp::Ordering;
 
 /// What a dispatch policy may observe when placing one job: the
 /// conservative backlog estimate and declared class floor of every
-/// machine, all aged to the job's release instant.
+/// machine, as of the job's release instant.
 ///
 /// The view is strictly *online*: backlogs drain at each machine's
 /// observed past capacity, and feasibility below is computed against the
 /// declared `c_lo` — the future of any trace is unreachable from here.
+///
+/// Backlogs are computed on read from per-machine *drain levels*
+/// (`DESIGN.md` §16.1): machine `m`'s backlog at `now` is
+/// `max(level[m] − I_m(now), 0)` with `I_m` its prefix capacity integral,
+/// so one read costs one memoized cursor lookup into that machine's trace
+/// and a policy pays only for the machines it actually reads.
 #[derive(Debug)]
 pub struct FleetLoads<'a> {
     now: f64,
-    backlog: &'a [f64],
+    capacity: &'a [PiecewiseConstant],
+    level: &'a [f64],
     c_lo: &'a [f64],
 }
 
 impl FleetLoads<'_> {
     /// Number of machines in the fleet.
     pub fn machines(&self) -> usize {
-        self.backlog.len()
+        self.level.len()
     }
 
     /// The dispatch instant (the job's release time).
@@ -74,7 +85,7 @@ impl FleetLoads<'_> {
     /// Conservative unfinished-workload estimate queued on machine `m`,
     /// in capacity-seconds.
     pub fn backlog(&self, m: usize) -> f64 {
-        self.backlog[m]
+        drained_backlog(self.level[m], &self.capacity[m], self.now)
     }
 
     /// Declared capacity floor of machine `m`.
@@ -87,8 +98,21 @@ impl FleetLoads<'_> {
     /// plus this job at the declared floor `c_lo`. Negative means the
     /// machine cannot guarantee the deadline.
     pub fn fit_laxity(&self, m: usize, job: &Job) -> f64 {
-        job.deadline.as_f64() - self.now - (self.backlog[m] + job.workload) / self.c_lo[m]
+        job.deadline.as_f64() - self.now - (self.backlog(m) + job.workload) / self.c_lo[m]
     }
+}
+
+/// Backlog left at `now` on a machine whose queued work runs out at prefix
+/// integral `level`: the drain level minus the capacity delivered so far,
+/// clamped at an empty queue.
+fn drained_backlog(level: f64, capacity: &PiecewiseConstant, now: f64) -> f64 {
+    (level - capacity.integral_to(Time::new(now))).max(0.0)
+}
+
+/// New drain level after queueing `workload` at `now`: an idle machine's
+/// level first catches up with the capacity delivered so far.
+fn raised_level(level: f64, capacity: &PiecewiseConstant, now: f64, workload: f64) -> f64 {
+    level.max(capacity.integral_to(Time::new(now))) + workload
 }
 
 /// A deterministic dispatch policy: places each released job on a machine.
@@ -165,11 +189,114 @@ pub struct FleetReport {
 /// `(time, kind, index)` order. At equal times a recovery point resolves
 /// *before* a release — the barrier order that makes steals deterministic:
 /// capacity recovered at `t` is visible to a job released at `t`.
-enum Tick<'a> {
+enum Tick {
     /// Machine `m`'s rate stepped up at this instant.
     Recovery { machine: usize },
-    /// A job enters the fleet.
-    Release { job: &'a Job },
+    /// The job at this position of the id-sorted job slice enters the
+    /// fleet.
+    Release { pos: usize },
+}
+
+/// The serial dispatch phase's state. Each release touches the machines
+/// its policy reads plus the chosen one; each recovery point touches the
+/// recovering machine and the owners of the jobs it claims.
+struct DispatchState<'a> {
+    slice: &'a [Job],
+    machines: &'a [PiecewiseConstant],
+    c_lo: Vec<f64>,
+    /// Drain level per machine, in prefix-integral space: machine `m`'s
+    /// backlog at `t` is `max(level[m] − I_m(t), 0)`.
+    level: Vec<f64>,
+    /// Machine of every job, by slice position (`usize::MAX` until placed).
+    assignment: Vec<usize>,
+    /// Live quarantine in quarantine (release) order: only entries a later
+    /// recovery point could still claim.
+    quarantine: Vec<usize>,
+    quarantined: usize,
+    steals_in: Vec<usize>,
+    steals: usize,
+    readmitted: usize,
+}
+
+impl<'a> DispatchState<'a> {
+    fn new(slice: &'a [Job], machines: &'a [PiecewiseConstant]) -> Self {
+        let m_count = machines.len();
+        DispatchState {
+            slice,
+            machines,
+            c_lo: machines.iter().map(|c| c.bounds().0).collect(),
+            level: vec![0.0; m_count],
+            assignment: vec![usize::MAX; slice.len()],
+            quarantine: Vec::new(),
+            quarantined: 0,
+            steals_in: vec![0; m_count],
+            steals: 0,
+            readmitted: 0,
+        }
+    }
+
+    /// Places the job at slice position `pos`, released at `now`, and
+    /// quarantines it if the chosen machine cannot conservatively meet its
+    /// deadline.
+    fn release(&mut self, pos: usize, now: f64, dispatch: &mut dyn Dispatch) {
+        let job = &self.slice[pos];
+        let loads = FleetLoads {
+            now,
+            capacity: self.machines,
+            level: &self.level,
+            c_lo: &self.c_lo,
+        };
+        let choice = dispatch.choose(job, &loads);
+        assert!(
+            choice < loads.machines(),
+            "dispatcher `{}` chose machine {choice} of a {}-machine fleet",
+            dispatch.name(),
+            loads.machines()
+        );
+        let infeasible = !approx_ge(loads.fit_laxity(choice, job), 0.0);
+        self.assignment[pos] = choice;
+        let cap = &self.machines[choice];
+        self.level[choice] = raised_level(self.level[choice], cap, now, job.workload);
+        if infeasible {
+            self.quarantine.push(pos);
+            self.quarantined += 1;
+        }
+    }
+
+    /// Machine `machine`'s rate stepped up at `now`: it claims, in
+    /// quarantine order, every job its recovered rate — persisting — would
+    /// finish in time behind its backlog, and the list is compacted in the
+    /// same pass. Claimed entries leave; so do entries whose deadline has
+    /// passed, because a steal laxity is at most `deadline − now`, which
+    /// only falls as `now` advances — no later recovery could claim them.
+    fn recover(&mut self, machine: usize, now: f64) {
+        let (slice, cap) = (self.slice, &self.machines[machine]);
+        let rate_now = cap.rate_at(Time::new(now));
+        let mut quarantine = std::mem::take(&mut self.quarantine);
+        quarantine.retain(|&pos| {
+            let job = &slice[pos];
+            let slack = job.deadline.as_f64() - now;
+            let backlog = drained_backlog(self.level[machine], cap, now);
+            let steal_laxity = slack - (backlog + job.workload) / rate_now;
+            if !approx_ge(steal_laxity, 0.0) {
+                return approx_ge(slack, 0.0);
+            }
+            let owner = self.assignment[pos];
+            if owner == machine {
+                self.readmitted += 1;
+            } else {
+                // The owner's clamp at an empty queue happens on read, in
+                // `drained_backlog`.
+                self.level[owner] -= job.workload;
+                self.level[machine] = raised_level(self.level[machine], cap, now, job.workload);
+                self.assignment[pos] = machine;
+                self.steals += 1;
+                self.steals_in[machine] += 1;
+            }
+            false
+        });
+        self.quarantine = quarantine;
+    }
 }
 
 /// Runs one fleet: serial deterministic dispatch, then `M` per-machine
@@ -216,104 +343,46 @@ pub fn run_fleet(
     }
     recoveries.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
-    let c_lo: Vec<f64> = machines.iter().map(|c| c.bounds().0).collect();
-    let mut backlog = vec![0.0f64; m_count];
-    let mut backlog_asof = vec![0.0f64; m_count];
-    let mut assignment = vec![usize::MAX; n];
-    // Quarantine list in quarantine (release) order; `rescued` marks
-    // entries a recovery point already claimed.
-    let mut quarantine: Vec<usize> = Vec::new();
-    let mut rescued: Vec<bool> = Vec::new();
-    let mut steals_in = vec![0usize; m_count];
-    let mut steals = 0usize;
-    let mut readmitted = 0usize;
-
-    let age_all = |backlog: &mut [f64], asof: &mut [f64], now: f64| {
-        for m in 0..m_count {
-            let drained = machines[m].integrate(Time::new(asof[m]), Time::new(now));
-            backlog[m] = (backlog[m] - drained).max(0.0);
-            asof[m] = now;
-        }
-    };
-
+    let mut state = DispatchState::new(slice, machines);
     let mut rel_iter = release_order.iter().peekable();
     let mut rec_iter = recoveries.iter().peekable();
     loop {
         // Pick the next tick; recoveries go first on equal times.
-        let tick: (f64, Tick<'_>) = match (rel_iter.peek(), rec_iter.peek()) {
+        let (now, tick) = match (rel_iter.peek(), rec_iter.peek()) {
             (None, None) => break,
-            (Some(&&j), None) => {
+            (Some(&&pos), None) => {
                 rel_iter.next();
-                (slice[j].release.as_f64(), Tick::Release { job: &slice[j] })
+                (slice[pos].release.as_f64(), Tick::Release { pos })
             }
             (None, Some(&&(t, m))) => {
                 rec_iter.next();
                 (t, Tick::Recovery { machine: m })
             }
-            (Some(&&j), Some(&&(t, m))) => {
-                let r = slice[j].release.as_f64();
+            (Some(&&pos), Some(&&(t, m))) => {
+                let r = slice[pos].release.as_f64();
                 if t.total_cmp(&r) != Ordering::Greater {
                     rec_iter.next();
                     (t, Tick::Recovery { machine: m })
                 } else {
                     rel_iter.next();
-                    (r, Tick::Release { job: &slice[j] })
+                    (r, Tick::Release { pos })
                 }
             }
         };
-        let now = tick.0;
-        age_all(&mut backlog, &mut backlog_asof, now);
-        match tick.1 {
-            Tick::Release { job } => {
-                let loads = FleetLoads {
-                    now,
-                    backlog: &backlog,
-                    c_lo: &c_lo,
-                };
-                let choice = dispatch.choose(job, &loads);
-                assert!(
-                    choice < m_count,
-                    "dispatcher `{}` chose machine {choice} of a {m_count}-machine fleet",
-                    dispatch.name()
-                );
-                let infeasible = !approx_ge(loads.fit_laxity(choice, job), 0.0);
-                let pos = position_of(slice, job.id);
-                assignment[pos] = choice;
-                backlog[choice] += job.workload;
-                if infeasible {
-                    quarantine.push(pos);
-                    rescued.push(false);
-                }
-            }
-            Tick::Recovery { machine } => {
-                let rate_now = machines[machine].rate_at(Time::new(now));
-                for (qi, &pos) in quarantine.iter().enumerate() {
-                    if rescued[qi] {
-                        continue;
-                    }
-                    let job = &slice[pos];
-                    // Claim iff the recovered rate, persisting, would
-                    // finish the machine's backlog plus this job in time.
-                    let steal_laxity =
-                        job.deadline.as_f64() - now - (backlog[machine] + job.workload) / rate_now;
-                    if approx_ge(steal_laxity, 0.0) {
-                        let owner = assignment[pos];
-                        if owner != machine {
-                            backlog[owner] = (backlog[owner] - job.workload).max(0.0);
-                            backlog[machine] += job.workload;
-                            assignment[pos] = machine;
-                            steals += 1;
-                            steals_in[machine] += 1;
-                        } else {
-                            readmitted += 1;
-                        }
-                        rescued[qi] = true;
-                    }
-                }
-            }
+        match tick {
+            Tick::Release { pos } => state.release(pos, now, dispatch),
+            Tick::Recovery { machine } => state.recover(machine, now),
         }
     }
-    let unreclaimed = rescued.iter().filter(|r| !**r).count();
+    let DispatchState {
+        assignment,
+        quarantined,
+        steals_in,
+        steals,
+        readmitted,
+        ..
+    } = state;
+    let unreclaimed = quarantined - steals - readmitted;
 
     // --- simulation phase (parallel fan-out, index-ordered join) ----------
     // Freeze per-machine subsets (job-id order within a machine) with dense
@@ -377,7 +446,7 @@ pub fn run_fleet(
         machines: m_count,
         per_machine,
         assignment,
-        quarantined: quarantine.len(),
+        quarantined,
         steals,
         readmitted,
         unreclaimed,
@@ -389,14 +458,6 @@ pub fn run_fleet(
         dispatches,
         events,
     }
-}
-
-/// Index of `id` in the id-sorted job slice. Job sets keep dense ids in
-/// practice, but the engine only assumes sortedness.
-fn position_of(slice: &[Job], id: JobId) -> usize {
-    slice
-        .binary_search_by(|j| j.id.cmp(&id))
-        .expect("invariant: every dispatched job comes from the fleet's job set")
 }
 
 #[cfg(test)]
@@ -587,6 +648,137 @@ mod tests {
         assert_eq!(report.unreclaimed, 0);
     }
 
+    /// Places the i-th released job on `script[i]`.
+    struct Scripted {
+        script: Vec<usize>,
+        next: usize,
+    }
+    impl Dispatch for Scripted {
+        fn name(&self) -> &str {
+            "scripted"
+        }
+        fn choose(&mut self, _job: &Job, _loads: &FleetLoads<'_>) -> usize {
+            self.next += 1;
+            self.script[self.next - 1]
+        }
+    }
+
+    fn scripted(script: &[usize]) -> Scripted {
+        Scripted {
+            script: script.to_vec(),
+            next: 0,
+        }
+    }
+
+    #[test]
+    fn drain_levels_reproduce_eager_aging() {
+        // Machine 0: rate 1 on [0, 2), rate 3 after. Job 0 (4 units) at
+        // t = 0; at t = 1 one unit has drained; job 1 (2 units) joins; by
+        // t = 3 the 5 remaining units meet 1 + 3 = 4 units of capacity.
+        let js = jobs(&[(0.0, 9.0, 4.0, 1.0), (1.0, 9.0, 2.0, 1.0)]);
+        let machines = vec![step_up(2.0, 3.0)];
+        let mut state = DispatchState::new(js.as_slice(), &machines);
+        let mut d = scripted(&[0, 0]);
+        state.release(0, 0.0, &mut d);
+        state.release(1, 1.0, &mut d);
+        let at = |now: f64| drained_backlog(state.level[0], &machines[0], now);
+        assert_eq!(at(1.0), 5.0);
+        assert_eq!(at(3.0), 1.0);
+        assert_eq!(at(4.0), 0.0, "an idle machine clamps at an empty queue");
+    }
+
+    #[test]
+    fn quarantined_job_past_its_deadline_is_dropped_and_unreclaimed() {
+        // Job 1 (deadline 2) lands behind job 0 on the saturated machine 0
+        // and is quarantined. Machine 1's only recovery is at t = 3, after
+        // that deadline: the scan drops the entry without claiming it.
+        let js = jobs(&[(0.0, 6.0, 5.0, 1.0), (0.0, 2.0, 1.0, 9.0)]);
+        let machines = vec![flat(1.0), step_up(3.0, 10.0)];
+        let mut state = DispatchState::new(js.as_slice(), &machines);
+        let mut d = scripted(&[0, 0]);
+        state.release(0, 0.0, &mut d);
+        state.release(1, 0.0, &mut d);
+        assert_eq!(state.quarantine, vec![1]);
+        state.recover(1, 3.0);
+        assert!(state.quarantine.is_empty(), "expired entry compacted away");
+        assert_eq!((state.steals, state.readmitted), (0, 0));
+
+        let report = run_fleet(
+            &js,
+            &machines,
+            &mut scripted(&[0, 0]),
+            factory(),
+            RunOptions::lean(),
+            1,
+        );
+        assert_eq!(report.quarantined, 1);
+        assert_eq!(report.unreclaimed, 1);
+        assert_eq!(report.assignment, vec![0, 0], "it stays on its owner");
+    }
+
+    #[test]
+    fn job_due_at_the_recovery_instant_stays_claimable() {
+        // Job 1 is due at t = 1, exactly when machines 1 and 2 recover.
+        // Machine 1 (backlog 4 after job 2) cannot take it, but its zero
+        // slack is `approx_ge` 0, so the entry survives machine 1's scan
+        // and machine 2 — empty, recovering at the same instant — claims
+        // it: its steal laxity −1e-11 is within tolerance of 0.
+        let js = jobs(&[
+            (0.0, 6.0, 5.0, 1.0),
+            (0.0, 1.0, 1e-10, 9.0),
+            (0.0, 9.0, 5.0, 1.0),
+        ]);
+        let machines = vec![flat(1.0), step_up(1.0, 10.0), step_up(1.0, 10.0)];
+        let mut state = DispatchState::new(js.as_slice(), &machines);
+        let mut d = scripted(&[0, 0, 1]);
+        for pos in 0..3 {
+            state.release(pos, 0.0, &mut d);
+        }
+        assert_eq!(state.quarantine, vec![1]);
+        state.recover(1, 1.0);
+        assert_eq!(state.quarantine, vec![1], "zero slack is still live");
+        state.recover(2, 1.0);
+        assert!(state.quarantine.is_empty());
+        assert_eq!(state.assignment[1], 2);
+
+        let report = run_fleet(
+            &js,
+            &machines,
+            &mut scripted(&[0, 0, 1]),
+            factory(),
+            RunOptions::lean(),
+            1,
+        );
+        assert_eq!((report.quarantined, report.steals), (1, 1));
+        assert_eq!(report.per_machine[2].steals_in, 1);
+        assert_eq!(report.unreclaimed, 0);
+    }
+
+    /// A seeded random fleet instance: 60 jobs on four machines whose
+    /// rates step between 0.5 and 6.
+    fn random_instance(seed: u64) -> (JobSet, Vec<PiecewiseConstant>) {
+        use cloudsched_core::rng::{Pcg32, Rng};
+        let mut rng = Pcg32::seed_from_u64(seed);
+        let mut r = 0.0;
+        let tuples: Vec<(f64, f64, f64, f64)> = (0..60)
+            .map(|_| {
+                r += rng.next_f64() * 0.4;
+                let workload = 0.2 + rng.next_f64() * 3.0;
+                let deadline = r + workload * (0.3 + rng.next_f64() * 2.0);
+                (r, deadline, workload, 1.0 + rng.next_f64() * 6.0)
+            })
+            .collect();
+        let machines = (0..4)
+            .map(|_| {
+                let pairs: Vec<(f64, f64)> = (0..6)
+                    .map(|_| (0.5 + rng.next_f64() * 3.0, 0.5 + rng.next_f64() * 5.5))
+                    .collect();
+                PiecewiseConstant::from_durations(&pairs).expect("invariant: valid test profile")
+            })
+            .collect();
+        (jobs(&tuples), machines)
+    }
+
     #[test]
     fn output_is_identical_at_every_thread_count() {
         let tuples: Vec<(f64, f64, f64, f64)> = (0..40)
@@ -600,27 +792,49 @@ mod tests {
                 )
             })
             .collect();
-        let js = jobs(&tuples);
-        let machines = vec![step_up(2.0, 8.0), flat(1.0), step_up(4.0, 6.0), flat(3.0)];
-        let reference = {
-            let mut d = TestBestFit;
-            run_fleet(&js, &machines, &mut d, factory(), RunOptions::lean(), 1)
-        };
-        for threads in [2, 3, 8] {
-            let mut d = TestBestFit;
-            let got = run_fleet(
-                &js,
-                &machines,
-                &mut d,
-                factory(),
-                RunOptions::lean(),
-                threads,
-            );
-            assert_eq!(
-                format!("{got:?}"),
-                format!("{reference:?}"),
-                "fleet output diverged at threads={threads}"
-            );
+        let fixed = (
+            jobs(&tuples),
+            vec![step_up(2.0, 8.0), flat(1.0), step_up(4.0, 6.0), flat(3.0)],
+        );
+        let instances = std::iter::once(fixed).chain((1..=6).map(random_instance));
+        let mut quarantined = 0;
+        for (i, (js, machines)) in instances.enumerate() {
+            let reference = {
+                let mut d = TestBestFit;
+                run_fleet(&js, &machines, &mut d, factory(), RunOptions::lean(), 1)
+            };
+            for threads in [2, 3, 8] {
+                let mut d = TestBestFit;
+                let got = run_fleet(
+                    &js,
+                    &machines,
+                    &mut d,
+                    factory(),
+                    RunOptions::lean(),
+                    threads,
+                );
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{reference:?}"),
+                    "instance {i}: fleet output diverged at threads={threads}"
+                );
+            }
+            for r in [reference, {
+                let mut d = TestRoundRobin { next: 0 };
+                run_fleet(&js, &machines, &mut d, factory(), RunOptions::lean(), 2)
+            }] {
+                assert_eq!(
+                    r.quarantined,
+                    r.steals + r.readmitted + r.unreclaimed,
+                    "instance {i} ({}): every quarantined job is stolen, \
+                     readmitted or unreclaimed",
+                    r.dispatcher
+                );
+                let steals_in: usize = r.per_machine.iter().map(|m| m.steals_in).sum();
+                assert_eq!(steals_in, r.steals, "instance {i} ({})", r.dispatcher);
+                quarantined += r.quarantined;
+            }
         }
+        assert!(quarantined > 0, "the instances exercise the quarantine");
     }
 }

@@ -5,7 +5,7 @@
 export CARGO_NET_OFFLINE := "true"
 
 # Run the full CI gauntlet.
-ci: fmt build bench-check test lint golden-trace chaos serve-smoke serve-scale bench-smoke sweep-smoke fleet-smoke
+ci: fmt build bench-check test lint golden-trace chaos serve-smoke serve-scale bench-smoke sweep-smoke fleet-smoke fleet-scale
 
 fmt:
     cargo fmt --all --check
@@ -98,12 +98,25 @@ fleet:
 # CI fleet smoke (mirrors the CI step): the quick fleet configuration
 # written to a scratch file — validates the harness, the cross-thread
 # digest invariance and the JSON schema — plus one `cloudsched fleet` run
-# diffed byte-for-byte between serial and 2-thread execution.
+# per dispatch policy diffed byte-for-byte between serial and 2-thread
+# execution.
 fleet-smoke:
+    #!/usr/bin/env bash
+    set -euo pipefail
     cargo run --release -p cloudsched-cli -- bench --suite fleet --quick --out /tmp/fleet-smoke.json
-    cargo run --release -p cloudsched-cli -- fleet --machines 4 --lambda 4 --horizon 12 --threads 1 > /tmp/fleet-serial.txt
-    cargo run --release -p cloudsched-cli -- fleet --machines 4 --lambda 4 --horizon 12 --threads 2 > /tmp/fleet-threaded.txt
-    diff -u /tmp/fleet-serial.txt /tmp/fleet-threaded.txt
+    for policy in rr llf p2c; do
+        cargo run --release -p cloudsched-cli -- fleet --policy "$policy" --machines 4 --lambda 4 --horizon 12 --threads 1 > "/tmp/fleet-serial-$policy.txt"
+        cargo run --release -p cloudsched-cli -- fleet --policy "$policy" --machines 4 --lambda 4 --horizon 12 --threads 2 > "/tmp/fleet-threaded-$policy.txt"
+        diff -u "/tmp/fleet-serial-$policy.txt" "/tmp/fleet-threaded-$policy.txt"
+    done
+
+# Fleet scale gate (mirrors the CI step): a 1024-machine fleet (≈490k
+# jobs, p2c dispatch) must finish within 3 s. Dispatch that reads O(1)
+# machines per job takes well under a second; one that touches every
+# machine on every tick takes several seconds.
+fleet-scale:
+    cargo build --release -p cloudsched-cli
+    timeout 3 target/release/cloudsched fleet --machines 1024 --lambda 8 --horizon 60 --threads 2 > /tmp/fleet-scale.txt
 
 # Value-loss ledger for one instance: where did the arrived value go?
 # E.g. `just inspect 12 7` or `just inspect 8 1 --queues`.
