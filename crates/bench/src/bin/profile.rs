@@ -7,9 +7,10 @@
 //!    run and prints per-span statistics.
 //! 2. **Is the observability layer free when off?** The same simulation is
 //!    micro-benchmarked through `simulate` (the `NoopTracer` default path)
-//!    and through `simulate_observed` with live tracing sinks. The noop
-//!    column must match the seed baseline — `Tracer` is a generic kernel
-//!    parameter, so the disabled hooks fold away at compile time.
+//!    and through a `Run` with an explicit noop tracer, a ring tracer and a
+//!    metrics registry attached. The noop rows must be at parity — `Tracer`
+//!    is a generic kernel parameter, so the disabled hooks fold away at
+//!    compile time.
 //!
 //! ```text
 //! cargo run --release -p cloudsched-bench --bin profile
@@ -21,7 +22,7 @@ use cloudsched_bench::microbench::BenchGroup;
 use cloudsched_capacity::StretchMap;
 use cloudsched_obs::{MetricsRegistry, MonotonicClock, NoopTracer, Profiler, RingTracer};
 use cloudsched_sched::VDover;
-use cloudsched_sim::{simulate, simulate_observed, RunOptions};
+use cloudsched_sim::{simulate, Run, RunOptions};
 use cloudsched_workload::PaperScenario;
 
 fn main() {
@@ -34,16 +35,10 @@ fn main() {
 
     // --- 1. span profile of one observed run -----------------------------
     let profiler = Profiler::new(Box::new(MonotonicClock::new()));
-    let mut tracer = NoopTracer;
     let mut sched = VDover::new(k, delta);
-    let report = simulate_observed(
-        &instance.jobs,
-        &instance.capacity,
-        &mut sched,
-        RunOptions::lean(),
-        &mut tracer,
-        Some(&profiler),
-    );
+    let report = Run::new(&instance.jobs, &instance.capacity, RunOptions::lean())
+        .profiler(&profiler)
+        .run(&mut sched);
     let map = StretchMap::new(instance.capacity.clone());
     let stretched = map
         .stretch_jobs_profiled(&instance.jobs, &profiler)
@@ -68,41 +63,18 @@ fn main() {
             RunOptions::lean(),
         )
     });
-    g.bench("simulate_observed + noop tracer", || {
-        let mut s = VDover::new(k, delta);
+    let run = || Run::new(&instance.jobs, &instance.capacity, RunOptions::lean());
+    g.bench("Run + noop tracer", || {
         let mut t = NoopTracer;
-        simulate_observed(
-            &instance.jobs,
-            &instance.capacity,
-            &mut s,
-            RunOptions::lean(),
-            &mut t,
-            None,
-        )
+        run().tracer(&mut t).run(&mut VDover::new(k, delta))
     });
-    g.bench("simulate_observed + ring tracer", || {
-        let mut s = VDover::new(k, delta);
+    g.bench("Run + ring tracer", || {
         let mut t = RingTracer::new(1 << 16);
-        simulate_observed(
-            &instance.jobs,
-            &instance.capacity,
-            &mut s,
-            RunOptions::lean(),
-            &mut t,
-            None,
-        )
+        run().tracer(&mut t).run(&mut VDover::new(k, delta))
     });
-    g.bench("simulate_observed + metrics registry", || {
-        let mut s = VDover::new(k, delta);
+    g.bench("Run + metrics registry", || {
         let mut t = MetricsRegistry::for_sim();
-        simulate_observed(
-            &instance.jobs,
-            &instance.capacity,
-            &mut s,
-            RunOptions::lean(),
-            &mut t,
-            None,
-        )
+        run().tracer(&mut t).run(&mut VDover::new(k, delta))
     });
     g.report();
 }

@@ -9,7 +9,7 @@
 
 use crate::algos::SchedulerSpec;
 use cloudsched_capacity::Instance;
-use cloudsched_sim::{simulate_into, RunOptions, RunReport, SimWorkspace};
+use cloudsched_sim::{Run, RunOptions, RunReport, SimWorkspace};
 
 pub use cloudsched_core::par::{default_threads, parallel_map, parallel_map_with};
 
@@ -32,13 +32,9 @@ pub fn run_instance_in(
     options: RunOptions,
 ) -> RunReport {
     let mut scheduler = spec.build();
-    simulate_into(
-        ws,
-        &instance.jobs,
-        &instance.capacity,
-        &mut *scheduler,
-        options,
-    )
+    Run::new(&instance.jobs, &instance.capacity, options)
+        .workspace(ws)
+        .run(&mut *scheduler)
 }
 
 /// Runs every spec in `specs` on the same instance and returns the reports

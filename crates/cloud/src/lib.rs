@@ -13,10 +13,13 @@
 //!   secondary capacity profile `c(t)`;
 //! * [`spot`] — an EC2-Spot-style scenario: a fleet-level price proxy
 //!   derived from utilisation, and helpers to build complete secondary
-//!   scheduling instances on the induced capacity;
-//! * [`fleet`] — the paper's sketched *cloud-wise* extension: a dispatcher
-//!   routes each secondary job to one of many servers at release time, and
-//!   every server runs its own single-processor scheduler.
+//!   scheduling instances on the induced capacity.
+//!
+//! The crate only induces capacity. The paper's sketched *cloud-wise*
+//! extension — a dispatcher routing each secondary job to one of many
+//! servers, each running its own scheduler — is `cloudsched_sim::run_fleet`
+//! with the dispatchers of `cloudsched_sched::dispatch`; feed it the
+//! profiles built here (`examples/cloud_fleet.rs`).
 //!
 //! The paper's own evaluation uses a two-state CTMC capacity
 //! (`cloudsched-workload::ctmc`); this crate provides the *realistic*
@@ -26,12 +29,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fleet;
 pub mod primary;
 pub mod server;
 pub mod spot;
 
-pub use fleet::{schedule_fleet, DispatchPolicy, FleetReport};
 pub use primary::{PrimaryJob, PrimaryLoad};
 pub use server::Server;
 

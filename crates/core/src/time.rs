@@ -2,7 +2,8 @@
 //!
 //! [`Time`] is a newtype over `f64` representing an instant on the continuous
 //! time line of the model in §II-A of the paper. It is totally ordered
-//! (`f64::total_cmp`), supports `+∞` as a sentinel ("never"), and rejects NaN
+//! (`f64::total_cmp` with `-0.0` and `+0.0` identified, so `==`, `<` and
+//! `cmp` agree), supports `+∞` as a sentinel ("never"), and rejects NaN
 //! at construction. [`Duration`] is the corresponding length type; the two are
 //! kept distinct so that `Time + Time` does not type-check.
 
@@ -16,14 +17,14 @@ use crate::numeric::approx_eq;
 ///
 /// Invariants: never NaN. May be `+∞` (the "never happens" sentinel used for
 /// event horizons) but not `-∞`.
-#[derive(Clone, Copy, PartialEq, PartialOrd)]
+#[derive(Clone, Copy)]
 pub struct Time(f64);
 
 /// A (possibly negative) length of simulation time.
 ///
 /// Negative durations arise naturally as laxities of late jobs, so unlike
 /// `std::time::Duration` this type is signed. Never NaN.
-#[derive(Clone, Copy, PartialEq, PartialOrd)]
+#[derive(Clone, Copy)]
 pub struct Duration(f64);
 
 impl Time {
@@ -145,20 +146,36 @@ impl Duration {
 
 // ---- total order ------------------------------------------------------
 
-impl Eq for Time {}
-impl Ord for Time {
-    #[inline]
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0)
-    }
+/// Derives `==`, `partial_cmp` and `cmp` from one total order, so the
+/// `Eq` / `Ord` contract every `BTreeMap` and heap keyed by these types
+/// relies on holds. Adding `+0.0` maps `-0.0` to `+0.0` and leaves every
+/// other non-NaN value alone: the two zeros compare equal, as IEEE `==`
+/// has them.
+macro_rules! total_order {
+    ($ty:ty) => {
+        impl Ord for $ty {
+            #[inline]
+            fn cmp(&self, other: &Self) -> Ordering {
+                (self.0 + 0.0).total_cmp(&(other.0 + 0.0))
+            }
+        }
+        impl PartialOrd for $ty {
+            #[inline]
+            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+        impl PartialEq for $ty {
+            #[inline]
+            fn eq(&self, other: &Self) -> bool {
+                self.cmp(other) == Ordering::Equal
+            }
+        }
+        impl Eq for $ty {}
+    };
 }
-impl Eq for Duration {}
-impl Ord for Duration {
-    #[inline]
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
+total_order!(Time);
+total_order!(Duration);
 
 // ---- arithmetic --------------------------------------------------------
 
@@ -314,6 +331,31 @@ mod tests {
         assert_eq!(a.min(b), a);
         assert_eq!(a.max(b), b);
         assert_eq!(Time::NEVER.min(a), a);
+    }
+
+    #[test]
+    fn signed_zero_orders_consistently() {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        // `==`, `partial_cmp` and `cmp` must agree on every non-NaN value,
+        // signed zeros included.
+        assert_eq!(Time::new(-0.0).cmp(&Time::ZERO), Equal);
+        assert_eq!((-Duration::ZERO).cmp(&Duration::ZERO), Equal);
+        let times = [-1.0, -0.0, 0.0, 1e-300, 2.5, f64::INFINITY];
+        for &a in &times {
+            for &b in &times {
+                let (x, y) = (Time::new(a), Time::new(b));
+                let want = a.partial_cmp(&b).expect("no NaN in the sample");
+                assert_eq!(x.cmp(&y), want, "{a} vs {b}");
+                assert_eq!(x.partial_cmp(&y), Some(want), "{a} vs {b}");
+                assert_eq!(x == y, want == Equal, "{a} vs {b}");
+                let (u, v) = (Duration::new(a), Duration::new(b));
+                assert_eq!(u.cmp(&v), want, "{a} vs {b}");
+                assert_eq!(u == v, want == Equal, "{a} vs {b}");
+            }
+        }
+        let d = Duration::new(f64::NEG_INFINITY);
+        assert_eq!(d.cmp(&-Duration::ZERO), Less);
+        assert_eq!(Duration::INFINITE.cmp(&d), Greater);
     }
 
     #[test]

@@ -13,9 +13,9 @@ use crate::config::FaultPlan;
 use crate::stream::{corrupt_stream, InjectedFault};
 use cloudsched_capacity::{CapacityProfile, Instance};
 use cloudsched_core::{derive_seed, parallel_map, CoreError, Rng, SplitMix64};
-use cloudsched_obs::{JsonlTracer, NoopTracer};
+use cloudsched_obs::JsonlTracer;
 use cloudsched_sim::{
-    simulate, simulate_degraded, DegradationPolicy, DegradationStats, RunOptions, WatchdogConfig,
+    simulate, DegradationPolicy, DegradationStats, Run, RunOptions, WatchdogConfig,
 };
 use cloudsched_workload::PaperScenario;
 
@@ -267,24 +267,17 @@ fn run_policy(
     let (c_lo, c_hi) = fi.faulted.capacity.bounds();
     let mut sched = cloudsched_sched::by_name(scheduler, fi.k, fi.delta, c_lo, c_hi)?;
     let mut oracle = crate::oracle::FaultyOracle::new(plan.oracle, oracle_seed(seed));
-    let mut tracer = NoopTracer;
     let cfg = WatchdogConfig {
         max_retries: 3,
         k_limit: Some(fi.k),
     };
-    let outcome = simulate_degraded(
-        &fi.faulted.jobs,
-        &fi.faulted.capacity,
-        &mut *sched,
-        RunOptions {
-            record_schedule: true,
-            ..RunOptions::lean()
-        },
-        &mut tracer,
-        policy,
-        cfg,
-        Some(&mut oracle),
-    );
+    let options = RunOptions {
+        record_schedule: true,
+        ..RunOptions::lean()
+    };
+    let outcome = Run::new(&fi.faulted.jobs, &fi.faulted.capacity, options)
+        .watchdog(policy, cfg, Some(&mut oracle))
+        .run_degraded(&mut *sched);
     let retention = if baseline_value > 0.0 {
         outcome.report.value / baseline_value
     } else {
@@ -380,16 +373,10 @@ pub fn chaos_trace(
         max_retries: 3,
         k_limit: Some(fi.k),
     };
-    let _outcome = simulate_degraded(
-        &fi.faulted.jobs,
-        &fi.faulted.capacity,
-        &mut *sched,
-        RunOptions::lean(),
-        &mut tracer,
-        policy,
-        wcfg,
-        Some(&mut oracle),
-    );
+    Run::new(&fi.faulted.jobs, &fi.faulted.capacity, RunOptions::lean())
+        .tracer(&mut tracer)
+        .watchdog(policy, wcfg, Some(&mut oracle))
+        .run_degraded(&mut *sched);
     let bytes = tracer
         .finish()
         .expect("invariant: writing to an in-memory Vec cannot fail");

@@ -326,4 +326,46 @@ mod tests {
             assert!(ones > 128, "machine 1 won only {ones}/256 picks");
         });
     }
+
+    #[test]
+    fn laxity_aware_fleet_beats_a_single_server_under_load() {
+        use cloudsched_capacity::PiecewiseConstant;
+        use cloudsched_sim::{run_fleet, RunOptions};
+        // 12 unit jobs in a tight window: one unit-rate server can finish
+        // only a few; a 3-server fleet finishes far more.
+        let tuples: Vec<(f64, f64, f64, f64)> = (0..12)
+            .map(|i| {
+                let r = (i % 4) as f64;
+                (r, r + 1.0, 1.0, 1.0)
+            })
+            .collect();
+        let js = JobSet::from_tuples(&tuples).expect("invariant: valid test tuples");
+        let servers = |n: usize| -> Vec<PiecewiseConstant> {
+            (0..n)
+                .map(|i| {
+                    PiecewiseConstant::constant(1.0 + i as f64)
+                        .and_then(|c| c.with_declared_bounds(1.0, 1.0 + n as f64))
+                        .expect("invariant: valid test server")
+                })
+                .collect()
+        };
+        let run = |n: usize| {
+            run_fleet(
+                &js,
+                &servers(n),
+                &mut LeastLaxityFit,
+                &|_m| Box::new(crate::Edf::new()),
+                RunOptions::lean(),
+                1,
+            )
+        };
+        let (one, three) = (run(1), run(3));
+        assert!(
+            three.completed > one.completed,
+            "3 servers {} vs 1 server {}",
+            three.completed,
+            one.completed
+        );
+        assert!(three.value > one.value);
+    }
 }

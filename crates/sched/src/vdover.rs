@@ -259,20 +259,16 @@ mod tests {
     #[test]
     fn trace_shows_supplement_enqueue_rescue_and_claxity_flip() {
         use cloudsched_obs::{RingTracer, TraceEvent};
-        use cloudsched_sim::simulate_traced;
+        use cloudsched_sim::Run;
         // The signature instance: the zero-conservative-laxity loser is
         // parked (supp_enqueue) and later revived (supp_rescue); the park
         // decision is preceded by the zero-laxity interrupt (claxity_zero).
         let jobs = JobSet::from_tuples(&[(0.0, 8.0, 8.0, 10.0), (0.0, 8.0, 8.0, 1.0)]).unwrap();
         let cap = low_then_high(0.0);
         let mut ring = RingTracer::new(256);
-        let r = simulate_traced(
-            &jobs,
-            &cap,
-            &mut VDover::new(10.0, 4.0),
-            RunOptions::lean(),
-            &mut ring,
-        );
+        let r = Run::new(&jobs, &cap, RunOptions::lean())
+            .tracer(&mut ring)
+            .run(&mut VDover::new(10.0, 4.0));
         assert_eq!(r.completed, 2);
         let enqueues = ring
             .events()

@@ -11,9 +11,7 @@ use crate::scheduler::Scheduler;
 use crate::workspace::{flag, SimWorkspace};
 use cloudsched_capacity::CapacityProfile;
 use cloudsched_core::{CoreError, Job, JobId, JobOutcome, JobSet, Schedule, Time};
-use cloudsched_obs::{
-    DecisionAction, FaultKind, MetricsRegistry, NoopTracer, Profiler, TraceEvent, Tracer,
-};
+use cloudsched_obs::{DecisionAction, FaultKind, NoopTracer, Profiler, TraceEvent, Tracer};
 
 /// Knobs for a single run.
 #[derive(Debug, Clone, Copy)]
@@ -157,17 +155,15 @@ pub(crate) struct Kernel<'a, P: CapacityProfile, T: Tracer> {
 }
 
 impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        ws: &'a mut SimWorkspace,
-        jobs: &'a JobSet,
-        capacity: &'a P,
-        options: RunOptions,
-        tracer: &'a mut T,
-        profiler: Option<&'a Profiler>,
-        watchdog: Option<Watchdog>,
-        oracle: Option<&'a mut dyn RateOracle>,
-    ) -> Self {
+    /// Seeds a fresh batch run of `run`'s instance into `ws`, borrowing the
+    /// run's tracer, profiler and oracle and arming its watchdog.
+    pub(crate) fn new(ws: &'a mut SimWorkspace, run: &'a mut Run<'_, P, T>) -> Self {
+        let (jobs, capacity) = (run.jobs, run.capacity);
+        let (c_lo, c_hi) = capacity.bounds();
+        let watchdog = run
+            .watchdog
+            .map(|(policy, cfg)| Watchdog::new(policy, c_lo, c_hi, cfg));
+        let tracer = &mut run.tracer;
         let n = jobs.len();
         ws.begin(n);
         ws.remaining.extend(jobs.iter().map(|j| j.workload));
@@ -202,8 +198,7 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
                 capacity_armed = true;
             }
         }
-        let (c_lo, c_hi) = capacity.bounds();
-        let mut st = KernelState::streaming(options, c_lo, c_hi);
+        let mut st = KernelState::streaming(run.options, c_lo, c_hi);
         st.horizon = horizon;
         st.capacity_armed = capacity_armed;
         Kernel {
@@ -212,9 +207,14 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
             ws,
             st,
             tracer,
-            profiler,
+            profiler: run.profiler,
             watchdog,
-            oracle,
+            // Re-borrow rather than `as_deref_mut`: the trait object's
+            // lifetime has to shrink from the run's to the kernel's.
+            oracle: match &mut run.oracle {
+                Some(o) => Some(&mut **o),
+                None => None,
+            },
         }
     }
 
@@ -878,17 +878,151 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
     }
 }
 
-/// Runs `scheduler` on `jobs` under `capacity` and reports the results.
+/// One kernel run: the instance, the recording options and the optional
+/// attachments, consumed by [`Run::run`] (a [`RunReport`]) or, for a run
+/// under a watchdog, [`Run::run_degraded`] (a [`DegradedOutcome`]), e.g.
+/// `Run::new(&jobs, &cap, options).tracer(&mut sink).run(&mut sched)`.
 ///
-/// The kernel delivers release, completion-or-failure and timer interrupts in
-/// deterministic order (time, then kind, then FIFO) and integrates job
-/// progress exactly over the piecewise capacity profile.
-///
-/// Untraced: instrumentation is compiled out behind [`NoopTracer`]. Use
-/// [`simulate_traced`] / [`simulate_observed`] / [`simulate_with_metrics`]
-/// for observability. For Monte-Carlo sweeps, [`simulate_into`] reuses a
-/// caller-owned [`SimWorkspace`] instead of allocating per run; this
-/// function is the single-run convenience wrapper over it.
+/// The kernel delivers release, completion-or-failure and timer interrupts
+/// in deterministic order (time, then kind, then FIFO) and integrates job
+/// progress exactly over the piecewise capacity profile. No attachment but
+/// the watchdog changes the run: a reused workspace, a trace sink or a
+/// profiler leave the report bit-identical to a bare run.
+pub struct Run<'a, P, T = NoopTracer> {
+    jobs: &'a JobSet,
+    capacity: &'a P,
+    options: RunOptions,
+    workspace: Option<&'a mut SimWorkspace>,
+    tracer: T,
+    profiler: Option<&'a Profiler>,
+    watchdog: Option<(DegradationPolicy, WatchdogConfig)>,
+    oracle: Option<&'a mut dyn RateOracle>,
+}
+
+impl<'a, P: CapacityProfile> Run<'a, P> {
+    /// A bare run of `jobs` under `capacity`: a fresh workspace, no trace
+    /// sink (instrumentation compiles away behind [`NoopTracer`]), no
+    /// profiler, no watchdog.
+    pub fn new(jobs: &'a JobSet, capacity: &'a P, options: RunOptions) -> Self {
+        Run {
+            jobs,
+            capacity,
+            options,
+            workspace: None,
+            tracer: NoopTracer,
+            profiler: None,
+            watchdog: None,
+            oracle: None,
+        }
+    }
+}
+
+impl<'a, P: CapacityProfile, T: Tracer> Run<'a, P, T> {
+    /// Runs in a caller-owned workspace instead of a fresh one, so a sweep
+    /// allocates only until the buffers reach its high-water size. Results
+    /// and trace bytes are identical to a fresh-workspace run:
+    /// `SimWorkspace::begin` resets every piece of run state, including the
+    /// event queue's FIFO tie-break counter.
+    pub fn workspace(mut self, ws: &'a mut SimWorkspace) -> Self {
+        self.workspace = Some(ws);
+        self
+    }
+
+    /// Streams every kernel- and scheduler-level [`TraceEvent`] of the run
+    /// into `tracer`, in deterministic order. Pass a sink by `&mut` to read
+    /// it after the run.
+    pub fn tracer<U: Tracer>(self, tracer: U) -> Run<'a, P, U> {
+        Run {
+            jobs: self.jobs,
+            capacity: self.capacity,
+            options: self.options,
+            workspace: self.workspace,
+            tracer,
+            profiler: self.profiler,
+            watchdog: self.watchdog,
+            oracle: self.oracle,
+        }
+    }
+
+    /// Brackets every scheduler handler call in a `kernel.dispatch` span.
+    pub fn profiler(mut self, profiler: &'a Profiler) -> Self {
+        self.profiler = Some(profiler);
+        self
+    }
+
+    /// Runs under a degradation policy: a [`Watchdog`] re-checks the
+    /// paper's preconditions online (Definition 4 admissibility, duplicate
+    /// releases, value spikes, the `c(t) >= c_lo` capacity SLA), `oracle`
+    /// (the physical profile when `None`) mediates every capacity
+    /// measurement the watchdog makes, and `policy` decides whether a
+    /// detected fault aborts the run (`Strict`), quarantines the offender
+    /// and degrades conservatively (`Degrade`), or is merely recorded
+    /// (`BestEffort`). See [`crate::degrade`] for the model.
+    ///
+    /// Job progress always integrates the *physical* capacity profile — a
+    /// faulty oracle distorts what the watchdog believes, never what the
+    /// processor does. Collect the result with [`Run::run_degraded`].
+    pub fn watchdog(
+        mut self,
+        policy: DegradationPolicy,
+        cfg: WatchdogConfig,
+        oracle: Option<&'a mut dyn RateOracle>,
+    ) -> Self {
+        self.watchdog = Some((policy, cfg));
+        self.oracle = oracle;
+        self
+    }
+
+    /// Runs `scheduler` to completion and reports the results.
+    pub fn run<S: Scheduler + ?Sized>(self, scheduler: &mut S) -> RunReport {
+        self.execute(scheduler).0
+    }
+
+    /// Runs `scheduler` under the attached watchdog. When the run completes
+    /// (not aborted) with a recorded schedule, the post-hoc auditor
+    /// ([`crate::audit::audit_report`]) runs over the result and its
+    /// findings land in [`DegradedOutcome::audit_errors`].
+    ///
+    /// # Panics
+    /// If no watchdog was attached with [`Run::watchdog`].
+    pub fn run_degraded<S: Scheduler + ?Sized>(self, scheduler: &mut S) -> DegradedOutcome {
+        assert!(
+            self.watchdog.is_some(),
+            "Run::run_degraded needs a watchdog attached with Run::watchdog"
+        );
+        let (jobs, capacity) = (self.jobs, self.capacity);
+        let (report, aborted, stats) = self.execute(scheduler);
+        let stats = stats.expect("invariant: a run with a watchdog returns degradation stats");
+        let mut audit_errors = Vec::new();
+        if aborted.is_none() && report.schedule.is_some() {
+            if let Err(errors) = crate::audit::audit_report(jobs, capacity, &report) {
+                audit_errors = errors;
+            }
+        }
+        DegradedOutcome {
+            report,
+            aborted,
+            stats,
+            audit_errors,
+        }
+    }
+
+    fn execute<S: Scheduler + ?Sized>(
+        mut self,
+        scheduler: &mut S,
+    ) -> (RunReport, Option<CoreError>, Option<DegradationStats>) {
+        let mut fresh = None;
+        let ws = match self.workspace.take() {
+            Some(ws) => ws,
+            None => fresh.insert(SimWorkspace::new()),
+        };
+        Kernel::new(ws, &mut self).run(scheduler)
+    }
+}
+
+/// Runs `scheduler` on `jobs` under `capacity` and reports the results: the
+/// one-line form of `Run::new(jobs, capacity, options).run(scheduler)`.
+/// Attach a workspace, trace sink, profiler or watchdog through [`Run`].
 pub fn simulate<P, S>(
     jobs: &JobSet,
     capacity: &P,
@@ -899,181 +1033,7 @@ where
     P: CapacityProfile,
     S: Scheduler + ?Sized,
 {
-    simulate_into(&mut SimWorkspace::new(), jobs, capacity, scheduler, options)
-}
-
-/// [`simulate`] into a reusable workspace: all per-run buffers come from
-/// `ws`, so a sweep that calls this in a loop allocates only until the
-/// buffers reach the campaign's high-water size. Results are byte-identical
-/// to [`simulate`] — `SimWorkspace::begin` resets every piece of run state,
-/// including the event queue's FIFO tie-break counter.
-pub fn simulate_into<P, S>(
-    ws: &mut SimWorkspace,
-    jobs: &JobSet,
-    capacity: &P,
-    scheduler: &mut S,
-    options: RunOptions,
-) -> RunReport
-where
-    P: CapacityProfile,
-    S: Scheduler + ?Sized,
-{
-    let mut tracer = NoopTracer;
-    Kernel::new(ws, jobs, capacity, options, &mut tracer, None, None, None)
-        .run(scheduler)
-        .0
-}
-
-/// [`simulate`] with a caller-supplied trace sink. Every kernel- and
-/// scheduler-level [`TraceEvent`] of the run flows into `tracer` in
-/// deterministic order; the report is identical to an untraced run.
-pub fn simulate_traced<P, S, T>(
-    jobs: &JobSet,
-    capacity: &P,
-    scheduler: &mut S,
-    options: RunOptions,
-    tracer: &mut T,
-) -> RunReport
-where
-    P: CapacityProfile,
-    S: Scheduler + ?Sized,
-    T: Tracer,
-{
-    simulate_into_traced(
-        &mut SimWorkspace::new(),
-        jobs,
-        capacity,
-        scheduler,
-        options,
-        tracer,
-    )
-}
-
-/// [`simulate_traced`] into a reusable workspace; trace bytes are identical
-/// to a fresh-workspace run.
-pub fn simulate_into_traced<P, S, T>(
-    ws: &mut SimWorkspace,
-    jobs: &JobSet,
-    capacity: &P,
-    scheduler: &mut S,
-    options: RunOptions,
-    tracer: &mut T,
-) -> RunReport
-where
-    P: CapacityProfile,
-    S: Scheduler + ?Sized,
-    T: Tracer,
-{
-    Kernel::new(ws, jobs, capacity, options, tracer, None, None, None)
-        .run(scheduler)
-        .0
-}
-
-/// Fully-instrumented entry point: a trace sink plus an optional profiler
-/// whose `kernel.dispatch` span brackets every scheduler handler call.
-pub fn simulate_observed<P, S, T>(
-    jobs: &JobSet,
-    capacity: &P,
-    scheduler: &mut S,
-    options: RunOptions,
-    tracer: &mut T,
-    profiler: Option<&Profiler>,
-) -> RunReport
-where
-    P: CapacityProfile,
-    S: Scheduler + ?Sized,
-    T: Tracer,
-{
-    let mut ws = SimWorkspace::new();
-    Kernel::new(
-        &mut ws, jobs, capacity, options, tracer, profiler, None, None,
-    )
-    .run(scheduler)
-    .0
-}
-
-/// [`simulate`] with the standard simulation metrics attached: runs with a
-/// [`MetricsRegistry`] as the trace sink and embeds its snapshot in
-/// [`RunReport::metrics`].
-pub fn simulate_with_metrics<P, S>(
-    jobs: &JobSet,
-    capacity: &P,
-    scheduler: &mut S,
-    options: RunOptions,
-) -> RunReport
-where
-    P: CapacityProfile,
-    S: Scheduler + ?Sized,
-{
-    let mut registry = MetricsRegistry::for_sim();
-    let mut report = simulate_traced(jobs, capacity, scheduler, options, &mut registry);
-    report.metrics = Some(registry.snapshot());
-    report
-}
-
-/// Runs `scheduler` under a degradation policy: a [`Watchdog`] re-checks the
-/// paper's preconditions online (Definition 4 admissibility, duplicate
-/// releases, value spikes, the `c(t) >= c_lo` capacity SLA), an optional
-/// [`RateOracle`] mediates every capacity measurement the watchdog makes,
-/// and `policy` decides whether a detected fault aborts the run (`Strict`),
-/// quarantines the offender and degrades conservatively (`Degrade`), or is
-/// merely recorded (`BestEffort`). See [`crate::degrade`] for the model.
-///
-/// Job progress always integrates the *physical* capacity profile — a faulty
-/// oracle distorts what the watchdog believes, never what the processor does.
-///
-/// When the run completes (not aborted) with a recorded schedule, the
-/// post-hoc auditor ([`crate::audit::audit_report`]) runs over the result and
-/// its findings land in [`DegradedOutcome::audit_errors`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_degraded<'a, P, S, T>(
-    jobs: &'a JobSet,
-    capacity: &'a P,
-    scheduler: &mut S,
-    options: RunOptions,
-    tracer: &'a mut T,
-    policy: DegradationPolicy,
-    cfg: WatchdogConfig,
-    oracle: Option<&'a mut dyn RateOracle>,
-) -> DegradedOutcome
-where
-    P: CapacityProfile,
-    S: Scheduler + ?Sized,
-    T: Tracer,
-{
-    let (c_lo, c_hi) = capacity.bounds();
-    let watchdog = Watchdog::new(policy, c_lo, c_hi, cfg);
-    let mut ws = SimWorkspace::new();
-    // Reborrow the oracle so the kernel's lifetime can be the local one of
-    // `ws` rather than the caller's `'a`.
-    let oracle: Option<&mut dyn RateOracle> = match oracle {
-        Some(o) => Some(&mut *o),
-        None => None,
-    };
-    let kernel = Kernel::new(
-        &mut ws,
-        jobs,
-        capacity,
-        options,
-        tracer,
-        None,
-        Some(watchdog),
-        oracle,
-    );
-    let (report, aborted, stats) = kernel.run(scheduler);
-    let stats = stats.expect("invariant: a run with a watchdog returns degradation stats");
-    let mut audit_errors = Vec::new();
-    if aborted.is_none() && report.schedule.is_some() {
-        if let Err(errors) = crate::audit::audit_report(jobs, capacity, &report) {
-            audit_errors = errors;
-        }
-    }
-    DegradedOutcome {
-        report,
-        aborted,
-        stats,
-        audit_errors,
-    }
+    Run::new(jobs, capacity, options).run(scheduler)
 }
 
 #[cfg(test)]
@@ -1414,6 +1374,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "needs a watchdog")]
+    fn degraded_terminal_requires_a_watchdog() {
+        let jobs = JobSet::from_tuples(&[(0.0, 10.0, 1.0, 1.0)]).unwrap();
+        Run::new(&jobs, &Constant::unit(), RunOptions::default())
+            .run_degraded(&mut TestFifo::new());
+    }
+
+    #[test]
     fn traced_run_emits_lifecycle_events_in_order() {
         use cloudsched_obs::RingTracer;
         // LIFO preempt: job0 admitted at 0, preempted at 1 by job1 (done at
@@ -1421,13 +1389,9 @@ mod tests {
         let jobs = JobSet::from_tuples(&[(0.0, 10.0, 4.0, 1.0), (1.0, 10.0, 1.0, 2.0)]).unwrap();
         let cap = Constant::unit();
         let mut ring = RingTracer::new(64);
-        let traced = simulate_traced(
-            &jobs,
-            &cap,
-            &mut TestLifoPreempt,
-            RunOptions::full(),
-            &mut ring,
-        );
+        let traced = Run::new(&jobs, &cap, RunOptions::full())
+            .tracer(&mut ring)
+            .run(&mut TestLifoPreempt);
         let kinds: Vec<&str> = ring.events().map(|e| e.kind()).collect();
         assert_eq!(
             kinds,
@@ -1461,13 +1425,9 @@ mod tests {
         let jobs = JobSet::from_tuples(&[(0.0, 10.0, 5.0, 1.0)]).unwrap();
         let cap = PiecewiseConstant::from_durations(&[(2.0, 1.0), (1.0, 3.0)]).unwrap();
         let mut ring = RingTracer::new(64);
-        simulate_traced(
-            &jobs,
-            &cap,
-            &mut TestFifo::new(),
-            RunOptions::default(),
-            &mut ring,
-        );
+        Run::new(&jobs, &cap, RunOptions::default())
+            .tracer(&mut ring)
+            .run(&mut TestFifo::new());
         let segments: Vec<(f64, f64, usize)> = ring
             .events()
             .filter_map(|e| match *e {
@@ -1486,15 +1446,14 @@ mod tests {
     }
 
     #[test]
-    fn metrics_run_embeds_snapshot() {
+    fn metrics_registry_folds_the_run() {
+        use cloudsched_obs::MetricsRegistry;
         let jobs = JobSet::from_tuples(&[(0.0, 10.0, 1.0, 5.0), (0.0, 10.0, 1.0, 3.0)]).unwrap();
-        let r = simulate_with_metrics(
-            &jobs,
-            &Constant::unit(),
-            &mut TestFifo::new(),
-            RunOptions::default(),
-        );
-        let m = r.metrics.expect("metrics snapshot attached");
+        let mut registry = MetricsRegistry::for_sim();
+        Run::new(&jobs, &Constant::unit(), RunOptions::default())
+            .tracer(&mut registry)
+            .run(&mut TestFifo::new());
+        let m = registry.snapshot();
         assert_eq!(m.counter("jobs.arrived"), 2);
         assert_eq!(m.counter("jobs.completed"), 2);
         assert!(approx_eq(m.meter("value.completed"), 8.0));
@@ -1589,13 +1548,9 @@ mod tests {
 
         let mut batch_ring = RingTracer::new(256);
         let mut batch_sched = TestLifoResume { stack: vec![] };
-        let batch = simulate_traced(
-            &jobs,
-            &cap,
-            &mut batch_sched,
-            RunOptions::lean(),
-            &mut batch_ring,
-        );
+        let batch = Run::new(&jobs, &cap, RunOptions::lean())
+            .tracer(&mut batch_ring)
+            .run(&mut batch_sched);
 
         let mut stream_ring = RingTracer::new(256);
         let mut stream_sched = TestLifoResume { stack: vec![] };

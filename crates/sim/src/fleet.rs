@@ -40,7 +40,7 @@
 //! every job runs on exactly one machine, so fleet value accounting is a
 //! per-machine partition.
 
-use crate::engine::{simulate_into, RunOptions};
+use crate::engine::{Run, RunOptions};
 use crate::report::RunReport;
 use crate::scheduler::Scheduler;
 use crate::workspace::SimWorkspace;
@@ -412,7 +412,9 @@ pub fn run_fleet(
     let reports: Vec<RunReport> =
         parallel_map_with(m_count, threads, SimWorkspace::new, |ws, m| {
             let mut scheduler = make_scheduler(m);
-            simulate_into(ws, &subsets[m], &machines[m], scheduler.as_mut(), options)
+            Run::new(&subsets[m], &machines[m], options)
+                .workspace(ws)
+                .run(scheduler.as_mut())
         });
 
     // --- accounting (serial, machine-index order) -------------------------

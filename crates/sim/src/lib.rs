@@ -26,6 +26,10 @@
 //! capacity class bounds — is exposed through [`SimContext`]; the future of
 //! the capacity trace is not reachable from scheduler code.
 //!
+//! One way drives the kernel: [`Run`] carries an instance, its
+//! [`RunOptions`] and the optional attachments (workspace, trace sink,
+//! profiler, watchdog with its oracle); [`simulate`] is its one-line form.
+//!
 //! After a run, [`audit::audit_report`] re-checks the recorded schedule
 //! against the model invariants (single job at a time, capacity-respecting
 //! progress, firm deadlines, value accounting).
@@ -35,7 +39,7 @@
 //! the kernel deterministic and honest: a [`Watchdog`] re-checks the paper's
 //! preconditions online and a [`DegradationPolicy`] decides between aborting
 //! with a typed error, quarantining-and-recovering, or logging and carrying
-//! on ([`engine::simulate_degraded`]).
+//! on ([`Run::watchdog`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,10 +61,7 @@ pub use degrade::{
     DegradationPolicy, DegradationStats, DegradedOutcome, OracleReading, RateOracle, TrueOracle,
     Watchdog, WatchdogConfig,
 };
-pub use engine::{
-    simulate, simulate_degraded, simulate_into, simulate_into_traced, simulate_observed,
-    simulate_traced, simulate_with_metrics, RunOptions,
-};
+pub use engine::{simulate, Run, RunOptions};
 pub use fleet::{run_fleet, Dispatch, FleetLoads, FleetReport, MachineReport};
 pub use report::{RunReport, TrajectoryPoint};
 pub use scheduler::Scheduler;

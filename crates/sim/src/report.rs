@@ -48,8 +48,9 @@ pub struct RunReport {
     pub schedule: Option<Schedule>,
     /// The value-vs-time curve, if recording was enabled.
     pub trajectory: Option<Vec<TrajectoryPoint>>,
-    /// Metrics snapshot, when the run was driven through
-    /// [`crate::engine::simulate_with_metrics`] (or a caller attached one).
+    /// Metrics snapshot, when the caller ran with a
+    /// [`cloudsched_obs::MetricsRegistry`] sink and attached its snapshot
+    /// (as `cloudsched::run_traced` does). The kernel never sets it.
     pub metrics: Option<MetricsSnapshot>,
 }
 

@@ -6,7 +6,7 @@
 //! this 28,000 times over instances of nearly identical size — the paper's
 //! §IV grid is 7 λ-values × 5 algorithms × 800 runs — so the sweep layer
 //! keeps one [`SimWorkspace`] per worker thread and routes every run
-//! through [`crate::simulate_into`]. After the first run warms the buffers
+//! through [`crate::Run::workspace`]. After the first run warms the buffers
 //! to the campaign's high-water size, subsequent runs perform **zero heap
 //! allocation** in the kernel: every buffer is cleared and reused in place.
 //!
@@ -45,8 +45,8 @@ pub(crate) mod flag {
 
 /// Arena of every per-run buffer the simulation kernel needs.
 ///
-/// Create one (per worker thread), then pass it to [`crate::simulate_into`]
-/// for each run of a sweep. Return each run's [`crate::RunReport`] to
+/// Create one (per worker thread), then attach it with
+/// [`crate::Run::workspace`] to each run of a sweep. Return each run's [`crate::RunReport`] to
 /// [`SimWorkspace::recycle`] once its numbers have been extracted to also
 /// reuse the outcome table's allocation — without it, the outcome buffer
 /// (moved into the report) is the one allocation left per run.
@@ -275,7 +275,7 @@ mod tests {
         assert_eq!(other.flags, ws.flags);
     }
 
-    /// Minimal work-conserving FIFO, just enough to drive `simulate_into`
+    /// Minimal work-conserving FIFO, just enough to drive a workspace run
     /// through the real kernel for the recycle-accounting tests below.
     struct Fifo {
         ready: Vec<JobId>,
@@ -330,13 +330,9 @@ mod tests {
 
     fn run(ws: &mut SimWorkspace, n: usize) -> crate::RunReport {
         let cap = cloudsched_capacity::Constant::new(1.0).unwrap();
-        crate::simulate_into(
-            ws,
-            &instance(n),
-            &cap,
-            &mut Fifo { ready: Vec::new() },
-            crate::RunOptions::lean(),
-        )
+        crate::Run::new(&instance(n), &cap, crate::RunOptions::lean())
+            .workspace(ws)
+            .run(&mut Fifo { ready: Vec::new() })
     }
 
     /// The sweep-layer contract: once buffers are warm, shrinking runs hit —

@@ -1,15 +1,18 @@
 //! Cloud-wise scheduling: the paper's sketched extension from one server to
 //! a fleet. A dispatcher routes each secondary job to a server at release
 //! time; every server runs its own V-Dover on its own surplus-capacity
-//! profile (induced by independent primary loads).
+//! profile (induced by independent primary loads). The fleet engine is
+//! `sim::run_fleet` with the in-tree `rr` / `llf` / `p2c` dispatchers.
 //!
 //! Run with: `cargo run --release --example cloud_fleet`
 
 #![forbid(unsafe_code)]
 
-use cloudsched::cloud::{induced_capacity, schedule_fleet, DispatchPolicy, PrimaryLoad, Server};
+use cloudsched::cloud::{induced_capacity, PrimaryLoad, Server};
 use cloudsched::core::{Job, JobId};
 use cloudsched::prelude::*;
+use cloudsched::sched::{DispatchPolicy, DISPATCH_NAMES};
+use cloudsched::sim::run_fleet;
 use cloudsched::workload::dist::{exponential, uniform};
 use cloudsched_core::rng::{Pcg32, Rng};
 
@@ -44,36 +47,37 @@ fn main() {
     );
 
     println!(
-        "{:<16} {:>9} {:>9} {:>11}",
-        "dispatch", "value", "value %", "completed"
+        "{:<9} {:>9} {:>9} {:>11} {:>7}",
+        "dispatch", "value", "value %", "completed", "steals"
     );
-    for policy in [
-        DispatchPolicy::RoundRobin,
-        DispatchPolicy::LeastBacklog,
-        DispatchPolicy::BestHeadroom,
-    ] {
-        let report = schedule_fleet(
+    let p2c_seed = rng.next_u64();
+    for name in DISPATCH_NAMES {
+        let policy = DispatchPolicy::parse(name).expect("in-tree policy name");
+        let report = run_fleet(
             &jobs,
             &surpluses,
-            policy,
-            |s| {
+            policy.build(p2c_seed).as_mut(),
+            &|s| {
                 let delta = surpluses[s].delta().max(1.0 + 1e-9);
                 Box::new(VDover::new(k, delta))
             },
             RunOptions::lean(),
+            1,
         );
         println!(
-            "{:<16} {:>9.0} {:>8.1}% {:>6}/{}",
-            format!("{policy:?}"),
+            "{:<9} {:>9.0} {:>8.1}% {:>6}/{} {:>7}",
+            name,
             report.value,
             report.value_fraction * 100.0,
             report.completed,
-            jobs.len()
+            jobs.len(),
+            report.steals
         );
     }
     println!(
-        "\nBacklog-aware dispatch routes around busy machines; round-robin\n\
-         blindly overloads the small ones."
+        "\nLaxity-aware dispatch (llf, p2c) routes around busy machines;\n\
+         round-robin blindly overloads the small ones, and recovering\n\
+         machines steal the jobs it stranded."
     );
 }
 

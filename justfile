@@ -5,7 +5,7 @@
 export CARGO_NET_OFFLINE := "true"
 
 # Run the full CI gauntlet.
-ci: fmt build bench-check test lint golden-trace chaos serve-smoke serve-scale bench-smoke sweep-smoke fleet-smoke fleet-scale
+ci: fmt build bench-check test lint clippy golden-trace chaos serve-smoke serve-scale bench-smoke sweep-smoke fleet-smoke fleet-scale
 
 fmt:
     cargo fmt --all --check
@@ -22,6 +22,11 @@ test:
 # Workspace static analysis (rules L001–L011); also runs as a tier-1 test.
 lint:
     cargo run --release -p cloudsched-lint
+
+# Clippy at its default levels (mirrors the CI step): fails only on
+# deny-level lints; warnings are tolerated until `-D warnings` lands.
+clippy:
+    cargo clippy --workspace --all-targets
 
 # Machine-readable lint report (the artifact CI uploads).
 lint-json:

@@ -10,7 +10,7 @@
 
 use cloudsched_capacity::{CapacityProfile, Instance};
 use cloudsched_obs::{JsonlTracer, MetricsRegistry, Tee, WithProvenance};
-use cloudsched_sim::{simulate_traced, RunOptions, RunReport};
+use cloudsched_sim::{Run, RunOptions, RunReport};
 
 /// The result of a traced run: the JSONL event stream plus the usual report
 /// with a metrics snapshot attached.
@@ -62,13 +62,9 @@ pub fn run_traced_with_provenance(
     let mut run = |jsonl_tracer: &mut dyn cloudsched_obs::Tracer| -> RunReport {
         let mut metrics = MetricsRegistry::for_sim();
         let mut sink = Tee(jsonl_tracer, &mut metrics);
-        let mut report = simulate_traced(
-            &instance.jobs,
-            &instance.capacity,
-            &mut *sched,
-            RunOptions::lean(),
-            &mut sink,
-        );
+        let mut report = Run::new(&instance.jobs, &instance.capacity, RunOptions::lean())
+            .tracer(&mut sink)
+            .run(&mut *sched);
         report.metrics = Some(metrics.snapshot());
         report
     };

@@ -16,10 +16,7 @@ use cloudsched::analysis::adversary::{CorruptRound, TrapParams};
 use cloudsched::faults::{chaos_trace, run_campaign, ChaosConfig, FaultPlan};
 use cloudsched::obs::JsonlTracer;
 use cloudsched::prelude::*;
-use cloudsched::sim::{
-    audit::certify_admissibility, simulate_degraded, simulate_traced, DegradationPolicy,
-    WatchdogConfig,
-};
+use cloudsched::sim::{audit::certify_admissibility, DegradationPolicy, Run, WatchdogConfig};
 use cloudsched_core::CoreError;
 
 fn corrupt_round() -> CorruptRound {
@@ -42,23 +39,17 @@ fn degraded(
     let mut sched =
         cloudsched::sched::by_name(scheduler, 7.0, (c_hi / c_lo).max(1.0 + 1e-9), c_lo, c_hi)
             .unwrap();
-    let mut tracer = cloudsched::obs::NoopTracer;
-    simulate_degraded(
-        jobs,
-        capacity,
-        &mut *sched,
-        RunOptions {
-            record_schedule: true,
-            ..RunOptions::lean()
-        },
-        &mut tracer,
-        policy,
-        WatchdogConfig {
-            max_retries: 3,
-            k_limit: Some(7.0),
-        },
-        None,
-    )
+    let options = RunOptions {
+        record_schedule: true,
+        ..RunOptions::lean()
+    };
+    let cfg = WatchdogConfig {
+        max_retries: 3,
+        k_limit: Some(7.0),
+    };
+    Run::new(jobs, capacity, options)
+        .watchdog(policy, cfg, None)
+        .run_degraded(&mut *sched)
 }
 
 #[test]
@@ -150,26 +141,16 @@ fn the_fault_free_path_is_byte_identical_to_the_plain_kernel() {
 
     let mut plain_sched = cloudsched::sched::by_name("vdover", k, delta, c_lo, c_hi).unwrap();
     let mut plain_tracer = JsonlTracer::new(Vec::new());
-    let plain = simulate_traced(
-        &instance.jobs,
-        &instance.capacity,
-        &mut *plain_sched,
-        RunOptions::lean(),
-        &mut plain_tracer,
-    );
+    let plain = Run::new(&instance.jobs, &instance.capacity, RunOptions::lean())
+        .tracer(&mut plain_tracer)
+        .run(&mut *plain_sched);
 
     let mut deg_sched = cloudsched::sched::by_name("vdover", k, delta, c_lo, c_hi).unwrap();
     let mut deg_tracer = JsonlTracer::new(Vec::new());
-    let out = simulate_degraded(
-        &instance.jobs,
-        &instance.capacity,
-        &mut *deg_sched,
-        RunOptions::lean(),
-        &mut deg_tracer,
-        DegradationPolicy::Degrade,
-        WatchdogConfig::default(),
-        None,
-    );
+    let out = Run::new(&instance.jobs, &instance.capacity, RunOptions::lean())
+        .tracer(&mut deg_tracer)
+        .watchdog(DegradationPolicy::Degrade, WatchdogConfig::default(), None)
+        .run_degraded(&mut *deg_sched);
 
     assert!(out.aborted.is_none());
     assert_eq!(out.stats.faults_detected, 0);

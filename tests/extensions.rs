@@ -5,10 +5,11 @@
 #![forbid(unsafe_code)]
 
 use cloudsched::capacity::patterns::{diurnal, sinusoid_steps};
-use cloudsched::cloud::{schedule_fleet, DispatchPolicy};
 use cloudsched::core::{Job, JobId};
 use cloudsched::offline::{fractional_optimal, optimal_value};
 use cloudsched::prelude::*;
+use cloudsched::sched::{DispatchPolicy, DISPATCH_NAMES};
+use cloudsched::sim::{run_fleet, FleetReport};
 use cloudsched::workload::Mmpp;
 use cloudsched_core::rng::{Pcg32, Rng};
 
@@ -32,6 +33,25 @@ fn random_jobs(rng: &mut Pcg32, n: usize, horizon: f64) -> JobSet {
     JobSet::new(jobs).unwrap()
 }
 
+/// Runs `jobs` over `servers` with the named in-tree dispatcher, one fresh
+/// scheduler from `make` per server, on one worker thread.
+fn fleet(
+    jobs: &JobSet,
+    servers: &[PiecewiseConstant],
+    policy: &str,
+    make: &(dyn Fn(usize) -> Box<dyn Scheduler> + Sync),
+) -> FleetReport {
+    let mut dispatch = DispatchPolicy::parse(policy).unwrap().build(11);
+    run_fleet(
+        jobs,
+        servers,
+        dispatch.as_mut(),
+        make,
+        RunOptions::lean(),
+        1,
+    )
+}
+
 #[test]
 fn fleet_with_vdover_on_every_server() {
     let mut rng = Pcg32::seed_from_u64(1);
@@ -44,22 +64,14 @@ fn fleet_with_vdover_on_every_server() {
                 .unwrap()
         })
         .collect();
-    for policy in [
-        DispatchPolicy::RoundRobin,
-        DispatchPolicy::LeastBacklog,
-        DispatchPolicy::BestHeadroom,
-    ] {
-        let report = schedule_fleet(
-            &jobs,
-            &servers,
-            policy,
-            |s| Box::new(VDover::new(7.0, servers[s].delta())),
-            RunOptions::lean(),
-        );
+    for policy in DISPATCH_NAMES {
+        let report = fleet(&jobs, &servers, policy, &|s| {
+            Box::new(VDover::new(7.0, servers[s].delta()))
+        });
         // Per-server completions sum to the fleet completions and every job
         // got exactly one assignment.
-        let sum: usize = report.per_server.iter().map(|r| r.completed).sum();
-        assert_eq!(sum, report.completed, "{policy:?}");
+        let sum: usize = report.per_machine.iter().map(|m| m.report.completed).sum();
+        assert_eq!(sum, report.completed, "{policy}");
         assert_eq!(report.assignment.len(), jobs.len());
         assert!(report.assignment.iter().all(|&s| s < servers.len()));
         assert!(report.value_fraction > 0.0 && report.value_fraction <= 1.0);
@@ -70,35 +82,25 @@ fn fleet_with_vdover_on_every_server() {
 fn fleet_dominates_its_worst_single_server() {
     // The whole fleet must earn at least what routing everything onto each
     // single server would earn on that server alone... not true in general
-    // for adversarial dispatch, but LeastBacklog on symmetric servers should
-    // beat a single server easily.
+    // for adversarial dispatch, but every in-tree dispatcher on symmetric
+    // servers should beat a single server easily.
     let mut rng = Pcg32::seed_from_u64(2);
     let jobs = random_jobs(&mut rng, 150, 30.0);
     let server = PiecewiseConstant::constant(1.5)
         .unwrap()
         .with_declared_bounds(1.5, 1.5)
         .unwrap();
-    let fleet: Vec<PiecewiseConstant> = vec![server.clone(); 4];
-    let single = schedule_fleet(
-        &jobs,
-        &fleet[..1],
-        DispatchPolicy::LeastBacklog,
-        |_| Box::new(Edf::new()),
-        RunOptions::lean(),
-    );
-    let four = schedule_fleet(
-        &jobs,
-        &fleet,
-        DispatchPolicy::LeastBacklog,
-        |_| Box::new(Edf::new()),
-        RunOptions::lean(),
-    );
-    assert!(
-        four.value >= single.value,
-        "4 servers {} < 1 server {}",
-        four.value,
-        single.value
-    );
+    let servers: Vec<PiecewiseConstant> = vec![server.clone(); 4];
+    for policy in DISPATCH_NAMES {
+        let single = fleet(&jobs, &servers[..1], policy, &|_| Box::new(Edf::new()));
+        let four = fleet(&jobs, &servers, policy, &|_| Box::new(Edf::new()));
+        assert!(
+            four.value >= single.value,
+            "{policy}: 4 servers {} < 1 server {}",
+            four.value,
+            single.value
+        );
+    }
 }
 
 #[test]

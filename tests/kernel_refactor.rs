@@ -20,6 +20,12 @@
 //! sweep, this time across the whole scheduler roster), and a `csnap1`
 //! snapshot taken while the calendar is crowded must restore byte-exactly
 //! through the service's serve → crash → recover loop.
+//!
+//! The last section pins the kernel's entry points. Its digests were
+//! recorded when the kernel had seven public entry functions, one per
+//! attachment combination; every combination driven through the one `Run`
+//! config (workspace, tracer, profiler, watchdog with its oracle) must
+//! reproduce them bit for bit.
 
 #![forbid(unsafe_code)]
 
@@ -33,8 +39,8 @@ use cloudsched_sched::ready::DeadlineQueue;
 use cloudsched_sched::vdover::VDoverConfig;
 use cloudsched_sched::{by_name, Dover, VDover, SCHEDULER_NAMES};
 use cloudsched_sim::{
-    journal_header, recover, serve, simulate, simulate_into, Decision, RunOptions, RunReport,
-    Scheduler, ServiceConfig, SimContext, SimWorkspace,
+    journal_header, recover, serve, simulate, Decision, Run, RunOptions, RunReport, Scheduler,
+    ServiceConfig, SimContext, SimWorkspace,
 };
 use cloudsched_workload::dist::{exponential, uniform};
 use cloudsched_workload::CtmcCapacity;
@@ -573,13 +579,9 @@ fn assert_queue_backends_agree(instance: &Instance, name: &str, what: &str) {
     let run = |ws: &mut SimWorkspace| -> (Vec<(char, JobId, Decision)>, RunReport) {
         let mut sched = by_name(name, 7.0, 5.0, c_lo, c_hi).expect("roster scheduler builds");
         let mut rec = Recording::new(sched.as_mut());
-        let report = simulate_into(
-            ws,
-            &instance.jobs,
-            &instance.capacity,
-            &mut rec,
-            RunOptions::full(),
-        );
+        let report = Run::new(&instance.jobs, &instance.capacity, RunOptions::full())
+            .workspace(ws)
+            .run(&mut rec);
         (rec.log, report)
     };
     let (log_cal, rep_cal) = run(&mut SimWorkspace::new());
@@ -730,4 +732,373 @@ fn snapshot_round_trip_restores_a_populated_calendar() {
         "recovery through a populated-calendar snapshot must be byte-identical"
     );
     assert_eq!(recovered.decisions, golden.decisions);
+}
+
+// ---------------------------------------------------------------------------
+// Kernel entry points: pinned digests across every attachment
+// ---------------------------------------------------------------------------
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv1a_bytes(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+fn fnv1a_word(h: u64, word: u64) -> u64 {
+    fnv1a_bytes(h, &word.to_le_bytes())
+}
+
+/// Folds every field of a report into `h`: the counters and value sums
+/// bit for bit, each job's outcome, the schedule, the trajectory and the
+/// rendered metrics snapshot when one is attached.
+fn fold_report(mut h: u64, r: &RunReport, jobs: &JobSet) -> u64 {
+    h = fnv1a_bytes(h, r.scheduler.as_bytes());
+    for word in [
+        r.value.to_bits(),
+        r.value_fraction.to_bits(),
+        r.completed as u64,
+        r.missed as u64,
+        r.expired as u64,
+        r.expired_value.to_bits(),
+        r.abandoned as u64,
+        r.abandoned_value.to_bits(),
+        r.preemptions as u64,
+        r.dispatches as u64,
+        r.events as u64,
+    ] {
+        h = fnv1a_word(h, word);
+    }
+    for j in jobs.iter() {
+        h = fnv1a_bytes(h, format!("{:?}", r.outcome.get(j.id)).as_bytes());
+    }
+    if let Some(schedule) = &r.schedule {
+        for s in schedule.slices() {
+            h = fnv1a_word(h, s.job.0);
+            h = fnv1a_word(h, s.start.as_f64().to_bits());
+            h = fnv1a_word(h, s.end.as_f64().to_bits());
+        }
+    }
+    if let Some(trajectory) = &r.trajectory {
+        for p in trajectory {
+            h = fnv1a_word(h, p.time.to_bits());
+            h = fnv1a_word(h, p.cumulative_value.to_bits());
+        }
+    }
+    if let Some(metrics) = &r.metrics {
+        h = fnv1a_bytes(h, metrics.render().as_bytes());
+    }
+    h
+}
+
+/// The attachment combinations of a plain (watchdog-free) run.
+const PLAIN_CASES: &[&str] = &[
+    "plain",
+    "ws-fresh",
+    "ws-reused",
+    "noop",
+    "ring",
+    "jsonl",
+    "ws-reused-jsonl",
+    "profiler-off",
+    "profiler-jsonl",
+    "metrics",
+];
+
+/// Runs `name` on `instance` with the attachments `case` names and hashes
+/// the report, the trace bytes and (with a profiler) the span count. `ws`
+/// is one long-lived workspace shared by every `ws-reused*` case.
+fn plain_case_digest(instance: &Instance, name: &str, case: &str, ws: &mut SimWorkspace) -> u64 {
+    use cloudsched_obs::{
+        JsonlTracer, MetricsRegistry, NoopTracer, Profiler, RingTracer, TraceEvent,
+    };
+    let (c_lo, c_hi) = instance.capacity.bounds();
+    let mut sched = by_name(name, 7.0, 5.0, c_lo, c_hi).expect("roster scheduler builds");
+    let (jobs, cap, opts) = (&instance.jobs, &instance.capacity, RunOptions::full());
+    let jsonl_bytes = |t: JsonlTracer<Vec<u8>>| t.finish().expect("in-memory sink");
+    let run = Run::new(jobs, cap, opts);
+    let sched = sched.as_mut();
+    let (report, trace, spans): (RunReport, Vec<u8>, u64) = match case {
+        "plain" => (simulate(jobs, cap, sched, opts), Vec::new(), 0),
+        "ws-fresh" => {
+            let mut fresh = SimWorkspace::new();
+            (run.workspace(&mut fresh).run(sched), Vec::new(), 0)
+        }
+        "ws-reused" => (run.workspace(ws).run(sched), Vec::new(), 0),
+        "noop" => (run.tracer(&mut NoopTracer).run(sched), Vec::new(), 0),
+        "ring" => {
+            let mut ring = RingTracer::new(1 << 20);
+            let r = run.tracer(&mut ring).run(sched);
+            let lines: String = ring
+                .events()
+                .map(|e: &TraceEvent| e.to_jsonl() + "\n")
+                .collect();
+            (r, lines.into_bytes(), 0)
+        }
+        "jsonl" => {
+            let mut t = JsonlTracer::new(Vec::new());
+            let r = run.tracer(&mut t).run(sched);
+            (r, jsonl_bytes(t), 0)
+        }
+        "ws-reused-jsonl" => {
+            let mut t = JsonlTracer::new(Vec::new());
+            let r = run.workspace(ws).tracer(&mut t).run(sched);
+            (r, jsonl_bytes(t), 0)
+        }
+        "profiler-off" => {
+            let profiler = Profiler::disabled();
+            let r = run.tracer(NoopTracer).profiler(&profiler).run(sched);
+            (r, Vec::new(), 0)
+        }
+        "profiler-jsonl" => {
+            let profiler = Profiler::deterministic();
+            let mut t = JsonlTracer::new(Vec::new());
+            let r = run.tracer(&mut t).profiler(&profiler).run(sched);
+            let spans = profiler.stats("kernel.dispatch").map_or(0, |s| s.count);
+            assert!(spans > 0, "the profiler brackets every handler call");
+            (r, jsonl_bytes(t), spans)
+        }
+        "metrics" => {
+            let mut registry = MetricsRegistry::for_sim();
+            let mut r = run.tracer(&mut registry).run(sched);
+            r.metrics = Some(registry.snapshot());
+            (r, Vec::new(), 0)
+        }
+        other => unreachable!("unknown case {other}"),
+    };
+    let h = fold_report(FNV_OFFSET, &report, jobs);
+    fnv1a_word(fnv1a_bytes(h, &trace), spans)
+}
+
+/// The oracle a degraded case measures capacity through.
+#[derive(Debug, Clone, Copy)]
+enum OracleCase {
+    Absent,
+    True,
+    Faulty,
+}
+
+/// Runs `name` under a watchdog with `policy` on the harsh-plan faulted
+/// instance of `seed`, tracing to JSONL when `traced` (no sink otherwise),
+/// and hashes the report, the trace, the degradation stats, the abort cause
+/// and the audit findings.
+fn degraded_case_digest(
+    name: &str,
+    seed: u64,
+    policy: cloudsched_sim::DegradationPolicy,
+    oracle: OracleCase,
+    traced: bool,
+) -> u64 {
+    use cloudsched_faults::{oracle_seed, prepare, FaultPlan, FaultyOracle};
+    use cloudsched_obs::JsonlTracer;
+    use cloudsched_sim::{RateOracle, TrueOracle, WatchdogConfig};
+    let plan = FaultPlan::preset("harsh").expect("harsh preset exists");
+    let fi = prepare(&plan, 6.0, seed).expect("faulted instance builds");
+    let (c_lo, c_hi) = fi.faulted.capacity.bounds();
+    let mut sched = by_name(name, fi.k, fi.delta, c_lo, c_hi).expect("roster scheduler builds");
+    let cfg = WatchdogConfig {
+        max_retries: 3,
+        k_limit: Some(fi.k),
+    };
+    let mut true_oracle = TrueOracle;
+    let mut faulty = FaultyOracle::new(plan.oracle, oracle_seed(seed));
+    let oracle: Option<&mut dyn RateOracle> = match oracle {
+        OracleCase::Absent => None,
+        OracleCase::True => Some(&mut true_oracle),
+        OracleCase::Faulty => Some(&mut faulty),
+    };
+    let run = Run::new(&fi.faulted.jobs, &fi.faulted.capacity, RunOptions::full())
+        .watchdog(policy, cfg, oracle);
+    let (out, trace) = if traced {
+        let mut t = JsonlTracer::new(Vec::new());
+        let out = run.tracer(&mut t).run_degraded(sched.as_mut());
+        (out, t.finish().expect("in-memory sink"))
+    } else {
+        (run.run_degraded(sched.as_mut()), Vec::new())
+    };
+    let mut h = fold_report(FNV_OFFSET, &out.report, &fi.faulted.jobs);
+    h = fnv1a_bytes(h, &trace);
+    let s = &out.stats;
+    for word in [
+        s.faults_detected as u64,
+        s.sla_violations as u64,
+        s.clo_reestimates as u64,
+        s.quarantined as u64,
+        s.readmitted as u64,
+        s.oracle_dropouts as u64,
+        s.oracle_recoveries as u64,
+        s.min_observed_rate.to_bits(),
+        s.effective_c_lo.to_bits(),
+    ] {
+        h = fnv1a_word(h, word);
+    }
+    let aborted = out.aborted.map(|e| e.to_string()).unwrap_or_default();
+    h = fnv1a_bytes(h, aborted.as_bytes());
+    for e in &out.audit_errors {
+        h = fnv1a_bytes(h, e.as_bytes());
+    }
+    h
+}
+
+const ORACLE_SEEDS: [u64; 3] = [0, 1, 2];
+const ORACLE_SCHEDULERS: [&str; 3] = ["edf", "dover", "vdover"];
+
+/// Every `(scheduler, case)` digest, folded over [`ORACLE_SEEDS`] in order.
+fn entry_point_digests() -> Vec<(String, u64)> {
+    use cloudsched_sim::DegradationPolicy;
+    let mut out = Vec::new();
+    let mut ws = SimWorkspace::new();
+    for name in ORACLE_SCHEDULERS {
+        for case in PLAIN_CASES {
+            let mut h = FNV_OFFSET;
+            for seed in ORACLE_SEEDS {
+                let jobs = burst_jobs(120, seed);
+                let span = jobs.last_deadline().as_f64() + 1.0;
+                let pattern = seed as usize % 3;
+                let instance = Instance::new(jobs, capacity_pattern(pattern, seed, span));
+                h = fnv1a_word(h, plain_case_digest(&instance, name, case, &mut ws));
+            }
+            out.push((format!("{name}/{case}"), h));
+        }
+        for policy in [
+            DegradationPolicy::Strict,
+            DegradationPolicy::Degrade,
+            DegradationPolicy::BestEffort,
+        ] {
+            for oracle in [OracleCase::Absent, OracleCase::True, OracleCase::Faulty] {
+                for (traced, sink) in [(true, "jsonl"), (false, "silent")] {
+                    let mut h = FNV_OFFSET;
+                    for seed in ORACLE_SEEDS {
+                        let d = degraded_case_digest(name, seed, policy, oracle, traced);
+                        h = fnv1a_word(h, d);
+                    }
+                    out.push((format!("{name}/watchdog-{sink}-{policy:?}-{oracle:?}"), h));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// `(scheduler/case, digest)`, recorded on the seven-function kernel API.
+const ENTRY_POINT_PINNED: &[(&str, u64)] = &[
+    ("edf/plain", 0x59472d1938036ad1),
+    ("edf/ws-fresh", 0x59472d1938036ad1),
+    ("edf/ws-reused", 0x59472d1938036ad1),
+    ("edf/noop", 0x59472d1938036ad1),
+    ("edf/ring", 0x100dc59c10ffc294),
+    ("edf/jsonl", 0x100dc59c10ffc294),
+    ("edf/ws-reused-jsonl", 0x100dc59c10ffc294),
+    ("edf/profiler-off", 0x59472d1938036ad1),
+    ("edf/profiler-jsonl", 0xad88419fe0ae0797),
+    ("edf/metrics", 0x8be840521a788830),
+    ("edf/watchdog-jsonl-Strict-Absent", 0x520638e4c4136963),
+    ("edf/watchdog-silent-Strict-Absent", 0xa443744a2b8465dd),
+    ("edf/watchdog-jsonl-Strict-True", 0x520638e4c4136963),
+    ("edf/watchdog-silent-Strict-True", 0xa443744a2b8465dd),
+    ("edf/watchdog-jsonl-Strict-Faulty", 0x9f00af6127a6713d),
+    ("edf/watchdog-silent-Strict-Faulty", 0x4a022fc098773abe),
+    ("edf/watchdog-jsonl-Degrade-Absent", 0x2ce96458e61b10cc),
+    ("edf/watchdog-silent-Degrade-Absent", 0x7cb8fd13f899234d),
+    ("edf/watchdog-jsonl-Degrade-True", 0x2ce96458e61b10cc),
+    ("edf/watchdog-silent-Degrade-True", 0x7cb8fd13f899234d),
+    ("edf/watchdog-jsonl-Degrade-Faulty", 0xbddb6be972aa859f),
+    ("edf/watchdog-silent-Degrade-Faulty", 0x1c2553061164216b),
+    ("edf/watchdog-jsonl-BestEffort-Absent", 0xf7f0287d4d842675),
+    ("edf/watchdog-silent-BestEffort-Absent", 0x7d3dca2fdfea9479),
+    ("edf/watchdog-jsonl-BestEffort-True", 0xf7f0287d4d842675),
+    ("edf/watchdog-silent-BestEffort-True", 0x7d3dca2fdfea9479),
+    ("edf/watchdog-jsonl-BestEffort-Faulty", 0xfea7f18ea646a265),
+    ("edf/watchdog-silent-BestEffort-Faulty", 0x9bbd21bcce2e6eb8),
+    ("dover/plain", 0xed905c23648bb61f),
+    ("dover/ws-fresh", 0xed905c23648bb61f),
+    ("dover/ws-reused", 0xed905c23648bb61f),
+    ("dover/noop", 0xed905c23648bb61f),
+    ("dover/ring", 0x5177312dee615ef6),
+    ("dover/jsonl", 0x5177312dee615ef6),
+    ("dover/ws-reused-jsonl", 0x5177312dee615ef6),
+    ("dover/profiler-off", 0xed905c23648bb61f),
+    ("dover/profiler-jsonl", 0x6fe6fe8bd8216639),
+    ("dover/metrics", 0x2777895f1425b372),
+    ("dover/watchdog-jsonl-Strict-Absent", 0x3160bde311ea5a70),
+    ("dover/watchdog-silent-Strict-Absent", 0x4833353d457ac334),
+    ("dover/watchdog-jsonl-Strict-True", 0x3160bde311ea5a70),
+    ("dover/watchdog-silent-Strict-True", 0x4833353d457ac334),
+    ("dover/watchdog-jsonl-Strict-Faulty", 0xc9b93a4219584bce),
+    ("dover/watchdog-silent-Strict-Faulty", 0x576e2e8356ad2b16),
+    ("dover/watchdog-jsonl-Degrade-Absent", 0x7bdcd32e2e890d59),
+    ("dover/watchdog-silent-Degrade-Absent", 0x55530a7b32336e0f),
+    ("dover/watchdog-jsonl-Degrade-True", 0x7bdcd32e2e890d59),
+    ("dover/watchdog-silent-Degrade-True", 0x55530a7b32336e0f),
+    ("dover/watchdog-jsonl-Degrade-Faulty", 0xd37ec80ec2448372),
+    ("dover/watchdog-silent-Degrade-Faulty", 0x00ea5f5a3ba8f611),
+    ("dover/watchdog-jsonl-BestEffort-Absent", 0x74584376490b354a),
+    (
+        "dover/watchdog-silent-BestEffort-Absent",
+        0xd80b3c484902d4e6,
+    ),
+    ("dover/watchdog-jsonl-BestEffort-True", 0x74584376490b354a),
+    ("dover/watchdog-silent-BestEffort-True", 0xd80b3c484902d4e6),
+    ("dover/watchdog-jsonl-BestEffort-Faulty", 0x8e3415a2d8d1efde),
+    (
+        "dover/watchdog-silent-BestEffort-Faulty",
+        0xae888600a1ccf7e3,
+    ),
+    ("vdover/plain", 0x2ba7993e56cb39d3),
+    ("vdover/ws-fresh", 0x2ba7993e56cb39d3),
+    ("vdover/ws-reused", 0x2ba7993e56cb39d3),
+    ("vdover/noop", 0x2ba7993e56cb39d3),
+    ("vdover/ring", 0xfb60bfc153390507),
+    ("vdover/jsonl", 0xfb60bfc153390507),
+    ("vdover/ws-reused-jsonl", 0xfb60bfc153390507),
+    ("vdover/profiler-off", 0x2ba7993e56cb39d3),
+    ("vdover/profiler-jsonl", 0x9a7cd900bcf372a4),
+    ("vdover/metrics", 0x1f4c3ebb6c11fa1e),
+    ("vdover/watchdog-jsonl-Strict-Absent", 0xe80634fd05750bb6),
+    ("vdover/watchdog-silent-Strict-Absent", 0x0d5aaeff34cd8e94),
+    ("vdover/watchdog-jsonl-Strict-True", 0xe80634fd05750bb6),
+    ("vdover/watchdog-silent-Strict-True", 0x0d5aaeff34cd8e94),
+    ("vdover/watchdog-jsonl-Strict-Faulty", 0x6d311b715a69ffa8),
+    ("vdover/watchdog-silent-Strict-Faulty", 0xe64548fc6fb8b3ea),
+    ("vdover/watchdog-jsonl-Degrade-Absent", 0x2e1a8b218eb2138a),
+    ("vdover/watchdog-silent-Degrade-Absent", 0x3ba75e8034a9fb1e),
+    ("vdover/watchdog-jsonl-Degrade-True", 0x2e1a8b218eb2138a),
+    ("vdover/watchdog-silent-Degrade-True", 0x3ba75e8034a9fb1e),
+    ("vdover/watchdog-jsonl-Degrade-Faulty", 0xa06c64fdfffbfb9b),
+    ("vdover/watchdog-silent-Degrade-Faulty", 0x77dd922afbf0af9e),
+    (
+        "vdover/watchdog-jsonl-BestEffort-Absent",
+        0x26fb436263917d5b,
+    ),
+    (
+        "vdover/watchdog-silent-BestEffort-Absent",
+        0xfe51b85afb646b05,
+    ),
+    ("vdover/watchdog-jsonl-BestEffort-True", 0x26fb436263917d5b),
+    ("vdover/watchdog-silent-BestEffort-True", 0xfe51b85afb646b05),
+    (
+        "vdover/watchdog-jsonl-BestEffort-Faulty",
+        0x4243bce906af50a9,
+    ),
+    (
+        "vdover/watchdog-silent-BestEffort-Faulty",
+        0x766afd778669e646,
+    ),
+];
+
+/// Every way of driving the kernel — fresh or reused workspace, no tracer
+/// or a ring / JSONL / metrics sink, with or without a profiler, and
+/// under a watchdog with each degradation policy and oracle — reproduces
+/// the digests pinned on the seven-function API bit for bit.
+#[test]
+fn entry_point_digests_match_the_pinned_oracle() {
+    let got = entry_point_digests();
+    assert_eq!(got.len(), ENTRY_POINT_PINNED.len(), "case count");
+    for ((label, digest), (want_label, want)) in got.iter().zip(ENTRY_POINT_PINNED) {
+        assert_eq!(label, want_label);
+        assert_eq!(digest, want, "{label}: digest drifted");
+    }
 }

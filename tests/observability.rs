@@ -13,7 +13,7 @@ use cloudsched::obs::{
 };
 use cloudsched::prelude::*;
 use cloudsched::run_traced;
-use cloudsched::sim::simulate_traced;
+use cloudsched::sim::Run;
 use std::collections::HashMap;
 
 /// An overloaded CTMC-capacity instance from the paper's §IV setup.
@@ -114,13 +114,9 @@ fn preemptions_balance_resumes_per_job() {
     for scheduler in ["edf", "dover-lo", "vdover"] {
         let mut s = cloudsched::sched::by_name(scheduler, k, delta, c_lo, c_hi).unwrap();
         let mut ring = RingTracer::new(1 << 20);
-        let report = simulate_traced(
-            &instance.jobs,
-            &instance.capacity,
-            &mut *s,
-            RunOptions::lean(),
-            &mut ring,
-        );
+        let report = Run::new(&instance.jobs, &instance.capacity, RunOptions::lean())
+            .tracer(&mut ring)
+            .run(&mut *s);
         let mut preempted: HashMap<JobId, i64> = HashMap::new();
         let mut dangling = 0u64;
         let mut preempts = 0usize;
@@ -166,13 +162,9 @@ fn run_into<T: Tracer>(instance: &Instance, scheduler: &str, sink: &mut T) -> Ru
     let k = instance.importance_ratio().unwrap_or(7.0);
     let delta = instance.delta().max(1.0 + 1e-9);
     let mut s = cloudsched::sched::by_name(scheduler, k, delta, c_lo, c_hi).unwrap();
-    simulate_traced(
-        &instance.jobs,
-        &instance.capacity,
-        &mut *s,
-        RunOptions::lean(),
-        sink,
-    )
+    Run::new(&instance.jobs, &instance.capacity, RunOptions::lean())
+        .tracer(sink)
+        .run(&mut *s)
 }
 
 #[test]

@@ -23,8 +23,8 @@ use cloudsched::obs::MemJournal;
 use cloudsched::prelude::*;
 use cloudsched::sched::by_name;
 use cloudsched::sim::{
-    audit::commitments::audit_commitments, journal_header, recover, serve, simulate_traced,
-    DecisionReason, DegradationPolicy, ServiceConfig, ServiceDecision,
+    audit::commitments::audit_commitments, journal_header, recover, serve, DecisionReason,
+    DegradationPolicy, Run, ServiceConfig, ServiceDecision,
 };
 use cloudsched_core::CoreError;
 use cloudsched_obs::RingTracer;
@@ -74,13 +74,9 @@ fn serve_matches_batch_kernel_on_clean_stream() {
 
     let mut batch_ring = RingTracer::new(4096);
     let mut batch_sched = by_name("vdover", 7.0, 5.0, c_lo, c_hi).unwrap();
-    let batch = simulate_traced(
-        &instance.jobs,
-        &instance.capacity,
-        batch_sched.as_mut(),
-        RunOptions::lean(),
-        &mut batch_ring,
-    );
+    let batch = Run::new(&instance.jobs, &instance.capacity, RunOptions::lean())
+        .tracer(&mut batch_ring)
+        .run(batch_sched.as_mut());
 
     let cfg = ServiceConfig::new("vdover", 7.0);
     let mut sched = by_name("vdover", 7.0, 5.0, c_lo, c_hi).unwrap();

@@ -11,7 +11,7 @@
 
 use cloudsched::obs::JsonlTracer;
 use cloudsched::prelude::*;
-use cloudsched::sim::{simulate_into_traced, simulate_traced, SimWorkspace};
+use cloudsched::sim::{Run, SimWorkspace};
 use cloudsched_bench::{
     parallel_map, parse_report, render_report, run_instance, run_instance_batch_in,
     run_instance_in, run_sweep_bench, SchedulerSpec, SweepBenchConfig,
@@ -141,23 +141,15 @@ fn reused_workspace_traces_are_byte_identical_to_fresh_ones() {
             let instance = pattern_instance(pattern, seed);
             let mut fresh_sched = VDover::new(7.0, 35.0);
             let mut fresh_tracer = JsonlTracer::new(Vec::new());
-            let fresh = simulate_traced(
-                &instance.jobs,
-                &instance.capacity,
-                &mut fresh_sched,
-                RunOptions::lean(),
-                &mut fresh_tracer,
-            );
+            let fresh = Run::new(&instance.jobs, &instance.capacity, RunOptions::lean())
+                .tracer(&mut fresh_tracer)
+                .run(&mut fresh_sched);
             let mut reused_sched = VDover::new(7.0, 35.0);
             let mut reused_tracer = JsonlTracer::new(Vec::new());
-            let reused = simulate_into_traced(
-                &mut ws,
-                &instance.jobs,
-                &instance.capacity,
-                &mut reused_sched,
-                RunOptions::lean(),
-                &mut reused_tracer,
-            );
+            let reused = Run::new(&instance.jobs, &instance.capacity, RunOptions::lean())
+                .workspace(&mut ws)
+                .tracer(&mut reused_tracer)
+                .run(&mut reused_sched);
             assert_eq!(format!("{fresh:?}"), format!("{reused:?}"));
             ws.recycle(reused);
             assert_eq!(
