@@ -17,6 +17,7 @@
 //! so the kernel, sweep and fleet suites differ only in their measurement
 //! code. `DESIGN.md` §10.2 tabulates the three schemas.
 
+use cloudsched_obs::{split_flat_object, unquote};
 use std::fmt;
 
 /// What a field holds, and the check [`parse_report`] applies to it.
@@ -387,22 +388,17 @@ pub fn parse_report(text: &str) -> Result<Vec<Row>, String> {
 
 /// Parses one row object; `suite` is the schema of the report's first row.
 fn parse_row(obj: &str, suite: Option<&'static Schema>) -> Result<Row, String> {
-    let inner = obj
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or("row is not a JSON object")?;
-    let mut fields = split_top_level(inner).into_iter();
-    let mut next = |key: &str| -> Result<String, String> {
-        let field = fields.next().ok_or(format!("missing field `{key}`"))?;
-        let (k, v) = field
-            .split_once(':')
-            .ok_or(format!("malformed field `{field}`"))?;
-        if k.trim() != format!("\"{key}\"") {
-            return Err(format!("expected field `{key}`, found `{}`", k.trim()));
+    let mut fields = split_flat_object(obj)?;
+    let mut next = |key: &str| -> Result<&str, String> {
+        let (k, v) = fields
+            .next()
+            .ok_or_else(|| format!("missing field `{key}`"))??;
+        if k != key {
+            return Err(format!("expected field `{key}`, found `{k}`"));
         }
-        Ok(v.trim().to_string())
+        Ok(v)
     };
-    let bench = unquote(&next("bench")?)?;
+    let bench = text(next("bench")?)?;
     let schema = match suite {
         Some(s) if s.suite == bench => s,
         Some(s) => return Err(format!("bench must be `{}`, got `{bench}`", s.suite)),
@@ -414,10 +410,11 @@ fn parse_row(obj: &str, suite: Option<&'static Schema>) -> Result<Row, String> {
     let values = schema
         .fields
         .iter()
-        .map(|&(name, kind)| parse_value(name, kind, &next(name)?))
+        .map(|&(name, kind)| parse_value(name, kind, next(name)?))
         .collect::<Result<Vec<_>, _>>()?;
     if let Some(extra) = fields.next() {
-        return Err(format!("unexpected extra field `{extra}`"));
+        let (k, _) = extra?;
+        return Err(format!("unexpected extra field `{k}`"));
     }
     let row = Row { schema, values };
     (schema.rule)(&row)?;
@@ -427,24 +424,24 @@ fn parse_row(obj: &str, suite: Option<&'static Schema>) -> Result<Row, String> {
 /// Parses and checks one field value of the given kind.
 fn parse_value(name: &str, kind: Kind, raw: &str) -> Result<Value, String> {
     match kind {
-        Kind::Text => Ok(Value::Text(unquote(raw)?)),
+        Kind::Text => Ok(Value::Text(text(raw)?.to_string())),
         Kind::OneOf(words) => {
-            let w = unquote(raw)?;
-            if !words.contains(&w.as_str()) {
+            let w = text(raw)?;
+            if !words.contains(&w) {
                 let allowed: Vec<String> = words.iter().map(|w| format!("`{w}`")).collect();
                 return Err(format!(
                     "{name} must be {}, got `{w}`",
                     allowed.join(" or ")
                 ));
             }
-            Ok(Value::Text(w))
+            Ok(Value::Text(w.to_string()))
         }
         Kind::Digest => {
-            let d = unquote(raw)?;
+            let d = text(raw)?;
             if d.len() != 16 || !d.bytes().all(|b| b.is_ascii_hexdigit()) {
                 return Err(format!("{name} must be 16 hex digits, got `{d}`"));
             }
-            Ok(Value::Text(d))
+            Ok(Value::Text(d.to_string()))
         }
         Kind::Count | Kind::Uint => {
             let n: u64 = raw.parse().map_err(|e| format!("{name}: {e}"))?;
@@ -463,32 +460,8 @@ fn parse_value(name: &str, kind: Kind, raw: &str) -> Result<Value, String> {
     }
 }
 
-/// Splits a flat JSON-object body on commas that are not inside strings.
-fn split_top_level(s: &str) -> Vec<String> {
-    let mut parts = Vec::new();
-    let mut cur = String::new();
-    let mut in_str = false;
-    for c in s.chars() {
-        match c {
-            '"' => {
-                in_str = !in_str;
-                cur.push(c);
-            }
-            ',' if !in_str => {
-                parts.push(std::mem::take(&mut cur));
-            }
-            _ => cur.push(c),
-        }
-    }
-    if !cur.trim().is_empty() {
-        parts.push(cur);
-    }
-    parts
-}
-
-fn unquote(s: &str) -> Result<String, String> {
-    s.strip_prefix('"')
-        .and_then(|x| x.strip_suffix('"'))
-        .map(str::to_string)
-        .ok_or(format!("expected a JSON string, got `{s}`"))
+/// The text of a JSON string value; rows never carry anything else in a
+/// text field.
+fn text(raw: &str) -> Result<&str, String> {
+    unquote(raw).ok_or(format!("expected a JSON string, got `{raw}`"))
 }

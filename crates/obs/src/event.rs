@@ -10,6 +10,7 @@
 //! (abandon, supplement enqueue/rescue, conservative-laxity zero crossings,
 //! queue depths) describe *why* — the paper's procedures B–D made visible.
 
+use crate::jsonl::{split_flat_object, unquote, JsonlWriter};
 use cloudsched_core::{JobId, Time};
 
 /// Which scheduler queue a [`TraceEvent::QueueDepth`] sample refers to.
@@ -432,106 +433,13 @@ impl TraceEvent {
     /// Serialises the event as one JSONL line (no trailing newline).
     ///
     /// Key order is fixed per kind and `f64` values use Rust's shortest
-    /// round-trip formatting, so the encoding is byte-deterministic.
+    /// round-trip formatting, so the encoding is byte-deterministic. Hot
+    /// paths render through a reused [`JsonlWriter`] instead; this is the
+    /// same code path with a fresh buffer.
     pub fn to_jsonl(&self) -> String {
-        let t = self.time().as_f64();
-        match *self {
-            TraceEvent::Arrival { job, laxity, .. } => {
-                format!("{{\"t\":{t},\"ev\":\"arrival\",\"job\":{},\"laxity\":{laxity}}}", job.0)
-            }
-            TraceEvent::Admit { job, .. } => {
-                format!("{{\"t\":{t},\"ev\":\"admit\",\"job\":{}}}", job.0)
-            }
-            TraceEvent::Resume { job, .. } => {
-                format!("{{\"t\":{t},\"ev\":\"resume\",\"job\":{}}}", job.0)
-            }
-            TraceEvent::Preempt { job, remaining, .. } => format!(
-                "{{\"t\":{t},\"ev\":\"preempt\",\"job\":{},\"remaining\":{remaining}}}",
-                job.0
-            ),
-            TraceEvent::Complete { job, value, .. } => format!(
-                "{{\"t\":{t},\"ev\":\"complete\",\"job\":{},\"value\":{value}}}",
-                job.0
-            ),
-            TraceEvent::Expire {
-                job,
-                remaining,
-                value,
-                ..
-            } => format!(
-                "{{\"t\":{t},\"ev\":\"expire\",\"job\":{},\"remaining\":{remaining},\"value\":{value}}}",
-                job.0
-            ),
-            TraceEvent::Abandon {
-                job,
-                remaining,
-                value,
-                ..
-            } => format!(
-                "{{\"t\":{t},\"ev\":\"abandon\",\"job\":{},\"remaining\":{remaining},\"value\":{value}}}",
-                job.0
-            ),
-            TraceEvent::SupplementEnqueue { job, depth, .. } => format!(
-                "{{\"t\":{t},\"ev\":\"supp_enqueue\",\"job\":{},\"depth\":{depth}}}",
-                job.0
-            ),
-            TraceEvent::SupplementRescue { job, depth, .. } => format!(
-                "{{\"t\":{t},\"ev\":\"supp_rescue\",\"job\":{},\"depth\":{depth}}}",
-                job.0
-            ),
-            TraceEvent::ClaxityZero { job, .. } => {
-                format!("{{\"t\":{t},\"ev\":\"claxity_zero\",\"job\":{}}}", job.0)
-            }
-            TraceEvent::QueueDepth { queue, depth, .. } => format!(
-                "{{\"t\":{t},\"ev\":\"queue_depth\",\"queue\":\"{}\",\"depth\":{depth}}}",
-                queue.as_str()
-            ),
-            TraceEvent::CapacityChange { rate, segment, .. } => format!(
-                "{{\"t\":{t},\"ev\":\"capacity\",\"rate\":{rate},\"segment\":{segment}}}"
-            ),
-            TraceEvent::FaultDetected { job, fault, .. } => format!(
-                "{{\"t\":{t},\"ev\":\"fault\",\"job\":{},\"fault\":\"{}\"}}",
-                job.0,
-                fault.as_str()
-            ),
-            TraceEvent::Quarantine { job, fault, .. } => format!(
-                "{{\"t\":{t},\"ev\":\"quarantine\",\"job\":{},\"fault\":\"{}\"}}",
-                job.0,
-                fault.as_str()
-            ),
-            TraceEvent::Readmit { job, .. } => {
-                format!("{{\"t\":{t},\"ev\":\"readmit\",\"job\":{}}}", job.0)
-            }
-            TraceEvent::SlaViolation { rate, c_lo, .. } => format!(
-                "{{\"t\":{t},\"ev\":\"sla_violation\",\"rate\":{rate},\"c_lo\":{c_lo}}}"
-            ),
-            TraceEvent::CloReestimate { from, to, .. } => format!(
-                "{{\"t\":{t},\"ev\":\"clo_reestimate\",\"from\":{from},\"to\":{to}}}"
-            ),
-            TraceEvent::OracleDropout { misses, .. } => {
-                format!("{{\"t\":{t},\"ev\":\"oracle_down\",\"misses\":{misses}}}")
-            }
-            TraceEvent::OracleRecover { down_for, .. } => {
-                format!("{{\"t\":{t},\"ev\":\"oracle_up\",\"down_for\":{down_for}}}")
-            }
-            TraceEvent::PolicyAbort { fault, .. } => format!(
-                "{{\"t\":{t},\"ev\":\"policy_abort\",\"fault\":\"{}\"}}",
-                fault.as_str()
-            ),
-            TraceEvent::Decision {
-                job,
-                action,
-                laxity,
-                density,
-                rank,
-                flip,
-                ..
-            } => format!(
-                "{{\"t\":{t},\"ev\":\"decision\",\"job\":{},\"act\":\"{}\",\"laxity\":{laxity},\"density\":{density},\"rank\":{rank},\"flip\":{flip}}}",
-                job.0,
-                action.as_str()
-            ),
-        }
+        let mut w = JsonlWriter::new();
+        w.event(self);
+        w.into_line()
     }
 
     /// Parses one JSONL line produced by [`TraceEvent::to_jsonl`].
@@ -539,13 +447,17 @@ impl TraceEvent {
     /// This is a parser for the crate's own flat encoding (string values
     /// without escapes, numbers, fixed keys) — not a general JSON parser.
     pub fn parse_jsonl(line: &str) -> Result<TraceEvent, String> {
-        let fields = split_flat_object(line)?;
+        let fields = split_flat_object(line)?.collect::<Result<Vec<_>, _>>()?;
         let get = |key: &str| -> Result<&str, String> {
             fields
                 .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.as_str())
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| *v)
                 .ok_or_else(|| format!("missing key `{key}` in `{line}`"))
+        };
+        let str_of = |key: &str| -> Result<&str, String> {
+            let raw = get(key)?;
+            unquote(raw).ok_or_else(|| format!("`{key}` is not a string: `{raw}`"))
         };
         let f64_of = |key: &str| -> Result<f64, String> {
             get(key)?
@@ -564,7 +476,7 @@ impl TraceEvent {
                 .map_err(|e| format!("bad job id: {e}"))
         };
         let t = Time::new(f64_of("t")?);
-        let ev = get("ev")?;
+        let ev = str_of("ev")?;
         Ok(match ev {
             "arrival" => TraceEvent::Arrival {
                 t,
@@ -616,7 +528,7 @@ impl TraceEvent {
                 job: job_of("job")?,
             },
             "queue_depth" => {
-                let queue_name = get("queue")?;
+                let queue_name = str_of("queue")?;
                 TraceEvent::QueueDepth {
                     t,
                     queue: QueueKind::parse(queue_name)
@@ -630,7 +542,7 @@ impl TraceEvent {
                 segment: usize_of("segment")?,
             },
             "fault" | "quarantine" => {
-                let fault_name = get("fault")?;
+                let fault_name = str_of("fault")?;
                 let fault = FaultKind::parse(fault_name)
                     .ok_or_else(|| format!("unknown fault kind `{fault_name}`"))?;
                 let job = job_of("job")?;
@@ -663,7 +575,7 @@ impl TraceEvent {
                 down_for: f64_of("down_for")?,
             },
             "policy_abort" => {
-                let fault_name = get("fault")?;
+                let fault_name = str_of("fault")?;
                 TraceEvent::PolicyAbort {
                     t,
                     fault: FaultKind::parse(fault_name)
@@ -671,7 +583,7 @@ impl TraceEvent {
                 }
             }
             "decision" => {
-                let act_name = get("act")?;
+                let act_name = str_of("act")?;
                 let flip_raw = get("flip")?;
                 TraceEvent::Decision {
                     t,
@@ -769,27 +681,6 @@ impl TraceEvent {
         };
         format!("{t:>12.4}  {body}")
     }
-}
-
-/// Splits `{"k":v,"k2":"v2",...}` into `(key, raw-value)` pairs. Values are
-/// returned with surrounding quotes stripped; no escape handling (the
-/// encoder never emits escapes).
-fn split_flat_object(line: &str) -> Result<Vec<(String, String)>, String> {
-    let inner = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| format!("not a JSON object: `{line}`"))?;
-    let mut out = Vec::new();
-    for part in inner.split(',') {
-        let (k, v) = part
-            .split_once(':')
-            .ok_or_else(|| format!("malformed field `{part}`"))?;
-        let k = k.trim().trim_matches('"').to_string();
-        let v = v.trim().trim_matches('"').to_string();
-        out.push((k, v));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

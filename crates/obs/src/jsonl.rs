@@ -1,0 +1,586 @@
+//! The flat-JSONL codec: one reusable writer and one borrowing splitter.
+//!
+//! Every line the workspace writes as JSONL — trace events, the streaming
+//! service's journal records, bench rows — is a *flat* object: string keys,
+//! values that are numbers, booleans or strings without escapes. That
+//! restriction makes both directions cheap:
+//!
+//! * [`JsonlWriter`] renders a [`TraceEvent`] into one reused `String`
+//!   (no allocation per line) and reuses the text of the previous event's
+//!   time when the next event is stamped with the same bits — most events
+//!   of a simulation share their instant with a neighbour. Callers also
+//!   build their own records in the same buffer ([`JsonlWriter::record`]).
+//! * [`split_flat_object`] walks a line and yields borrowed
+//!   `(key, raw value)` pairs; nothing is copied.
+//!
+//! `f64` values use Rust's shortest round-trip `Display`, so
+//! `parse(render(x))` is the identity and the text is byte-deterministic.
+
+use crate::event::TraceEvent;
+use cloudsched_core::JobId;
+use std::fmt::Write as _;
+
+/// Renders JSONL lines into one reused buffer. See the module docs.
+#[derive(Debug, Default, Clone)]
+pub struct JsonlWriter {
+    line: String,
+    /// Bit pattern of the last rendered event time, and its text.
+    t_bits: Option<u64>,
+    t_text: String,
+}
+
+impl JsonlWriter {
+    /// An empty writer.
+    pub fn new() -> Self {
+        JsonlWriter::default()
+    }
+
+    /// Renders `event` as one JSONL line (no trailing newline) and returns
+    /// it. The text is byte-identical to [`TraceEvent::to_jsonl`] and lives
+    /// until the writer's next call.
+    pub fn event(&mut self, event: &TraceEvent) -> &str {
+        let t = event.time().as_f64();
+        if self.t_bits != Some(t.to_bits()) {
+            self.t_text.clear();
+            push_f64(&mut self.t_text, t);
+            self.t_bits = Some(t.to_bits());
+        }
+        let out = &mut self.line;
+        out.clear();
+        out.push_str("{\"t\":");
+        out.push_str(&self.t_text);
+        str_field(out, "ev", event.kind());
+        match *event {
+            TraceEvent::Admit { job, .. }
+            | TraceEvent::Resume { job, .. }
+            | TraceEvent::ClaxityZero { job, .. }
+            | TraceEvent::Readmit { job, .. } => job_field(out, job),
+            TraceEvent::Arrival { job, laxity, .. } => {
+                job_field(out, job);
+                f64_field(out, "laxity", laxity);
+            }
+            TraceEvent::Preempt { job, remaining, .. } => {
+                job_field(out, job);
+                f64_field(out, "remaining", remaining);
+            }
+            TraceEvent::Complete { job, value, .. } => {
+                job_field(out, job);
+                f64_field(out, "value", value);
+            }
+            TraceEvent::Expire {
+                job,
+                remaining,
+                value,
+                ..
+            }
+            | TraceEvent::Abandon {
+                job,
+                remaining,
+                value,
+                ..
+            } => {
+                job_field(out, job);
+                f64_field(out, "remaining", remaining);
+                f64_field(out, "value", value);
+            }
+            TraceEvent::SupplementEnqueue { job, depth, .. }
+            | TraceEvent::SupplementRescue { job, depth, .. } => {
+                job_field(out, job);
+                uint_field(out, "depth", depth as u64);
+            }
+            TraceEvent::QueueDepth { queue, depth, .. } => {
+                str_field(out, "queue", queue.as_str());
+                uint_field(out, "depth", depth as u64);
+            }
+            TraceEvent::CapacityChange { rate, segment, .. } => {
+                f64_field(out, "rate", rate);
+                uint_field(out, "segment", segment as u64);
+            }
+            TraceEvent::FaultDetected { job, fault, .. }
+            | TraceEvent::Quarantine { job, fault, .. } => {
+                job_field(out, job);
+                str_field(out, "fault", fault.as_str());
+            }
+            TraceEvent::SlaViolation { rate, c_lo, .. } => {
+                f64_field(out, "rate", rate);
+                f64_field(out, "c_lo", c_lo);
+            }
+            TraceEvent::CloReestimate { from, to, .. } => {
+                f64_field(out, "from", from);
+                f64_field(out, "to", to);
+            }
+            TraceEvent::OracleDropout { misses, .. } => uint_field(out, "misses", misses as u64),
+            TraceEvent::OracleRecover { down_for, .. } => f64_field(out, "down_for", down_for),
+            TraceEvent::PolicyAbort { fault, .. } => str_field(out, "fault", fault.as_str()),
+            TraceEvent::Decision {
+                job,
+                action,
+                laxity,
+                density,
+                rank,
+                flip,
+                ..
+            } => {
+                job_field(out, job);
+                str_field(out, "act", action.as_str());
+                f64_field(out, "laxity", laxity);
+                f64_field(out, "density", density);
+                uint_field(out, "rank", rank as u64);
+                out.push_str(if flip {
+                    ",\"flip\":true"
+                } else {
+                    ",\"flip\":false"
+                });
+            }
+        }
+        out.push('}');
+        &self.line
+    }
+
+    /// Clears the buffer and hands it out for a caller-built record; read
+    /// the result back with [`JsonlWriter::line`].
+    pub fn record(&mut self) -> &mut String {
+        self.line.clear();
+        &mut self.line
+    }
+
+    /// The last line rendered or built.
+    pub fn line(&self) -> &str {
+        &self.line
+    }
+
+    /// Consumes the writer, returning the last line.
+    pub fn into_line(self) -> String {
+        self.line
+    }
+}
+
+/// Appends `x` in its shortest round-trip decimal form (`{}` of `f64`).
+fn push_f64(out: &mut String, x: f64) {
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "{x}");
+}
+
+/// Appends `n` in decimal.
+pub fn push_u64(out: &mut String, n: u64) {
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "{n}");
+}
+
+fn key(out: &mut String, key: &str) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
+}
+
+fn job_field(out: &mut String, job: JobId) {
+    uint_field(out, "job", job.0);
+}
+
+fn uint_field(out: &mut String, name: &str, n: u64) {
+    key(out, name);
+    push_u64(out, n);
+}
+
+fn f64_field(out: &mut String, name: &str, x: f64) {
+    key(out, name);
+    push_f64(out, x);
+}
+
+fn str_field(out: &mut String, name: &str, s: &str) {
+    key(out, name);
+    out.push('"');
+    out.push_str(s);
+    out.push('"');
+}
+
+/// Splits a flat JSON object `{"k":1,"s":"text",…}` into borrowed
+/// `(key, raw value)` pairs, in line order.
+///
+/// Keys must be quoted and come back without their quotes. Values come
+/// back as written, whitespace-trimmed: a string keeps its quotes (strip
+/// them with [`unquote`]), so a caller can tell `"5"` from `5`. A string
+/// may hold commas and colons but no `"` — the encoders never escape.
+///
+/// # Errors
+/// A line that is not wrapped in braces; each malformed field surfaces as
+/// an `Err` item, after which the iterator ends.
+pub fn split_flat_object(line: &str) -> Result<FlatFields<'_>, String> {
+    let body = line
+        .trim()
+        .strip_prefix('{')
+        .and_then(|s| s.strip_suffix('}'))
+        .ok_or("record is not a flat JSON object")?;
+    Ok(FlatFields {
+        rest: body,
+        // `{}` is an object with no fields.
+        done: body.trim().is_empty(),
+    })
+}
+
+/// The iterator [`split_flat_object`] returns.
+#[derive(Debug, Clone)]
+pub struct FlatFields<'a> {
+    rest: &'a str,
+    done: bool,
+}
+
+impl<'a> FlatFields<'a> {
+    fn field(&mut self, s: &'a str) -> Result<(&'a str, &'a str), String> {
+        let (key, after) = s
+            .strip_prefix('"')
+            .and_then(|s| s.split_once('"'))
+            .ok_or_else(|| format!("field `{s}` has no quoted key"))?;
+        if key.is_empty() {
+            return Err("record has an empty key".into());
+        }
+        let after = after
+            .trim_start()
+            .strip_prefix(':')
+            .ok_or_else(|| format!("field `{key}` has no key/value colon"))?
+            .trim_start();
+        let (value, tail) = match after.strip_prefix('"') {
+            Some(inner) => {
+                let end = inner
+                    .find('"')
+                    .ok_or_else(|| format!("field `{key}` has an unterminated string"))?;
+                after.split_at(end + 2)
+            }
+            None => after.split_at(after.find(',').unwrap_or(after.len())),
+        };
+        let value = value.trim_end();
+        if value.is_empty() {
+            return Err(format!("field `{key}` has no value"));
+        }
+        let tail = tail.trim_start();
+        if tail.is_empty() {
+            self.done = true;
+        } else {
+            self.rest = tail
+                .strip_prefix(',')
+                .ok_or_else(|| format!("field `{key}` is followed by `{tail}`"))?;
+        }
+        Ok((key, value))
+    }
+}
+
+impl<'a> Iterator for FlatFields<'a> {
+    type Item = Result<(&'a str, &'a str), String>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done {
+            return None;
+        }
+        let field = self.field(self.rest.trim_start());
+        if field.is_err() {
+            self.done = true;
+        }
+        Some(field)
+    }
+}
+
+/// The text of a quoted string value from [`split_flat_object`], or `None`
+/// when `raw` is not a string.
+pub fn unquote(raw: &str) -> Option<&str> {
+    raw.strip_prefix('"')?.strip_suffix('"')
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::event::{DecisionAction, FaultKind, QueueKind};
+    use cloudsched_core::Time;
+
+    /// One event of every kind, stamped at `t`.
+    fn every_kind(t: Time) -> Vec<TraceEvent> {
+        let j = JobId(12);
+        vec![
+            TraceEvent::Arrival {
+                t,
+                job: j,
+                laxity: -0.0,
+            },
+            TraceEvent::Admit { t, job: j },
+            TraceEvent::Resume { t, job: j },
+            TraceEvent::Preempt {
+                t,
+                job: j,
+                remaining: 0.1 + 0.2,
+            },
+            TraceEvent::Complete {
+                t,
+                job: j,
+                value: 7.0,
+            },
+            TraceEvent::Expire {
+                t,
+                job: j,
+                remaining: 1e-300,
+                value: 2.5,
+            },
+            TraceEvent::Abandon {
+                t,
+                job: j,
+                remaining: 4.0,
+                value: f64::INFINITY,
+            },
+            TraceEvent::SupplementEnqueue {
+                t,
+                job: j,
+                depth: 2,
+            },
+            TraceEvent::SupplementRescue {
+                t,
+                job: j,
+                depth: 0,
+            },
+            TraceEvent::ClaxityZero { t, job: j },
+            TraceEvent::QueueDepth {
+                t,
+                queue: QueueKind::Supplement,
+                depth: 40,
+            },
+            TraceEvent::CapacityChange {
+                t,
+                rate: 35.0,
+                segment: 2,
+            },
+            TraceEvent::FaultDetected {
+                t,
+                job: j,
+                fault: FaultKind::Duplicate,
+            },
+            TraceEvent::Quarantine {
+                t,
+                job: j,
+                fault: FaultKind::ValueSpike,
+            },
+            TraceEvent::Readmit { t, job: j },
+            TraceEvent::SlaViolation {
+                t,
+                rate: 0.25,
+                c_lo: 1.0,
+            },
+            TraceEvent::CloReestimate {
+                t,
+                from: 1.0,
+                to: 0.25,
+            },
+            TraceEvent::OracleDropout { t, misses: 3 },
+            TraceEvent::OracleRecover { t, down_for: 2.5 },
+            TraceEvent::PolicyAbort {
+                t,
+                fault: FaultKind::SlaDip,
+            },
+            TraceEvent::Decision {
+                t,
+                job: JobId(u64::MAX),
+                action: DecisionAction::Park,
+                laxity: -0.5,
+                density: 3.0,
+                rank: 0,
+                flip: false,
+            },
+        ]
+    }
+
+    /// The `format!`-per-line codec the writer replaced, kept as the
+    /// byte-identity oracle.
+    fn reference(ev: &TraceEvent) -> String {
+        let t = ev.time().as_f64();
+        match *ev {
+            TraceEvent::Arrival { job, laxity, .. } => {
+                format!("{{\"t\":{t},\"ev\":\"arrival\",\"job\":{},\"laxity\":{laxity}}}", job.0)
+            }
+            TraceEvent::Admit { job, .. } => {
+                format!("{{\"t\":{t},\"ev\":\"admit\",\"job\":{}}}", job.0)
+            }
+            TraceEvent::Resume { job, .. } => {
+                format!("{{\"t\":{t},\"ev\":\"resume\",\"job\":{}}}", job.0)
+            }
+            TraceEvent::Preempt { job, remaining, .. } => format!(
+                "{{\"t\":{t},\"ev\":\"preempt\",\"job\":{},\"remaining\":{remaining}}}",
+                job.0
+            ),
+            TraceEvent::Complete { job, value, .. } => format!(
+                "{{\"t\":{t},\"ev\":\"complete\",\"job\":{},\"value\":{value}}}",
+                job.0
+            ),
+            TraceEvent::Expire {
+                job,
+                remaining,
+                value,
+                ..
+            } => format!(
+                "{{\"t\":{t},\"ev\":\"expire\",\"job\":{},\"remaining\":{remaining},\"value\":{value}}}",
+                job.0
+            ),
+            TraceEvent::Abandon {
+                job,
+                remaining,
+                value,
+                ..
+            } => format!(
+                "{{\"t\":{t},\"ev\":\"abandon\",\"job\":{},\"remaining\":{remaining},\"value\":{value}}}",
+                job.0
+            ),
+            TraceEvent::SupplementEnqueue { job, depth, .. } => format!(
+                "{{\"t\":{t},\"ev\":\"supp_enqueue\",\"job\":{},\"depth\":{depth}}}",
+                job.0
+            ),
+            TraceEvent::SupplementRescue { job, depth, .. } => format!(
+                "{{\"t\":{t},\"ev\":\"supp_rescue\",\"job\":{},\"depth\":{depth}}}",
+                job.0
+            ),
+            TraceEvent::ClaxityZero { job, .. } => {
+                format!("{{\"t\":{t},\"ev\":\"claxity_zero\",\"job\":{}}}", job.0)
+            }
+            TraceEvent::QueueDepth { queue, depth, .. } => format!(
+                "{{\"t\":{t},\"ev\":\"queue_depth\",\"queue\":\"{}\",\"depth\":{depth}}}",
+                queue.as_str()
+            ),
+            TraceEvent::CapacityChange { rate, segment, .. } => format!(
+                "{{\"t\":{t},\"ev\":\"capacity\",\"rate\":{rate},\"segment\":{segment}}}"
+            ),
+            TraceEvent::FaultDetected { job, fault, .. } => format!(
+                "{{\"t\":{t},\"ev\":\"fault\",\"job\":{},\"fault\":\"{}\"}}",
+                job.0,
+                fault.as_str()
+            ),
+            TraceEvent::Quarantine { job, fault, .. } => format!(
+                "{{\"t\":{t},\"ev\":\"quarantine\",\"job\":{},\"fault\":\"{}\"}}",
+                job.0,
+                fault.as_str()
+            ),
+            TraceEvent::Readmit { job, .. } => {
+                format!("{{\"t\":{t},\"ev\":\"readmit\",\"job\":{}}}", job.0)
+            }
+            TraceEvent::SlaViolation { rate, c_lo, .. } => format!(
+                "{{\"t\":{t},\"ev\":\"sla_violation\",\"rate\":{rate},\"c_lo\":{c_lo}}}"
+            ),
+            TraceEvent::CloReestimate { from, to, .. } => format!(
+                "{{\"t\":{t},\"ev\":\"clo_reestimate\",\"from\":{from},\"to\":{to}}}"
+            ),
+            TraceEvent::OracleDropout { misses, .. } => {
+                format!("{{\"t\":{t},\"ev\":\"oracle_down\",\"misses\":{misses}}}")
+            }
+            TraceEvent::OracleRecover { down_for, .. } => {
+                format!("{{\"t\":{t},\"ev\":\"oracle_up\",\"down_for\":{down_for}}}")
+            }
+            TraceEvent::PolicyAbort { fault, .. } => format!(
+                "{{\"t\":{t},\"ev\":\"policy_abort\",\"fault\":\"{}\"}}",
+                fault.as_str()
+            ),
+            TraceEvent::Decision {
+                job,
+                action,
+                laxity,
+                density,
+                rank,
+                flip,
+                ..
+            } => format!(
+                "{{\"t\":{t},\"ev\":\"decision\",\"job\":{},\"act\":\"{}\",\"laxity\":{laxity},\"density\":{density},\"rank\":{rank},\"flip\":{flip}}}",
+                job.0,
+                action.as_str()
+            ),
+        }
+    }
+
+    #[test]
+    fn writer_matches_to_jsonl_for_every_kind_and_time() {
+        // One writer across every time, so each kind is rendered both
+        // right after a time change and as part of a co-timed run.
+        let times = [0.0, -0.0, f64::INFINITY, 1.5, 0.1 + 0.2, 1e21, -2.0];
+        let mut w = JsonlWriter::new();
+        for &t in &times {
+            for ev in every_kind(Time::new(t)) {
+                let line = w.event(&ev).to_string();
+                assert_eq!(line, reference(&ev), "{ev:?}");
+                assert_eq!(line, ev.to_jsonl(), "{ev:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn writer_reuses_co_timed_text_only_for_identical_bits() {
+        // Runs of co-timed events, and `0.0` / `-0.0`, which compare equal
+        // but differ in bits and in text.
+        let mut w = JsonlWriter::new();
+        let seq = [
+            0.0,
+            0.0,
+            0.0,
+            -0.0,
+            -0.0,
+            0.0,
+            f64::INFINITY,
+            f64::INFINITY,
+            2.0,
+            2.0,
+            0.0,
+        ];
+        for (i, &t) in seq.iter().enumerate() {
+            let ev = TraceEvent::Admit {
+                t: Time::new(t),
+                job: JobId(i as u64),
+            };
+            let line = w.event(&ev).to_string();
+            assert_eq!(line, reference(&ev));
+            assert!(line.starts_with(&format!("{{\"t\":{t},")), "{line}");
+        }
+    }
+
+    #[test]
+    fn record_reuses_the_line_buffer() {
+        let mut w = JsonlWriter::new();
+        w.event(&TraceEvent::Admit {
+            t: Time::new(1.0),
+            job: JobId(0),
+        });
+        let out = w.record();
+        assert!(out.is_empty());
+        out.push_str("{\"svc\":\"x\",\"seq\":");
+        push_u64(out, 0);
+        out.push('}');
+        assert_eq!(w.line(), "{\"svc\":\"x\",\"seq\":0}");
+    }
+
+    #[test]
+    fn splitter_borrows_keys_and_raw_values() {
+        let line = "{ \"svc\" : \"snapshot\",\"seq\":4, \"blob\":\"csnap2;a,b:c;|d\" }";
+        let fields: Vec<_> = split_flat_object(line)
+            .unwrap()
+            .collect::<Result<_, _>>()
+            .unwrap();
+        assert_eq!(
+            fields,
+            vec![
+                ("svc", "\"snapshot\""),
+                ("seq", "4"),
+                ("blob", "\"csnap2;a,b:c;|d\"")
+            ]
+        );
+        assert_eq!(unquote(fields[2].1), Some("csnap2;a,b:c;|d"));
+        assert_eq!(unquote("4"), None);
+        assert_eq!(unquote("\""), None);
+        assert_eq!(split_flat_object("{}").unwrap().count(), 0);
+    }
+
+    #[test]
+    fn splitter_rejects_malformed_objects() {
+        assert!(split_flat_object("not json").is_err());
+        for bad in [
+            "{\"a\":1,}",
+            "{a:1}",
+            "{\"a\"1}",
+            "{\"a\":}",
+            "{\"\":1}",
+            "{\"a\":\"open}",
+            "{\"a\":\"x\"y,\"b\":1}",
+        ] {
+            let fields: Result<Vec<_>, _> = split_flat_object(bad).unwrap().collect();
+            assert!(fields.is_err(), "{bad}");
+        }
+    }
+}

@@ -15,8 +15,9 @@
 //!    [`Tracer`] trait into a bounded in-memory ring ([`RingTracer`]) or a
 //!    JSONL sink ([`JsonlTracer`]); the default [`NoopTracer`] reports
 //!    `enabled() == false` so instrumented code compiles down to nothing.
-//!    The JSONL encoding is byte-deterministic: the same seed and instance
-//!    always produce the identical trace file.
+//!    The JSONL encoding ([`jsonl`]: one reusable [`JsonlWriter`], one
+//!    borrowing [`split_flat_object`]) is byte-deterministic: the same seed
+//!    and instance always produce the identical trace file.
 //! 2. **Metrics** ([`metrics`]) — a registry of counters, value meters,
 //!    gauges and fixed-bucket histograms that folds trace events into
 //!    aggregates (preemption counts, queue depths, laxity distributions,
@@ -42,6 +43,7 @@
 pub mod clock;
 pub mod event;
 pub mod journal;
+pub mod jsonl;
 pub mod metrics;
 pub mod profile;
 pub mod tracer;
@@ -49,6 +51,7 @@ pub mod tracer;
 pub use clock::{Clock, ManualClock, MonotonicClock, NullClock};
 pub use event::{DecisionAction, FaultKind, QueueKind, TraceEvent};
 pub use journal::{FileJournal, JournalSink, MemJournal, RetryingJournal};
+pub use jsonl::{split_flat_object, unquote, FlatFields, JsonlWriter};
 pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use profile::{Profiler, SpanStats};
 pub use tracer::{JsonlTracer, NoopTracer, RingTracer, Tee, Tracer, WithProvenance};

@@ -6,6 +6,7 @@
 //! compiles down to nothing on untraced runs.
 
 use crate::event::TraceEvent;
+use crate::jsonl::JsonlWriter;
 use std::collections::VecDeque;
 use std::io::{self, Write};
 
@@ -131,13 +132,14 @@ impl Tracer for RingTracer {
 }
 
 /// Streams events as JSONL (`TraceEvent::to_jsonl`, one per line) into any
-/// [`io::Write`].
+/// [`io::Write`], rendering through one reused [`JsonlWriter`].
 ///
 /// I/O errors are latched rather than panicking mid-simulation: the first
 /// error stops further writes and is surfaced by [`JsonlTracer::finish`].
 #[derive(Debug)]
 pub struct JsonlTracer<W: Write> {
     out: W,
+    writer: JsonlWriter,
     written: u64,
     error: Option<io::Error>,
 }
@@ -147,6 +149,7 @@ impl<W: Write> JsonlTracer<W> {
     pub fn new(out: W) -> Self {
         JsonlTracer {
             out,
+            writer: JsonlWriter::new(),
             written: 0,
             error: None,
         }
@@ -172,7 +175,7 @@ impl<W: Write> Tracer for JsonlTracer<W> {
         if self.error.is_some() {
             return;
         }
-        let line = event.to_jsonl();
+        let line = self.writer.event(event);
         match self
             .out
             .write_all(line.as_bytes())

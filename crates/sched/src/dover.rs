@@ -40,6 +40,22 @@ fn parse_u64(s: &str) -> Result<u64, CoreError> {
     s.parse().map_err(|_| corrupt(format!("bad integer `{s}`")))
 }
 
+/// Splits one `,`-separated blob part into entries of exactly `n`
+/// `:`-separated fields.
+fn entries<'t>(part: &str, text: &'t str, n: usize) -> Result<Vec<Vec<&'t str>>, CoreError> {
+    text.split(',')
+        .filter(|s| !s.is_empty())
+        .map(|item| {
+            let f: Vec<&str> = item.split(':').collect();
+            if f.len() == n {
+                Ok(f)
+            } else {
+                Err(corrupt(format!("bad {part} entry `{item}`")))
+            }
+        })
+        .collect()
+}
+
 fn corrupt(reason: String) -> CoreError {
     // Scheduler blobs are embedded in a journal snapshot record; the
     // recovery driver rewrites `line` with the record's position.
@@ -137,8 +153,18 @@ pub struct DoverFamily {
     /// may be `+∞` while no regular job is committed).
     cslack: f64,
     flag: Flag,
+    /// The job this scheduler last dispatched and has not seen leave the
+    /// processor: the running job whenever one runs.
+    running: Option<JobId>,
     /// Per-job timer generation: stale zero-laxity timers are ignored.
+    /// Every path that drops a job from the scheduler's custody bumps it,
+    /// so a pending timer of a job the scheduler no longer holds is stale.
     generation: Vec<u64>,
+    /// Generations restored from a snapshot for job slots `generation`
+    /// does not reach yet, sorted by job. Each moves into `generation`
+    /// when the table grows over its slot, so a blob naming a huge job id
+    /// cannot force a huge allocation.
+    restored: Vec<(JobId, u64)>,
 }
 
 impl DoverFamily {
@@ -158,7 +184,9 @@ impl DoverFamily {
             qsupp: RankedQueue::new(),
             cslack: f64::INFINITY,
             flag: Flag::Idle,
+            running: None,
             generation: Vec::new(),
+            restored: Vec::new(),
         }
     }
 
@@ -169,8 +197,19 @@ impl DoverFamily {
 
     // ---- snapshot codec -------------------------------------------------
 
-    /// Serializes the engine's mutable state (queues, `cSlack`, flag, timer
-    /// generations) into a byte-stable blob. Every `f64` is rendered as its
+    /// Serializes the engine's mutable state (queues, `cSlack`, flag, the
+    /// running job, timer generations) into a byte-stable `dover2` blob:
+    ///
+    /// ```text
+    /// dover2|flag|cslack|qedf|qother|qsupp|running
+    /// ```
+    ///
+    /// Each held job — queued or running — carries its timer generation
+    /// as its last `:` field. Jobs the scheduler no longer holds are left
+    /// out: their generation was bumped when they left, so any timer they
+    /// still have pending is stale, and it stays stale against the
+    /// generation 0 a restore gives them. The blob is therefore O(held
+    /// jobs), not O(jobs ever seen). Every `f64` is rendered as its
     /// IEEE-754 bit pattern, so the round-trip is exact; the configuration
     /// is *not* included — recovery reconstructs it from the journal header
     /// and [`DoverFamily::restore_blob`] only fills in the mutable state.
@@ -185,43 +224,55 @@ impl DoverFamily {
             .iter()
             .map(|(d, j, m)| {
                 format!(
-                    "{}:{}:{}:{}",
+                    "{}:{}:{}:{}:{}",
                     f64_hex(d.as_f64()),
                     j.0,
                     f64_hex(m.t_insert.as_f64()),
-                    f64_hex(m.cslack_insert)
+                    f64_hex(m.cslack_insert),
+                    self.gen(j)
                 )
             })
             .collect();
         let qother: Vec<String> = self
             .qother
             .iter()
-            .map(|(d, j)| format!("{}:{}", f64_hex(d.as_f64()), j.0))
+            .map(|(d, j)| format!("{}:{}:{}", f64_hex(d.as_f64()), j.0, self.gen(j)))
             .collect();
         let qsupp: Vec<String> = self
             .qsupp
             .iter()
-            .map(|(r, j)| format!("{}:{}", f64_hex(r), j.0))
+            .map(|(r, j)| format!("{}:{}:{}", f64_hex(r), j.0, self.gen(j)))
             .collect();
-        let gen: Vec<String> = self.generation.iter().map(|g| g.to_string()).collect();
+        let running = self
+            .running
+            .map_or("-".to_string(), |j| format!("{}:{}", j.0, self.gen(j)));
         format!(
-            "dover1|{flag}|{}|{}|{}|{}|{}",
+            "dover2|{flag}|{}|{}|{}|{}|{running}",
             f64_hex(self.cslack),
             qedf.join(","),
             qother.join(","),
-            qsupp.join(","),
-            gen.join(",")
+            qsupp.join(",")
         )
     }
 
     /// Restores the mutable state captured by [`DoverFamily::snapshot_blob`]
     /// onto this instance (whose configuration must match the one that took
     /// the snapshot). All existing mutable state is replaced.
+    ///
+    /// # Errors
+    /// [`CoreError::CorruptJournal`] for a malformed blob or one of another
+    /// format version (`dover1` blobs are named in the error).
     pub fn restore_blob(&mut self, blob: &str) -> Result<(), CoreError> {
         let parts: Vec<&str> = blob.split('|').collect();
-        if parts.len() != 7 || parts[0] != "dover1" {
+        if parts[0] != "dover2" {
             return Err(corrupt(format!(
-                "expected 7-part dover1 scheduler blob, got {} parts",
+                "unsupported scheduler blob version `{}`; this build reads `dover2`",
+                parts[0]
+            )));
+        }
+        if parts.len() != 7 {
+            return Err(corrupt(format!(
+                "expected 7-part dover2 scheduler blob, got {} parts",
                 parts.len()
             )));
         }
@@ -232,15 +283,19 @@ impl DoverFamily {
             other => return Err(corrupt(format!("unknown processor flag `{other}`"))),
         };
         let cslack = parse_f64_hex(parts[2])?;
+        // Every entry ends in the job's generation; the job id is field 1
+        // of a queue entry and field 0 of the running entry.
+        let mut restored = Vec::new();
+        let mut held = |job: &str, gen: &str| -> Result<JobId, CoreError> {
+            let job = JobId(parse_u64(job)?);
+            restored.push((job, parse_u64(gen)?));
+            Ok(job)
+        };
         let mut qedf = DeadlineMap::new();
-        for item in parts[3].split(',').filter(|s| !s.is_empty()) {
-            let f: Vec<&str> = item.split(':').collect();
-            if f.len() != 4 {
-                return Err(corrupt(format!("bad qedf entry `{item}`")));
-            }
+        for f in entries("qedf", parts[3], 5)? {
             qedf.insert(
                 Time::new(parse_f64_hex(f[0])?),
-                JobId(parse_u64(f[1])?),
+                held(f[1], f[4])?,
                 EdfMeta {
                     t_insert: Time::new(parse_f64_hex(f[2])?),
                     cslack_insert: parse_f64_hex(f[3])?,
@@ -248,31 +303,33 @@ impl DoverFamily {
             );
         }
         let mut qother = DeadlineQueue::new();
-        for item in parts[4].split(',').filter(|s| !s.is_empty()) {
-            let f: Vec<&str> = item.split(':').collect();
-            if f.len() != 2 {
-                return Err(corrupt(format!("bad qother entry `{item}`")));
-            }
-            qother.insert(Time::new(parse_f64_hex(f[0])?), JobId(parse_u64(f[1])?));
+        for f in entries("qother", parts[4], 3)? {
+            qother.insert(Time::new(parse_f64_hex(f[0])?), held(f[1], f[2])?);
         }
         let mut qsupp = RankedQueue::new();
-        for item in parts[5].split(',').filter(|s| !s.is_empty()) {
-            let f: Vec<&str> = item.split(':').collect();
-            if f.len() != 2 {
-                return Err(corrupt(format!("bad qsupp entry `{item}`")));
-            }
-            qsupp.insert(parse_f64_hex(f[0])?, JobId(parse_u64(f[1])?));
+        for f in entries("qsupp", parts[5], 3)? {
+            qsupp.insert(parse_f64_hex(f[0])?, held(f[1], f[2])?);
         }
-        let mut generation = Vec::new();
-        for item in parts[6].split(',').filter(|s| !s.is_empty()) {
-            generation.push(parse_u64(item)?);
+        let running = match parts[6] {
+            "-" => None,
+            text => match entries("running", text, 2)?.as_slice() {
+                [f] => Some(held(f[0], f[1])?),
+                _ => return Err(corrupt(format!("bad running entry `{text}`"))),
+            },
+        };
+        restored.sort_unstable();
+        restored.dedup();
+        if let Some(w) = restored.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(corrupt(format!("{} has two generations", w[0].0)));
         }
         self.qedf = qedf;
         self.qother = qother;
         self.qsupp = qsupp;
         self.cslack = cslack;
         self.flag = flag;
-        self.generation = generation;
+        self.running = running;
+        self.generation = Vec::new();
+        self.restored = restored;
         Ok(())
     }
 
@@ -296,12 +353,22 @@ impl DoverFamily {
         let i = job.index();
         if i >= self.generation.len() {
             self.generation.resize(i + 1, 0);
+            let covered = self.restored.partition_point(|(j, _)| j.index() <= i);
+            for (j, g) in self.restored.drain(..covered) {
+                self.generation[j.index()] = g;
+            }
         }
         &mut self.generation[i]
     }
 
     fn gen(&self, job: JobId) -> u64 {
-        self.generation.get(job.index()).copied().unwrap_or(0)
+        match self.generation.get(job.index()) {
+            Some(&g) => g,
+            None => self
+                .restored
+                .binary_search_by_key(&job, |&(j, _)| j)
+                .map_or(0, |k| self.restored[k].1),
+        }
     }
 
     /// Invalidates any pending zero-laxity timer of `job`.
@@ -408,7 +475,20 @@ impl DoverFamily {
         self.qother.remove(d, job);
         self.qedf.remove(d, job);
         self.qsupp.remove(self.supplement_rank(ctx, job), job);
+        if self.running == Some(job) {
+            self.running = None;
+        }
         self.bump(job);
+    }
+
+    /// Records which job a handler's decision leaves on the processor.
+    fn track(&mut self, decision: Decision) -> Decision {
+        match decision {
+            Decision::Run(job) => self.running = Some(job),
+            Decision::Idle => self.running = None,
+            Decision::Continue => {}
+        }
+        decision
     }
 
     /// Pops the next supplement job according to the configured order
@@ -488,16 +568,10 @@ impl DoverFamily {
         self.flag = Flag::Idle;
         Decision::Idle
     }
-}
-
-impl Scheduler for DoverFamily {
-    fn name(&self) -> String {
-        self.cfg.name.clone()
-    }
 
     // ---- procedure B: job release handler -------------------------------
 
-    fn on_release(&mut self, ctx: &mut SimContext<'_>, arr: JobId) -> Decision {
+    fn release(&mut self, ctx: &mut SimContext<'_>, arr: JobId) -> Decision {
         self.bump(arr); // fresh generation for a fresh job
         match (self.flag, ctx.running()) {
             // Lines B.1–B.4: idle processor — run the arrival.
@@ -552,29 +626,9 @@ impl Scheduler for DoverFamily {
         }
     }
 
-    // ---- procedure C entry points ----------------------------------------
-
-    fn on_completion(&mut self, ctx: &mut SimContext<'_>, job: JobId) -> Decision {
-        self.remove_everywhere(ctx, job);
-        if ctx.running().is_none() {
-            self.handler_c(ctx)
-        } else {
-            Decision::Continue
-        }
-    }
-
-    fn on_deadline_miss(&mut self, ctx: &mut SimContext<'_>, job: JobId) -> Decision {
-        self.remove_everywhere(ctx, job);
-        if ctx.running().is_none() {
-            self.handler_c(ctx)
-        } else {
-            Decision::Continue
-        }
-    }
-
     // ---- procedure D: zero (conservative) laxity handler -----------------
 
-    fn on_timer(&mut self, ctx: &mut SimContext<'_>, job: JobId, token: u64) -> Decision {
+    fn zero_laxity(&mut self, ctx: &mut SimContext<'_>, job: JobId, token: u64) -> Decision {
         if token != self.gen(job) {
             return Decision::Continue; // stale timer
         }
@@ -630,6 +684,42 @@ impl Scheduler for DoverFamily {
             }
             Decision::Continue
         }
+    }
+}
+
+impl Scheduler for DoverFamily {
+    fn name(&self) -> String {
+        self.cfg.name.clone()
+    }
+
+    fn on_release(&mut self, ctx: &mut SimContext<'_>, arr: JobId) -> Decision {
+        let decision = self.release(ctx, arr);
+        self.track(decision)
+    }
+
+    fn on_completion(&mut self, ctx: &mut SimContext<'_>, job: JobId) -> Decision {
+        self.remove_everywhere(ctx, job);
+        let decision = if ctx.running().is_none() {
+            self.handler_c(ctx)
+        } else {
+            Decision::Continue
+        };
+        self.track(decision)
+    }
+
+    fn on_deadline_miss(&mut self, ctx: &mut SimContext<'_>, job: JobId) -> Decision {
+        self.remove_everywhere(ctx, job);
+        let decision = if ctx.running().is_none() {
+            self.handler_c(ctx)
+        } else {
+            Decision::Continue
+        };
+        self.track(decision)
+    }
+
+    fn on_timer(&mut self, ctx: &mut SimContext<'_>, job: JobId, token: u64) -> Decision {
+        let decision = self.zero_laxity(ctx, job, token);
+        self.track(decision)
     }
 
     fn snapshot_state(&self) -> Option<String> {
@@ -889,14 +979,21 @@ mod tests {
         a.qsupp.insert(4.0, JobId(0));
         a.cslack = 0.1 + 0.2; // a value with no short decimal rendering
         a.flag = Flag::Reg;
-        a.generation = vec![0, 3, 1];
+        a.running = Some(JobId(5));
+        // Job 6 left custody long ago: its generation is not carried.
+        a.generation = vec![0, 3, 1, 2, 0, 4, 9, 8];
         let blob = a.snapshot_blob();
+        assert!(!blob.contains(":9"), "unheld generations stay out: {blob}");
         let mut b = DoverFamily::from_config(cfg);
         b.restore_blob(&blob).unwrap();
         assert_eq!(b.snapshot_blob(), blob, "round-trip must be exact");
         assert_eq!(b.cslack.to_bits(), a.cslack.to_bits());
         assert_eq!(b.flag, Flag::Reg);
-        assert_eq!(b.generation, vec![0, 3, 1]);
+        assert_eq!(b.running, Some(JobId(5)));
+        for held in [0, 1, 2, 3, 5, 7] {
+            assert_eq!(b.gen(JobId(held)), a.gen(JobId(held)), "job {held}");
+        }
+        assert_eq!(b.gen(JobId(6)), 0);
         assert_eq!(b.qedf.len(), 2);
         assert_eq!(b.qother.len(), 1);
         assert_eq!(b.qsupp.len(), 2);
@@ -908,6 +1005,24 @@ mod tests {
         assert_eq!(back.snapshot_state().unwrap(), blob);
         // Garbage is rejected, not misparsed.
         assert!(b.restore_blob("nonsense").is_err());
-        assert!(b.restore_blob("dover1|X|0|||||").is_err());
+        assert!(b.restore_blob("dover2|X|0||||-").is_err());
+        assert!(b.restore_blob("dover2|I|0|||1:2|-").is_err());
+        assert!(b.restore_blob("dover2|I|0||||4").is_err());
+        assert!(
+            b.restore_blob("dover2|I|0|||1:2:3|2:4").is_err(),
+            "two generations"
+        );
+        // A huge job id restores without sizing the generation table to it.
+        b.restore_blob("dover2|I|0||||18446744073709551614:5")
+            .unwrap();
+        assert_eq!(b.gen(JobId(u64::MAX - 1)), 5);
+        assert!(b.generation.is_empty());
+        // The previous format is refused by name, not misparsed.
+        match b.restore_blob("dover1|I|7ff0000000000000||||0,1") {
+            Err(CoreError::CorruptJournal { reason, .. }) => {
+                assert!(reason.contains("`dover1`"), "{reason}")
+            }
+            other => panic!("expected a version rejection, got {other:?}"),
+        }
     }
 }

@@ -20,7 +20,9 @@
 //!   run's configuration), `arrival` (one job's parameters, committed
 //!   *before* any of its effects apply), `decision` (the admission
 //!   verdict, committed before the verdict's effects apply) and
-//!   `snapshot` (a [`crate::snapshot`] blob at a quiescent point).
+//!   `snapshot` (a [`crate::snapshot`] blob at a quiescent point, with
+//!   table rows only for the jobs that were live at the previous
+//!   snapshot or arrived since).
 //! * **Trace events** start `{"t":` — the byte-stable
 //!   [`TraceEvent`] JSONL codec from `cloudsched-obs`, appended in
 //!   emission order. On recovery, trace lines *before* the last snapshot
@@ -28,14 +30,22 @@
 //!   discarded and regenerated by replay (they may be partial — the
 //!   crash window).
 //!
+//! Every line renders into one reused [`JsonlWriter`] buffer and parses
+//! through the borrowing [`split_flat_object`]; without a journal
+//! (recovery's replay, or `serve` with no sink) nothing is rendered. So
+//! the journal costs a constant number of bytes and allocations per
+//! arrival, however long the stream.
+//!
 //! ## Determinism and recovery
 //!
 //! Every admission decision is a pure function of the arrival sequence
 //! (the same checks as [`Watchdog::inspect_release`], plus the
 //! backpressure rule), so replaying journaled arrivals recomputes
 //! byte-identical decisions — recovery verifies this against the
-//! journaled verdicts and treats divergence as corruption. Snapshots are
-//! only taken when the scheduler supports state capture
+//! journaled verdicts and treats divergence as corruption. Recovery folds
+//! every snapshot record in journal order (later rows win), restores the
+//! result and replays the tail after the last one. Snapshots are only
+//! taken when the scheduler supports state capture
 //! ([`crate::Scheduler::snapshot_state`]); otherwise recovery simply
 //! replays from genesis, which is always correct, just slower.
 //!
@@ -57,8 +67,12 @@ use crate::snapshot;
 use crate::workspace::SimWorkspace;
 use cloudsched_capacity::CapacityProfile;
 use cloudsched_core::{CoreError, Job, JobId, JobSet, Time};
-use cloudsched_obs::{FaultKind, JournalSink, RetryingJournal, TraceEvent, Tracer};
+use cloudsched_obs::{
+    split_flat_object, unquote, FaultKind, JournalSink, JsonlWriter, RetryingJournal, TraceEvent,
+    Tracer,
+};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// Tunables of one service run. `c_lo` / `c_hi` are not here — they come
 /// from the capacity profile's declared bounds.
@@ -286,7 +300,73 @@ fn corrupt(line: usize, reason: impl Into<String>) -> CoreError {
 // ---------------------------------------------------------------------
 // Line codecs (flat JSON, byte-deterministic: `{}` float formatting is
 // Rust's shortest round-trip form, so parse ∘ render is the identity).
+// Records render into the WAL's reused buffer and parse through the
+// borrowing `split_flat_object`.
 // ---------------------------------------------------------------------
+
+/// The fields of one flat record, borrowed from its line.
+struct Record<'a> {
+    line: usize,
+    what: &'static str,
+    fields: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Record<'a> {
+    fn parse(text: &'a str, line: usize, what: &'static str) -> Result<Self, CoreError> {
+        let fields = split_flat_object(text)
+            .and_then(|f| f.collect::<Result<Vec<_>, _>>())
+            .map_err(|e| corrupt(line, e))?;
+        Ok(Record { line, what, fields })
+    }
+
+    fn raw(&self, key: &str) -> Result<&'a str, CoreError> {
+        self.fields
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| *v)
+            .ok_or_else(|| corrupt(self.line, format!("{} is missing key {key:?}", self.what)))
+    }
+
+    fn text(&self, key: &str) -> Result<&'a str, CoreError> {
+        unquote(self.raw(key)?).ok_or_else(|| {
+            corrupt(
+                self.line,
+                format!("{} key {key:?} is not a string", self.what),
+            )
+        })
+    }
+
+    fn num(&self, key: &str) -> Result<f64, CoreError> {
+        self.raw(key)?
+            .parse::<f64>()
+            .ok()
+            .filter(|v| !v.is_nan())
+            .ok_or_else(|| {
+                corrupt(
+                    self.line,
+                    format!("{} key {key:?} is not a number", self.what),
+                )
+            })
+    }
+
+    fn uint<T: std::str::FromStr>(&self, key: &str) -> Result<T, CoreError> {
+        self.raw(key)?.parse::<T>().map_err(|_| {
+            corrupt(
+                self.line,
+                format!("{} key {key:?} is not an unsigned integer", self.what),
+            )
+        })
+    }
+
+    fn arrival(&self) -> Result<Arrival, CoreError> {
+        Ok(Arrival {
+            release: self.num("r")?,
+            deadline: self.num("d")?,
+            workload: self.num("p")?,
+            value: self.num("v")?,
+        })
+    }
+}
 
 /// Parses an admission stream: one flat JSON object per line,
 /// `{"r":R,"d":D,"p":P,"v":V}`. Blank lines are skipped.
@@ -294,81 +374,42 @@ pub fn parse_stream(text: &str) -> Result<Vec<Arrival>, CoreError> {
     let mut out = Vec::new();
     for (i, raw) in text.lines().enumerate() {
         let line = raw.trim();
-        if line.is_empty() {
-            continue;
+        if !line.is_empty() {
+            out.push(Record::parse(line, i + 1, "arrival")?.arrival()?);
         }
-        let fields = flat_fields(line, i + 1)?;
-        let get = |key: &str| -> Result<f64, CoreError> {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .ok_or_else(|| corrupt(i + 1, format!("arrival is missing key {key:?}")))?
-                .1
-                .parse::<f64>()
-                .ok()
-                .filter(|v| !v.is_nan())
-                .ok_or_else(|| corrupt(i + 1, format!("arrival key {key:?} is not a number")))
-        };
-        out.push(Arrival {
-            release: get("r")?,
-            deadline: get("d")?,
-            workload: get("p")?,
-            value: get("v")?,
-        });
     }
     Ok(out)
 }
 
-/// Splits a one-level JSON object into `(key, raw value)` pairs. Values
-/// must not contain commas or colons (snapshot blobs, which do, are
-/// extracted before this runs).
-fn flat_fields(line: &str, lineno: usize) -> Result<Vec<(String, String)>, CoreError> {
-    let inner = line
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| corrupt(lineno, "record is not a flat JSON object"))?;
-    let mut out = Vec::new();
-    for part in inner.split(',') {
-        let (k, v) = part
-            .split_once(':')
-            .ok_or_else(|| corrupt(lineno, format!("field {part:?} has no key/value colon")))?;
-        let key = k.trim().trim_matches('"');
-        let value = v.trim().trim_matches('"');
-        if key.is_empty() {
-            return Err(corrupt(lineno, "record has an empty key"));
-        }
-        out.push((key.to_string(), value.to_string()));
-    }
-    Ok(out)
-}
+// Writing into a `String` cannot fail, so the `write!` results below are
+// discarded.
 
-fn arrival_line(seq: u64, a: &Arrival) -> String {
-    format!(
+fn arrival_record(out: &mut String, seq: u64, a: &Arrival) {
+    let _ = write!(
+        out,
         "{{\"svc\":\"arrival\",\"seq\":{seq},\"r\":{},\"d\":{},\"p\":{},\"v\":{}}}",
         a.release, a.deadline, a.workload, a.value
-    )
+    );
 }
 
-fn decision_line(d: &ServiceDecision) -> String {
-    format!(
+fn decision_record(out: &mut String, d: &ServiceDecision) {
+    let _ = write!(
+        out,
         "{{\"svc\":\"decision\",\"seq\":{},\"job\":{},\"admit\":{},\"reason\":\"{}\"}}",
         d.seq,
         d.job.0,
         d.admitted,
         d.reason.as_str()
-    )
+    );
 }
 
-fn snapshot_line(seq: u64, blob: &str) -> String {
-    format!("{{\"svc\":\"snapshot\",\"seq\":{seq},\"blob\":\"{blob}\"}}")
+fn snapshot_unsupported_record(out: &mut String, seq: u64) {
+    let _ = write!(out, "{{\"svc\":\"snapshot-unsupported\",\"seq\":{seq}}}");
 }
 
-fn snapshot_unsupported_line(seq: u64) -> String {
-    format!("{{\"svc\":\"snapshot-unsupported\",\"seq\":{seq}}}")
-}
-
-fn open_line(cfg: &ServiceConfig, c_lo: f64, c_hi: f64, rate: f64) -> String {
-    format!(
+fn open_record(out: &mut String, cfg: &ServiceConfig, c_lo: f64, c_hi: f64, rate: f64) {
+    let _ = write!(
+        out,
         "{{\"svc\":\"open\",\"version\":1,\"scheduler\":\"{}\",\"k\":{},\"delta\":{},\
          \"c_lo\":{c_lo},\"c_hi\":{c_hi},\"rate\":{rate},\"queue_cap\":{},\
          \"snapshot_every\":{},\"policy\":\"{}\"}}",
@@ -378,30 +419,36 @@ fn open_line(cfg: &ServiceConfig, c_lo: f64, c_hi: f64, rate: f64) -> String {
         cfg.queue_cap,
         cfg.snapshot_every,
         cfg.policy.as_str()
-    )
+    );
 }
 
 // ---------------------------------------------------------------------
-// WAL wrapper: retries via RetryingJournal, or a no-op when recovery
-// replays without writing.
+// WAL wrapper: retries via RetryingJournal and renders every line into one
+// reused buffer — or does nothing at all when recovery (or an in-memory
+// `serve`) runs without a journal.
 // ---------------------------------------------------------------------
 
 struct Wal<'a> {
     sink: Option<RetryingJournal<&'a mut dyn JournalSink>>,
+    writer: JsonlWriter,
 }
 
 impl<'a> Wal<'a> {
     fn new(sink: Option<&'a mut dyn JournalSink>, attempts: u32) -> Self {
         Wal {
             sink: sink.map(|s| RetryingJournal::new(s, attempts)),
+            writer: JsonlWriter::new(),
         }
     }
 
-    fn append(&mut self, line: &str) -> Result<(), CoreError> {
-        match &mut self.sink {
-            Some(j) => j.append(line),
-            None => Ok(()),
+    /// Appends the trace events, one line each, without a sync.
+    fn append_events(&mut self, events: &[TraceEvent]) -> Result<(), CoreError> {
+        if let Some(j) = &mut self.sink {
+            for ev in events {
+                j.append(self.writer.event(ev))?;
+            }
         }
+        Ok(())
     }
 
     fn sync(&mut self) -> Result<(), CoreError> {
@@ -411,9 +458,14 @@ impl<'a> Wal<'a> {
         }
     }
 
-    fn commit(&mut self, line: &str) -> Result<(), CoreError> {
+    /// Renders one service record with `render` and makes it durable.
+    /// Without a journal nothing is rendered.
+    fn commit(&mut self, render: impl FnOnce(&mut String)) -> Result<(), CoreError> {
         match &mut self.sink {
-            Some(j) => j.commit(line),
+            Some(j) => {
+                render(self.writer.record());
+                j.commit(self.writer.line())
+            }
             None => Ok(()),
         }
     }
@@ -453,6 +505,11 @@ struct Core<'a, P: CapacityProfile> {
     /// Admitted jobs not yet known to be resolved: a superset of the live
     /// admissions, pruned against the workspace on each arrival.
     live: Vec<JobId>,
+    /// The delta base of the next snapshot: the job count and the live
+    /// admissions at the previous one. Only those slots and the ones added
+    /// since can have changed, so only they get rows.
+    snap_jobs: usize,
+    snap_live: Vec<JobId>,
     book: Watchdog,
     ws: SimWorkspace,
     st: Option<KernelState>,
@@ -484,6 +541,8 @@ impl<'a, P: CapacityProfile> Core<'a, P> {
             jobs: JobSet::default(),
             decisions: Vec::new(),
             live: Vec::new(),
+            snap_jobs: 0,
+            snap_live: Vec::new(),
             book: Watchdog::new(
                 cfg.policy,
                 c_lo,
@@ -504,11 +563,8 @@ impl<'a, P: CapacityProfile> Core<'a, P> {
     }
 
     fn flush(&mut self, wal: &mut Wal<'_>) -> Result<(), CoreError> {
-        while self.flushed < self.sink.events.len() {
-            let line = self.sink.events[self.flushed].to_jsonl();
-            wal.append(&line)?;
-            self.flushed += 1;
-        }
+        wal.append_events(&self.sink.events[self.flushed..])?;
+        self.flushed = self.sink.events.len();
         Ok(())
     }
 
@@ -525,7 +581,7 @@ impl<'a, P: CapacityProfile> Core<'a, P> {
         wal: &mut Wal<'_>,
         seq: u64,
         a: &Arrival,
-        journaled: Option<&(bool, String, usize)>,
+        journaled: Option<&(bool, &str, usize)>,
     ) -> Result<Step, CoreError> {
         let last_release = self.jobs.last_release().as_f64();
         if a.release < last_release {
@@ -549,7 +605,7 @@ impl<'a, P: CapacityProfile> Core<'a, P> {
         )?;
 
         // WAL: the arrival record is durable before any of its effects.
-        wal.commit(&arrival_line(seq, a))?;
+        wal.commit(|out| arrival_record(out, seq, a))?;
 
         // Advance the kernel to the arrival instant (events strictly
         // before the release, plus co-timed capacity changes, completions
@@ -598,7 +654,7 @@ impl<'a, P: CapacityProfile> Core<'a, P> {
             reason,
         };
         if let Some((j_admit, j_reason, j_line)) = journaled {
-            if *j_admit != admitted || j_reason != reason.as_str() {
+            if *j_admit != admitted || *j_reason != reason.as_str() {
                 return Err(corrupt(
                     *j_line,
                     format!(
@@ -613,7 +669,7 @@ impl<'a, P: CapacityProfile> Core<'a, P> {
         }
 
         // WAL: the verdict is durable before its effects.
-        wal.commit(&decision_line(&decision))?;
+        wal.commit(|out| decision_record(out, &decision))?;
         self.decisions.push(decision);
 
         // Effects.
@@ -682,17 +738,37 @@ impl<'a, P: CapacityProfile> Core<'a, P> {
         if self.cfg.snapshot_every > 0 && (seq + 1) % self.cfg.snapshot_every == 0 {
             if let Some(blob) = sched.snapshot_state() {
                 let st = self.st.as_ref().expect("invariant: kernel state parked");
-                wal.commit(&snapshot_line(seq, &snapshot::encode(st, &self.ws, &blob)))?;
+                let rows = self
+                    .snap_live
+                    .iter()
+                    .map(|j| j.index())
+                    .chain(self.snap_jobs..self.jobs.len());
+                let ws = &self.ws;
+                wal.commit(|out| {
+                    let _ = write!(out, "{{\"svc\":\"snapshot\",\"seq\":{seq},\"blob\":\"");
+                    snapshot::encode(out, st, ws, rows, &blob);
+                    out.push_str("\"}");
+                })?;
+                self.mark_snapshot();
             } else if !self.snapshot_unsupported {
                 // A cadence was requested but the scheduler cannot
                 // checkpoint: recovery will replay from genesis. Journal
                 // that fact once so operators are not silently misled
                 // about recovery cost.
                 self.snapshot_unsupported = true;
-                wal.commit(&snapshot_unsupported_line(seq))?;
+                wal.commit(|out| snapshot_unsupported_record(out, seq))?;
             }
         }
         Ok(Step::Continue)
+    }
+
+    /// Makes the current state the delta base of the next snapshot.
+    fn mark_snapshot(&mut self) {
+        self.snap_jobs = self.jobs.len();
+        self.snap_live.clear();
+        let ws = &self.ws;
+        self.snap_live
+            .extend(self.live.iter().filter(|j| !ws.resolved(j.index())));
     }
 
     fn finish(
@@ -744,7 +820,8 @@ pub fn serve<P: CapacityProfile>(
     let arrivals = parse_stream(stream)?;
     let mut wal = Wal::new(sink, cfg.journal_attempts);
     let (c_lo, c_hi) = capacity.bounds();
-    wal.commit(&open_line(cfg, c_lo, c_hi, capacity.rate_at(Time::ZERO)))?;
+    let rate = capacity.rate_at(Time::ZERO);
+    wal.commit(|out| open_record(out, cfg, c_lo, c_hi, rate))?;
     let mut core = Core::new(capacity, cfg);
     for (seq, a) in arrivals.iter().enumerate() {
         match core.apply_arrival(scheduler, &mut wal, seq as u64, a, None)? {
@@ -759,12 +836,13 @@ pub fn serve<P: CapacityProfile>(
 // Recovery.
 // ---------------------------------------------------------------------
 
-struct ParsedJournal {
+struct ParsedJournal<'a> {
     header: JournalHeader,
     arrivals: BTreeMap<u64, Arrival>,
-    decisions: BTreeMap<u64, (bool, String, usize)>,
-    /// `(line, seq, blob)` of the last snapshot record.
-    snapshot: Option<(usize, u64, String)>,
+    /// `seq → (admitted, reason, line)`.
+    decisions: BTreeMap<u64, (bool, &'a str, usize)>,
+    /// `(line, seq, blob)` of every snapshot record, in journal order.
+    snapshots: Vec<(usize, u64, &'a str)>,
     /// Trace events with their 1-based line numbers, in journal order.
     trace: Vec<(usize, TraceEvent)>,
 }
@@ -778,45 +856,29 @@ fn svc_kind(line: &str, lineno: usize) -> Result<&str, CoreError> {
 /// Parses one `open` record (the journal's first line as `serve` writes
 /// it).
 fn parse_open(line: &str, lineno: usize) -> Result<JournalHeader, CoreError> {
-    let fields = flat_fields(line, lineno)?;
-    let get = |key: &str| -> Result<&str, CoreError> {
-        fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-            .ok_or_else(|| corrupt(lineno, format!("open record is missing {key:?}")))
-    };
-    let num = |key: &str| -> Result<f64, CoreError> {
-        get(key)?
-            .parse::<f64>()
-            .map_err(|_| corrupt(lineno, format!("open record {key:?} is not a number")))
-    };
-    if get("version")? != "1" {
+    let rec = Record::parse(line, lineno, "open record")?;
+    if rec.raw("version")? != "1" {
         return Err(corrupt(lineno, "unsupported journal version"));
     }
     Ok(JournalHeader {
-        scheduler: get("scheduler")?.to_string(),
-        k: num("k")?,
-        delta: num("delta")?,
-        c_lo: num("c_lo")?,
-        c_hi: num("c_hi")?,
-        rate: num("rate")?,
-        queue_cap: get("queue_cap")?
-            .parse::<usize>()
-            .map_err(|_| corrupt(lineno, "open record \"queue_cap\" is not an integer"))?,
-        snapshot_every: get("snapshot_every")?
-            .parse::<u64>()
-            .map_err(|_| corrupt(lineno, "open record \"snapshot_every\" is not an integer"))?,
-        policy: DegradationPolicy::parse(get("policy")?)
+        scheduler: rec.text("scheduler")?.to_string(),
+        k: rec.num("k")?,
+        delta: rec.num("delta")?,
+        c_lo: rec.num("c_lo")?,
+        c_hi: rec.num("c_hi")?,
+        rate: rec.num("rate")?,
+        queue_cap: rec.uint("queue_cap")?,
+        snapshot_every: rec.uint("snapshot_every")?,
+        policy: DegradationPolicy::parse(rec.text("policy")?)
             .ok_or_else(|| corrupt(lineno, "open record names an unknown degradation policy"))?,
     })
 }
 
-fn parse_journal(journal: &str) -> Result<ParsedJournal, CoreError> {
+fn parse_journal(journal: &str) -> Result<ParsedJournal<'_>, CoreError> {
     let mut header: Option<JournalHeader> = None;
     let mut arrivals = BTreeMap::new();
     let mut decisions = BTreeMap::new();
-    let mut snapshot = None;
+    let mut snapshots = Vec::new();
     let mut trace = Vec::new();
     for (i, raw) in journal.lines().enumerate() {
         let lineno = i + 1;
@@ -843,30 +905,9 @@ fn parse_journal(journal: &str) -> Result<ParsedJournal, CoreError> {
                 header = Some(parse_open(line, lineno)?);
             }
             "arrival" => {
-                let fields = flat_fields(line, lineno)?;
-                let num = |key: &str| -> Result<f64, CoreError> {
-                    fields
-                        .iter()
-                        .find(|(k, _)| k == key)
-                        .ok_or_else(|| {
-                            corrupt(lineno, format!("arrival record is missing {key:?}"))
-                        })?
-                        .1
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|v| !v.is_nan())
-                        .ok_or_else(|| {
-                            corrupt(lineno, format!("arrival record {key:?} is not a number"))
-                        })
-                };
-                let seq = num("seq")? as u64;
-                let spec = Arrival {
-                    release: num("r")?,
-                    deadline: num("d")?,
-                    workload: num("p")?,
-                    value: num("v")?,
-                };
-                if arrivals.insert(seq, spec).is_some() {
+                let rec = Record::parse(line, lineno, "arrival record")?;
+                let seq: u64 = rec.uint("seq")?;
+                if arrivals.insert(seq, rec.arrival()?).is_some() {
                     return Err(corrupt(
                         lineno,
                         format!("duplicate arrival record for seq {seq}"),
@@ -874,25 +915,14 @@ fn parse_journal(journal: &str) -> Result<ParsedJournal, CoreError> {
                 }
             }
             "decision" => {
-                let fields = flat_fields(line, lineno)?;
-                let get = |key: &str| -> Result<&str, CoreError> {
-                    fields
-                        .iter()
-                        .find(|(k, _)| k == key)
-                        .map(|(_, v)| v.as_str())
-                        .ok_or_else(|| {
-                            corrupt(lineno, format!("decision record is missing {key:?}"))
-                        })
-                };
-                let seq = get("seq")?
-                    .parse::<u64>()
-                    .map_err(|_| corrupt(lineno, "decision record \"seq\" is not an integer"))?;
-                let admit = match get("admit")? {
+                let rec = Record::parse(line, lineno, "decision record")?;
+                let seq: u64 = rec.uint("seq")?;
+                let admit = match rec.raw("admit")? {
                     "true" => true,
                     "false" => false,
                     _ => return Err(corrupt(lineno, "decision record \"admit\" is not a bool")),
                 };
-                let reason = get("reason")?.to_string();
+                let reason = rec.text("reason")?;
                 if decisions.insert(seq, (admit, reason, lineno)).is_some() {
                     return Err(corrupt(
                         lineno,
@@ -901,29 +931,20 @@ fn parse_journal(journal: &str) -> Result<ParsedJournal, CoreError> {
                 }
             }
             "snapshot" => {
-                // The blob contains the flat parser's separators, so it
-                // is extracted positionally: it is always the last key.
-                let (head, blob) = line
-                    .split_once("\"blob\":\"")
-                    .ok_or_else(|| corrupt(lineno, "snapshot record has no blob"))?;
-                let blob = blob
-                    .strip_suffix("\"}")
-                    .ok_or_else(|| corrupt(lineno, "snapshot record is not terminated"))?;
-                let seq = head
-                    .split_once("\"seq\":")
-                    .and_then(|(_, rest)| rest.trim_end_matches([',', ' ']).parse::<u64>().ok())
-                    .ok_or_else(|| corrupt(lineno, "snapshot record has no seq"))?;
-                snapshot = Some((lineno, seq, blob.to_string()));
+                let rec = Record::parse(line, lineno, "snapshot record")?;
+                let seq: u64 = rec.uint("seq")?;
+                if snapshots.last().is_some_and(|&(_, prev, _)| prev >= seq) {
+                    return Err(corrupt(
+                        lineno,
+                        format!("snapshot record for seq {seq} is out of order"),
+                    ));
+                }
+                snapshots.push((lineno, seq, rec.text("blob")?));
             }
             "snapshot-unsupported" => {
                 // Informational: the run's scheduler could not checkpoint,
                 // so there is no snapshot to restore — replay handles it.
-                let fields = flat_fields(line, lineno)?;
-                fields
-                    .iter()
-                    .find(|(k, _)| k == "seq")
-                    .and_then(|(_, v)| v.parse::<u64>().ok())
-                    .ok_or_else(|| corrupt(lineno, "snapshot-unsupported record has no seq"))?;
+                Record::parse(line, lineno, "snapshot-unsupported record")?.uint::<u64>("seq")?;
             }
             other => {
                 return Err(corrupt(
@@ -937,7 +958,7 @@ fn parse_journal(journal: &str) -> Result<ParsedJournal, CoreError> {
         header: header.ok_or_else(|| corrupt(1, "journal has no open record"))?,
         arrivals,
         decisions,
-        snapshot,
+        snapshots,
         trace,
     })
 }
@@ -992,15 +1013,15 @@ pub fn recover<P: CapacityProfile>(
     let mut wal = Wal::new(None, 1);
     let mut core = Core::new(capacity, &cfg);
 
-    let start_seq = match &parsed.snapshot {
-        Some((lineno, snap_seq, blob)) => {
+    let start_seq = match parsed.snapshots.last() {
+        Some(&(lineno, snap_seq, _)) => {
             // Rebuild the bookkeeping the snapshot deliberately omits by
             // folding the journaled prefix: jobs, verdicts and the
             // admission book are pure functions of the arrival sequence.
-            for seq in 0..=*snap_seq {
+            for seq in 0..=snap_seq {
                 let a = parsed.arrivals.get(&seq).ok_or_else(|| {
                     corrupt(
-                        *lineno,
+                        lineno,
                         format!("snapshot covers arrival {seq} but its record is missing"),
                     )
                 })?;
@@ -1012,35 +1033,35 @@ pub fn recover<P: CapacityProfile>(
                     a.value,
                 )
                 .and_then(|job| core.jobs.push(job))
-                .map_err(|e| corrupt(*lineno, format!("snapshot covers arrival {seq}: {e}")))?;
+                .map_err(|e| corrupt(lineno, format!("snapshot covers arrival {seq}: {e}")))?;
                 let _ = core.book.inspect_release(core.jobs.get(JobId(seq)));
-                let (admit, reason, dline) = parsed.decisions.get(&seq).ok_or_else(|| {
+                let &(admit, reason, dline) = parsed.decisions.get(&seq).ok_or_else(|| {
                     corrupt(
-                        *lineno,
+                        lineno,
                         format!("snapshot covers arrival {seq} but its decision is missing"),
                     )
                 })?;
                 core.decisions.push(ServiceDecision {
                     seq,
                     job: JobId(seq),
-                    admitted: *admit,
+                    admitted: admit,
                     reason: DecisionReason::parse(reason).ok_or_else(|| {
-                        corrupt(*dline, format!("unknown decision reason {reason:?}"))
+                        corrupt(dline, format!("unknown decision reason {reason:?}"))
                     })?,
                 });
             }
-            let image = snapshot::decode(blob, *lineno)?;
-            if image.jobs() != core.jobs.len() {
-                return Err(corrupt(
-                    *lineno,
-                    format!(
-                        "snapshot tables cover {} jobs but the journal prefix has {}",
-                        image.jobs(),
-                        core.jobs.len()
-                    ),
-                ));
-            }
-            scheduler.restore_state(&image.sched_blob)?;
+            // Every snapshot record contributes the rows it carries; the
+            // last one also supplies the kernel state, queue and scheduler
+            // blob.
+            let records: Vec<(usize, &str)> =
+                parsed.snapshots.iter().map(|&(l, _, b)| (l, b)).collect();
+            let image = snapshot::restore(&records, core.jobs.len())?;
+            scheduler
+                .restore_state(image.sched_blob)
+                .map_err(|e| match e {
+                    CoreError::CorruptJournal { reason, .. } => corrupt(lineno, reason),
+                    other => other,
+                })?;
             core.st = Some(image.apply(&mut core.ws));
             core.live = core
                 .decisions
@@ -1048,12 +1069,13 @@ pub fn recover<P: CapacityProfile>(
                 .filter(|d| d.admitted && !core.ws.resolved(d.job.index()))
                 .map(|d| d.job)
                 .collect();
+            core.mark_snapshot();
             // Trace lines before the snapshot record are the final,
             // authoritative event prefix; later ones are regenerated.
             core.sink.events = parsed
                 .trace
                 .iter()
-                .filter(|(l, _)| l < lineno)
+                .filter(|(l, _)| *l < lineno)
                 .map(|(_, e)| *e)
                 .collect();
             core.flushed = core.sink.events.len();
@@ -1085,6 +1107,16 @@ pub fn recover<P: CapacityProfile>(
 mod tests {
     use super::*;
 
+    fn render(f: impl FnOnce(&mut String)) -> String {
+        let mut out = String::new();
+        f(&mut out);
+        out
+    }
+
+    fn open_line(cfg: &ServiceConfig, c_lo: f64, c_hi: f64, rate: f64) -> String {
+        render(|out| open_record(out, cfg, c_lo, c_hi, rate))
+    }
+
     #[test]
     fn stream_parser_round_trips_arrival_lines() {
         let a = Arrival {
@@ -1093,7 +1125,7 @@ mod tests {
             workload: 1.0,
             value: 2.0,
         };
-        let line = arrival_line(7, &a);
+        let line = render(|out| arrival_record(out, 7, &a));
         assert_eq!(
             line,
             "{\"svc\":\"arrival\",\"seq\":7,\"r\":0.5,\"d\":3.25,\"p\":1,\"v\":2}"
@@ -1111,9 +1143,11 @@ mod tests {
     fn malformed_streams_yield_typed_errors() {
         for bad in [
             "not json",
-            "{\"r\":0.5,\"d\":3}",                 // missing keys
-            "{\"r\":x,\"d\":3,\"p\":1,\"v\":2}",   // non-number
-            "{\"r\":NaN,\"d\":3,\"p\":1,\"v\":2}", // NaN smuggling
+            "{\"r\":0.5,\"d\":3}",                   // missing keys
+            "{\"r\":x,\"d\":3,\"p\":1,\"v\":2}",     // non-number
+            "{\"r\":NaN,\"d\":3,\"p\":1,\"v\":2}",   // NaN smuggling
+            "{\"r\":\"1\",\"d\":3,\"p\":1,\"v\":2}", // a string, not a number
+            "{\"r\":1,\"d\":3,\"p\":1,\"v\":2,}",    // trailing comma
         ] {
             assert!(
                 matches!(
@@ -1187,13 +1221,23 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_records_extract_blob_positionally() {
+    fn snapshot_records_keep_every_blob_in_journal_order() {
         let open = open_line(&ServiceConfig::new("vdover", 7.0), 1.0, 2.0, 1.0);
-        let blob = "csnap1;kernel,with,commas;and:colons;0;;,,,,;;;sched|blob";
-        let journal = format!("{open}\n{}", snapshot_line(4, blob));
+        // Blobs carry the flat parser's separators inside their string.
+        let first = "csnap2;kernel,with,commas;and:colons;0;1;;;sched|blob";
+        let second = "csnap2;more;0;2;;;sched|blob";
+        let journal = format!(
+            "{open}\n{{\"svc\":\"snapshot\",\"seq\":0,\"blob\":\"{first}\"}}\n\
+             {{\"svc\":\"snapshot\",\"seq\":4,\"blob\":\"{second}\"}}"
+        );
         let parsed = parse_journal(&journal).unwrap();
-        let (line, seq, got) = parsed.snapshot.expect("snapshot record parsed");
-        assert_eq!((line, seq), (2, 4));
-        assert_eq!(got, blob);
+        assert_eq!(parsed.snapshots, vec![(2, 0, first), (3, 4, second)]);
+        // A snapshot record that goes back in sequence is corrupt.
+        let backwards =
+            format!("{journal}\n{{\"svc\":\"snapshot\",\"seq\":4,\"blob\":\"{second}\"}}");
+        assert!(matches!(
+            parse_journal(&backwards),
+            Err(CoreError::CorruptJournal { line: 4, .. })
+        ));
     }
 }

@@ -28,8 +28,8 @@ use crate::event::EventQueue;
 use cloudsched_core::{JobId, Outcome};
 use std::collections::BTreeSet;
 
-/// Bit masks of the packed per-job lifecycle byte. Kept `pub(crate)` so
-/// the snapshot codec can unpack columns without five separate tables.
+/// Bit masks of the packed per-job lifecycle byte, which the snapshot
+/// codec stores as is.
 pub(crate) mod flag {
     /// Release event processed; the scheduler knows the job.
     pub const RELEASED: u8 = 1 << 0;
@@ -138,35 +138,6 @@ impl SimWorkspace {
         }
     }
 
-    /// One lifecycle column as booleans, for the snapshot codec.
-    pub(crate) fn flag_column(&self, mask: u8) -> Vec<bool> {
-        self.flags.iter().map(|&f| f & mask != 0).collect()
-    }
-
-    /// Rebuilds the packed table from five equal-length columns
-    /// (released, resolved, started, abandoned, quarantined) — the
-    /// snapshot codec's restore path.
-    pub(crate) fn load_flag_columns(&mut self, cols: [&[bool]; 5]) {
-        let n = cols[0].len();
-        debug_assert!(cols.iter().all(|c| c.len() == n));
-        self.flags.clear();
-        self.flags.resize(n, 0);
-        const MASKS: [u8; 5] = [
-            flag::RELEASED,
-            flag::RESOLVED,
-            flag::STARTED,
-            flag::ABANDONED,
-            flag::QUARANTINED,
-        ];
-        for (col, mask) in cols.iter().zip(MASKS) {
-            for (i, &on) in col.iter().enumerate() {
-                if on {
-                    self.flags[i] |= mask;
-                }
-            }
-        }
-    }
-
     /// Resets all run state for an `n`-job instance, keeping allocations.
     pub(crate) fn begin(&mut self, n: usize) {
         // A hit means this reset allocates nothing: every per-job buffer
@@ -249,7 +220,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_flags_round_trip_through_columns() {
+    fn packed_flags_set_and_clear_one_bit_each() {
         let mut ws = SimWorkspace::new();
         ws.begin(4);
         ws.set_flag(0, flag::RELEASED, true);
@@ -261,18 +232,15 @@ mod tests {
         assert!(ws.released(0) && !ws.released(1));
         assert!(ws.resolved(1) && ws.started(1));
         assert!(ws.abandoned(2) && !ws.quarantined(3));
-        let cols = [
-            ws.flag_column(flag::RELEASED),
-            ws.flag_column(flag::RESOLVED),
-            ws.flag_column(flag::STARTED),
-            ws.flag_column(flag::ABANDONED),
-            ws.flag_column(flag::QUARANTINED),
-        ];
-        assert_eq!(cols[0], vec![true, false, false, false]);
-        let mut other = SimWorkspace::new();
-        other.begin(0);
-        other.load_flag_columns([&cols[0], &cols[1], &cols[2], &cols[3], &cols[4]]);
-        assert_eq!(other.flags, ws.flags);
+        assert_eq!(
+            ws.flags,
+            vec![
+                flag::RELEASED,
+                flag::RESOLVED | flag::STARTED,
+                flag::ABANDONED,
+                0
+            ]
+        );
     }
 
     /// Minimal work-conserving FIFO, just enough to drive a workspace run

@@ -162,9 +162,11 @@ serve-smoke:
     diff -u tests/golden/serve_stream_small.txt /tmp/serve-smoke-recovered.txt
 
 # Serve scale gate (mirrors the CI step): a deterministic 1e5-arrival λ=8
-# stream through `serve` with no journal must finish within 60 s. A linear
-# service takes well under a second; a per-arrival cost that grows with the
-# stream (Θ(n²) overall) takes minutes.
+# stream through `serve` must finish within 60 s with no journal and again
+# with a tmpfs journal snapshotting every 1000 arrivals, and that journal
+# must stay within 1000 B per arrival. A linear service takes seconds; a
+# per-arrival cost that grows with the stream (Θ(n²) overall) takes
+# minutes, and snapshots that re-encode every job exceed the byte bound.
 serve-scale:
     #!/usr/bin/env bash
     set -euo pipefail
@@ -181,6 +183,13 @@ serve-scale:
     ' > /tmp/serve-scale.jsonl
     cargo build --release -p cloudsched-cli
     timeout 60 target/release/cloudsched serve --in /tmp/serve-scale.jsonl --scheduler vdover --k 7 > /tmp/serve-scale.txt
+    timeout 60 target/release/cloudsched serve --in /tmp/serve-scale.jsonl --scheduler vdover --k 7 \
+        --journal /dev/shm/serve-scale.wal --snapshot-every 1000 > /tmp/serve-scale-wal.txt
+    cmp /tmp/serve-scale.txt /tmp/serve-scale-wal.txt
+    bytes=$(stat -c %s /dev/shm/serve-scale.wal)
+    echo "journal: $bytes B for 100000 arrivals ($((bytes / 100000)) B/arrival)"
+    rm -f /dev/shm/serve-scale.wal
+    test "$bytes" -le 100000000
 
 # Regenerate the checked-in golden service ledger after an *intentional*
 # change to the admission service, the ledger, or the commitment audit.

@@ -17,7 +17,7 @@
 //! The second half of the file is the equivalence oracle for the
 //! flat-memory kernel refactor: the bucketed calendar event queue must make
 //! exactly the pops the reference `BinaryHeap` backend makes (same 50 × 3
-//! sweep, this time across the whole scheduler roster), and a `csnap1`
+//! sweep, this time across the whole scheduler roster), and a service
 //! snapshot taken while the calendar is crowded must restore byte-exactly
 //! through the service's serve → crash → recover loop.
 //!
@@ -654,7 +654,7 @@ fn stream_text(jobs: &JobSet) -> String {
     out
 }
 
-/// Tentpole acceptance: a `csnap1` snapshot serialised mid-run — while the
+/// Tentpole acceptance: a service snapshot serialised mid-run — while the
 /// calendar holds a crowd of pending deadline/completion/timer events —
 /// restores bit-exactly. The run is served with a seeded crash well past
 /// several snapshot points, recovered from the durable journal prefix, and
@@ -698,7 +698,7 @@ fn snapshot_round_trip_restores_a_populated_calendar() {
     assert!(crashed.crashed);
 
     // The snapshot recovery resumes from (the last durable one) must carry a
-    // populated event queue: csnap1 blobs are `;`-separated with the queue
+    // populated event queue: snapshot blobs are `;`-separated with the queue
     // as the third section, one comma-separated entry per pending event.
     let tail = journal.synced_lines().join("\n");
     let blob = tail
@@ -711,7 +711,7 @@ fn snapshot_round_trip_restores_a_populated_calendar() {
     let queue_section = blob
         .split(';')
         .nth(2)
-        .expect("csnap1 blob has an event-queue section");
+        .expect("snapshot blob has an event-queue section");
     let pending = if queue_section.is_empty() {
         0
     } else {

@@ -536,8 +536,12 @@ fn fnv_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> u64 {
 
 /// Digest of everything `serve` produced that callers can observe: the
 /// verdicts, the trace JSONL, the abort (if any) and the journal lines
-/// (which include the `csnap1` snapshot blobs).
-fn serve_digest(outcome: &cloudsched::sim::ServiceOutcome, journal: &MemJournal) -> u64 {
+/// that `keep` accepts.
+fn serve_digest(
+    outcome: &cloudsched::sim::ServiceOutcome,
+    journal: &MemJournal,
+    keep: impl Fn(&str) -> bool,
+) -> u64 {
     let decisions: Vec<String> = outcome
         .decisions
         .iter()
@@ -550,31 +554,24 @@ fn serve_digest(outcome: &cloudsched::sim::ServiceOutcome, journal: &MemJournal)
             .iter()
             .chain(trace.iter())
             .chain(std::iter::once(&abort))
-            .chain(journal.lines().iter())
-            .map(String::as_str),
+            .map(String::as_str)
+            .chain(
+                journal
+                    .lines()
+                    .iter()
+                    .map(String::as_str)
+                    .filter(|l| keep(l)),
+            ),
     )
 }
 
-/// The admission path's output is pinned to digests recorded from the
-/// original implementation (a full job-table rebuild and a scan of every
-/// past decision per arrival). Any change to the service core must keep
-/// every `(queue_cap, policy)` cell byte-identical.
-#[test]
-fn serve_outputs_match_the_pinned_reference_digests() {
-    const PINNED: [(usize, &str, u64); 12] = [
-        (1, "strict", 0x3319_670c_8f09_6472),
-        (1, "degrade", 0x22d1_21fb_0681_06b9),
-        (1, "best-effort", 0xc877_f6fd_22b8_8c25),
-        (2, "strict", 0xa720_c01c_6e7d_efd6),
-        (2, "degrade", 0x30cf_8769_a156_2b3e),
-        (2, "best-effort", 0xadfe_61be_a95e_02b8),
-        (12, "strict", 0x98e7_4c7e_ff09_c394),
-        (12, "degrade", 0x6d22_1f30_e3d2_8827),
-        (12, "best-effort", 0x4d0b_3e81_646e_fbf5),
-        (usize::MAX, "strict", 0x2ac9_943c_6004_4172),
-        (usize::MAX, "degrade", 0xecf0_fb91_548a_6485),
-        (usize::MAX, "best-effort", 0x4175_5b98_579b_8a1f),
-    ];
+/// Serves the corrupted 12-per-second Table I stream once per pinned
+/// `(queue_cap, policy)` cell and digests each run with `keep` choosing
+/// the journal lines.
+fn pinned_cell_digests(
+    cells: &[(usize, &'static str, u64)],
+    keep: impl Fn(&str) -> bool + Copy,
+) -> Vec<(usize, &'static str, u64)> {
     let instance = small_table1(12.0, 4.0, 23);
     let (c_lo, c_hi) = instance.capacity.bounds();
     let mild = StreamFaultConfig {
@@ -587,7 +584,7 @@ fn serve_outputs_match_the_pinned_reference_digests() {
     let stream = stream_text(&corrupted);
 
     let mut actual = Vec::new();
-    for &(queue_cap, policy, _) in &PINNED {
+    for &(queue_cap, policy, _) in cells {
         let mut cfg = ServiceConfig::new("vdover", 7.0);
         cfg.queue_cap = queue_cap;
         cfg.policy = DegradationPolicy::parse(policy).unwrap();
@@ -602,16 +599,69 @@ fn serve_outputs_match_the_pinned_reference_digests() {
             Some(&mut journal),
         )
         .unwrap();
-        actual.push((queue_cap, policy, serve_digest(&outcome, &journal)));
+        actual.push((queue_cap, policy, serve_digest(&outcome, &journal, keep)));
     }
-    let render = |rows: &[(usize, &str, u64)]| -> String {
-        rows.iter()
-            .map(|(cap, policy, h)| format!("({cap}, {policy:?}, {h:#018x}),\n"))
-            .collect()
-    };
+    actual
+}
+
+fn render_cells(rows: &[(usize, &str, u64)]) -> String {
+    rows.iter()
+        .map(|(cap, policy, h)| format!("({cap}, {policy:?}, {h:#018x}),\n"))
+        .collect()
+}
+
+/// Everything `serve` writes except the snapshot records — decisions,
+/// trace, abort, and the open / arrival / decision / trace journal lines —
+/// is pinned to digests recorded before the snapshot format changed. A
+/// snapshot-format change must leave every cell byte-identical.
+#[test]
+fn serve_outputs_outside_snapshots_match_the_pinned_digests() {
+    const PINNED: [(usize, &str, u64); 12] = [
+        (1, "strict", 0x3319_670c_8f09_6472),
+        (1, "degrade", 0x8ee6_85e4_01fc_64ec),
+        (1, "best-effort", 0x088d_380d_b733_2051),
+        (2, "strict", 0xa720_c01c_6e7d_efd6),
+        (2, "degrade", 0xfc29_22d0_c7c8_eed5),
+        (2, "best-effort", 0x0035_8a2e_c732_e3ce),
+        (12, "strict", 0x3d73_4544_5289_fd51),
+        (12, "degrade", 0x757c_827b_48b5_93a0),
+        (12, "best-effort", 0x1861_16ad_4482_6281),
+        (usize::MAX, "strict", 0x9bf5_580b_aab5_166b),
+        (usize::MAX, "degrade", 0x1ef4_8cc6_6e0e_764c),
+        (usize::MAX, "best-effort", 0x51f8_b258_1d4a_2763),
+    ];
+    let actual = pinned_cell_digests(&PINNED, |l| !l.starts_with("{\"svc\":\"snapshot\""));
     assert_eq!(
-        render(&actual),
-        render(&PINNED),
+        render_cells(&actual),
+        render_cells(&PINNED),
+        "service outputs outside the snapshot records diverge from the pinned digests"
+    );
+}
+
+/// The admission path's full output, snapshot records included, is pinned
+/// to digests (recorded with `csnap2` / `dover2` snapshot blobs). Any
+/// change to the service core must keep every `(queue_cap, policy)` cell
+/// byte-identical.
+#[test]
+fn serve_outputs_match_the_pinned_reference_digests() {
+    const PINNED: [(usize, &str, u64); 12] = [
+        (1, "strict", 0x3319_670c_8f09_6472),
+        (1, "degrade", 0x3377_85de_8595_054e),
+        (1, "best-effort", 0xb763_86d5_4607_f81b),
+        (2, "strict", 0xa720_c01c_6e7d_efd6),
+        (2, "degrade", 0xf3ef_eff3_b0f8_3299),
+        (2, "best-effort", 0x9320_ac3c_ef44_0742),
+        (12, "strict", 0x858e_3d32_7d98_0535),
+        (12, "degrade", 0xf5af_fc8a_f421_20cb),
+        (12, "best-effort", 0xdc6e_c72a_d115_272b),
+        (usize::MAX, "strict", 0xa647_a491_4f64_e84b),
+        (usize::MAX, "degrade", 0xe9ac_61a5_df51_b8df),
+        (usize::MAX, "best-effort", 0x73a9_00f0_c7f1_ec4d),
+    ];
+    let actual = pinned_cell_digests(&PINNED, |_| true);
+    assert_eq!(
+        render_cells(&actual),
+        render_cells(&PINNED),
         "service outputs diverge from the pinned reference digests"
     );
 }
@@ -690,5 +740,197 @@ fn an_unordered_release_in_the_snapshot_prefix_is_a_corrupt_journal() {
             assert!(reason.contains("arrival 2"), "{reason}");
         }
         other => panic!("expected CorruptJournal at line {snapshot_line}, got {other:?}"),
+    }
+}
+
+/// The blob of a `{"svc":"snapshot",…}` journal line.
+fn snapshot_blob(line: &str) -> &str {
+    line.split_once("\"blob\":\"")
+        .and_then(|(_, rest)| rest.strip_suffix("\"}"))
+        .expect("snapshot records end with their blob")
+}
+
+/// Serves `stream` with a journal and returns the outcome and every
+/// journal line.
+fn served_journal(
+    instance: &Instance,
+    cfg: &ServiceConfig,
+    stream: &str,
+) -> (cloudsched::sim::ServiceOutcome, Vec<String>) {
+    let (c_lo, c_hi) = instance.capacity.bounds();
+    let mut journal = MemJournal::new();
+    let mut sched = by_name(&cfg.scheduler, cfg.k, 5.0, c_lo, c_hi).unwrap();
+    let out = serve(
+        &instance.capacity,
+        cfg,
+        sched.as_mut(),
+        stream,
+        Some(&mut journal),
+    )
+    .unwrap();
+    (out, journal.lines().to_vec())
+}
+
+#[test]
+fn snapshot_records_stay_bounded_as_the_stream_grows() {
+    // Delta snapshots carry rows only for the slots added since the last
+    // one plus the live admissions, so with a fixed cadence and a bounded
+    // queue every record is about as large as the first. Snapshots that
+    // re-encode every job seen grow linearly instead (≈20× here).
+    let instance = small_table1(8.0, 300.0, 5);
+    let mut cfg = ServiceConfig::new("vdover", 7.0);
+    cfg.snapshot_every = 100;
+    cfg.queue_cap = 12;
+    let (out, lines) = served_journal(&instance, &cfg, &stream_text(&instance.jobs));
+    assert!(
+        out.arrivals_applied >= 2000,
+        "{} arrivals",
+        out.arrivals_applied
+    );
+    let sizes: Vec<usize> = lines
+        .iter()
+        .filter(|l| l.starts_with("{\"svc\":\"snapshot\","))
+        .map(String::len)
+        .collect();
+    assert!(sizes.len() >= 20, "{} snapshots", sizes.len());
+    let largest = *sizes.iter().max().unwrap();
+    assert!(
+        largest <= 2 * sizes[0],
+        "largest snapshot record {largest} B exceeds twice the first ({} B): {sizes:?}",
+        sizes[0]
+    );
+}
+
+#[test]
+fn journals_with_older_snapshot_or_scheduler_blob_versions_are_rejected_by_name() {
+    let instance = small_table1(4.0, 4.0, 23);
+    let (c_lo, c_hi) = instance.capacity.bounds();
+    let stream = stream_text(&instance.jobs);
+    let mut cfg = ServiceConfig::new("vdover", 7.0);
+    cfg.snapshot_every = 2;
+    let lines = crashed_journal(&instance, &cfg, 6);
+    let at = lines
+        .iter()
+        .rposition(|l| l.starts_with("{\"svc\":\"snapshot\","))
+        .expect("the crashed run took a snapshot");
+    for (from, to, named) in [
+        ("\"blob\":\"csnap2;", "\"blob\":\"csnap1;", "csnap1"),
+        ("dover2|", "dover1|", "dover1"),
+    ] {
+        let mut old = lines.clone();
+        assert!(old[at].contains(from));
+        old[at] = old[at].replacen(from, to, 1);
+        let journal = old.join("\n");
+        let mut fresh = by_name("vdover", 7.0, 5.0, c_lo, c_hi).unwrap();
+        match recover(&instance.capacity, fresh.as_mut(), &journal, &stream) {
+            Err(CoreError::CorruptJournal { line, reason }) => {
+                assert_eq!(line, at + 1, "{reason}");
+                assert!(reason.contains(named), "{reason}");
+            }
+            other => panic!("expected a {named} rejection, got {other:?}"),
+        }
+    }
+}
+
+/// `(job, generation)` of every job a `dover2` blob holds: its three
+/// queues and the running job. A restore gives every other job
+/// generation 0.
+fn dover_generations(blob: &str) -> Vec<(u64, u64)> {
+    let parts: Vec<&str> = blob.split('|').collect();
+    assert_eq!(parts[0], "dover2", "{blob}");
+    let entry = |e: &str, job_field: usize| -> (u64, u64) {
+        let f: Vec<&str> = e.split(':').collect();
+        (
+            f[job_field].parse().unwrap(),
+            f[f.len() - 1].parse().unwrap(),
+        )
+    };
+    let mut held: Vec<(u64, u64)> = parts[3..6]
+        .iter()
+        .flat_map(|part| part.split(',').filter(|e| !e.is_empty()))
+        .map(|e| entry(e, 1))
+        .collect();
+    if parts[6] != "-" {
+        held.push(entry(parts[6], 0));
+    }
+    held
+}
+
+/// `(job, token)` of every zero-laxity timer pending in a snapshot's event
+/// queue.
+fn pending_timers(blob: &str) -> Vec<(u64, u64)> {
+    blob.split(';')
+        .nth(2)
+        .unwrap()
+        .split(',')
+        .filter_map(|e| {
+            let f: Vec<&str> = e.split(':').collect();
+            (f.len() == 5 && f[1] == "T").then(|| (f[2].parse().unwrap(), f[3].parse().unwrap()))
+        })
+        .collect()
+}
+
+#[test]
+fn a_crash_right_after_a_dover_abandonment_with_a_stale_timer_pending_recovers_byte_identically() {
+    // `dover2` blobs keep timer generations only for the jobs the
+    // scheduler still holds, so a restored scheduler must still see every
+    // stale timer pending across the snapshot as stale: those of a running
+    // job that left `Qother`, and those of any job it no longer holds.
+    // V-Dover parks the losers of its zero-laxity arbitrations; its engine
+    // run as Dover with the optimistic `c_hi` estimate arms long timers and
+    // abandons them instead. Crash right after each snapshot that follows
+    // an abandonment while a stale timer is pending, recover, and compare
+    // with the run that never crashed.
+    let instance = small_table1(12.0, 10.0, 26);
+    let (c_lo, c_hi) = instance.capacity.bounds();
+    let stream = stream_text(&instance.jobs);
+    let mut cfg = ServiceConfig::new("dover-hi", 7.0);
+    cfg.snapshot_every = 1;
+    let (golden, lines) = served_journal(&instance, &cfg, &stream);
+    let golden_lines = events_jsonl(&golden.events);
+
+    let mut points = Vec::new();
+    let mut abandoned_since_snapshot = false;
+    for line in &lines {
+        if line.contains("\"ev\":\"abandon\"") {
+            abandoned_since_snapshot = true;
+        }
+        if !line.starts_with("{\"svc\":\"snapshot\",") {
+            continue;
+        }
+        let blob = snapshot_blob(line);
+        let held = dover_generations(blob.rsplit(';').next().unwrap());
+        let generation = |job: u64| held.iter().find(|(j, _)| *j == job).map_or(0, |h| h.1);
+        let stale = pending_timers(blob)
+            .iter()
+            .any(|&(job, token)| token != generation(job));
+        if abandoned_since_snapshot && stale {
+            let seq: u64 = line
+                .split("\"seq\":")
+                .nth(1)
+                .and_then(|s| s.split(',').next())
+                .unwrap()
+                .parse()
+                .unwrap();
+            points.push(seq);
+        }
+        abandoned_since_snapshot = false;
+    }
+    points.retain(|&seq| seq + 1 < golden.arrivals_applied);
+    assert!(
+        points.len() >= 5,
+        "too few snapshots after an abandonment with a stale timer pending: {points:?}"
+    );
+    for &seq in &points {
+        let tail = crashed_journal(&instance, &cfg, seq + 1).join("\n");
+        let mut fresh = by_name("dover-hi", 7.0, 5.0, c_lo, c_hi).unwrap();
+        let recovered = recover(&instance.capacity, fresh.as_mut(), &tail, &stream).unwrap();
+        assert_eq!(
+            events_jsonl(&recovered.events),
+            golden_lines,
+            "recovery diverges after a crash at arrival {}",
+            seq + 1
+        );
+        assert_eq!(recovered.decisions, golden.decisions);
     }
 }
