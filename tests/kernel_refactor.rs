@@ -638,6 +638,92 @@ fn property_calendar_queue_matches_reference_heap() {
     }
 }
 
+/// One FNV digest per `(capacity pattern, scheduler)` cell of the 50-seed
+/// sweep, labelled `pattern{p}/{name}`: every seed's recorded `Decision`
+/// log and full report, folded in seed order. `workspace` supplies the
+/// workspace of each run.
+fn queue_cell_digests(mut workspace: impl FnMut() -> SimWorkspace) -> Vec<(String, u64)> {
+    let mut cells: Vec<(String, u64)> = (0..3)
+        .flat_map(|p| {
+            SCHEDULER_NAMES
+                .iter()
+                .map(move |name| (format!("pattern{p}/{name}"), FNV_OFFSET))
+        })
+        .collect();
+    for seed in 0..50u64 {
+        let jobs = burst_jobs(60, seed);
+        let span = jobs.last_deadline().as_f64() + 1.0;
+        for pattern in 0..3usize {
+            let instance = Instance::new(jobs.clone(), capacity_pattern(pattern, seed, span));
+            let (c_lo, c_hi) = instance.capacity.bounds();
+            for (i, name) in SCHEDULER_NAMES.iter().enumerate() {
+                let mut sched =
+                    by_name(name, 7.0, 5.0, c_lo, c_hi).expect("roster scheduler builds");
+                let mut rec = Recording::new(sched.as_mut());
+                let report = Run::new(&instance.jobs, &instance.capacity, RunOptions::full())
+                    .workspace(&mut workspace())
+                    .run(&mut rec);
+                let h = &mut cells[pattern * SCHEDULER_NAMES.len() + i].1;
+                for (callback, job, decision) in &rec.log {
+                    *h = fnv1a_bytes(*h, format!("{callback}{job:?}{decision:?}").as_bytes());
+                }
+                *h = fold_report(*h, &report, &instance.jobs);
+            }
+        }
+    }
+    cells
+}
+
+/// `(pattern/scheduler, digest)` over seeds 0..50, checked cell by cell
+/// against the reference `BinaryHeap` event-queue backend when recorded.
+const QUEUE_PINNED: &[(&str, u64)] = &[
+    ("pattern0/vdover", 0x51b850a3aac442ce),
+    ("pattern0/dover", 0x7cf3987ae80a279a),
+    ("pattern0/dover-lo", 0x7cf3987ae80a279a),
+    ("pattern0/dover-hi", 0xc3f25549c8fe2e76),
+    ("pattern0/edf", 0xd414db6370a08c69),
+    ("pattern0/llf", 0x1e5964e2447230d8),
+    ("pattern0/fifo", 0xe6ada83f44ae66c4),
+    ("pattern0/greedy", 0x08c5c9dead1876c0),
+    ("pattern0/hvdf", 0x26a2cd3d848f3086),
+    ("pattern1/vdover", 0xc461166310f7c71e),
+    ("pattern1/dover", 0xe51115df43dd5f12),
+    ("pattern1/dover-lo", 0xe51115df43dd5f12),
+    ("pattern1/dover-hi", 0x938ac7dc5d74df77),
+    ("pattern1/edf", 0x5bf8204d355ed912),
+    ("pattern1/llf", 0x8c441942578c410f),
+    ("pattern1/fifo", 0x716ae9a742eb1817),
+    ("pattern1/greedy", 0x571e5de06d1f3ad9),
+    ("pattern1/hvdf", 0x8269b87b91cab51c),
+    ("pattern2/vdover", 0xce2710452e129824),
+    ("pattern2/dover", 0xffa592a1e498c930),
+    ("pattern2/dover-lo", 0xffa592a1e498c930),
+    ("pattern2/dover-hi", 0xb633fb6f4405ac2d),
+    ("pattern2/edf", 0x2beee5a4c3d83548),
+    ("pattern2/llf", 0xfcfc653092715340),
+    ("pattern2/fifo", 0x470ddbf420643424),
+    ("pattern2/greedy", 0x97fc4e84c2fb83e0),
+    ("pattern2/hvdf", 0x52d300c385559806),
+];
+
+/// Across 50 seeds × 3 capacity patterns × the whole scheduler roster,
+/// the calendar queue reproduces the decisions and reports pinned against
+/// the reference heap — the CTMC patterns keep a rotating
+/// `CapacityChange` armed and the deep-overload pattern floods the queue
+/// with timers, so bucket spills, respreads and the overflow heap all see
+/// traffic.
+#[test]
+fn calendar_queue_digests_match_the_pinned_oracle() {
+    let got = queue_cell_digests(SimWorkspace::new);
+    let heap = queue_cell_digests(SimWorkspace::with_reference_queue);
+    assert_eq!(got, heap, "calendar and heap backends diverge");
+    assert_eq!(got.len(), QUEUE_PINNED.len(), "cell count");
+    for ((label, digest), (want_label, want)) in got.iter().zip(QUEUE_PINNED) {
+        assert_eq!(label, want_label);
+        assert_eq!(digest, want, "{label}: digest drifted");
+    }
+}
+
 /// Renders a job set as the service's JSONL arrival stream, ordered by
 /// release time (the admission contract).
 fn stream_text(jobs: &JobSet) -> String {
