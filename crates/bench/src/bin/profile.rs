@@ -6,11 +6,11 @@
 //!    clock) wraps kernel dispatch and the stretch transform of a V-Dover
 //!    run and prints per-span statistics.
 //! 2. **Is the observability layer free when off?** The same simulation is
-//!    micro-benchmarked through `simulate` (the `NoopTracer` default path)
-//!    and through a `Run` with an explicit noop tracer, a ring tracer and a
-//!    metrics registry attached. The noop rows must be at parity — `Tracer`
-//!    is a generic kernel parameter, so the disabled hooks fold away at
-//!    compile time.
+//!    timed (best of [`REPS`] runs on the monotonic clock) through
+//!    `simulate` (the `NoopTracer` default path) and through a `Run` with an
+//!    explicit noop tracer, a ring tracer and a metrics registry attached.
+//!    The noop rows must be at parity — `Tracer` is a generic kernel
+//!    parameter, so the disabled hooks fold away at compile time.
 //!
 //! ```text
 //! cargo run --release -p cloudsched-bench --bin profile
@@ -18,12 +18,15 @@
 
 #![forbid(unsafe_code)]
 
-use cloudsched_bench::microbench::BenchGroup;
 use cloudsched_capacity::StretchMap;
-use cloudsched_obs::{MetricsRegistry, MonotonicClock, NoopTracer, Profiler, RingTracer};
+use cloudsched_obs::{Clock, MetricsRegistry, MonotonicClock, NoopTracer, Profiler, RingTracer};
 use cloudsched_sched::VDover;
-use cloudsched_sim::{simulate, Run, RunOptions};
+use cloudsched_sim::{simulate, Run, RunOptions, RunReport};
 use cloudsched_workload::PaperScenario;
+use std::hint::black_box;
+
+/// Timed repetitions per overhead case; the fastest is reported.
+const REPS: usize = 10;
 
 fn main() {
     let generated = PaperScenario::table1(8.0)
@@ -53,28 +56,39 @@ fn main() {
     print!("{}", profiler.render());
 
     // --- 2. tracing overhead ---------------------------------------------
-    let mut g = BenchGroup::new("observability overhead (V-Dover, λ=8, seed 7)");
-    g.bench("simulate (noop tracer, static)", || {
-        let mut s = VDover::new(k, delta);
-        simulate(
-            &instance.jobs,
-            &instance.capacity,
-            &mut s,
-            RunOptions::lean(),
-        )
-    });
     let run = || Run::new(&instance.jobs, &instance.capacity, RunOptions::lean());
-    g.bench("Run + noop tracer", || {
-        let mut t = NoopTracer;
-        run().tracer(&mut t).run(&mut VDover::new(k, delta))
-    });
-    g.bench("Run + ring tracer", || {
-        let mut t = RingTracer::new(1 << 16);
-        run().tracer(&mut t).run(&mut VDover::new(k, delta))
-    });
-    g.bench("Run + metrics registry", || {
-        let mut t = MetricsRegistry::for_sim();
-        run().tracer(&mut t).run(&mut VDover::new(k, delta))
-    });
-    g.report();
+    let vdover = || VDover::new(k, delta);
+    let cases: [(&str, &dyn Fn() -> RunReport); 4] = [
+        ("simulate (noop tracer, static)", &|| {
+            simulate(
+                &instance.jobs,
+                &instance.capacity,
+                &mut vdover(),
+                RunOptions::lean(),
+            )
+        }),
+        ("Run + noop tracer", &|| {
+            run().tracer(NoopTracer).run(&mut vdover())
+        }),
+        ("Run + ring tracer", &|| {
+            run().tracer(RingTracer::new(1 << 16)).run(&mut vdover())
+        }),
+        ("Run + metrics registry", &|| {
+            run().tracer(MetricsRegistry::for_sim()).run(&mut vdover())
+        }),
+    ];
+    let clock = MonotonicClock::new();
+    println!("\n== observability overhead (V-Dover, λ=8, seed 7; best of {REPS}) ==");
+    println!("{:<40} {:>12}", "case", "best ms");
+    for (label, case) in cases {
+        let best_ns = (0..REPS)
+            .map(|_| {
+                let t0 = clock.now_ns();
+                black_box(case());
+                clock.now_ns().saturating_sub(t0)
+            })
+            .min()
+            .unwrap_or(0);
+        println!("{label:<40} {:>12.3}", best_ns as f64 / 1e6);
+    }
 }

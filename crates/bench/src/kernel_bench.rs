@@ -30,11 +30,6 @@ pub struct KernelBenchConfig {
     pub seed: u64,
     /// Timed repetitions per cell; the fastest run is reported (default 3).
     pub reps: usize,
-    /// Flat-vs-heap comparison mode: when set, every cell is measured twice
-    /// — once on the calendar queue (`queue: "flat"`) and once on the
-    /// reference `BinaryHeap` backend (`queue: "heap"`) — so the memory-
-    /// layout win is recorded in the report instead of a commit message.
-    pub compare: bool,
 }
 
 impl Default for KernelBenchConfig {
@@ -43,7 +38,6 @@ impl Default for KernelBenchConfig {
             sizes: vec![1_000, 10_000, 100_000, 1_000_000],
             seed: 7,
             reps: 3,
-            compare: false,
         }
     }
 }
@@ -55,7 +49,6 @@ impl KernelBenchConfig {
             sizes: vec![1_000],
             seed: 7,
             reps: 1,
-            compare: false,
         }
     }
 }
@@ -140,21 +133,17 @@ pub fn bench_instance(n: usize, seed: u64) -> Instance {
     Instance::new(jobs, capacity)
 }
 
-/// Measures one `(instance, spec, queue)` cell: runs the simulation `reps`
-/// times and reports the fastest wall time, normalised per kernel decision
-/// (the processed-event count, which is independent of wall time). Both
-/// backends get a fresh workspace per repetition, so the comparison
-/// measures the queue, not allocator warm-up asymmetry.
-fn measure(instance: &Instance, spec: &SchedulerSpec, reps: usize, seed: u64, queue: &str) -> Row {
+/// Measures one `(instance, spec)` cell: runs the simulation `reps` times
+/// and reports the fastest wall time, normalised per kernel decision (the
+/// processed-event count, which is independent of wall time). Every
+/// repetition gets a fresh workspace, so each one pays the same allocator
+/// warm-up.
+fn measure(instance: &Instance, spec: &SchedulerSpec, reps: usize, seed: u64) -> Row {
     let clock = MonotonicClock::new();
     let mut best_ns = u64::MAX;
     let mut decisions = 1usize;
     for _ in 0..reps.max(1) {
-        let mut ws = if queue == "heap" {
-            SimWorkspace::with_reference_queue()
-        } else {
-            SimWorkspace::new()
-        };
+        let mut ws = SimWorkspace::new();
         let t0 = clock.now_ns();
         let report = crate::run_instance_in(&mut ws, instance, spec, RunOptions::lean());
         let elapsed = clock.now_ns().saturating_sub(t0);
@@ -172,29 +161,21 @@ fn measure(instance: &Instance, spec: &SchedulerSpec, reps: usize, seed: u64, qu
             ),
             ("wall_ms", (best_ns as f64 / 1e6).into()),
             ("seed", seed.into()),
-            ("queue", queue.into()),
         ],
     )
 }
 
 /// Runs the full sweep: every scheduler at every size, in deterministic
-/// order (sizes ascending, schedulers EDF → Dover → V-Dover; in comparison
-/// mode each cell's `flat` row is immediately followed by its `heap` row).
-/// `progress` receives one line per completed cell.
+/// order (sizes ascending, schedulers EDF → Dover → V-Dover). `progress`
+/// receives one line per completed cell.
 pub fn run_kernel_bench(cfg: &KernelBenchConfig, mut progress: impl FnMut(&Row)) -> Vec<Row> {
     let mut rows = Vec::new();
     for &n in &cfg.sizes {
         let instance = bench_instance(n, cfg.seed);
         for spec in specs() {
-            for queue in if cfg.compare {
-                &["flat", "heap"][..]
-            } else {
-                &["flat"][..]
-            } {
-                let row = measure(&instance, &spec, cfg.reps, cfg.seed, queue);
-                progress(&row);
-                rows.push(row);
-            }
+            let row = measure(&instance, &spec, cfg.reps, cfg.seed);
+            progress(&row);
+            rows.push(row);
         }
     }
     rows
@@ -203,7 +184,7 @@ pub fn run_kernel_bench(cfg: &KernelBenchConfig, mut progress: impl FnMut(&Row))
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::row::{parse_report, render_report, Value};
+    use crate::row::{parse_report, render_report};
 
     #[test]
     fn instance_is_deterministic_and_sized() {
@@ -229,11 +210,9 @@ mod tests {
             sizes: vec![200],
             seed: 7,
             reps: 1,
-            compare: false,
         };
         let rows = run_kernel_bench(&cfg, |_| {});
         assert_eq!(rows.len(), 3, "EDF, Dover, V-Dover");
-        assert!(rows.iter().all(|r| r.text("queue") == "flat"));
         let json = render_report(&rows);
         let back = parse_report(&json).expect("round trip");
         assert_eq!(back.len(), rows.len());
@@ -241,48 +220,7 @@ mod tests {
             assert_eq!(a.text("scheduler"), b.text("scheduler"));
             assert_eq!(a.int("n"), b.int("n"));
             assert_eq!(a.int("seed"), b.int("seed"));
-            assert_eq!(a.text("queue"), b.text("queue"));
         }
-    }
-
-    #[test]
-    fn compare_mode_emits_paired_flat_and_heap_rows() {
-        let cfg = KernelBenchConfig {
-            sizes: vec![200],
-            seed: 7,
-            reps: 1,
-            compare: true,
-        };
-        let rows = run_kernel_bench(&cfg, |_| {});
-        assert_eq!(rows.len(), 6, "each scheduler cell measured twice");
-        for pair in rows.chunks(2) {
-            assert_eq!(pair[0].text("scheduler"), pair[1].text("scheduler"));
-            assert_eq!(pair[0].int("n"), pair[1].int("n"));
-            assert_eq!(
-                (pair[0].text("queue"), pair[1].text("queue")),
-                ("flat", "heap")
-            );
-        }
-        let back = parse_report(&render_report(&rows)).expect("round trip");
-        assert_eq!(back, rows_should_eq(&rows));
-    }
-
-    /// Timing fields survive the 3-decimal serialization only approximately;
-    /// normalise them so `compare_mode_emits_paired_flat_and_heap_rows` can
-    /// compare full rows.
-    fn rows_should_eq(rows: &[Row]) -> Vec<Row> {
-        rows.iter()
-            .map(|r| {
-                let fields = KERNEL_SCHEMA.fields.iter().map(|&(name, _)| {
-                    let v = match r.get(name) {
-                        Value::Real(x) => Value::Real(format!("{x:.3}").parse().unwrap()),
-                        v => v.clone(),
-                    };
-                    (name, v)
-                });
-                Row::new(&KERNEL_SCHEMA, fields.collect())
-            })
-            .collect()
     }
 
     #[test]
@@ -295,26 +233,26 @@ mod tests {
         )
         .is_err(), "negative ns/decision");
         assert!(parse_report(
-            "[\n  {\"bench\":\"kernel\",\"n\":1,\"scheduler\":\"EDF\",\"ns_per_decision\":-1,\"wall_ms\":1,\"seed\":7,\"queue\":\"flat\"}\n]\n"
+            "[\n  {\"bench\":\"kernel\",\"n\":1,\"scheduler\":\"EDF\",\"ns_per_decision\":-1,\"wall_ms\":1,\"seed\":7}\n]\n"
         )
         .is_err(), "negative ns/decision");
         assert!(parse_report("[\n  {\"n\":1}\n").is_err(), "unclosed array");
         // The suite comes from `bench`: a kernel-shaped row under another
         // name is not a kernel row.
         assert!(parse_report(
-            "[\n  {\"bench\":\"k\",\"n\":1,\"scheduler\":\"EDF\",\"ns_per_decision\":1,\"wall_ms\":1,\"seed\":7,\"queue\":\"flat\"}\n]\n"
+            "[\n  {\"bench\":\"k\",\"n\":1,\"scheduler\":\"EDF\",\"ns_per_decision\":1,\"wall_ms\":1,\"seed\":7}\n]\n"
         ).is_err(), "unknown bench name");
-        // Every row carries `queue`; rows without it are malformed.
+        // Kernel rows have no `queue` field: a row carrying one is
+        // malformed, whichever backend it names.
+        for queue in ["flat", "heap"] {
+            assert!(parse_report(&format!(
+                "[\n  {{\"bench\":\"kernel\",\"n\":1,\"scheduler\":\"EDF\",\"ns_per_decision\":1,\"wall_ms\":1,\"seed\":7,\"queue\":\"{queue}\"}}\n]\n"
+            )).is_err(), "queue field ({queue})");
+        }
         assert!(parse_report(
-            "[\n  {\"bench\":\"kernel\",\"n\":1,\"scheduler\":\"EDF\",\"ns_per_decision\":1,\"wall_ms\":1,\"seed\":7}\n]\n"
-        ).is_err(), "missing queue");
-        assert!(parse_report(
-            "[\n  {\"bench\":\"kernel\",\"n\":1,\"scheduler\":\"EDF\",\"ns_per_decision\":1,\"wall_ms\":1,\"seed\":7,\"queue\":\"ring\"}\n]\n"
-        ).is_err(), "unknown queue backend");
-        assert!(parse_report(
-            "[\n  {\"bench\":\"kernel\",\"n\":1,\"scheduler\":\"EDF\",\"ns_per_decision\":1,\"wall_ms\":1,\"seed\":7,\"queue\":\"heap\",\"x\":1}\n]\n"
-        ).is_err(), "extra field after queue");
-        let good = "  {\"bench\":\"kernel\",\"n\":1,\"scheduler\":\"EDF\",\"ns_per_decision\":1,\"wall_ms\":1,\"seed\":7,\"queue\":\"flat\"}";
+            "[\n  {\"bench\":\"kernel\",\"n\":1,\"scheduler\":\"EDF\",\"ns_per_decision\":1,\"wall_ms\":1,\"seed\":7,\"x\":1}\n]\n"
+        ).is_err(), "extra field after seed");
+        let good = "  {\"bench\":\"kernel\",\"n\":1,\"scheduler\":\"EDF\",\"ns_per_decision\":1,\"wall_ms\":1,\"seed\":7}";
         assert!(parse_report(&format!("[\n{good}\n]\n")).is_ok());
         assert!(
             parse_report(&format!("[\n{good}\n]\n{good}\n")).is_err(),

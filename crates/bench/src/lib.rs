@@ -15,9 +15,8 @@
 //! | `ablation` | design-choice ablations (supplement queue, β, ĉ, Qsupp order) |
 //!
 //! The library part hosts the parallel Monte-Carlo driver, the scheduler
-//! factory, the std-only [`microbench`] timing harness shared by the
-//! binaries and the bench targets, and the three checked-in benchmark
-//! suites behind `cloudsched bench`: the [`kernel_bench`] hot-path sweep
+//! factory, and the three checked-in benchmark suites behind
+//! `cloudsched bench`: the [`kernel_bench`] hot-path sweep
 //! (`BENCH_kernel.json`), the [`sweep_bench`] Monte-Carlo throughput sweep
 //! (`BENCH_sweep.json`) and the [`fleet_bench`] fleet-scaling suite
 //! (`BENCH_fleet.json`). All three reports share the one [`row`] codec.
@@ -29,7 +28,6 @@ pub mod algos;
 pub mod fleet_bench;
 pub mod harness;
 pub mod kernel_bench;
-pub mod microbench;
 pub mod ratio;
 pub mod row;
 pub mod sweep_bench;
@@ -41,7 +39,6 @@ pub use harness::{
     run_instance_batch_in, run_instance_in,
 };
 pub use kernel_bench::{bench_instance, run_kernel_bench, KernelBenchConfig};
-pub use microbench::BenchGroup;
 pub use ratio::{empirical_ratio, Normalizer};
 pub use row::{parse_report, render_report, Row};
 pub use sweep_bench::{run_sweep_bench, sweep_specs, SweepBenchConfig, SweepBenchOutcome};

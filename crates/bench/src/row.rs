@@ -173,7 +173,7 @@ impl Schema {
     }
 }
 
-/// `BENCH_kernel.json`: one row per `(n, scheduler, queue)` cell.
+/// `BENCH_kernel.json`: one row per `(n, scheduler)` cell.
 pub static KERNEL_SCHEMA: Schema = Schema {
     suite: "kernel",
     fields: &[
@@ -182,18 +182,8 @@ pub static KERNEL_SCHEMA: Schema = Schema {
         ("ns_per_decision", Kind::Measure),
         ("wall_ms", Kind::Measure),
         ("seed", Kind::Uint),
-        ("queue", Kind::OneOf(&["flat", "heap"])),
     ],
-    // Heap rows get their own key, so a comparison report diffs cleanly
-    // against a flat-only one (heap rows fall out as only-in-one).
-    key: |r| {
-        let tag = if r.text("queue") == "heap" {
-            " [heap]"
-        } else {
-            ""
-        };
-        format!("{} n={}{tag}", r.text("scheduler"), r.int("n"))
-    },
+    key: |r| format!("{} n={}", r.text("scheduler"), r.int("n")),
     rule: |_| Ok(()),
     metrics: &[("ns_per_decision", Worse::Up), ("wall_ms", Worse::Up)],
     agree_on: &[],

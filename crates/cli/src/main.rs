@@ -16,7 +16,7 @@
 //! cloudsched chaos   [--lambda F] [--seed N] [--seeds N] [--scheduler NAME]
 //!                    [--plan none|mild|harsh] [--policy strict|degrade|best-effort|all]
 //!                    [--threads N] [--trace-out FILE]
-//! cloudsched bench   [--suite kernel|sweep|fleet] [--quick] [--compare] [--out FILE]
+//! cloudsched bench   [--suite kernel|sweep|fleet] [--quick] [--out FILE]
 //! cloudsched fleet   [--machines N] [--lambda F] [--seed N] [--policy rr|llf|p2c]
 //!                    [--scheduler NAME] [--threads N] [--horizon F] [--k F] [--delta F]
 //! cloudsched inspect [--trace FILE | --lambda F --seed N [--slack F] [--horizon F]]
@@ -150,7 +150,7 @@ const USAGE: &str = "usage:
   cloudsched chaos   [--lambda F] [--seed N] [--seeds N] [--scheduler NAME]
                      [--plan none|mild|harsh] [--policy strict|degrade|best-effort|all]
                      [--threads N] [--trace-out FILE]
-  cloudsched bench   [--suite kernel|sweep|fleet] [--quick] [--compare] [--out FILE]
+  cloudsched bench   [--suite kernel|sweep|fleet] [--quick] [--out FILE]
   cloudsched fleet   [--machines N] [--lambda F] [--seed N] [--policy rr|llf|p2c]
                      [--scheduler NAME] [--threads N] [--horizon F] [--k F] [--delta F]
   cloudsched inspect [--trace FILE | --lambda F --seed N [--slack F] [--horizon F]] [--scheduler NAME]
@@ -516,9 +516,7 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> Result<(), String> {
 
 /// `cloudsched bench`: the checked-in benchmark suites. `--suite kernel`
 /// (the default) sweeps EDF / Dover / V-Dover hot-path ns/decision over
-/// seeded instances (n ∈ {1e3, 1e4, 1e5, 1e6}) into `BENCH_kernel.json`;
-/// `--compare` additionally measures every kernel cell on the reference
-/// binary-heap event queue, recording paired `flat`/`heap` rows.
+/// seeded instances (n ∈ {1e3, 1e4, 1e5, 1e6}) into `BENCH_kernel.json`.
 /// `--suite sweep` measures Monte-Carlo runs/second of the Table-I panel
 /// in fresh vs reused-workspace modes across thread counts into
 /// `BENCH_sweep.json`. `--suite fleet` measures multi-machine fleet
@@ -528,25 +526,13 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> Result<(), String> {
 /// timing happens inside `cloudsched-bench` behind the `obs::Clock` seam;
 /// the written report is re-parsed through the strict row codec so a
 /// malformed report fails the command.
-///
-/// `--compare` (flat-vs-heap event queues) only exists for the kernel
-/// suite; asking for it elsewhere is a usage error (exit 2), not a
-/// silently ignored knob.
 fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), CliError> {
     use cloudsched_bench::{parse_report, render_report};
+    reject_unknown_flags(flags, &["suite", "quick", "out"])?;
     let suite = flags.get("suite").map(String::as_str).unwrap_or("kernel");
     let quick = flags.contains_key("quick");
-    if flags.contains_key("compare") && suite != "kernel" {
-        return usage_err(
-            "--compare",
-            &format!(
-                "only the kernel suite has a reference event-queue backend \
-                 to compare against (got --suite {suite})"
-            ),
-        );
-    }
     let rows = match suite {
-        "kernel" => bench_kernel(flags.contains_key("compare"), quick),
+        "kernel" => bench_kernel(quick),
         "sweep" => bench_sweep(quick),
         "fleet" => bench_fleet(quick),
         other => {
@@ -567,27 +553,22 @@ fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-fn bench_kernel(compare: bool, quick: bool) -> Vec<cloudsched_bench::Row> {
+fn bench_kernel(quick: bool) -> Vec<cloudsched_bench::Row> {
     use cloudsched_bench::{run_kernel_bench, KernelBenchConfig};
-    let mut cfg = if quick {
+    let cfg = if quick {
         KernelBenchConfig::quick()
     } else {
         KernelBenchConfig::default()
     };
-    cfg.compare = compare;
     eprintln!(
-        "kernel bench: sizes {:?}, seed {}, {} rep(s){}",
-        cfg.sizes,
-        cfg.seed,
-        cfg.reps,
-        if cfg.compare { ", flat-vs-heap" } else { "" }
+        "kernel bench: sizes {:?}, seed {}, {} rep(s)",
+        cfg.sizes, cfg.seed, cfg.reps
     );
     run_kernel_bench(&cfg, |row| {
         eprintln!(
-            "  {:<14} n={:<7} [{:<4}] {:>10.1} ns/decision  {:>10.3} ms",
+            "  {:<14} n={:<7} {:>10.1} ns/decision  {:>10.3} ms",
             row.text("scheduler"),
             row.int("n"),
-            row.text("queue"),
             row.real("ns_per_decision"),
             row.real("wall_ms")
         );
@@ -1293,14 +1274,18 @@ mod tests {
     }
 
     #[test]
-    fn bench_compare_is_a_usage_error_outside_the_kernel_suite() {
-        for suite in ["sweep", "fleet"] {
-            match cmd_bench(&flags_of(&["--suite", suite, "--compare"])) {
-                Err(CliError::Usage(e)) => {
-                    assert!(e.contains("--compare"), "got: {e}");
-                    assert!(e.contains(suite), "got: {e}");
+    fn bench_rejects_unknown_flags_for_every_suite() {
+        for suite in ["kernel", "sweep", "fleet"] {
+            for flag in ["compare", "quik"] {
+                match cmd_bench(&flags_of(&[
+                    "--suite",
+                    suite,
+                    "--quick",
+                    &format!("--{flag}"),
+                ])) {
+                    Err(CliError::Usage(e)) => assert!(e.contains(flag), "got: {e}"),
+                    other => panic!("expected usage error for {flag} on {suite}, got {other:?}"),
                 }
-                other => panic!("expected usage error for --suite {suite}, got {other:?}"),
             }
         }
         // An unknown suite is likewise a usage error, not a runtime one.
@@ -1391,7 +1376,6 @@ mod tests {
                     ("ns_per_decision", ns.into()),
                     ("wall_ms", 1.0.into()),
                     ("seed", 7u64.into()),
-                    ("queue", "flat".into()),
                 ],
             )
         };

@@ -157,10 +157,6 @@ mod tests {
     use cloudsched_bench::row::{FLEET_SCHEMA, KERNEL_SCHEMA, SWEEP_SCHEMA};
 
     fn kernel_row(scheduler: &str, n: usize, ns: f64, wall: f64) -> Row {
-        kernel_row_on("flat", scheduler, n, ns, wall)
-    }
-
-    fn kernel_row_on(queue: &str, scheduler: &str, n: usize, ns: f64, wall: f64) -> Row {
         Row::new(
             &KERNEL_SCHEMA,
             vec![
@@ -169,7 +165,6 @@ mod tests {
                 ("ns_per_decision", ns.into()),
                 ("wall_ms", wall.into()),
                 ("seed", 7u64.into()),
-                ("queue", queue.into()),
             ],
         )
     }
@@ -242,20 +237,6 @@ mod tests {
         assert!(rps.regression, "20% throughput drop at 10% tolerance");
         assert!((rps.delta_pct + 20.0).abs() < 1e-9);
         assert_eq!(diff.only_new, vec!["fresh threads=4".to_string()]);
-    }
-
-    #[test]
-    fn heap_rows_key_separately_from_flat_rows() {
-        // Old: flat-only report. New: comparison report with both backends.
-        let old = render_report(&[kernel_row("V-Dover", 1000, 100.0, 1.0)]);
-        let new = render_report(&[
-            kernel_row("V-Dover", 1000, 90.0, 0.9),
-            kernel_row_on("heap", "V-Dover", 1000, 300.0, 3.0),
-        ]);
-        let diff = diff_reports(&old, &new, 10.0).expect("same suite");
-        assert_eq!(diff.deltas.len(), 2, "only the flat rows match");
-        assert_eq!(diff.regressions(), 0, "the slow heap row is not a match");
-        assert_eq!(diff.only_new, vec!["V-Dover n=1000 [heap]".to_string()]);
     }
 
     #[test]

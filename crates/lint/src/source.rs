@@ -189,8 +189,12 @@ mod tests {
         assert_eq!(cli.kind, FileKind::Bin);
         assert!(cli.is_crate_root);
 
-        let bench = find("crates/bench/benches/kernel.rs");
-        assert_eq!(bench.kind, FileKind::Bench);
+        let helper = find("tests/common/mod.rs");
+        assert_eq!(helper.kind, FileKind::Test);
+        assert!(
+            !helper.is_crate_root,
+            "nested test files are shared modules"
+        );
 
         let example = find("examples/quickstart.rs");
         assert_eq!(example.kind, FileKind::Example);

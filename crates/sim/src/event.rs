@@ -7,8 +7,8 @@
 //! with the same `(time, kind-priority, seq)` total order — the bucket
 //! boundaries are a pure function of event *time*, so co-timed events can
 //! never straddle a bucket edge and ties always resolve inside one bucket
-//! by the full [`Ord`] on [`Event`]. A reference heap backend is kept for
-//! the `flat-vs-heap` benchmark rows and the property tests.
+//! by the full [`Ord`] on [`Event`]. The unit tests below check that
+//! against a plain `BinaryHeap`.
 
 use cloudsched_core::{JobId, Time};
 use std::cmp::Ordering;
@@ -110,23 +110,11 @@ const MAX_AVG_OCCUPANCY: usize = 32;
 /// events beyond `origin + FAR_WINDOWS × span` fall back to the heap.
 const FAR_WINDOWS: f64 = 4.0;
 
-/// Backing store of an [`EventQueue`].
-#[derive(Debug)]
-enum Backend {
-    /// The calendar: time buckets + cursor + overflow heap.
-    Calendar(Calendar),
-    /// A plain binary min-heap — the pre-flattening reference, kept for
-    /// the `flat-vs-heap` benchmark comparison and the equivalence
-    /// property tests.
-    Heap(BinaryHeap<std::cmp::Reverse<Event>>),
-}
-
-/// Deterministic event queue: calendar buckets by default, with a
-/// reference binary-heap backend selectable for benchmarks and tests.
-/// Both backends pop the exact same `(time, kind-priority, seq)` order.
+/// Deterministic event queue: a calendar of time buckets that pops in
+/// the exact `(time, kind-priority, seq)` order of a binary heap.
 #[derive(Debug)]
 pub struct EventQueue {
-    backend: Backend,
+    calendar: Calendar,
     next_seq: u64,
 }
 
@@ -380,21 +368,10 @@ impl Calendar {
 }
 
 impl EventQueue {
-    /// Creates an empty queue on the calendar backend.
+    /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            backend: Backend::Calendar(Calendar::new()),
-            next_seq: 0,
-        }
-    }
-
-    /// Creates an empty queue on the reference binary-heap backend. Pops
-    /// are byte-identical to the calendar's; this exists so benchmarks can
-    /// measure the flat-vs-heap gap and property tests can cross-check the
-    /// two implementations.
-    pub fn reference_heap() -> Self {
-        EventQueue {
-            backend: Backend::Heap(BinaryHeap::new()),
+            calendar: Calendar::new(),
             next_seq: 0,
         }
     }
@@ -403,46 +380,30 @@ impl EventQueue {
     pub fn push(&mut self, time: Time, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let ev = Event { time, kind, seq };
-        match &mut self.backend {
-            Backend::Calendar(c) => c.insert(ev),
-            Backend::Heap(h) => h.push(std::cmp::Reverse(ev)),
-        }
+        self.calendar.insert(Event { time, kind, seq });
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<Event> {
-        match &mut self.backend {
-            Backend::Calendar(c) => c.pop(),
-            Backend::Heap(h) => h.pop().map(|r| r.0),
-        }
+        self.calendar.pop()
     }
 
     /// The earliest pending event without removing it — the streaming
     /// service peeks to decide whether the next event precedes the next
     /// arrival.
     pub fn peek(&self) -> Option<&Event> {
-        match &self.backend {
-            Backend::Calendar(c) => c.peek(),
-            Backend::Heap(h) => h.peek().map(|r| &r.0),
-        }
+        self.calendar.peek()
     }
 
     /// All pending events in pop order plus the live sequence counter — the
     /// snapshot image of the queue. The total `(time, priority, seq)` order
     /// makes the pop sequence a pure function of the event multiset, so
     /// restoring this image reproduces the exact future of the run —
-    /// regardless of which backend held the events or how the calendar
-    /// happened to bucket them.
+    /// regardless of how the calendar happened to bucket the events.
     pub(crate) fn snapshot(&self) -> (Vec<(Time, EventKind, u64)>, u64) {
-        let mut events: Vec<Event> = match &self.backend {
-            Backend::Calendar(c) => {
-                let mut v: Vec<Event> = c.buckets.iter().flatten().copied().collect();
-                v.extend(c.overflow.iter().map(|r| r.0));
-                v
-            }
-            Backend::Heap(h) => h.iter().map(|r| r.0).collect(),
-        };
+        let c = &self.calendar;
+        let mut events: Vec<Event> = c.buckets.iter().flatten().copied().collect();
+        events.extend(c.overflow.iter().map(|r| r.0));
         events.sort();
         (
             events
@@ -459,21 +420,14 @@ impl EventQueue {
     pub(crate) fn restore(&mut self, events: Vec<(Time, EventKind, u64)>, next_seq: u64) {
         self.clear();
         for (time, kind, seq) in events {
-            let ev = Event { time, kind, seq };
-            match &mut self.backend {
-                Backend::Calendar(c) => c.insert(ev),
-                Backend::Heap(h) => h.push(std::cmp::Reverse(ev)),
-            }
+            self.calendar.insert(Event { time, kind, seq });
         }
         self.next_seq = next_seq;
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Calendar(c) => c.len(),
-            Backend::Heap(h) => h.len(),
-        }
+        self.calendar.len()
     }
 
     /// `true` when no events are pending.
@@ -487,26 +441,40 @@ impl EventQueue {
     /// break ties *within* one run, and resetting them is what makes a
     /// recycled queue's tie-breaking byte-identical to a fresh one's.
     pub fn clear(&mut self) {
-        match &mut self.backend {
-            Backend::Calendar(c) => c.clear(),
-            Backend::Heap(h) => h.clear(),
-        }
+        self.calendar.clear();
         self.next_seq = 0;
     }
 
     /// Number of events the queue can hold without reallocating (summed
     /// over the calendar's buckets and overflow heap).
     pub fn capacity(&self) -> usize {
-        match &self.backend {
-            Backend::Calendar(c) => c.capacity(),
-            Backend::Heap(h) => h.capacity(),
-        }
+        self.calendar.capacity()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+
+    /// The pop-order oracle: a plain binary min-heap over the same total
+    /// order on [`Event`].
+    type RefHeap = BinaryHeap<Reverse<Event>>;
+
+    /// Pushes `kind` at `time` into the calendar and, under the seq the
+    /// calendar assigns it, into the oracle.
+    fn push_both(q: &mut EventQueue, heap: &mut RefHeap, time: Time, kind: EventKind) {
+        heap.push(Reverse(Event {
+            time,
+            kind,
+            seq: q.next_seq,
+        }));
+        q.push(time, kind);
+    }
+
+    fn pop_ref(heap: &mut RefHeap) -> Option<Event> {
+        heap.pop().map(|r| r.0)
+    }
 
     fn t(x: f64) -> Time {
         Time::new(x)
@@ -667,7 +635,7 @@ mod tests {
         }
     }
 
-    /// The cross-backend contract: any interleaving of pushes and pops —
+    /// The ordering contract: any interleaving of pushes and pops —
     /// including heavy time ties, far-future outliers and non-finite
     /// times — pops identically from the calendar and the reference heap.
     #[test]
@@ -675,12 +643,12 @@ mod tests {
         for seed in 1..=20u64 {
             let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
             let mut cal = EventQueue::new();
-            let mut heap = EventQueue::reference_heap();
+            let mut heap = RefHeap::new();
             for step in 0..600 {
                 let r = xorshift(&mut state);
                 if r % 4 == 0 && !cal.is_empty() {
-                    assert_eq!(cal.peek().copied(), heap.peek().copied());
-                    assert_eq!(cal.pop(), heap.pop(), "seed {seed} step {step}");
+                    assert_eq!(cal.peek().copied(), heap.peek().map(|r| r.0));
+                    assert_eq!(cal.pop(), pop_ref(&mut heap), "seed {seed} step {step}");
                 } else {
                     let raw = xorshift(&mut state);
                     // Cluster times on a coarse grid for ties; sprinkle
@@ -691,13 +659,12 @@ mod tests {
                         _ => Time::new(((raw >> 8) % 64) as f64 * 0.25),
                     };
                     let kind = arbitrary_kind(xorshift(&mut state));
-                    cal.push(time, kind);
-                    heap.push(time, kind);
+                    push_both(&mut cal, &mut heap, time, kind);
                 }
                 assert_eq!(cal.len(), heap.len());
             }
             let a: Vec<Event> = std::iter::from_fn(|| cal.pop()).collect();
-            let b: Vec<Event> = std::iter::from_fn(|| heap.pop()).collect();
+            let b: Vec<Event> = std::iter::from_fn(|| pop_ref(&mut heap)).collect();
             assert_eq!(a, b, "drain order diverged for seed {seed}");
         }
     }
@@ -741,10 +708,7 @@ mod tests {
     }
 
     fn bucket_count(q: &EventQueue) -> usize {
-        match &q.backend {
-            Backend::Calendar(c) => c.buckets.len(),
-            Backend::Heap(_) => unreachable!("bucket_count is a calendar-only probe"),
-        }
+        q.calendar.buckets.len()
     }
 
     /// A population spike must not pin the bucket count at its high-water
@@ -755,15 +719,11 @@ mod tests {
     #[test]
     fn respread_shrinks_buckets_after_population_collapse() {
         let mut q = EventQueue::new();
-        let mut heap = EventQueue::reference_heap();
-        let push = |q: &mut EventQueue, heap: &mut EventQueue, time: Time, kind: EventKind| {
-            q.push(time, kind);
-            heap.push(time, kind);
-        };
+        let mut heap = RefHeap::new();
         // Phase 1 — grow: 20k spread events force occupancy re-spreads
         // well past MIN_BUCKETS.
         for i in 0..20_000u64 {
-            push(
+            push_both(
                 &mut q,
                 &mut heap,
                 t(i as f64 * 0.005),
@@ -776,7 +736,11 @@ mod tests {
             "spike must grow the calendar, got {grown} buckets"
         );
         for _ in 0..20_000 {
-            assert_eq!(q.pop(), heap.pop(), "drain order diverged while grown");
+            assert_eq!(
+                q.pop(),
+                pop_ref(&mut heap),
+                "drain order diverged while grown"
+            );
         }
         assert!(q.is_empty());
         assert_eq!(
@@ -789,7 +753,7 @@ mod tests {
         // re-spread over the tiny surviving population, which must shrink
         // the bucket vector back down.
         for i in 0..100u64 {
-            push(
+            push_both(
                 &mut q,
                 &mut heap,
                 t(i as f64 * 0.01),
@@ -797,7 +761,7 @@ mod tests {
             );
         }
         for i in 0..3u64 {
-            push(
+            push_both(
                 &mut q,
                 &mut heap,
                 t(1.0e9 + i as f64),
@@ -805,7 +769,7 @@ mod tests {
             );
         }
         loop {
-            let (a, b) = (q.pop(), heap.pop());
+            let (a, b) = (q.pop(), pop_ref(&mut heap));
             assert_eq!(a, b, "drain order diverged across the shrink");
             if a.is_none() {
                 break;

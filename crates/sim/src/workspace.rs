@@ -72,17 +72,6 @@ impl SimWorkspace {
         SimWorkspace::default()
     }
 
-    /// Creates a workspace whose event queue runs on the reference
-    /// binary-heap backend instead of the calendar. Results are
-    /// byte-identical; this exists for the `flat-vs-heap` benchmark rows
-    /// and the backend-equivalence property tests.
-    pub fn with_reference_queue() -> Self {
-        SimWorkspace {
-            queue: EventQueue::reference_heap(),
-            ..SimWorkspace::default()
-        }
-    }
-
     /// Number of runs started in this workspace.
     #[inline]
     pub fn runs(&self) -> u64 {
@@ -358,21 +347,6 @@ mod tests {
             "identical instance, identical outcomes"
         );
         assert_eq!(second.outcome.len(), 5);
-    }
-
-    /// The heap-backed reference workspace must produce reports identical
-    /// to the calendar-backed default.
-    #[test]
-    fn reference_queue_workspace_matches_default() {
-        let mut flat = SimWorkspace::new();
-        let mut heap = SimWorkspace::with_reference_queue();
-        for n in [6, 3, 8] {
-            let a = run(&mut flat, n);
-            let b = run(&mut heap, n);
-            assert_eq!(format!("{a:?}"), format!("{b:?}"));
-            flat.recycle(a);
-            heap.recycle(b);
-        }
     }
 
     #[test]

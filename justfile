@@ -5,16 +5,13 @@
 export CARGO_NET_OFFLINE := "true"
 
 # Run the full CI gauntlet.
-ci: fmt build bench-check test lint clippy golden-trace chaos serve-smoke serve-scale bench-smoke sweep-smoke fleet-smoke fleet-scale
+ci: fmt build test lint clippy golden-trace chaos serve-smoke serve-scale bench-smoke sweep-smoke fleet-smoke fleet-scale
 
 fmt:
     cargo fmt --all --check
 
 build:
     cargo build --release --workspace
-
-bench-check:
-    cargo check --benches --workspace
 
 test:
     cargo test -q --workspace
@@ -55,7 +52,7 @@ golden-trace:
 golden-trace-regen:
     cargo run --release -p cloudsched-cli -- trace --lambda 12 --seed 7 --horizon 6 --scheduler vdover --out tests/golden/trace_seed7_vdover.jsonl
 
-# Span profile + tracing-overhead microbench.
+# Span profile + tracing-overhead table (best of 10 runs per case).
 profile:
     cargo run --release -p cloudsched-bench --bin profile
 
@@ -64,14 +61,6 @@ profile:
 # an otherwise-idle machine before updating the checked-in report.
 bench:
     cargo run --release -p cloudsched-cli -- bench --out BENCH_kernel.json
-
-# Flat-vs-heap comparison: the kernel suite with --compare, so every
-# (scheduler, n) cell is measured twice — once on the default calendar
-# event queue and once on the reference binary-heap workspace — and the
-# report carries paired rows (the heap row is tagged `"queue":"heap"`).
-# This is the configuration of the checked-in BENCH_kernel.json.
-bench-flat:
-    cargo run --release -p cloudsched-cli -- bench --compare --out BENCH_kernel.json
 
 # CI bench smoke: the quick sweep (n = 1e3, one rep) written to a scratch
 # file — validates the benchmark harness and its JSON schema on every

@@ -12,10 +12,13 @@
 
 #![forbid(unsafe_code)]
 
+mod common;
+
 use cloudsched_core::rng::{derive_seed, FLEET_DISPATCH_RUN_OFFSET, SEED_STREAM_FLEET};
 use cloudsched_sched::{by_name, DispatchPolicy};
 use cloudsched_sim::{run_fleet, FleetReport, RunOptions, Scheduler};
 use cloudsched_workload::FleetScenario;
+use common::{fnv1a_word, FNV_OFFSET};
 
 const LAMBDA: f64 = 8.0;
 const HORIZON: f64 = 10.0;
@@ -61,14 +64,6 @@ const PINNED: &[(&str, usize, usize, u64)] = &[
     ("p2c", 64, 2, 0xcedb84027af1f321),
 ];
 
-fn fnv1a(mut h: u64, word: u64) -> u64 {
-    for b in word.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn digest(r: &FleetReport) -> u64 {
     let counters = [r.quarantined, r.steals, r.readmitted, r.unreclaimed];
     let per_machine = r.per_machine.iter().flat_map(|m| {
@@ -84,7 +79,7 @@ fn digest(r: &FleetReport) -> u64 {
         .chain(counters.iter())
         .map(|&x| x as u64)
         .chain(per_machine)
-        .fold(0xcbf2_9ce4_8422_2325, fnv1a)
+        .fold(FNV_OFFSET, fnv1a_word)
 }
 
 fn run_case(policy: &str, machines: usize, run: usize, threads: usize) -> FleetReport {

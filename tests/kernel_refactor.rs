@@ -14,12 +14,13 @@
 //! * complete schedules across 50 seeds × 3 capacity patterns × every
 //!   supplement revival order (property sweep).
 //!
-//! The second half of the file is the equivalence oracle for the
-//! flat-memory kernel refactor: the bucketed calendar event queue must make
-//! exactly the pops the reference `BinaryHeap` backend makes (same 50 × 3
-//! sweep, this time across the whole scheduler roster), and a service
-//! snapshot taken while the calendar is crowded must restore byte-exactly
-//! through the service's serve → crash → recover loop.
+//! The second half of the file is the oracle for the flat-memory kernel:
+//! the bucketed calendar event queue must reproduce, over the same 50 × 3
+//! sweep and the whole scheduler roster, the decisions and reports pinned
+//! while a reference `BinaryHeap` backend still ran beside it and matched
+//! every cell; and a service snapshot taken while the calendar is crowded
+//! must restore byte-exactly through the service's serve → crash → recover
+//! loop.
 //!
 //! The last section pins the kernel's entry points. Its digests were
 //! recorded when the kernel had seven public entry functions, one per
@@ -28,6 +29,8 @@
 //! reproduce them bit for bit.
 
 #![forbid(unsafe_code)]
+
+mod common;
 
 use cloudsched_analysis::bounds::{dover_beta, optimal_beta};
 use cloudsched_capacity::{CapacityProfile, Instance, PiecewiseConstant};
@@ -44,6 +47,7 @@ use cloudsched_sim::{
 };
 use cloudsched_workload::dist::{exponential, uniform};
 use cloudsched_workload::CtmcCapacity;
+use common::{fnv1a_bytes, fnv1a_word, FNV_OFFSET};
 
 mod reference {
     //! The pre-refactor Vec-backed Dover family (see the file-level docs).
@@ -566,83 +570,13 @@ fn property_indexed_and_vec_queues_agree_across_seeds_and_patterns() {
 }
 
 // ---------------------------------------------------------------------------
-// Flat-memory kernel: calendar event queue vs. the reference binary heap
+// Flat-memory kernel: calendar event queue pinned against the binary heap
 // ---------------------------------------------------------------------------
-
-/// Runs `name` twice on `instance` — once on the default workspace (bucketed
-/// calendar event queue) and once on the reference `BinaryHeap` workspace —
-/// and asserts the kernel-visible behaviour is identical: the `Decision`
-/// sequence of every scheduler callback, the bit-exact accrued value, and
-/// the full schedule.
-fn assert_queue_backends_agree(instance: &Instance, name: &str, what: &str) {
-    let (c_lo, c_hi) = instance.capacity.bounds();
-    let run = |ws: &mut SimWorkspace| -> (Vec<(char, JobId, Decision)>, RunReport) {
-        let mut sched = by_name(name, 7.0, 5.0, c_lo, c_hi).expect("roster scheduler builds");
-        let mut rec = Recording::new(sched.as_mut());
-        let report = Run::new(&instance.jobs, &instance.capacity, RunOptions::full())
-            .workspace(ws)
-            .run(&mut rec);
-        (rec.log, report)
-    };
-    let (log_cal, rep_cal) = run(&mut SimWorkspace::new());
-    let (log_heap, rep_heap) = run(&mut SimWorkspace::with_reference_queue());
-    assert!(!log_cal.is_empty(), "{what}: trivial (empty) decision log");
-    assert_eq!(log_cal, log_heap, "{what}: decision sequences diverge");
-    assert_eq!(
-        rep_cal.value.to_bits(),
-        rep_heap.value.to_bits(),
-        "{what}: accrued value diverges"
-    );
-    assert_eq!(rep_cal.completed, rep_heap.completed, "{what}: completions");
-    assert_eq!(
-        rep_cal.preemptions, rep_heap.preemptions,
-        "{what}: preemptions"
-    );
-    let slices = |r: &RunReport| -> Vec<JobId> {
-        r.schedule
-            .as_ref()
-            .expect("full run options build a schedule")
-            .slices()
-            .iter()
-            .map(|s| s.job)
-            .collect()
-    };
-    assert_eq!(
-        slices(&rep_cal),
-        slices(&rep_heap),
-        "{what}: schedules diverge"
-    );
-}
-
-/// Tentpole oracle: across 50 seeds × 3 capacity patterns × the whole
-/// scheduler roster, the calendar queue pops events in exactly the
-/// (time, kind-priority, seq) order the reference heap does — the CTMC
-/// patterns keep a rotating `CapacityChange` armed and the deep-overload
-/// pattern floods the queue with timers, so bucket spills, respreads and
-/// the overflow heap all see traffic.
-#[test]
-fn property_calendar_queue_matches_reference_heap() {
-    for seed in 0..50u64 {
-        let jobs = burst_jobs(60, seed);
-        let span = jobs.last_deadline().as_f64() + 1.0;
-        for pattern in 0..3usize {
-            let instance = Instance::new(jobs.clone(), capacity_pattern(pattern, seed, span));
-            for name in SCHEDULER_NAMES {
-                assert_queue_backends_agree(
-                    &instance,
-                    name,
-                    &format!("seed {seed} pattern {pattern} {name}"),
-                );
-            }
-        }
-    }
-}
 
 /// One FNV digest per `(capacity pattern, scheduler)` cell of the 50-seed
 /// sweep, labelled `pattern{p}/{name}`: every seed's recorded `Decision`
-/// log and full report, folded in seed order. `workspace` supplies the
-/// workspace of each run.
-fn queue_cell_digests(mut workspace: impl FnMut() -> SimWorkspace) -> Vec<(String, u64)> {
+/// log and full report, folded in seed order.
+fn queue_cell_digests() -> Vec<(String, u64)> {
     let mut cells: Vec<(String, u64)> = (0..3)
         .flat_map(|p| {
             SCHEDULER_NAMES
@@ -660,9 +594,8 @@ fn queue_cell_digests(mut workspace: impl FnMut() -> SimWorkspace) -> Vec<(Strin
                 let mut sched =
                     by_name(name, 7.0, 5.0, c_lo, c_hi).expect("roster scheduler builds");
                 let mut rec = Recording::new(sched.as_mut());
-                let report = Run::new(&instance.jobs, &instance.capacity, RunOptions::full())
-                    .workspace(&mut workspace())
-                    .run(&mut rec);
+                let report =
+                    Run::new(&instance.jobs, &instance.capacity, RunOptions::full()).run(&mut rec);
                 let h = &mut cells[pattern * SCHEDULER_NAMES.len() + i].1;
                 for (callback, job, decision) in &rec.log {
                     *h = fnv1a_bytes(*h, format!("{callback}{job:?}{decision:?}").as_bytes());
@@ -674,8 +607,9 @@ fn queue_cell_digests(mut workspace: impl FnMut() -> SimWorkspace) -> Vec<(Strin
     cells
 }
 
-/// `(pattern/scheduler, digest)` over seeds 0..50, checked cell by cell
-/// against the reference `BinaryHeap` event-queue backend when recorded.
+/// `(pattern/scheduler, digest)` over seeds 0..50, recorded when a
+/// reference `BinaryHeap` event-queue backend produced the same digest for
+/// every cell.
 const QUEUE_PINNED: &[(&str, u64)] = &[
     ("pattern0/vdover", 0x51b850a3aac442ce),
     ("pattern0/dover", 0x7cf3987ae80a279a),
@@ -714,9 +648,7 @@ const QUEUE_PINNED: &[(&str, u64)] = &[
 /// traffic.
 #[test]
 fn calendar_queue_digests_match_the_pinned_oracle() {
-    let got = queue_cell_digests(SimWorkspace::new);
-    let heap = queue_cell_digests(SimWorkspace::with_reference_queue);
-    assert_eq!(got, heap, "calendar and heap backends diverge");
+    let got = queue_cell_digests();
     assert_eq!(got.len(), QUEUE_PINNED.len(), "cell count");
     for ((label, digest), (want_label, want)) in got.iter().zip(QUEUE_PINNED) {
         assert_eq!(label, want_label);
@@ -823,20 +755,6 @@ fn snapshot_round_trip_restores_a_populated_calendar() {
 // ---------------------------------------------------------------------------
 // Kernel entry points: pinned digests across every attachment
 // ---------------------------------------------------------------------------
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv1a_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn fnv1a_word(h: u64, word: u64) -> u64 {
-    fnv1a_bytes(h, &word.to_le_bytes())
-}
 
 /// Folds every field of a report into `h`: the counters and value sums
 /// bit for bit, each job's outcome, the schedule, the trajectory and the

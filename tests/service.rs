@@ -17,6 +17,8 @@
 
 #![forbid(unsafe_code)]
 
+mod common;
+
 use cloudsched::faults::{corrupt_stream, StreamFaultConfig};
 use cloudsched::insight::ValueLedger;
 use cloudsched::obs::MemJournal;
@@ -28,6 +30,7 @@ use cloudsched::sim::{
 };
 use cloudsched_core::CoreError;
 use cloudsched_obs::RingTracer;
+use common::{fnv1a_bytes, FNV_OFFSET};
 
 /// Renders a job set as the service's JSONL arrival stream, ordered by
 /// release time (the admission contract).
@@ -524,14 +527,9 @@ fn recovery_of_an_uncrashed_journal_is_idempotent() {
 
 /// FNV-1a 64 over a sequence of text lines (each followed by `\n`).
 fn fnv_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for line in lines {
-        for b in line.bytes().chain(std::iter::once(b'\n')) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    lines.into_iter().fold(FNV_OFFSET, |h, line| {
+        fnv1a_bytes(fnv1a_bytes(h, line.as_bytes()), b"\n")
+    })
 }
 
 /// Digest of everything `serve` produced that callers can observe: the
