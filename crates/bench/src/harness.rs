@@ -2,7 +2,7 @@
 //!
 //! The index fan-out lives in [`cloudsched_core::par`] (work-stealing,
 //! index-order deterministic, thread-count independent) and is re-exported
-//! here so experiment binaries keep a single import point. This module adds
+//! here so the experiments keep a single import point. This module adds
 //! the simulation-specific layers on top: per-worker workspace reuse
 //! ([`run_instance_in`]) and the shared-instance multi-policy batch runner
 //! ([`run_instance_batch`]).

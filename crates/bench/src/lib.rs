@@ -2,19 +2,9 @@
 //!
 //! The experiment harness that regenerates every table and figure of the
 //! paper's evaluation (§IV), plus the extra experiments indexed in
-//! `DESIGN.md`:
+//! `DESIGN.md`: the [`repro`] module behind `cloudsched repro`.
 //!
-//! | binary | reproduces |
-//! |---|---|
-//! | `table1` | Table I — value percentage, Dover(ĉ) vs V-Dover, relative gain |
-//! | `fig1` | Figure 1(a–d) — cumulative value vs time at λ = 6 |
-//! | `bounds` | the Theorem 1/3 competitive-ratio curves and β* |
-//! | `adversary` | Theorem 3(3) — vanishing ratio without admissibility |
-//! | `underloaded` | Theorem 2 — EDF earns 100% on underloaded instances |
-//! | `transform` | §III-A — stretch reduction equals direct solving |
-//! | `ablation` | design-choice ablations (supplement queue, β, ĉ, Qsupp order) |
-//!
-//! The library part hosts the parallel Monte-Carlo driver, the scheduler
+//! The library also hosts the parallel Monte-Carlo driver, the scheduler
 //! factory, and the three checked-in benchmark suites behind
 //! `cloudsched bench`: the [`kernel_bench`] hot-path sweep
 //! (`BENCH_kernel.json`), the [`sweep_bench`] Monte-Carlo throughput sweep
@@ -29,6 +19,7 @@ pub mod fleet_bench;
 pub mod harness;
 pub mod kernel_bench;
 pub mod ratio;
+pub mod repro;
 pub mod row;
 pub mod sweep_bench;
 

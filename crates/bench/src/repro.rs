@@ -1,0 +1,737 @@
+//! The paper's evaluation (§IV) and the extra experiments indexed in
+//! `DESIGN.md`, behind `cloudsched repro`.
+//!
+//! | experiment | reproduces |
+//! |---|---|
+//! | `table1` | Table I — value percentage, Dover(ĉ) vs V-Dover, relative gain |
+//! | `fig1` | Figure 1(a–d) — cumulative value vs time at λ = 6 |
+//! | `ablation` | design-choice ablations (supplement queue, β, ĉ, Qsupp order) |
+//! | `adversary` | Theorem 3(3) — vanishing ratio without admissibility |
+//! | `bounds` | the Theorem 1/3 competitive-ratio curves and β* |
+//! | `transform` | §III-A — stretch reduction equals direct solving |
+//! | `underloaded` | Theorem 2 — EDF earns 100% on underloaded instances |
+//!
+//! Every experiment is a pure function of its run count: it returns the
+//! text it prints and the CSV files it writes as an [`Output`], and the
+//! caller decides where they go. The thread count never changes a byte of
+//! either, because every fan-out goes through the index-ordered
+//! [`parallel_map_with`].
+
+use crate::{parallel_map_with, run_instance, run_instance_batch, run_instance_batch_in};
+use crate::{run_instance_in, SchedulerSpec};
+use cloudsched_analysis::adversary::{TrapParams, TrapRound};
+use cloudsched_analysis::bounds::{
+    dover_beta, f_overload, optimal_beta, vdover_achievable_ratio, vdover_upper_bound,
+};
+use cloudsched_analysis::stats::Summary;
+use cloudsched_analysis::table::{fnum, Table};
+use cloudsched_capacity::Instance;
+use cloudsched_core::rng::{derive_seed, Pcg32, Rng};
+use cloudsched_core::rng::{
+    SEED_STREAM_ABLATION, SEED_STREAM_TABLE1, SEED_STREAM_TRANSFORM, SEED_STREAM_UNDERLOADED,
+};
+use cloudsched_core::{CoreError, Job, JobId, JobSet, Time};
+use cloudsched_offline::exact::optimal_value;
+use cloudsched_offline::greedy::greedy_by_density;
+use cloudsched_offline::reduction::{reduce, solve_via_stretch};
+use cloudsched_sched::dover::SupplementOrder;
+use cloudsched_sim::{RunOptions, SimWorkspace, TrajectoryPoint};
+use cloudsched_workload::ctmc::CtmcCapacity;
+use cloudsched_workload::dist::{exponential, uniform};
+use cloudsched_workload::underloaded::{carve_underloaded, UnderloadedParams};
+use cloudsched_workload::PaperScenario;
+
+/// What one experiment produces.
+#[derive(Debug)]
+pub struct Output {
+    /// The report it prints.
+    pub stdout: String,
+    /// The CSV files it writes, as `(file name, contents)` in write order.
+    pub files: Vec<(String, String)>,
+}
+
+/// The `--experiment` choices: `all`, then every experiment in the order
+/// `all` runs them.
+pub const CHOICES: &[&str] = &[
+    "all",
+    "table1",
+    "fig1",
+    "ablation",
+    "adversary",
+    "bounds",
+    "transform",
+    "underloaded",
+];
+
+/// The experiments one [`CHOICES`] entry selects, or `None` for a name
+/// that is not a choice.
+pub fn selection(choice: &str) -> Option<&'static [&'static str]> {
+    match CHOICES.iter().position(|&c| c == choice)? {
+        0 => Some(&CHOICES[1..]),
+        i => Some(&CHOICES[i..=i]),
+    }
+}
+
+/// The paper-scale run count of an experiment: Monte-Carlo runs for
+/// `table1` and `ablation`, random instances for `underloaded` and
+/// `transform`. `None` for the experiments whose size is fixed.
+pub fn default_runs(name: &str) -> Option<usize> {
+    match name {
+        "table1" => Some(800),
+        "ablation" | "underloaded" => Some(200),
+        "transform" => Some(50),
+        _ => None,
+    }
+}
+
+/// Runs one experiment; `runs` (default [`default_runs`]) is ignored by
+/// the experiments whose size is fixed, and `threads` by the serial ones.
+///
+/// # Errors
+/// [`CoreError::InvalidArgument`] for a name outside [`CHOICES`] (or
+/// `all`, which is a selection, not an experiment).
+pub fn run(name: &str, runs: Option<usize>, threads: usize) -> Result<Output, CoreError> {
+    let runs = runs.or(default_runs(name)).unwrap_or(0);
+    Ok(match name {
+        "table1" => table1(runs, threads),
+        "fig1" => fig1(),
+        "ablation" => ablation(runs, threads),
+        "adversary" => adversary(),
+        "bounds" => bounds(),
+        "transform" => transform(runs),
+        "underloaded" => underloaded(runs, threads),
+        other => {
+            return Err(CoreError::InvalidArgument {
+                flag: "--experiment".into(),
+                reason: format!("unknown experiment `{other}`"),
+            })
+        }
+    })
+}
+
+/// `println!` into a `String`.
+macro_rules! outln {
+    ($out:expr, $($arg:tt)*) => {{
+        $out.push_str(&format!($($arg)*));
+        $out.push('\n');
+    }};
+}
+
+/// **Table I**: percentage of the total generated value obtained by Dover
+/// (with capacity estimates ĉ ∈ {1, 10.5, 24.5, 35}) and by V-Dover, for
+/// λ ∈ {4, 5, 6, 7, 8, 10, 12}, averaged over `runs` Monte-Carlo runs; plus
+/// the relative gain of V-Dover over the best Dover column.
+fn table1(runs: usize, threads: usize) -> Output {
+    let lambdas = [4.0, 5.0, 6.0, 7.0, 8.0, 10.0, 12.0];
+    let c_estimates = [1.0, 10.5, 24.5, 35.0];
+    let k = 7.0;
+    let delta = 35.0;
+
+    let mut specs: Vec<SchedulerSpec> = c_estimates
+        .iter()
+        .map(|&c| SchedulerSpec::Dover { k, c_estimate: c })
+        .collect();
+    specs.push(SchedulerSpec::VDover { k, delta });
+    let names: Vec<String> = specs.iter().map(SchedulerSpec::name).collect();
+
+    let mut table = Table::new(
+        ["lambda"]
+            .into_iter()
+            .map(String::from)
+            .chain(names.iter().cloned())
+            .chain(["best Dover".into(), "gain %".into()])
+            .collect::<Vec<String>>(),
+    );
+    let mut csv = Table::new(
+        ["lambda"]
+            .into_iter()
+            .map(String::from)
+            .chain(names.iter().cloned())
+            .chain(["gain_percent".into()])
+            .collect::<Vec<String>>(),
+    );
+
+    for &lambda in &lambdas {
+        let scenario = PaperScenario::table1(lambda);
+        // One fraction per (run, algorithm): all algorithms see the SAME
+        // instance per seed (paired comparison, as the paper's Fig. 1 does),
+        // generated once and replayed across the batch. Each worker reuses a
+        // simulation workspace across its runs.
+        let rows: Vec<Vec<f64>> = parallel_map_with(runs, threads, SimWorkspace::new, |ws, run| {
+            let seed = derive_seed(SEED_STREAM_TABLE1, lambda, run);
+            let generated = scenario.generate(seed).expect("generation");
+            run_instance_batch_in(ws, &generated.instance, &specs, RunOptions::lean())
+                .into_iter()
+                .map(|report| {
+                    let fraction = report.value_fraction * 100.0;
+                    ws.recycle(report);
+                    fraction
+                })
+                .collect()
+        });
+        let means: Vec<Summary> = (0..specs.len())
+            .map(|a| Summary::from_samples(&rows.iter().map(|r| r[a]).collect::<Vec<_>>()))
+            .collect();
+        let dover_best = means[..c_estimates.len()]
+            .iter()
+            .map(|s| s.mean)
+            .fold(0.0f64, f64::max);
+        let vdover = means[c_estimates.len()].mean;
+        let gain = (vdover - dover_best) / dover_best * 100.0;
+
+        let mut row = vec![fnum(lambda, 0)];
+        row.extend(means.iter().map(|s| fnum(s.mean, 4)));
+        row.push(fnum(dover_best, 4));
+        row.push(fnum(gain, 2));
+        table.push_row(row);
+        let mut crow = vec![fnum(lambda, 1)];
+        crow.extend(means.iter().map(|s| fnum(s.mean, 6)));
+        crow.push(fnum(gain, 4));
+        csv.push_row(crow);
+    }
+
+    let mut out = String::new();
+    outln!(
+        out,
+        "\nTable I (reproduced): % of total value obtained, {runs} runs\n"
+    );
+    outln!(out, "{}", table.to_markdown());
+    Output {
+        stdout: out,
+        files: vec![("table1.csv".into(), csv.to_csv())],
+    }
+}
+
+/// Figure 1's sample path: the paper's λ and one fixed seed.
+const FIG1_LAMBDA: f64 = 6.0;
+const FIG1_SEED: u64 = 2011;
+
+/// **Figure 1**: cumulative value versus time for V-Dover and Dover at
+/// λ = 6, one panel per Dover capacity estimate ĉ ∈ {1, 10.5, 24.5, 35},
+/// on a single common sample path. Writes one `time,value` step curve per
+/// algorithm and prints an ASCII sketch of each panel.
+fn fig1() -> Output {
+    let scenario = PaperScenario::table1(FIG1_LAMBDA);
+    let generated = scenario.generate(FIG1_SEED).expect("generation");
+    let instance = &generated.instance;
+    let total_value = instance.jobs.total_value();
+
+    // All five curves come from one batch over the shared sample path: the
+    // instance is consumed once and every policy replays it.
+    let c_estimates = [1.0, 10.5, 24.5, 35.0];
+    let mut specs = vec![SchedulerSpec::VDover {
+        k: 7.0,
+        delta: 35.0,
+    }];
+    specs.extend(c_estimates.iter().map(|&c| SchedulerSpec::Dover {
+        k: 7.0,
+        c_estimate: c,
+    }));
+    let mut opts = RunOptions::lean();
+    opts.record_trajectory = true;
+    let mut curves: Vec<Vec<TrajectoryPoint>> = run_instance_batch(instance, &specs, opts)
+        .into_iter()
+        .map(|report| report.trajectory.expect("trajectory recorded"))
+        .collect();
+    let dovers = curves.split_off(1);
+    let vdover = curves.remove(0);
+
+    let mut out = String::new();
+    let mut files = vec![curve_csv("fig1_vdover", &vdover)];
+    for (&c, dover) in c_estimates.iter().zip(&dovers) {
+        let panel = format!("fig1_dover_c{}", c.to_string().replace('.', "_"));
+        files.push(curve_csv(&panel, dover));
+        outln!(
+            out,
+            "\nPanel ĉ = {c}: final value V-Dover {:.1} vs Dover {:.1} (of {:.1} total)",
+            last_value(&vdover),
+            last_value(dover),
+            total_value
+        );
+        ascii_panel(&mut out, &vdover, dover, scenario.horizon);
+    }
+    Output { stdout: out, files }
+}
+
+fn last_value(t: &[TrajectoryPoint]) -> f64 {
+    t.last().map(|p| p.cumulative_value).unwrap_or(0.0)
+}
+
+fn curve_csv(name: &str, t: &[TrajectoryPoint]) -> (String, String) {
+    let mut csv = String::from("time,value\n");
+    for p in t {
+        csv.push_str(&format!("{:.6},{:.6}\n", p.time, p.cumulative_value));
+    }
+    (format!("{name}.csv"), csv)
+}
+
+/// Tiny ASCII rendition: V-Dover `*`, Dover `o`, both `#`.
+fn ascii_panel(out: &mut String, vd: &[TrajectoryPoint], dv: &[TrajectoryPoint], horizon: f64) {
+    const W: usize = 72;
+    const H: usize = 14;
+    let max = last_value(vd).max(last_value(dv)).max(1e-9);
+    let sample = |t: &[TrajectoryPoint], x: f64| -> f64 {
+        // Step function: last value at time <= x.
+        t.iter()
+            .take_while(|p| p.time <= x)
+            .last()
+            .map(|p| p.cumulative_value)
+            .unwrap_or(0.0)
+    };
+    let mut grid = vec![vec![' '; W]; H];
+    for (col, cell) in (0..W).zip(0..W) {
+        let x = horizon * (col as f64 + 0.5) / W as f64;
+        let yv = ((sample(vd, x) / max) * (H as f64 - 1.0)).round() as usize;
+        let yd = ((sample(dv, x) / max) * (H as f64 - 1.0)).round() as usize;
+        let rv = H - 1 - yv.min(H - 1);
+        let rd = H - 1 - yd.min(H - 1);
+        grid[rd][cell] = 'o';
+        grid[rv][cell] = if rv == rd { '#' } else { '*' };
+    }
+    for row in grid {
+        outln!(out, "  |{}", row.into_iter().collect::<String>());
+    }
+    outln!(out, "  +{}", "-".repeat(W));
+    outln!(
+        out,
+        "   0 {:>w$.1} (time)   [*: V-Dover, o: Dover, #: both]",
+        horizon,
+        w = W - 4
+    );
+}
+
+/// Ablations of V-Dover's design choices (`DESIGN.md` §4) on the paper's
+/// Table-I scenario at λ = 6:
+///
+/// 1. the supplement queue (on/off) — the paper's mechanism (ii);
+/// 2. the threshold β — paper-optimal `β* = 1+√(k/f)` vs Dover's `1+√k` vs
+///    a sweep;
+/// 3. the supplement revival order — latest-deadline (paper) vs
+///    earliest-deadline vs highest-value;
+/// 4. Dover's capacity estimate ĉ — fine sweep between `c_lo` and `c_hi`.
+fn ablation(runs: usize, threads: usize) -> Output {
+    let lambda = 6.0;
+    let (k, delta) = (7.0, 35.0);
+    let beta_star = optimal_beta(k, delta);
+    let beta_dover = dover_beta(k);
+    let custom =
+        |beta: f64, supplement: bool, order: SupplementOrder| SchedulerSpec::VDoverCustom {
+            beta,
+            supplement,
+            order,
+        };
+
+    let mut variants: Vec<(String, SchedulerSpec)> = vec![
+        (
+            format!("V-Dover β*={beta_star:.3} (paper)"),
+            SchedulerSpec::VDover { k, delta },
+        ),
+        (
+            "V-Dover, no supplement queue".into(),
+            custom(beta_star, false, SupplementOrder::LatestDeadline),
+        ),
+        (
+            format!("V-Dover β={beta_dover:.3} (Dover's 1+√k)"),
+            custom(beta_dover, true, SupplementOrder::LatestDeadline),
+        ),
+        (
+            "V-Dover, Qsupp earliest-deadline".into(),
+            custom(beta_star, true, SupplementOrder::EarliestDeadline),
+        ),
+        (
+            "V-Dover, Qsupp highest-value".into(),
+            custom(beta_star, true, SupplementOrder::HighestValue),
+        ),
+    ];
+    for beta in [1.2, 2.0, 4.0, 8.0] {
+        variants.push((
+            format!("V-Dover β={beta} (sweep)"),
+            custom(beta, true, SupplementOrder::LatestDeadline),
+        ));
+    }
+    for c in [1.0, 5.0, 17.5, 35.0] {
+        variants.push((
+            format!("Dover ĉ={c} (estimate sweep)"),
+            SchedulerSpec::Dover { k, c_estimate: c },
+        ));
+    }
+    // Non-Dover baselines for context.
+    variants.push(("EDF".into(), SchedulerSpec::Edf));
+    variants.push(("LLF(ĉ=1)".into(), SchedulerSpec::Llf(1.0)));
+    variants.push(("HVDF".into(), SchedulerSpec::GreedyDensity));
+    variants.push(("Greedy(value)".into(), SchedulerSpec::GreedyValue));
+    variants.push(("FIFO".into(), SchedulerSpec::Fifo));
+
+    let scenario = PaperScenario::table1(lambda);
+    let rows: Vec<Vec<f64>> = parallel_map_with(runs, threads, SimWorkspace::new, |ws, run| {
+        let seed = derive_seed(SEED_STREAM_ABLATION, 0.0, run);
+        let inst = scenario.generate(seed).expect("generation").instance;
+        variants
+            .iter()
+            .map(|(_, spec)| {
+                let report = run_instance_in(ws, &inst, spec, RunOptions::lean());
+                let fraction = report.value_fraction * 100.0;
+                ws.recycle(report);
+                fraction
+            })
+            .collect()
+    });
+
+    let mut table = Table::new(vec!["variant", "value %", "±95% CI"]);
+    for (a, (name, _)) in variants.iter().enumerate() {
+        let s = Summary::from_samples(&rows.iter().map(|r| r[a]).collect::<Vec<_>>());
+        table.push_row(vec![
+            name.clone(),
+            fnum(s.mean, 3),
+            fnum(s.ci95_half_width(), 3),
+        ]);
+    }
+    let mut out = String::new();
+    outln!(out, "\nV-Dover design ablations (λ = 6, {runs} runs):\n");
+    outln!(out, "{}", table.to_markdown());
+    Output {
+        stdout: out,
+        files: vec![("ablation.csv".into(), table.to_csv())],
+    }
+}
+
+/// **Theorem 3(3)**: without individual admissibility, no online algorithm
+/// keeps a positive competitive ratio.
+///
+/// The adaptive adversary plays `n` independent trap rounds
+/// (`cloudsched_analysis::adversary`): each round offers a high-value bait
+/// job that is *not* individually admissible (it completes only if
+/// capacity stays at `c_hi` for its whole window) plus a zero-laxity
+/// filler stream. After watching what the scheduler does under the
+/// stay-high future, the adversary commits to whichever capacity future
+/// hurts more. The achieved ratio (online value / clairvoyant optimum)
+/// decays toward zero for every scheduler as the filler granularity grows
+/// with `n`.
+fn adversary() -> Output {
+    let k = 7.0;
+    let delta = 5.0;
+    let specs = [
+        SchedulerSpec::VDover { k, delta },
+        SchedulerSpec::Dover {
+            k,
+            c_estimate: delta,
+        },
+        SchedulerSpec::Edf,
+        SchedulerSpec::GreedyValue,
+    ];
+    let rounds_list = [1usize, 2, 4, 8, 16, 32];
+
+    let mut table = Table::new(
+        ["rounds (n)"]
+            .into_iter()
+            .map(String::from)
+            .chain(specs.iter().map(|s| format!("{} ratio", s.name())))
+            .collect::<Vec<_>>(),
+    );
+
+    for &n in &rounds_list {
+        let params = TrapParams {
+            k,
+            delta,
+            window: 1.0,
+            fillers: 4 * n, // granularity grows with n
+        };
+        let mut row = vec![fnum(n as f64, 0)];
+        for spec in &specs {
+            let (online, offline) = play(spec, params, n);
+            row.push(fnum(online / offline, 4));
+        }
+        table.push_row(row);
+    }
+
+    let mut out = String::new();
+    outln!(
+        out,
+        "Theorem 3(3) adversary (k = {k}, δ = {delta}): achieved value ratio vs rounds\n"
+    );
+    outln!(out, "{}", table.to_markdown());
+    outln!(
+        out,
+        "The bait job is NOT individually admissible; the adaptive adversary\n\
+         drives every scheduler's ratio toward 0 as n grows. With admissible\n\
+         inputs Theorem 3(2) instead guarantees V-Dover ratio >= {:.4e}.",
+        vdover_achievable_ratio(k, delta)
+    );
+    Output {
+        stdout: out,
+        files: vec![("adversary.csv".into(), table.to_csv())],
+    }
+}
+
+/// Plays `n` rounds adaptively against one scheduler; returns accumulated
+/// (online value, clairvoyant optimal value).
+fn play(spec: &SchedulerSpec, params: TrapParams, n: usize) -> (f64, f64) {
+    let round = TrapRound::build(params).expect("valid trap");
+    let mut online_total = 0.0;
+    let mut offline_total = 0.0;
+    for _ in 0..n {
+        // Rounds are i.i.d. gadgets and jobs never span rounds, so playing
+        // them as separate simulations with a fresh scheduler each time is
+        // equivalent to one long trace.
+        let stay = run_instance(
+            &Instance::new(round.jobs.clone(), round.cap_stay_high.clone()),
+            spec,
+            RunOptions::lean(),
+        );
+        let drop = run_instance(
+            &Instance::new(round.jobs.clone(), round.cap_drop.clone()),
+            spec,
+            RunOptions::lean(),
+        );
+        // The adversary picks the future minimising the online/offline ratio.
+        let ratio_stay = stay.value / round.opt_stay_high;
+        let ratio_drop = drop.value / round.opt_drop;
+        if ratio_stay <= ratio_drop {
+            online_total += stay.value;
+            offline_total += round.opt_stay_high;
+        } else {
+            online_total += drop.value;
+            offline_total += round.opt_drop;
+        }
+    }
+    (online_total, offline_total)
+}
+
+/// The competitive-ratio landscape of Theorems 1 and 3: the overload
+/// penalty `f(k,δ)`, V-Dover's achievable ratio, the online upper bound
+/// `1/(1+√k)²`, their quotient (asymptotic optimality), and the optimal
+/// threshold `β*`.
+fn bounds() -> Output {
+    // Sweep over k at the paper's δ = 35, and over δ at the paper's k = 7.
+    let mut by_k = Table::new(vec![
+        "k",
+        "f(k,35)",
+        "beta*",
+        "achievable",
+        "upper bound",
+        "ach/ub",
+    ]);
+    for &k in &[1.0, 2.0, 4.0, 7.0, 16.0, 64.0, 256.0, 1024.0, 1e6] {
+        let delta = 35.0;
+        by_k.push_row(vec![
+            fnum(k, 0),
+            fnum(f_overload(k, delta), 3),
+            fnum(optimal_beta(k, delta), 4),
+            format!("{:.3e}", vdover_achievable_ratio(k, delta)),
+            format!("{:.3e}", vdover_upper_bound(k)),
+            fnum(vdover_achievable_ratio(k, delta) / vdover_upper_bound(k), 4),
+        ]);
+    }
+    let mut by_delta = Table::new(vec![
+        "delta",
+        "f(7,delta)",
+        "beta*",
+        "achievable",
+        "Dover beta (1+sqrt k)",
+    ]);
+    for &delta in &[1.1, 1.5, 2.0, 5.0, 10.0, 35.0, 100.0, 1000.0] {
+        by_delta.push_row(vec![
+            fnum(delta, 1),
+            fnum(f_overload(7.0, delta), 3),
+            fnum(optimal_beta(7.0, delta), 4),
+            format!("{:.3e}", vdover_achievable_ratio(7.0, delta)),
+            fnum(dover_beta(7.0), 4),
+        ]);
+    }
+
+    let mut out = String::new();
+    outln!(
+        out,
+        "Theorem 3 bounds at δ = 35 (paper's capacity class), varying k:\n"
+    );
+    outln!(out, "{}", by_k.to_markdown());
+    outln!(
+        out,
+        "\nTheorem 3 bounds at k = 7 (paper's importance bound), varying δ:\n"
+    );
+    outln!(out, "{}", by_delta.to_markdown());
+    outln!(
+        out,
+        "\nAsymptotic optimality: ach/ub → 1 as k → ∞ (last rows of the first table)."
+    );
+    Output {
+        stdout: out,
+        files: vec![
+            ("bounds_by_k.csv".into(), by_k.to_csv()),
+            ("bounds_by_delta.csv".into(), by_delta.to_csv()),
+        ],
+    }
+}
+
+/// Jobs per random `transform` instance: small enough for the exact
+/// branch-and-bound optimum.
+const TRANSFORM_JOBS: usize = 12;
+
+/// The **§III-A** stretch transformation: solving the transformed
+/// constant-capacity problem gives *exactly* the optimal value of the
+/// original varying-capacity problem. Over `instances` random small
+/// instances it compares (a) the exact optimum computed directly on the
+/// varying-capacity system, (b) the exact optimum via the stretch
+/// reduction, (c) the offline greedy heuristic on both sides.
+fn transform(instances: usize) -> Output {
+    let mut agree = 0usize;
+    let mut max_abs_diff: f64 = 0.0;
+    let mut table = Table::new(vec![
+        "instance",
+        "direct opt",
+        "via-stretch opt",
+        "greedy (orig)",
+        "greedy (stretched)",
+    ]);
+
+    for i in 0..instances {
+        let mut rng = Pcg32::seed_from_u64(derive_seed(SEED_STREAM_TRANSFORM, 0.0, i));
+        let inst = random_instance(&mut rng, TRANSFORM_JOBS);
+        let (direct, _) = optimal_value(&inst.jobs, &inst.capacity);
+        let (via, _) = solve_via_stretch(&inst).expect("reduction");
+        let (g_orig, _) = greedy_by_density(&inst.jobs, &inst.capacity);
+        let reduced = reduce(&inst).expect("reduction");
+        let (g_stretch, _) = greedy_by_density(&reduced.jobs, &reduced.capacity);
+        let diff = (direct - via).abs();
+        max_abs_diff = max_abs_diff.max(diff);
+        if diff < 1e-6 {
+            agree += 1;
+        }
+        if i < 10 {
+            table.push_row(vec![
+                fnum(i as f64, 0),
+                fnum(direct, 4),
+                fnum(via, 4),
+                fnum(g_orig, 4),
+                fnum(g_stretch, 4),
+            ]);
+        }
+    }
+
+    let mut out = String::new();
+    outln!(
+        out,
+        "Stretch-transformation equivalence over {instances} random instances \
+         ({TRANSFORM_JOBS} jobs each):\n"
+    );
+    outln!(out, "{}", table.to_markdown());
+    outln!(
+        out,
+        "\nDirect and via-stretch optima agree on {agree}/{instances} instances \
+         (max |difference| = {max_abs_diff:.2e})."
+    );
+    outln!(
+        out,
+        "The greedy heuristic is also invariant under the transformation — the\n\
+         bijection maps feasible sets to feasible sets, so any subset-selection\n\
+         algorithm that only queries feasibility behaves identically."
+    );
+    Output {
+        stdout: out,
+        files: Vec::new(),
+    }
+}
+
+fn random_instance(rng: &mut Pcg32, jobs: usize) -> Instance {
+    let chain = CtmcCapacity::two_state(1.0, 3.0, 2.0).expect("chain");
+    let capacity = chain.sample(rng, 30.0).expect("trace");
+    let tuples: Vec<Job> = (0..jobs)
+        .map(|i| {
+            let r = rng.next_f64() * 10.0;
+            let p = exponential(rng, 1.0).max(0.05);
+            let slack = 0.3 + rng.next_f64() * 2.0;
+            let d = r + p * slack;
+            let v = p * uniform(rng, 1.0, 7.0);
+            Job::new(JobId(i as u64), Time::new(r), Time::new(d), p, v).expect("job")
+        })
+        .collect();
+    Instance::new(JobSet::new(tuples).expect("jobs"), capacity)
+}
+
+/// Jobs per certified-underloaded instance.
+const UNDERLOADED_JOBS: usize = 60;
+
+/// **Theorem 2**: EDF achieves competitive ratio 1 for underloaded systems
+/// even under time-varying capacity. Generates `instances`
+/// certified-underloaded instances (carved from a witness schedule,
+/// `cloudsched_workload::underloaded`) on random piecewise capacity and
+/// reports the fraction of the total value each scheduler earns. EDF must
+/// hit 100% on every instance; the overload-oriented and naive baselines
+/// generally do not.
+fn underloaded(instances: usize, threads: usize) -> Output {
+    let specs = [
+        SchedulerSpec::Edf,
+        SchedulerSpec::Llf(1.0),
+        SchedulerSpec::VDover { k: 7.0, delta: 4.0 },
+        SchedulerSpec::Dover {
+            k: 7.0,
+            c_estimate: 1.0,
+        },
+        SchedulerSpec::Fifo,
+        SchedulerSpec::GreedyValue,
+    ];
+
+    let fractions: Vec<Vec<f64>> =
+        parallel_map_with(instances, threads, SimWorkspace::new, |ws, i| {
+            let seed = derive_seed(SEED_STREAM_UNDERLOADED, 0.0, i);
+            let mut rng = Pcg32::seed_from_u64(seed);
+            let chain = CtmcCapacity::two_state(1.0, 4.0, 3.0).expect("chain");
+            let capacity = chain.sample(&mut rng, 200.0).expect("trace");
+            let params = UnderloadedParams {
+                jobs: UNDERLOADED_JOBS,
+                ..UnderloadedParams::default()
+            };
+            let instance = carve_underloaded(&mut rng, capacity, params).expect("carve");
+            run_instance_batch_in(ws, &instance, &specs, RunOptions::lean())
+                .into_iter()
+                .map(|report| {
+                    let fraction = report.value_fraction;
+                    ws.recycle(report);
+                    fraction
+                })
+                .collect()
+        });
+
+    let mut table = Table::new(vec![
+        "scheduler",
+        "mean value %",
+        "min value %",
+        "instances at 100%",
+    ]);
+    for (a, spec) in specs.iter().enumerate() {
+        let samples: Vec<f64> = fractions.iter().map(|r| r[a] * 100.0).collect();
+        let s = Summary::from_samples(&samples);
+        let perfect = samples.iter().filter(|&&x| x > 100.0 - 1e-6).count();
+        table.push_row(vec![
+            spec.name(),
+            fnum(s.mean, 3),
+            fnum(s.min, 3),
+            format!("{perfect}/{instances}"),
+        ]);
+    }
+
+    let mut out = String::new();
+    outln!(
+        out,
+        "Theorem 2 check: {instances} certified-underloaded instances × {UNDERLOADED_JOBS} \
+         jobs on CTMC(1,4) capacity\n"
+    );
+    outln!(out, "{}", table.to_markdown());
+    let edf_min = fractions.iter().map(|r| r[0]).fold(f64::INFINITY, f64::min);
+    if edf_min > 1.0 - 1e-6 {
+        outln!(
+            out,
+            "EDF earned 100% of the value on every instance — Theorem 2 confirmed."
+        );
+    } else {
+        outln!(
+            out,
+            "WARNING: EDF dropped below 100% (min {:.4}).",
+            edf_min * 100.0
+        );
+    }
+    Output {
+        stdout: out,
+        files: vec![("underloaded.csv".into(), table.to_csv())],
+    }
+}

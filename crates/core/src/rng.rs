@@ -21,17 +21,18 @@
 //! generator is stable — it is part of the public API and is pinned by unit
 //! tests below. Do not change the constants.
 
-/// Seed stream for the Table I sweep (`bench --bin table1`).
+/// Seed stream for the Table I sweep (`cloudsched repro --experiment table1`).
 pub const SEED_STREAM_TABLE1: u64 = 0x5EED_0000;
 
-/// Seed stream for the ablation sweep (`bench --bin ablation`).
+/// Seed stream for the ablation sweep (`cloudsched repro --experiment ablation`).
 pub const SEED_STREAM_ABLATION: u64 = 0xAB1A7E;
 
-/// Seed stream for the underloaded-regime sweep (`bench --bin underloaded`).
+/// Seed stream for the underloaded-regime sweep (`cloudsched repro --experiment
+/// underloaded`).
 pub const SEED_STREAM_UNDERLOADED: u64 = 0xAB1E;
 
-/// Seed stream for the stretch-transformation validation (`bench --bin
-/// transform`). Value matches the literal base seed the binary used before
+/// Seed stream for the stretch-transformation validation (`cloudsched repro
+/// --experiment transform`). Value matches the literal base seed it used before
 /// seed derivation was centralised here, so its output is unchanged:
 /// `derive_seed(SEED_STREAM_TRANSFORM, 0.0, i) == 0x57E7C4 + i` exactly.
 pub const SEED_STREAM_TRANSFORM: u64 = 0x57E7C4;

@@ -203,7 +203,7 @@ mod tests {
         let test = find("tests/properties.rs");
         assert_eq!(test.kind, FileKind::Test);
 
-        let bin = find("crates/bench/src/bin/table1.rs");
+        let bin = find("crates/bench/src/bin/profile.rs");
         assert_eq!(bin.kind, FileKind::Bin);
         assert!(bin.is_crate_root);
     }

@@ -1,6 +1,6 @@
 //! Helpers shared by the integration tests: the FNV-1a 64 hash that every
-//! pinned digest in `kernel_refactor.rs`, `service.rs` and
-//! `fleet_dispatch.rs` is folded with.
+//! pinned digest in `kernel_refactor.rs`, `service.rs`,
+//! `fleet_dispatch.rs` and `repro.rs` is folded with.
 
 // Each test crate compiles its own copy and uses only part of it.
 #![allow(dead_code)]
