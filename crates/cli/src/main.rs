@@ -1,132 +1,191 @@
 //! `cloudsched` — command-line front end for the workspace.
 //!
-//! ```text
-//! cloudsched gen   --lambda 6 --seed 1 [--slack 1.0] --out trace.txt
-//! cloudsched run   --trace trace.txt [--scheduler vdover,edf,...] [--audit]
-//! cloudsched opt   --trace trace.txt [--method exact|fractional|greedy]
-//! cloudsched info  --trace trace.txt
-//! cloudsched bounds --k 7 --delta 35
-//! cloudsched audit --trace trace.txt [--c-lo F]
-//! cloudsched lint  [--root DIR] [--json] [--explain Lxxx] [--write-baseline]
-//! cloudsched trace   [--trace FILE | --lambda F --seed N [--slack F] [--horizon F]]
-//!                    [--scheduler NAME] [--out FILE]
-//! cloudsched metrics [--trace FILE | --lambda F --seed N [--slack F] [--horizon F]]
-//!                    [--scheduler NAME]
-//! cloudsched replay  --in FILE
-//! cloudsched chaos   [--lambda F] [--seed N] [--seeds N] [--scheduler NAME]
-//!                    [--plan none|mild|harsh] [--policy strict|degrade|best-effort|all]
-//!                    [--threads N] [--trace-out FILE]
-//! cloudsched bench   [--suite kernel|sweep|fleet] [--quick] [--out FILE]
-//! cloudsched fleet   [--machines N] [--lambda F] [--seed N] [--policy rr|llf|p2c]
-//!                    [--scheduler NAME] [--threads N] [--horizon F] [--k F] [--delta F]
-//! cloudsched inspect [--trace FILE | --lambda F --seed N [--slack F] [--horizon F]]
-//!                    [--scheduler NAME] [--in FILE]
-//!                    [--summary | --job N | --queues | --ratio [--seeds N]]
-//! cloudsched bench-diff --old FILE --new FILE [--tol PCT]
-//! cloudsched serve   --in FILE [--journal FILE] [--snapshot-every N] [--scheduler NAME]
-//!                    [--rate F] [--k F] [--delta F] [--queue-cap N]
-//!                    [--policy strict|degrade|best-effort] [--crash-after N] [--retries N]
-//! cloudsched recover --journal FILE --in FILE
-//! ```
+//! Every command and flag is declared once, in [`COMMANDS`]; `cloudsched
+//! help` renders that table. Job traces use the plain-text format of
+//! `cloudsched-workload::traces`; `trace` emits (and `replay` pretty-prints)
+//! the deterministic JSONL event stream of `cloudsched-obs`. `serve` runs
+//! the crash-safe streaming admission service over a JSONL arrival stream,
+//! journaling every record; `recover` restores a crashed serve run from its
+//! journal and finishes it — printing output byte-identical to the
+//! uninterrupted run. `repro` regenerates the paper's tables and figures.
 //!
-//! Job traces use the plain-text format of `cloudsched-workload::traces`;
-//! `trace` emits (and `replay` pretty-prints) the deterministic JSONL event
-//! stream of `cloudsched-obs`. `serve` runs the crash-safe streaming
-//! admission service over a JSONL arrival stream, journaling every record;
-//! `recover` restores a crashed serve run from its journal and finishes it
-//! — printing output byte-identical to the uninterrupted run.
-//!
-//! Exit codes: 0 success, 1 runtime failure, 2 usage error (unknown
-//! command, malformed or unknown flags).
+//! Exit codes: 0 success, 1 runtime failure (I/O, failed audits, violated
+//! bounds, lint findings), 2 usage error (unknown command, unknown flag,
+//! missing or malformed value).
 
 #![forbid(unsafe_code)]
 
+mod flags;
+
 use cloudsched::run_traced;
 use cloudsched_analysis::bounds as theory;
+use cloudsched_bench::repro;
 use cloudsched_capacity::{CapacityProfile, Instance};
 use cloudsched_obs::TraceEvent;
 use cloudsched_offline as offline;
+use cloudsched_sched::{DISPATCH_NAMES, SCHEDULER_NAMES};
 use cloudsched_sim::{
     audit::{
         audit_report, certify_admissibility, certify_stretch_roundtrip, certify_underloaded_edf,
         Certificate,
     },
-    simulate, RunOptions,
+    simulate, DegradationPolicy, RunOptions,
 };
 use cloudsched_workload::{traces, PaperScenario};
-use std::collections::HashMap;
+use flags::Kind::{Bool, ListOf, OneOf, Text, F64, U64};
+use flags::{Args, CliError, Flag};
 use std::process::ExitCode;
 
-/// CLI failures, split by exit code: usage errors (malformed command
-/// lines — exit 2, usage appended) versus runtime errors (exit 1).
-#[derive(Debug)]
-enum CliError {
-    Usage(String),
-    Runtime(String),
+/// One subcommand: its flag table and the function that runs it.
+struct Command {
+    name: &'static str,
+    about: &'static str,
+    flags: &'static [Flag],
+    run: fn(&Args) -> Result<(), CliError>,
 }
 
-impl From<String> for CliError {
-    fn from(e: String) -> Self {
-        CliError::Runtime(e)
-    }
-}
+const TRACE: Flag = Flag::new("trace", Text("FILE"), "job trace").required();
+const SCHEDULER: Flag =
+    Flag::new("scheduler", OneOf(SCHEDULER_NAMES), "scheduler").default("vdover");
+// The paper §IV instance of the observability commands: loaded from
+// `--trace`, or generated from the rest exactly like `cloudsched gen`.
+const FROM_TRACE: Flag = Flag::new("trace", Text("FILE"), "job trace (generated if absent)");
+const LAMBDA: Flag = Flag::new("lambda", F64, "arrival rate").default("8");
+const SEED: Flag = Flag::new("seed", U64, "instance seed").default("1");
+const SLACK: Flag = Flag::new("slack", F64, "deadline slack factor (paper's if absent)");
+const HORIZON: Flag = Flag::new("horizon", F64, "arrival horizon (paper's if absent)");
 
-/// Marks an argument error as a usage failure (exit 2).
-fn usage_err<T>(flag: &str, reason: &str) -> Result<T, CliError> {
-    Err(CliError::Usage(arg_error(flag, reason)))
-}
-
-/// Classifies a legacy string error: flag-shaped messages (`--flag: ...`)
-/// are usage failures, everything else is a runtime failure.
-fn classify(e: String) -> CliError {
-    if e.starts_with("--") || e.starts_with("missing --") {
-        CliError::Usage(e)
-    } else {
-        CliError::Runtime(e)
-    }
-}
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "gen", about: "generate a paper §IV job trace", run: cmd_gen, flags: &[
+        Flag::new("lambda", F64, "arrival rate").required(),
+        SEED,
+        SLACK,
+        Flag::new("out", Text("FILE"), "write the trace here, not to stdout"),
+    ] },
+    Command { name: "run", about: "simulate schedulers on a trace", run: cmd_run, flags: &[
+        TRACE,
+        Flag::new("scheduler", ListOf(SCHEDULER_NAMES), "schedulers to run")
+            .default("vdover,dover-lo,edf,hvdf"),
+        Flag::new("audit", Bool, "audit every run"),
+    ] },
+    Command { name: "opt", about: "offline optimum or bound of a trace", run: cmd_opt, flags: &[
+        TRACE,
+        Flag::new("method", OneOf(&["exact", "fractional", "greedy"]), "solver").default("fractional"),
+    ] },
+    Command { name: "info", about: "summarise a trace", run: cmd_info, flags: &[TRACE] },
+    Command { name: "bounds", about: "competitive-ratio bounds of Theorems 1 and 3", run: cmd_bounds, flags: &[
+        Flag::new("k", F64, "importance ratio").required(),
+        Flag::new("delta", F64, "capacity variation c_hi/c_lo").required(),
+    ] },
+    Command { name: "audit", about: "certify a trace against Thm 2, Def 4 and the §III-A bijection", run: cmd_audit, flags: &[
+        TRACE,
+        Flag::new("c-lo", F64, "capacity lower bound (the trace's if absent)"),
+    ] },
+    Command { name: "lint", about: "workspace static analysis (exit 1 on findings)", run: cmd_lint, flags: &[
+        Flag::new("root", Text("DIR"), "workspace root (found from cwd if absent)"),
+        Flag::new("json", Bool, "machine-readable report"),
+        Flag::new("explain", Text("Lxxx"), "print one rule's card"),
+        Flag::new("write-baseline", Bool, "rewrite lint.baseline"),
+    ] },
+    Command { name: "trace", about: "JSONL event trace of one run", run: cmd_trace, flags: &[
+        FROM_TRACE, LAMBDA, SEED, SLACK, HORIZON, SCHEDULER,
+        Flag::new("out", Text("FILE"), "write the trace here, not to stdout"),
+    ] },
+    Command { name: "metrics", about: "metrics snapshot of one run", run: cmd_metrics, flags: &[
+        FROM_TRACE, LAMBDA, SEED, SLACK, HORIZON, SCHEDULER,
+    ] },
+    Command { name: "replay", about: "pretty-print a JSONL event trace", run: cmd_replay, flags: &[
+        Flag::new("in", Text("FILE"), "JSONL trace").required(),
+    ] },
+    Command { name: "chaos", about: "seeded fault-injection campaign", run: cmd_chaos, flags: &[
+        Flag::new("lambda", F64, "arrival rate (campaign default if absent)"),
+        Flag::new("seed", U64, "first seed (campaign default if absent)"),
+        Flag::new("seeds", U64, "seed count (campaign default if absent)"),
+        Flag::new("scheduler", OneOf(SCHEDULER_NAMES), "scheduler (campaign default if absent)"),
+        Flag::new("plan", OneOf(&["none", "mild", "harsh"]), "fault plan (campaign default if absent)"),
+        Flag::new("policy", OneOf(&["strict", "degrade", "best-effort", "all"]), "policies to compare")
+            .default("all"),
+        Flag::new("threads", U64, "worker threads (campaign default if absent)"),
+        Flag::new("trace-out", Text("FILE"), "write the first seed's fault trace here"),
+    ] },
+    Command { name: "bench", about: "run a checked-in benchmark suite", run: cmd_bench, flags: &[
+        Flag::new("suite", OneOf(&["kernel", "sweep", "fleet"]), "suite").default("kernel"),
+        Flag::new("quick", Bool, "the suite's CI smoke configuration"),
+        Flag::new("out", Text("FILE"), "report path (BENCH_<suite>.json if absent)"),
+    ] },
+    Command { name: "fleet", about: "one deterministic multi-machine fleet run", run: cmd_fleet, flags: &[
+        Flag::new("machines", U64, "machines (at least 1)").default("4"),
+        Flag::new("lambda", F64, "arrival rate per machine").default("8"),
+        Flag::new("seed", U64, "run index").default("0"),
+        Flag::new("policy", OneOf(DISPATCH_NAMES), "dispatch policy").default("p2c"),
+        SCHEDULER,
+        Flag::new("threads", U64, "worker threads").default("1"),
+        Flag::new("horizon", F64, "arrival horizon, > 0 (scenario's if absent)"),
+        Flag::new("k", F64, "importance ratio (scenario's if absent)"),
+        Flag::new("delta", F64, "capacity variation (scenario's c_hi if absent)"),
+    ] },
+    Command { name: "inspect", about: "value-loss ledger, job timeline, queue depths or empirical ratio", run: cmd_inspect, flags: &[
+        FROM_TRACE, LAMBDA, SEED, SLACK, HORIZON, SCHEDULER,
+        Flag::new("in", Text("FILE"), "JSONL trace of the same instance, instead of simulating"),
+        Flag::new("summary", Bool, "value-loss ledger (the default mode)"),
+        Flag::new("job", U64, "one job's timeline"),
+        Flag::new("queues", Bool, "queue-depth series"),
+        Flag::new("ratio", Bool, "empirical competitive ratio per seed"),
+        Flag::new("seeds", U64, "seeds for --ratio").default("1"),
+    ] },
+    Command { name: "bench-diff", about: "compare two benchmark reports (exit 1 on a regression)", run: cmd_bench_diff, flags: &[
+        Flag::new("old", Text("FILE"), "baseline report").required(),
+        Flag::new("new", Text("FILE"), "candidate report").required(),
+        Flag::new("tol", F64, "tolerance in percent, >= 0").default("10"),
+    ] },
+    Command { name: "serve", about: "crash-safe streaming admission service", run: cmd_serve, flags: &[
+        Flag::new("in", Text("FILE"), "JSONL arrival stream").required(),
+        Flag::new("journal", Text("FILE"), "write-ahead journal"),
+        Flag::new("snapshot-every", U64, "arrivals per snapshot, 0 = off").default("0"),
+        SCHEDULER,
+        Flag::new("rate", F64, "constant capacity").default("1"),
+        Flag::new("k", F64, "importance ratio").default("7"),
+        Flag::new("delta", F64, "capacity variation").default("1"),
+        Flag::new("queue-cap", U64, "live-queue bound (unbounded if absent)"),
+        Flag::new("policy", OneOf(&["strict", "degrade", "best-effort"]), "degradation policy")
+            .default("degrade"),
+        Flag::new("crash-after", U64, "stop dead after this arrival (drills)"),
+        Flag::new("retries", U64, "journal write attempts").default("3"),
+    ] },
+    Command { name: "recover", about: "finish a crashed serve run from its journal", run: cmd_recover, flags: &[
+        Flag::new("journal", Text("FILE"), "journal of the crashed run").required(),
+        Flag::new("in", Text("FILE"), "the run's arrival stream").required(),
+    ] },
+    Command { name: "repro", about: "regenerate the paper's tables and figures (results/*.csv)", run: cmd_repro, flags: &[
+        Flag::new("experiment", OneOf(repro::CHOICES), "experiment").default("all"),
+        Flag::new("runs", U64, "Monte-Carlo runs or instances (paper counts if absent)"),
+        Flag::new("threads", U64, "worker threads (one per core if absent)"),
+        Flag::new("out", Text("DIR"), "CSV directory").default("results"),
+    ] },
+];
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let Some(cmd) = args.next() else {
-        eprintln!("{USAGE}");
+    let mut argv = std::env::args().skip(1);
+    let Some(name) = argv.next() else {
+        eprint!("{}", help());
         return ExitCode::from(2);
     };
-    let flags = match parse_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        print!("{}", help());
+        return ExitCode::SUCCESS;
+    }
+    let Some(command) = COMMANDS.iter().find(|c| c.name == name) else {
+        eprint!("error: unknown command `{name}`\n{}", help());
+        return ExitCode::from(2);
     };
-    let result: Result<(), CliError> = match cmd.as_str() {
-        "gen" => cmd_gen(&flags).map_err(CliError::Runtime),
-        "run" => cmd_run(&flags).map_err(CliError::Runtime),
-        "opt" => cmd_opt(&flags).map_err(CliError::Runtime),
-        "info" => cmd_info(&flags).map_err(CliError::Runtime),
-        "bounds" => cmd_bounds(&flags).map_err(CliError::Runtime),
-        "audit" => cmd_audit(&flags).map_err(CliError::Runtime),
-        "lint" => cmd_lint(&flags).map_err(CliError::Runtime),
-        "trace" => cmd_trace(&flags).map_err(CliError::Runtime),
-        "metrics" => cmd_metrics(&flags).map_err(CliError::Runtime),
-        "replay" => cmd_replay(&flags).map_err(CliError::Runtime),
-        "chaos" => cmd_chaos(&flags).map_err(CliError::Runtime),
-        "bench" => cmd_bench(&flags),
-        "fleet" => cmd_fleet(&flags),
-        "inspect" => cmd_inspect(&flags),
-        "bench-diff" => cmd_bench_diff(&flags),
-        "serve" => cmd_serve(&flags),
-        "recover" => cmd_recover(&flags),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(CliError::Usage(format!("unknown command `{other}`"))),
-    };
-    match result {
+    match dispatch(command, argv) {
         Ok(()) => ExitCode::SUCCESS,
         Err(CliError::Usage(e)) => {
-            eprintln!("error: {e}\n{USAGE}");
+            eprint!(
+                "error: {e}\nusage:\n{}",
+                flags::usage(command.name, command.about, command.flags)
+            );
             ExitCode::from(2)
         }
         Err(CliError::Runtime(e)) => {
@@ -136,115 +195,60 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "usage:
-  cloudsched gen    --lambda F [--seed N] [--slack F] [--out FILE]
-  cloudsched run    --trace FILE [--scheduler LIST] [--audit]
-  cloudsched opt    --trace FILE [--method exact|fractional|greedy]
-  cloudsched info   --trace FILE
-  cloudsched bounds --k F --delta F
-  cloudsched audit  --trace FILE [--c-lo F]
-  cloudsched lint   [--root DIR] [--json] [--explain Lxxx] [--write-baseline]
-  cloudsched trace   [--trace FILE | --lambda F --seed N [--slack F] [--horizon F]] [--scheduler NAME] [--out FILE]
-  cloudsched metrics [--trace FILE | --lambda F --seed N [--slack F] [--horizon F]] [--scheduler NAME]
-  cloudsched replay  --in FILE
-  cloudsched chaos   [--lambda F] [--seed N] [--seeds N] [--scheduler NAME]
-                     [--plan none|mild|harsh] [--policy strict|degrade|best-effort|all]
-                     [--threads N] [--trace-out FILE]
-  cloudsched bench   [--suite kernel|sweep|fleet] [--quick] [--out FILE]
-  cloudsched fleet   [--machines N] [--lambda F] [--seed N] [--policy rr|llf|p2c]
-                     [--scheduler NAME] [--threads N] [--horizon F] [--k F] [--delta F]
-  cloudsched inspect [--trace FILE | --lambda F --seed N [--slack F] [--horizon F]] [--scheduler NAME]
-                     [--in FILE] [--summary | --job N | --queues | --ratio [--seeds N]]
-  cloudsched bench-diff --old FILE --new FILE [--tol PCT]
-  cloudsched serve   --in FILE [--journal FILE] [--snapshot-every N] [--scheduler NAME]
-                     [--rate F] [--k F] [--delta F] [--queue-cap N]
-                     [--policy strict|degrade|best-effort] [--crash-after N] [--retries N]
-  cloudsched recover --journal FILE --in FILE";
+/// Parses the words after the command name against its table and runs it.
+fn dispatch(command: &Command, argv: impl IntoIterator<Item = String>) -> Result<(), CliError> {
+    (command.run)(&flags::parse(command.flags, argv)?)
+}
 
-/// Rejects flags a command does not understand — a typo like
-/// `--scheduler` on `bench-diff` is a usage error (exit 2), not a
-/// silently ignored knob.
-fn reject_unknown_flags(flags: &HashMap<String, String>, allowed: &[&str]) -> Result<(), CliError> {
-    let mut unknown: Vec<&str> = flags
-        .keys()
-        .map(String::as_str)
-        .filter(|k| !allowed.contains(k))
-        .collect();
-    unknown.sort_unstable();
-    match unknown.first() {
-        Some(flag) => usage_err(
-            flag,
-            &format!(
-                "unknown flag for this command (expected one of: --{})",
-                allowed.join(", --")
-            ),
-        ),
-        None => Ok(()),
+/// Every command's usage block.
+fn help() -> String {
+    let mut text = String::from("usage: cloudsched <command> [--flag [value]]...\n\n");
+    for c in COMMANDS {
+        text.push_str(&flags::usage(c.name, c.about, c.flags));
     }
+    text.push_str("\nexit codes: 0 success, 1 runtime failure, 2 usage error\n");
+    text
 }
 
-/// Renders a typed argument error (non-zero exit; `main` appends the usage).
-fn arg_error(flag: &str, reason: &str) -> String {
-    cloudsched_core::CoreError::InvalidArgument {
-        flag: flag.to_string(),
-        reason: reason.to_string(),
-    }
-    .to_string()
-}
-
-fn parse_flags(args: impl Iterator<Item = String>) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
-    let mut args = args.peekable();
-    while let Some(flag) = args.next() {
-        let Some(key) = flag.strip_prefix("--") else {
-            return Err(arg_error(&flag, "expected a `--flag`"));
-        };
-        if key.is_empty() {
-            return Err(arg_error(&flag, "empty flag name"));
-        }
-        let value = match args.peek() {
-            Some(v) if !v.starts_with("--") => args
-                .next()
-                .ok_or_else(|| arg_error(key, "flag value vanished mid-parse"))?,
-            _ => String::from("true"),
-        };
-        if flags.insert(key.to_string(), value).is_some() {
-            return Err(arg_error(key, "flag given more than once"));
-        }
-    }
-    Ok(flags)
-}
-
-fn get_f64(flags: &HashMap<String, String>, key: &str) -> Result<f64, String> {
-    flags
-        .get(key)
-        .ok_or(format!("missing --{key}"))?
-        .parse()
-        .map_err(|e| format!("--{key}: {e}"))
-}
-
-fn load_trace(flags: &HashMap<String, String>) -> Result<Instance, String> {
-    let path = flags.get("trace").ok_or("missing --trace FILE")?;
+fn load_trace(path: &str) -> Result<Instance, CliError> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    traces::from_text(&text).map_err(|e| format!("{path}: {e}"))
+    Ok(traces::from_text(&text).map_err(|e| format!("{path}: {e}"))?)
 }
 
-fn cmd_gen(flags: &HashMap<String, String>) -> Result<(), String> {
-    let lambda = get_f64(flags, "lambda")?;
-    let seed = flags
-        .get("seed")
-        .map(|s| s.parse::<u64>().map_err(|e| e.to_string()))
-        .transpose()?
-        .unwrap_or(1);
-    let mut scenario = PaperScenario::table1(lambda);
-    if let Some(s) = flags.get("slack") {
-        scenario.slack_factor = s.parse().map_err(|e| format!("--slack: {e}"))?;
+/// The paper §IV scenario at `--lambda`, with `--slack` and `--horizon`
+/// applied when given.
+fn scenario(args: &Args) -> PaperScenario {
+    let mut scenario = PaperScenario::table1(args.get("lambda"));
+    if let Some(slack) = args.opt("slack") {
+        scenario.slack_factor = slack;
     }
-    let generated = scenario.generate(seed).map_err(|e| e.to_string())?;
+    if let Some(horizon) = args.opt("horizon") {
+        scenario.horizon = horizon;
+    }
+    scenario
+}
+
+/// Instance for the observability commands: `--trace FILE` loads a job
+/// trace; otherwise one is generated from `--lambda` / `--seed` / `--slack`
+/// / `--horizon`, exactly like `cloudsched gen`.
+fn resolve_instance(args: &Args) -> Result<Instance, CliError> {
+    match args.opt::<String>("trace") {
+        Some(path) => load_trace(&path),
+        None => Ok(scenario(args)
+            .generate(args.get("seed"))
+            .map_err(|e| e.to_string())?
+            .instance),
+    }
+}
+
+fn cmd_gen(args: &Args) -> Result<(), CliError> {
+    let generated = scenario(args)
+        .generate(args.get("seed"))
+        .map_err(|e| e.to_string())?;
     let text = traces::to_text(&generated.instance);
-    match flags.get("out") {
+    match args.opt::<String>("out") {
         Some(path) => {
-            std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
+            std::fs::write(&path, text).map_err(|e| format!("{path}: {e}"))?;
             eprintln!(
                 "wrote {} jobs / {} capacity segments to {path}",
                 generated.instance.job_count(),
@@ -256,21 +260,17 @@ fn cmd_gen(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
-    let instance = load_trace(flags)?;
+fn cmd_run(args: &Args) -> Result<(), CliError> {
+    let instance = load_trace(&args.get::<String>("trace"))?;
     let (c_lo, c_hi) = instance.capacity.bounds();
     let k = instance.importance_ratio().unwrap_or(7.0);
     let delta = instance.delta().max(1.0 + 1e-9);
-    let list = flags
-        .get("scheduler")
-        .cloned()
-        .unwrap_or_else(|| "vdover,dover-lo,edf,hvdf".into());
-    let audit = flags.contains_key("audit");
+    let audit = args.on("audit");
     println!(
         "{:<16} {:>10} {:>8} {:>11} {:>12}",
         "scheduler", "value", "value %", "completed", "preemptions"
     );
-    for name in list.split(',') {
+    for name in args.get::<String>("scheduler").split(',') {
         let mut s = cloudsched_sched::by_name(name.trim(), k, delta, c_lo, c_hi)
             .map_err(|e| e.to_string())?;
         let opts = if audit {
@@ -299,31 +299,20 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_opt(flags: &HashMap<String, String>) -> Result<(), String> {
-    let instance = load_trace(flags)?;
-    let method = flags
-        .get("method")
-        .map(String::as_str)
-        .unwrap_or("fractional");
-    match method {
+fn cmd_opt(args: &Args) -> Result<(), CliError> {
+    let instance = load_trace(&args.get::<String>("trace"))?;
+    match args.get::<String>("method").as_str() {
         "exact" => {
             if instance.job_count() > 26 {
                 return Err(format!(
                     "exact branch-and-bound is exponential; refusing {} jobs (max 26). \
                      Use --method fractional.",
                     instance.job_count()
-                ));
+                )
+                .into());
             }
             let (v, ids) = offline::optimal_value(&instance.jobs, &instance.capacity);
             println!("exact optimum: {v:.4} with {} jobs", ids.len());
-        }
-        "fractional" => {
-            let (v, fr) = offline::fractional_optimal(&instance.jobs, &instance.capacity);
-            let full = fr.iter().filter(|&&x| x > 1.0 - 1e-9).count();
-            println!(
-                "fractional (LP) upper bound: {v:.4} ({full} jobs fully served, {} partially)",
-                fr.iter().filter(|&&x| x > 1e-9 && x < 1.0 - 1e-9).count()
-            );
         }
         "greedy" => {
             let (gv, _) = offline::greedy_by_value(&instance.jobs, &instance.capacity);
@@ -331,13 +320,21 @@ fn cmd_opt(flags: &HashMap<String, String>) -> Result<(), String> {
             println!("greedy by value:   {gv:.4}");
             println!("greedy by density: {gd:.4}");
         }
-        other => return Err(format!("unknown method `{other}`")),
+        // The table admits only the three methods: this is "fractional".
+        _ => {
+            let (v, fr) = offline::fractional_optimal(&instance.jobs, &instance.capacity);
+            let full = fr.iter().filter(|&&x| x > 1.0 - 1e-9).count();
+            println!(
+                "fractional (LP) upper bound: {v:.4} ({full} jobs fully served, {} partially)",
+                fr.iter().filter(|&&x| x > 1e-9 && x < 1.0 - 1e-9).count()
+            );
+        }
     }
     Ok(())
 }
 
-fn cmd_info(flags: &HashMap<String, String>) -> Result<(), String> {
-    let instance = load_trace(flags)?;
+fn cmd_info(args: &Args) -> Result<(), CliError> {
+    let instance = load_trace(&args.get::<String>("trace"))?;
     let (c_lo, c_hi) = instance.capacity.bounds();
     println!("jobs:               {}", instance.job_count());
     println!("total workload:     {:.3}", instance.jobs.total_workload());
@@ -378,40 +375,127 @@ fn cmd_info(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Instance for the observability commands: `--trace FILE` loads a job
-/// trace; otherwise one is generated from `--lambda` / `--seed` / `--slack`
-/// (defaults 8.0 / 1 / paper), exactly like `cloudsched gen`.
-fn resolve_instance(flags: &HashMap<String, String>) -> Result<Instance, String> {
-    if flags.contains_key("trace") {
-        return load_trace(flags);
+fn cmd_bounds(args: &Args) -> Result<(), CliError> {
+    let k: f64 = args.get("k");
+    let delta: f64 = args.get("delta");
+    if delta > 1.0 {
+        println!(
+            "f(k, δ)                  = {:.4}",
+            theory::f_overload(k, delta)
+        );
+        println!(
+            "optimal β*               = {:.4}",
+            theory::optimal_beta(k, delta)
+        );
+        println!(
+            "V-Dover achievable ratio = {:.6}",
+            theory::vdover_achievable_ratio(k, delta)
+        );
+    } else {
+        println!("δ = 1: constant capacity (Dover's setting)");
+        println!("Dover β                  = {:.4}", theory::dover_beta(k));
     }
-    let lambda = match flags.get("lambda") {
-        Some(s) => s.parse().map_err(|e| format!("--lambda: {e}"))?,
-        None => 8.0,
-    };
-    let seed = match flags.get("seed") {
-        Some(s) => s.parse().map_err(|e| format!("--seed: {e}"))?,
-        None => 1,
-    };
-    let mut scenario = PaperScenario::table1(lambda);
-    if let Some(s) = flags.get("slack") {
-        scenario.slack_factor = s.parse().map_err(|e| format!("--slack: {e}"))?;
-    }
-    if let Some(s) = flags.get("horizon") {
-        scenario.horizon = s.parse().map_err(|e| format!("--horizon: {e}"))?;
-    }
-    Ok(scenario.generate(seed).map_err(|e| e.to_string())?.instance)
+    println!(
+        "online upper bound       = {:.6}  (1/(1+√k)², Theorem 3(1))",
+        theory::vdover_upper_bound(k)
+    );
+    Ok(())
 }
 
-fn cmd_trace(flags: &HashMap<String, String>) -> Result<(), String> {
-    let instance = resolve_instance(flags)?;
-    let scheduler = flags
-        .get("scheduler")
-        .map(String::as_str)
-        .unwrap_or("vdover");
-    let run = run_traced(&instance, scheduler)?;
-    match flags.get("out") {
-        Some(path) => std::fs::write(path, &run.jsonl).map_err(|e| format!("{path}: {e}"))?,
+/// Probe instants for the stretch-bijection certificate: every release and
+/// deadline, plus window midpoints and a short tail past the horizon.
+fn audit_probes(instance: &Instance) -> Vec<cloudsched_core::Time> {
+    let mut probes = Vec::new();
+    for j in instance.jobs.iter() {
+        probes.push(j.release);
+        probes.push(j.deadline);
+        probes.push(cloudsched_core::Time::new(
+            0.5 * (j.release.as_f64() + j.deadline.as_f64()),
+        ));
+    }
+    let horizon = instance.jobs.last_deadline().as_f64();
+    for i in 0..=20 {
+        probes.push(cloudsched_core::Time::new(horizon * 1.1 * i as f64 / 20.0));
+    }
+    probes
+}
+
+fn cmd_audit(args: &Args) -> Result<(), CliError> {
+    let instance = load_trace(&args.get::<String>("trace"))?;
+    let c_lo = args
+        .opt("c-lo")
+        .unwrap_or_else(|| instance.capacity.bounds().0);
+    let certificates = [
+        (
+            "Theorem 2 (EDF on underloaded systems)",
+            certify_underloaded_edf(&instance.jobs, &instance.capacity),
+        ),
+        (
+            "Definition 4 (individual admissibility)",
+            certify_admissibility(&instance.jobs, c_lo),
+        ),
+        (
+            "SIII-A stretch bijection",
+            certify_stretch_roundtrip(&instance.capacity, &audit_probes(&instance)),
+        ),
+    ];
+    let mut violated = 0usize;
+    for (name, cert) in &certificates {
+        println!("{name}: {cert}");
+        if matches!(cert, Certificate::Violated { .. }) {
+            violated += 1;
+        }
+    }
+    if violated > 0 {
+        Err(format!("{violated} certificate(s) violated").into())
+    } else {
+        Ok(())
+    }
+}
+
+/// `cloudsched lint`: the workspace static-analysis pass. Exits 0 when
+/// clean, 1 on findings (or stale baseline entries), 2 on a usage error,
+/// including an unknown `--explain` rule.
+fn cmd_lint(args: &Args) -> Result<(), CliError> {
+    if let Some(id) = args.opt::<String>("explain") {
+        let text = cloudsched_lint::explain(&id).ok_or_else(|| {
+            CliError::usage("explain", cloudsched_lint::LintError::UnknownRule { id })
+        })?;
+        print!("{text}");
+        return Ok(());
+    }
+    let root = match args.opt::<String>("root") {
+        Some(dir) => std::path::PathBuf::from(dir),
+        None => {
+            let cwd = std::env::current_dir().map_err(|e| e.to_string())?;
+            cloudsched_lint::find_workspace_root(&cwd).ok_or_else(|| {
+                "could not locate the workspace root (pass --root DIR)".to_string()
+            })?
+        }
+    };
+    if args.on("write-baseline") {
+        let n = cloudsched_lint::write_baseline(&root).map_err(|e| e.to_string())?;
+        eprintln!("wrote {n} baseline entries to lint.baseline");
+        return Ok(());
+    }
+    let report = cloudsched_lint::run_workspace(&root).map_err(|e| e.to_string())?;
+    if args.on("json") {
+        println!("{}", report.to_json());
+    } else {
+        print!("{}", report.render());
+    }
+    if report.is_clean() {
+        Ok(())
+    } else {
+        Err("lint findings present".to_string().into())
+    }
+}
+
+fn cmd_trace(args: &Args) -> Result<(), CliError> {
+    let instance = resolve_instance(args)?;
+    let run = run_traced(&instance, &args.get::<String>("scheduler"))?;
+    match args.opt::<String>("out") {
+        Some(path) => std::fs::write(&path, &run.jsonl).map_err(|e| format!("{path}: {e}"))?,
         None => print!("{}", run.jsonl),
     }
     eprintln!(
@@ -426,18 +510,14 @@ fn cmd_trace(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_metrics(flags: &HashMap<String, String>) -> Result<(), String> {
-    let instance = resolve_instance(flags)?;
-    let scheduler = flags
-        .get("scheduler")
-        .map(String::as_str)
-        .unwrap_or("vdover");
-    let run = run_traced(&instance, scheduler)?;
+fn cmd_metrics(args: &Args) -> Result<(), CliError> {
+    let instance = resolve_instance(args)?;
+    let run = run_traced(&instance, &args.get::<String>("scheduler"))?;
     let metrics = run
         .report
         .metrics
         .as_ref()
-        .ok_or("traced run carried no metrics snapshot")?;
+        .ok_or_else(|| "traced run carried no metrics snapshot".to_string())?;
     print!("{}", metrics.render());
     eprintln!(
         "{}: value {:.2} ({:.2}%), {}/{} completed",
@@ -450,6 +530,20 @@ fn cmd_metrics(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
+fn cmd_replay(args: &Args) -> Result<(), CliError> {
+    let path: String = args.get("in");
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
+    for (idx, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let event =
+            TraceEvent::parse_jsonl(line).map_err(|e| format!("{path}:{}: {e}", idx + 1))?;
+        println!("{}", event.pretty());
+    }
+    Ok(())
+}
+
 /// `cloudsched chaos`: a seed-sweep fault-injection campaign. For every
 /// seed the fault-free baseline and each degradation policy run on the
 /// *same* corrupted instance; the report compares accrued value and fault
@@ -457,53 +551,46 @@ fn cmd_metrics(flags: &HashMap<String, String>) -> Result<(), String> {
 /// pool — the report stays bit-identical to a serial run. `--trace-out`
 /// additionally writes the byte-stable JSONL fault trace of the first
 /// seed (Degrade policy when it is in the sweep).
-fn cmd_chaos(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_chaos(args: &Args) -> Result<(), CliError> {
     use cloudsched_faults::{chaos_trace, run_campaign, ChaosConfig, FaultPlan};
-    use cloudsched_sim::DegradationPolicy;
     let mut cfg = ChaosConfig::default();
-    if let Some(s) = flags.get("lambda") {
-        cfg.lambda = s.parse().map_err(|e| format!("--lambda: {e}"))?;
+    if let Some(lambda) = args.opt("lambda") {
+        cfg.lambda = lambda;
     }
-    if let Some(s) = flags.get("seed") {
-        cfg.first_seed = s.parse().map_err(|e| format!("--seed: {e}"))?;
+    if let Some(seed) = args.opt("seed") {
+        cfg.first_seed = seed;
     }
-    if let Some(s) = flags.get("seeds") {
-        cfg.num_seeds = s.parse().map_err(|e| format!("--seeds: {e}"))?;
+    if let Some(seeds) = args.opt("seeds") {
+        cfg.num_seeds = seeds;
     }
-    if let Some(s) = flags.get("scheduler") {
-        cfg.scheduler = s.clone();
+    if let Some(name) = args.opt("scheduler") {
+        cfg.scheduler = name;
     }
-    if let Some(s) = flags.get("plan") {
-        cfg.plan = FaultPlan::preset(s).ok_or_else(|| {
-            arg_error("--plan", &format!("unknown preset `{s}` (none|mild|harsh)"))
-        })?;
+    if let Some(plan) = args
+        .opt::<String>("plan")
+        .and_then(|p| FaultPlan::preset(&p))
+    {
+        cfg.plan = plan;
     }
-    if let Some(s) = flags.get("policy") {
-        if s != "all" {
-            let p = DegradationPolicy::parse(s).ok_or_else(|| {
-                arg_error(
-                    "--policy",
-                    &format!("unknown policy `{s}` (strict|degrade|best-effort|all)"),
-                )
-            })?;
-            cfg.policies = vec![p];
-        }
+    // `all` parses to no single policy and keeps the whole sweep.
+    if let Some(policy) = DegradationPolicy::parse(&args.get::<String>("policy")) {
+        cfg.policies = vec![policy];
     }
-    if let Some(s) = flags.get("threads") {
-        cfg.threads = s.parse().map_err(|e| format!("--threads: {e}"))?;
+    if let Some(threads) = args.opt("threads") {
+        cfg.threads = threads;
     }
     let report = run_campaign(&cfg).map_err(|e| e.to_string())?;
     print!("{}", report.render());
-    if let Some(path) = flags.get("trace-out") {
+    if let Some(path) = args.opt::<String>("trace-out") {
         let policy = cfg
             .policies
             .iter()
             .copied()
             .find(|&p| p == DegradationPolicy::Degrade)
             .or_else(|| cfg.policies.first().copied())
-            .ok_or("--policy resolved to an empty policy set")?;
+            .ok_or_else(|| "--policy resolved to an empty policy set".to_string())?;
         let trace = chaos_trace(&cfg, cfg.first_seed, policy).map_err(|e| e.to_string())?;
-        std::fs::write(path, &trace).map_err(|e| format!("{path}: {e}"))?;
+        std::fs::write(&path, &trace).map_err(|e| format!("{path}: {e}"))?;
         eprintln!(
             "wrote {} fault-trace events (seed {}, policy {}) to {path}",
             trace.lines().count(),
@@ -526,25 +613,18 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> Result<(), String> {
 /// timing happens inside `cloudsched-bench` behind the `obs::Clock` seam;
 /// the written report is re-parsed through the strict row codec so a
 /// malformed report fails the command.
-fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_bench(args: &Args) -> Result<(), CliError> {
     use cloudsched_bench::{parse_report, render_report};
-    reject_unknown_flags(flags, &["suite", "quick", "out"])?;
-    let suite = flags.get("suite").map(String::as_str).unwrap_or("kernel");
-    let quick = flags.contains_key("quick");
-    let rows = match suite {
-        "kernel" => bench_kernel(quick),
+    let suite: String = args.get("suite");
+    let quick = args.on("quick");
+    let rows = match suite.as_str() {
         "sweep" => bench_sweep(quick),
         "fleet" => bench_fleet(quick),
-        other => {
-            return usage_err(
-                "--suite",
-                &format!("unknown suite `{other}` (kernel|sweep|fleet)"),
-            )
-        }
+        // The table admits only the three suites: this is "kernel".
+        _ => bench_kernel(quick),
     };
-    let out = flags
-        .get("out")
-        .cloned()
+    let out = args
+        .opt("out")
         .unwrap_or_else(|| format!("BENCH_{suite}.json"));
     let json = render_report(&rows);
     parse_report(&json).map_err(|e| format!("generated report failed schema validation: {e}"))?;
@@ -636,82 +716,36 @@ fn bench_fleet(quick: bool) -> Vec<cloudsched_bench::Row> {
 /// per-machine value table plus the fleet fold with its conservation
 /// check. Output is a pure function of `(seed, M, policy)` — the thread
 /// count never changes a byte of it.
-fn cmd_fleet(flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_fleet(args: &Args) -> Result<(), CliError> {
     use cloudsched_core::rng::{derive_seed, FLEET_DISPATCH_RUN_OFFSET, SEED_STREAM_FLEET};
     use cloudsched_insight::{fold_fleet, MachineValue};
     use cloudsched_sched::{by_name, DispatchPolicy};
     use cloudsched_sim::run_fleet;
     use cloudsched_workload::FleetScenario;
 
-    reject_unknown_flags(
-        flags,
-        &[
-            "machines",
-            "lambda",
-            "seed",
-            "policy",
-            "scheduler",
-            "threads",
-            "horizon",
-            "k",
-            "delta",
-        ],
-    )?;
-    let machines: usize = match flags.get("machines") {
-        Some(v) => v
-            .parse()
-            .map_err(|e| CliError::Usage(arg_error("--machines", &format!("{e}"))))?,
-        None => 4,
-    };
+    let machines: usize = args.get("machines");
     if machines == 0 {
-        return usage_err("--machines", "fleet requires at least one machine");
+        return Err(CliError::usage(
+            "machines",
+            "fleet requires at least one machine",
+        ));
     }
-    let lambda = match flags.get("lambda") {
-        Some(v) => v
-            .parse()
-            .map_err(|e| CliError::Usage(arg_error("--lambda", &format!("{e}"))))?,
-        None => 8.0,
-    };
-    let run: usize = match flags.get("seed") {
-        Some(v) => v
-            .parse()
-            .map_err(|e| CliError::Usage(arg_error("--seed", &format!("{e}"))))?,
-        None => 0,
-    };
-    let policy = DispatchPolicy::parse(flags.get("policy").map(String::as_str).unwrap_or("p2c"))
+    let lambda = args.get("lambda");
+    let run: usize = args.get("seed");
+    let policy = DispatchPolicy::parse(&args.get::<String>("policy"))
         .map_err(|e| CliError::Usage(e.to_string()))?;
-    let threads: usize = match flags.get("threads") {
-        Some(v) => v
-            .parse()
-            .map_err(|e| CliError::Usage(arg_error("--threads", &format!("{e}"))))?,
-        None => 1,
-    };
+    let threads: usize = args.get("threads");
     let mut scenario = FleetScenario::table1(lambda, machines);
-    if let Some(v) = flags.get("horizon") {
-        let horizon: f64 = v
-            .parse()
-            .map_err(|e| CliError::Usage(arg_error("--horizon", &format!("{e}"))))?;
-        if !(horizon.is_finite() && horizon > 0.0) {
-            return usage_err("--horizon", "must be positive and finite");
+    if let Some(horizon) = args.opt::<f64>("horizon") {
+        if horizon <= 0.0 {
+            return Err(CliError::usage("horizon", "must be positive and finite"));
         }
         scenario = scenario.with_horizon(horizon);
     }
-    let name = flags
-        .get("scheduler")
-        .map(String::as_str)
-        .unwrap_or("vdover");
-    let k = match flags.get("k") {
-        Some(v) => v
-            .parse()
-            .map_err(|e| CliError::Usage(arg_error("--k", &format!("{e}"))))?,
-        None => scenario.base.density_hi,
-    };
-    let delta = match flags.get("delta") {
-        Some(v) => v
-            .parse()
-            .map_err(|e| CliError::Usage(arg_error("--delta", &format!("{e}"))))?,
-        None => scenario.base.c_hi,
-    };
+    let name: String = args.get("scheduler");
+    let name = name.as_str();
+    let k = args.opt("k").unwrap_or(scenario.base.density_hi);
+    let delta = args.opt("delta").unwrap_or(scenario.base.c_hi);
     let c_lo = scenario.base.c_lo;
     let c_hi = scenario.base.c_hi;
     // Validate the scheduler parameters once up front so a typo is a
@@ -719,9 +753,7 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> Result<(), CliError> {
     // validated configuration per machine.
     by_name(name, k, delta, c_lo, c_hi).map_err(|e| CliError::Usage(e.to_string()))?;
     let seed = derive_seed(SEED_STREAM_FLEET, lambda, run);
-    let instance = scenario
-        .generate(seed)
-        .map_err(|e| CliError::Runtime(e.to_string()))?;
+    let instance = scenario.generate(seed).map_err(|e| e.to_string())?;
     let mut dispatch = policy.build(derive_seed(
         SEED_STREAM_FLEET,
         lambda,
@@ -789,53 +821,25 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> Result<(), CliError> {
 /// `--ratio` the empirical competitive ratio over `--seeds N` consecutive
 /// seeds (an error when an exact-optimum run lands below the Theorem 3(2)
 /// guarantee).
-fn cmd_inspect(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    reject_unknown_flags(
-        flags,
-        &[
-            "trace",
-            "lambda",
-            "seed",
-            "slack",
-            "horizon",
-            "scheduler",
-            "in",
-            "summary",
-            "job",
-            "queues",
-            "ratio",
-            "seeds",
-        ],
-    )?;
+fn cmd_inspect(args: &Args) -> Result<(), CliError> {
     let modes: Vec<&str> = ["summary", "job", "queues", "ratio"]
         .into_iter()
-        .filter(|m| flags.contains_key(*m))
+        .filter(|m| args.on(m))
         .collect();
     if modes.len() > 1 {
-        return usage_err(
+        return Err(CliError::usage(
             modes[1],
-            &format!("conflicts with --{}; pick one mode", modes[0]),
-        );
+            format!("conflicts with --{}; pick one mode", modes[0]),
+        ));
     }
-    if flags.contains_key("ratio") {
-        return cmd_inspect_ratio(flags);
+    if args.on("ratio") {
+        return cmd_inspect_ratio(args);
     }
-    // Validate the job id before paying for a trace.
-    let job_id = match flags.get("job") {
-        Some(job) => match job.parse::<u64>() {
-            Ok(id) => Some(cloudsched_core::JobId(id)),
-            Err(_) => return usage_err("job", &format!("expected a job id, got `{job}`")),
-        },
-        None => None,
-    };
-    let instance = resolve_instance(flags).map_err(classify)?;
-    let scheduler = flags
-        .get("scheduler")
-        .map(String::as_str)
-        .unwrap_or("vdover");
-    let jsonl = match flags.get("in") {
-        Some(path) => std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?,
-        None => cloudsched::run_traced_with_provenance(&instance, scheduler, true)?.jsonl,
+    let instance = resolve_instance(args)?;
+    let scheduler: String = args.get("scheduler");
+    let jsonl = match args.opt::<String>("in") {
+        Some(path) => std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?,
+        None => cloudsched::run_traced_with_provenance(&instance, &scheduler, true)?.jsonl,
     };
     let mut events = Vec::new();
     for (idx, line) in jsonl.lines().enumerate() {
@@ -844,11 +848,12 @@ fn cmd_inspect(flags: &HashMap<String, String>) -> Result<(), CliError> {
         }
         events.push(TraceEvent::parse_jsonl(line).map_err(|e| format!("line {}: {e}", idx + 1))?);
     }
-    if let Some(id) = job_id {
+    if let Some(id) = args.opt("job") {
+        let id = cloudsched_core::JobId(id);
         print!("{}", cloudsched_insight::render_job_timeline(&events, id));
         return Ok(());
     }
-    if flags.contains_key("queues") {
+    if args.on("queues") {
         print!("{}", cloudsched_insight::render_queue_depths(&events, 48));
         return Ok(());
     }
@@ -867,46 +872,18 @@ fn cmd_inspect(flags: &HashMap<String, String>) -> Result<(), CliError> {
 /// The `--ratio` mode of `cloudsched inspect`: empirical competitive ratio
 /// per seed against the exact (or, for large instances, fractional) offline
 /// optimum, next to the paper's guarantee.
-fn cmd_inspect_ratio(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let scheduler = flags
-        .get("scheduler")
-        .map(String::as_str)
-        .unwrap_or("vdover");
-    let lambda: f64 = match flags.get("lambda") {
-        Some(s) => match s.parse::<f64>() {
-            Ok(v) => v,
-            Err(e) => return usage_err("lambda", &e.to_string()),
-        },
-        None => 8.0,
-    };
-    let first_seed: u64 = match flags.get("seed") {
-        Some(s) => match s.parse() {
-            Ok(v) => v,
-            Err(e) => return usage_err("seed", &format!("{e}")),
-        },
-        None => 1,
-    };
-    let seeds: u64 = match flags.get("seeds") {
-        Some(s) => match s.parse() {
-            Ok(v) => v,
-            Err(e) => return usage_err("seeds", &format!("{e}")),
-        },
-        None => 1,
-    };
-    let mut scenario = PaperScenario::table1(lambda);
-    if let Some(s) = flags.get("slack") {
-        scenario.slack_factor = s.parse().map_err(|e| format!("--slack: {e}"))?;
-    }
-    if let Some(s) = flags.get("horizon") {
-        scenario.horizon = s.parse().map_err(|e| format!("--horizon: {e}"))?;
-    }
+fn cmd_inspect_ratio(args: &Args) -> Result<(), CliError> {
+    let scheduler: String = args.get("scheduler");
+    let first_seed: u64 = args.get("seed");
+    let seeds: u64 = args.get("seeds");
+    let scenario = scenario(args);
     let mut violations = 0usize;
     for seed in first_seed..first_seed.saturating_add(seeds) {
         let instance = scenario.generate(seed).map_err(|e| e.to_string())?.instance;
         let (c_lo, c_hi) = instance.capacity.bounds();
         let k = instance.importance_ratio().unwrap_or(7.0);
         let delta = instance.delta().max(1.0 + 1e-9);
-        let mut s = cloudsched_sched::by_name(scheduler, k, delta, c_lo, c_hi)
+        let mut s = cloudsched_sched::by_name(&scheduler, k, delta, c_lo, c_hi)
             .map_err(|e| e.to_string())?;
         let run = simulate(
             &instance.jobs,
@@ -934,28 +911,18 @@ fn cmd_inspect_ratio(flags: &HashMap<String, String>) -> Result<(), CliError> {
 /// row by row. Exits
 /// non-zero when any metric regresses beyond `--tol` percent (default 10),
 /// so report-only callers append `|| true`.
-fn cmd_bench_diff(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    reject_unknown_flags(flags, &["old", "new", "tol"])?;
-    let Some(old_path) = flags.get("old") else {
-        return usage_err("old", "required flag is missing (`--old FILE`)");
-    };
-    let Some(new_path) = flags.get("new") else {
-        return usage_err("new", "required flag is missing (`--new FILE`)");
-    };
-    let tol: f64 = match flags.get("tol") {
-        Some(s) => match s.parse::<f64>().ok().filter(|t| t.is_finite() && *t >= 0.0) {
-            Some(t) => t,
-            None => {
-                return usage_err(
-                    "tol",
-                    &format!("expected a non-negative percent, got `{s}`"),
-                )
-            }
-        },
-        None => 10.0,
-    };
-    let old = std::fs::read_to_string(old_path).map_err(|e| format!("{old_path}: {e}"))?;
-    let new = std::fs::read_to_string(new_path).map_err(|e| format!("{new_path}: {e}"))?;
+fn cmd_bench_diff(args: &Args) -> Result<(), CliError> {
+    let old_path: String = args.get("old");
+    let new_path: String = args.get("new");
+    let tol: f64 = args.get("tol");
+    if tol < 0.0 {
+        return Err(CliError::usage(
+            "tol",
+            format!("expected a non-negative percent, got `{tol}`"),
+        ));
+    }
+    let old = std::fs::read_to_string(&old_path).map_err(|e| format!("{old_path}: {e}"))?;
+    let new = std::fs::read_to_string(&new_path).map_err(|e| format!("{new_path}: {e}"))?;
     let diff = cloudsched_insight::diff_reports(&old, &new, tol)?;
     print!("{}", diff.render());
     let regressions = diff.regressions();
@@ -1010,85 +977,28 @@ fn finish_service_outcome(outcome: &cloudsched_sim::ServiceOutcome) -> Result<()
 /// effects apply, with a full kernel snapshot every `--snapshot-every`
 /// arrivals. `--crash-after N` stops the run dead after arrival N (for
 /// drills); `cloudsched recover` then finishes it from the journal.
-fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_serve(args: &Args) -> Result<(), CliError> {
     use cloudsched_obs::JournalSink;
-    reject_unknown_flags(
-        flags,
-        &[
-            "in",
-            "journal",
-            "snapshot-every",
-            "scheduler",
-            "rate",
-            "k",
-            "delta",
-            "queue-cap",
-            "policy",
-            "crash-after",
-            "retries",
-        ],
-    )?;
-    let Some(in_path) = flags.get("in") else {
-        return usage_err("in", "required flag is missing (`--in FILE`)");
-    };
-    let mut cfg = cloudsched_sim::ServiceConfig::new(
-        flags
-            .get("scheduler")
-            .map(String::as_str)
-            .unwrap_or("vdover"),
-        7.0,
-    );
-    let num = |key: &str, default: f64| -> Result<f64, CliError> {
-        match flags.get(key) {
-            Some(s) => match s.parse::<f64>().ok().filter(|v| v.is_finite()) {
-                Some(v) => Ok(v),
-                None => Err(CliError::Usage(arg_error(
-                    key,
-                    &format!("expected a finite number, got `{s}`"),
-                ))),
-            },
-            None => Ok(default),
-        }
-    };
-    let int = |key: &str, default: u64| -> Result<u64, CliError> {
-        match flags.get(key) {
-            Some(s) => match s.parse::<u64>() {
-                Ok(v) => Ok(v),
-                Err(e) => Err(CliError::Usage(arg_error(key, &format!("{e}")))),
-            },
-            None => Ok(default),
-        }
-    };
-    cfg.k = num("k", 7.0)?;
-    cfg.delta = num("delta", 1.0)?;
-    cfg.snapshot_every = int("snapshot-every", 0)?;
-    cfg.queue_cap = int("queue-cap", u64::MAX)? as usize;
-    cfg.journal_attempts = int("retries", 3)? as u32;
-    if flags.contains_key("crash-after") {
-        cfg.crash_after = Some(int("crash-after", 0)?);
+    let in_path: String = args.get("in");
+    let mut cfg =
+        cloudsched_sim::ServiceConfig::new(&args.get::<String>("scheduler"), args.get("k"));
+    cfg.delta = args.get("delta");
+    cfg.snapshot_every = args.get("snapshot-every");
+    cfg.queue_cap = args.opt("queue-cap").unwrap_or(usize::MAX);
+    cfg.journal_attempts = u32::try_from(args.get::<u64>("retries")).unwrap_or(u32::MAX);
+    cfg.crash_after = args.opt("crash-after");
+    if let Some(policy) = DegradationPolicy::parse(&args.get::<String>("policy")) {
+        cfg.policy = policy;
     }
-    if let Some(s) = flags.get("policy") {
-        cfg.policy = match cloudsched_sim::DegradationPolicy::parse(s) {
-            Some(p) => p,
-            None => {
-                return usage_err(
-                    "policy",
-                    &format!("unknown policy `{s}` (strict|degrade|best-effort)"),
-                )
-            }
-        };
-    }
-    let rate = num("rate", 1.0)?;
-    let capacity = match cloudsched_capacity::Constant::new(rate) {
-        Ok(c) => c,
-        Err(e) => return usage_err("rate", &e.to_string()),
-    };
-    let stream = std::fs::read_to_string(in_path).map_err(|e| format!("{in_path}: {e}"))?;
+    let rate = args.get("rate");
+    let capacity =
+        cloudsched_capacity::Constant::new(rate).map_err(|e| CliError::usage("rate", e))?;
+    let stream = std::fs::read_to_string(&in_path).map_err(|e| format!("{in_path}: {e}"))?;
     let mut scheduler = cloudsched_sched::by_name(&cfg.scheduler, cfg.k, cfg.delta, rate, rate)
-        .map_err(|e| CliError::Usage(arg_error("scheduler", &e.to_string())))?;
-    let mut journal = match flags.get("journal") {
+        .map_err(|e| CliError::usage("scheduler", e))?;
+    let mut journal = match args.opt::<String>("journal") {
         Some(path) => Some(
-            cloudsched_obs::FileJournal::create(std::path::Path::new(path))
+            cloudsched_obs::FileJournal::create(std::path::Path::new(&path))
                 .map_err(|e| format!("{path}: {e}"))?,
         ),
         None => None,
@@ -1117,17 +1027,12 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
 /// deterministically replayed, and any arrivals in `--in` the journal
 /// never saw are then served. Output is byte-identical to the run having
 /// never crashed.
-fn cmd_recover(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    reject_unknown_flags(flags, &["journal", "in"])?;
-    let Some(journal_path) = flags.get("journal") else {
-        return usage_err("journal", "required flag is missing (`--journal FILE`)");
-    };
-    let Some(in_path) = flags.get("in") else {
-        return usage_err("in", "required flag is missing (`--in FILE`)");
-    };
+fn cmd_recover(args: &Args) -> Result<(), CliError> {
+    let journal_path: String = args.get("journal");
+    let in_path: String = args.get("in");
     let journal =
-        std::fs::read_to_string(journal_path).map_err(|e| format!("{journal_path}: {e}"))?;
-    let stream = std::fs::read_to_string(in_path).map_err(|e| format!("{in_path}: {e}"))?;
+        std::fs::read_to_string(&journal_path).map_err(|e| format!("{journal_path}: {e}"))?;
+    let stream = std::fs::read_to_string(&in_path).map_err(|e| format!("{in_path}: {e}"))?;
     let header = cloudsched_sim::journal_header(&journal).map_err(|e| e.to_string())?;
     let capacity = cloudsched_capacity::Constant::new(header.rate).map_err(|e| e.to_string())?;
     let mut scheduler = cloudsched_sched::by_name(
@@ -1147,16 +1052,37 @@ fn cmd_recover(flags: &HashMap<String, String>) -> Result<(), CliError> {
     finish_service_outcome(&outcome)
 }
 
-fn cmd_replay(flags: &HashMap<String, String>) -> Result<(), String> {
-    let path = flags.get("in").ok_or("missing --in FILE")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    for (idx, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
+/// `cloudsched repro`: runs the selected `cloudsched_bench::repro`
+/// experiments in order, prints each report and writes its CSV files under
+/// `--out`. Output does not depend on `--threads`.
+fn cmd_repro(args: &Args) -> Result<(), CliError> {
+    let choice: String = args.get("experiment");
+    let names = repro::selection(&choice)
+        .ok_or_else(|| CliError::usage("experiment", format!("unknown experiment `{choice}`")))?;
+    let runs: Option<usize> = args.opt("runs");
+    if runs == Some(0) {
+        return Err(CliError::usage("runs", "must be at least 1"));
+    }
+    if runs.is_some() && names.iter().all(|n| repro::default_runs(n).is_none()) {
+        return Err(CliError::usage(
+            "runs",
+            format!("`{choice}` has a fixed size and takes no run count"),
+        ));
+    }
+    let threads = args
+        .opt("threads")
+        .unwrap_or_else(cloudsched_bench::default_threads);
+    let dir = std::path::PathBuf::from(args.get::<String>("out"));
+    std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    for name in names {
+        eprintln!("repro {name}: {threads} thread(s)");
+        let output = repro::run(name, runs, threads).map_err(|e| e.to_string())?;
+        print!("{}", output.stdout);
+        for (file, csv) in &output.files {
+            let path = dir.join(file);
+            std::fs::write(&path, csv).map_err(|e| format!("{}: {e}", path.display()))?;
+            eprintln!("wrote {}", path.display());
         }
-        let event =
-            TraceEvent::parse_jsonl(line).map_err(|e| format!("{path}:{}: {e}", idx + 1))?;
-        println!("{}", event.pretty());
     }
     Ok(())
 }
@@ -1164,35 +1090,159 @@ fn cmd_replay(flags: &HashMap<String, String>) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flags::Kind;
 
-    fn flags_of(args: &[&str]) -> HashMap<String, String> {
-        parse_flags(args.iter().map(|s| s.to_string())).expect("valid test flags")
+    /// Runs one command line (command name first) exactly as `main` does.
+    fn cli(words: &[&str]) -> Result<(), CliError> {
+        let command = COMMANDS
+            .iter()
+            .find(|c| c.name == words[0])
+            .expect("known command");
+        dispatch(command, words[1..].iter().map(|s| s.to_string()))
+    }
+
+    fn is_usage(r: Result<(), CliError>) -> bool {
+        matches!(r, Err(CliError::Usage(_)))
+    }
+
+    /// A valid value for every flag kind, used to fill required flags.
+    fn valid_value(kind: Kind) -> &'static str {
+        match kind {
+            Kind::F64 => "2",
+            Kind::U64 => "1",
+            Kind::Text(_) => "/no/such/file",
+            Kind::Bool => "",
+            Kind::OneOf(names) | Kind::ListOf(names) => names[0],
+        }
     }
 
     #[test]
-    fn flag_parsing_pairs_and_booleans() {
-        let f = flags_of(&["--lambda", "6", "--audit", "--seed", "3"]);
-        assert_eq!(f.get("lambda").unwrap(), "6");
-        assert_eq!(f.get("seed").unwrap(), "3");
-        assert_eq!(f.get("audit").unwrap(), "true");
-        assert!(f.get("out").is_none());
+    fn every_command_rejects_typos_bad_values_and_missing_flags_as_usage() {
+        for command in COMMANDS {
+            let required: Vec<String> = command
+                .flags
+                .iter()
+                .filter(|f| f.required)
+                .flat_map(|f| [format!("--{}", f.name), valid_value(f.kind).to_string()])
+                .collect();
+            let with = |extra: &[&str]| {
+                let mut words = vec![command.name.to_string()];
+                words.extend(required.iter().cloned());
+                words.extend(extra.iter().map(|s| s.to_string()));
+                let words: Vec<&str> = words.iter().map(String::as_str).collect();
+                cli(&words)
+            };
+            let name = command.name;
+            match with(&["--no-such-flag", "1"]) {
+                Err(CliError::Usage(e)) => assert!(e.contains("no-such-flag"), "{name}: {e}"),
+                other => panic!("{name}: misspelled flag gave {other:?}"),
+            }
+            if !required.is_empty() {
+                assert!(is_usage(cli(&[name])), "{name}: missing required flag");
+            }
+            for flag in command.flags {
+                let f = format!("--{}", flag.name);
+                let bad: &[&str] = match flag.kind {
+                    Kind::F64 => &["abc"],
+                    Kind::U64 => &["-1"],
+                    Kind::OneOf(_) => &["nonesuch"],
+                    Kind::ListOf(_) => &["edf,nonesuch"],
+                    // A switch takes no value; a text flag needs one.
+                    Kind::Bool => &["yes"],
+                    Kind::Text(_) => &[],
+                };
+                let mut extra = vec![f.as_str()];
+                extra.extend_from_slice(bad);
+                assert!(
+                    is_usage(with(&extra)),
+                    "{name}: {f} {bad:?} was not a usage error"
+                );
+            }
+        }
     }
 
     #[test]
-    fn malformed_argument_lists_are_typed_errors() {
-        let parse = |args: &[&str]| parse_flags(args.iter().map(|s| s.to_string()));
-        let err = parse(&["run", "--trace", "x"]).unwrap_err();
-        assert!(err.contains("expected a `--flag`"), "got: {err}");
-        let err = parse(&["--seed", "1", "--seed", "2"]).unwrap_err();
-        assert!(err.contains("more than once"), "got: {err}");
-        let err = parse(&["--"]).unwrap_err();
-        assert!(err.contains("empty flag name"), "got: {err}");
+    fn domain_checks_on_outside_input_are_usage_errors() {
+        for words in [
+            &["fleet", "--machines", "0"][..],
+            &["fleet", "--horizon", "-1"],
+            &["bench-diff", "--old", "a", "--new", "b", "--tol", "-1"],
+            &["serve", "--in", "x", "--rate", "0"],
+            &["serve", "--in", "x", "--k", "inf"],
+            &["lint", "--explain", "L099"],
+            &["repro", "--runs", "0"],
+            &["repro", "--experiment", "bounds", "--runs", "3"],
+        ] {
+            assert!(is_usage(cli(words)), "{words:?}");
+        }
+    }
+
+    #[test]
+    fn every_table_default_parses_and_help_lists_every_command() {
+        for command in COMMANDS {
+            for flag in command.flags {
+                if let Some(default) = flag.default {
+                    assert!(!flag.required, "{}: --{}", command.name, flag.name);
+                    assert!(flag.kind.check(default).is_ok(), "--{}", flag.name);
+                }
+            }
+        }
+        let text = help();
+        for command in COMMANDS {
+            assert!(text.contains(&format!("cloudsched {} ", command.name)));
+        }
+    }
+
+    #[test]
+    fn repro_writes_the_experiment_csvs_and_reports_io_failures() {
+        let dir = std::env::temp_dir().join("cloudsched-cli-test-repro");
+        let dir_s = dir.to_str().expect("utf-8 temp path");
+        cli(&["repro", "--experiment", "bounds", "--out", dir_s]).expect("bounds");
+        for file in ["bounds_by_k.csv", "bounds_by_delta.csv"] {
+            assert!(dir.join(file).exists(), "{file} missing");
+        }
+        // A file where the output directory should be is an I/O failure.
+        let blocked = dir.join("bounds_by_k.csv");
+        let r = cli(&[
+            "repro",
+            "--experiment",
+            "bounds",
+            "--out",
+            blocked.to_str().expect("utf-8 temp path"),
+        ]);
+        assert!(matches!(r, Err(CliError::Runtime(_))), "got {r:?}");
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn lint_exit_contract_clean_findings_and_usage() {
+        let dir = std::env::temp_dir().join("cloudsched-cli-test-lint");
+        let src = dir.join("crates/sim/src");
+        std::fs::create_dir_all(&src).expect("mkdir");
+        std::fs::write(dir.join("Cargo.toml"), "[workspace]\n").expect("manifest");
+        std::fs::write(
+            src.join("lib.rs"),
+            "#![forbid(unsafe_code)]\npub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
+        )
+        .expect("source");
+        let root = dir.to_str().expect("utf-8 temp path");
+        assert!(matches!(
+            cli(&["lint", "--root", root]),
+            Err(CliError::Runtime(_))
+        ));
+        std::fs::write(src.join("lib.rs"), "#![forbid(unsafe_code)]\n").expect("source");
+        cli(&["lint", "--root", root, "--json"]).expect("clean workspace");
+        cli(&["lint", "--explain", "L007"]).expect("known rule");
+        assert!(is_usage(cli(&["lint", "--explain", "L099"])));
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn chaos_command_runs_a_tiny_campaign_and_writes_a_trace() {
         let path = std::env::temp_dir().join("cloudsched-cli-test-chaos.jsonl");
-        cmd_chaos(&flags_of(&[
+        let path_s = path.to_str().expect("utf-8 temp path");
+        cli(&[
+            "chaos",
             "--lambda",
             "4",
             "--seeds",
@@ -1200,21 +1250,21 @@ mod tests {
             "--plan",
             "mild",
             "--trace-out",
-            path.to_str().unwrap(),
-        ]))
+            path_s,
+        ])
         .expect("chaos");
         let trace = std::fs::read_to_string(&path).expect("trace file");
         assert!(!trace.is_empty());
-        cmd_replay(&flags_of(&["--in", path.to_str().unwrap()])).expect("replay chaos trace");
+        cli(&["replay", "--in", path_s]).expect("replay chaos trace");
         std::fs::remove_file(path).ok();
-        assert!(cmd_chaos(&flags_of(&["--plan", "apocalyptic"])).is_err());
-        assert!(cmd_chaos(&flags_of(&["--policy", "yolo"])).is_err());
+        assert!(cli(&["chaos", "--plan", "apocalyptic"]).is_err());
+        assert!(cli(&["chaos", "--policy", "yolo"]).is_err());
     }
 
     #[test]
     fn bench_command_quick_writes_a_schema_valid_report() {
         let path = std::env::temp_dir().join("cloudsched-cli-test-bench.json");
-        cmd_bench(&flags_of(&["--quick", "--out", path.to_str().unwrap()])).expect("bench");
+        cli(&["bench", "--quick", "--out", path.to_str().unwrap()]).expect("bench");
         let text = std::fs::read_to_string(&path).expect("report file");
         let rows = cloudsched_bench::parse_report(&text).expect("schema-valid report");
         assert_eq!(rows[0].schema().suite, "kernel");
@@ -1228,13 +1278,14 @@ mod tests {
     #[test]
     fn bench_sweep_quick_writes_a_schema_valid_report() {
         let path = std::env::temp_dir().join("cloudsched-cli-test-bench-sweep.json");
-        cmd_bench(&flags_of(&[
+        cli(&[
+            "bench",
             "--suite",
             "sweep",
             "--quick",
             "--out",
             path.to_str().unwrap(),
-        ]))
+        ])
         .expect("sweep bench");
         let text = std::fs::read_to_string(&path).expect("report file");
         let rows = cloudsched_bench::parse_report(&text).expect("schema-valid report");
@@ -1243,19 +1294,20 @@ mod tests {
         let digest = rows[0].text("digest");
         assert!(rows.iter().all(|r| r.text("digest") == digest));
         std::fs::remove_file(path).ok();
-        assert!(cmd_bench(&flags_of(&["--suite", "espresso"])).is_err());
+        assert!(cli(&["bench", "--suite", "espresso"]).is_err());
     }
 
     #[test]
     fn bench_fleet_quick_writes_a_schema_valid_report() {
         let path = std::env::temp_dir().join("cloudsched-cli-test-bench-fleet.json");
-        cmd_bench(&flags_of(&[
+        cli(&[
+            "bench",
             "--suite",
             "fleet",
             "--quick",
             "--out",
             path.to_str().unwrap(),
-        ]))
+        ])
         .expect("fleet bench");
         let text = std::fs::read_to_string(&path).expect("report file");
         let rows = cloudsched_bench::parse_report(&text).expect("schema-valid report");
@@ -1277,12 +1329,7 @@ mod tests {
     fn bench_rejects_unknown_flags_for_every_suite() {
         for suite in ["kernel", "sweep", "fleet"] {
             for flag in ["compare", "quik"] {
-                match cmd_bench(&flags_of(&[
-                    "--suite",
-                    suite,
-                    "--quick",
-                    &format!("--{flag}"),
-                ])) {
+                match cli(&["bench", "--suite", suite, "--quick", &format!("--{flag}")]) {
                     Err(CliError::Usage(e)) => assert!(e.contains(flag), "got: {e}"),
                     other => panic!("expected usage error for {flag} on {suite}, got {other:?}"),
                 }
@@ -1290,14 +1337,15 @@ mod tests {
         }
         // An unknown suite is likewise a usage error, not a runtime one.
         assert!(matches!(
-            cmd_bench(&flags_of(&["--suite", "espresso"])),
+            cli(&["bench", "--suite", "espresso"]),
             Err(CliError::Usage(_))
         ));
     }
 
     #[test]
     fn fleet_command_runs_and_rejects_bad_flags() {
-        cmd_fleet(&flags_of(&[
+        cli(&[
+            "fleet",
             "--machines",
             "3",
             "--lambda",
@@ -1306,11 +1354,12 @@ mod tests {
             "6",
             "--threads",
             "2",
-        ]))
+        ])
         .expect("fleet run");
         // Every dispatch policy drives the same engine.
         for policy in cloudsched_sched::DISPATCH_NAMES {
-            cmd_fleet(&flags_of(&[
+            cli(&[
+                "fleet",
                 "--machines",
                 "2",
                 "--lambda",
@@ -1319,10 +1368,14 @@ mod tests {
                 "4",
                 "--policy",
                 policy,
-            ]))
+            ])
             .expect("fleet run under each policy");
         }
-        let usage = |args: &[&str]| matches!(cmd_fleet(&flags_of(args)), Err(CliError::Usage(_)));
+        let usage = |args: &[&str]| {
+            let mut words = vec!["fleet"];
+            words.extend_from_slice(args);
+            is_usage(cli(&words))
+        };
         assert!(usage(&["--policy", "bogus"]));
         assert!(usage(&["--machines", "0"]));
         assert!(usage(&["--machines", "x"]));
@@ -1331,35 +1384,38 @@ mod tests {
         assert!(usage(&["--frobnicate", "1"]), "unknown flag is usage");
     }
 
+    /// `inspect` over the small λ = 4 instance with extra flags.
+    fn inspect_with(extra: &[&str]) -> Result<(), CliError> {
+        let mut words = vec!["inspect", "--lambda", "4", "--seed", "2", "--horizon", "4"];
+        words.extend_from_slice(extra);
+        cli(&words)
+    }
+
     #[test]
     fn inspect_summary_timeline_queue_and_ratio_modes() {
-        let base = &["--lambda", "4", "--seed", "2", "--horizon", "4"];
-        let with = |extra: &[&str]| {
-            let mut v: Vec<&str> = base.to_vec();
-            v.extend_from_slice(extra);
-            flags_of(&v)
-        };
-        cmd_inspect(&with(&[])).expect("summary mode");
-        cmd_inspect(&with(&["--job", "0"])).expect("timeline mode");
-        cmd_inspect(&with(&["--queues"])).expect("queue mode");
-        cmd_inspect(&with(&["--ratio"])).expect("ratio mode");
-        assert!(cmd_inspect(&with(&["--job", "x"])).is_err());
+        inspect_with(&[]).expect("summary mode");
+        inspect_with(&["--job", "0"]).expect("timeline mode");
+        inspect_with(&["--queues"]).expect("queue mode");
+        inspect_with(&["--ratio"]).expect("ratio mode");
+        assert!(inspect_with(&["--job", "x"]).is_err());
     }
 
     #[test]
     fn inspect_reads_back_a_written_trace() {
         let path = std::env::temp_dir().join("cloudsched-cli-test-inspect.jsonl");
-        let base = &["--lambda", "4", "--seed", "3", "--scheduler", "vdover"];
-        let mut trace_flags: Vec<&str> = base.to_vec();
         let path_str = path.to_str().expect("utf-8 temp path");
-        trace_flags.extend_from_slice(&["--out", path_str]);
-        cmd_trace(&flags_of(&trace_flags)).expect("trace");
-        let mut inspect_flags: Vec<&str> = base.to_vec();
-        inspect_flags.extend_from_slice(&["--in", path_str]);
-        cmd_inspect(&flags_of(&inspect_flags)).expect("inspect --in");
+        let base = ["--lambda", "4", "--seed", "3", "--scheduler", "vdover"];
+        let mut trace_words = vec!["trace"];
+        trace_words.extend_from_slice(&base);
+        trace_words.extend_from_slice(&["--out", path_str]);
+        cli(&trace_words).expect("trace");
+        let mut inspect_words = vec!["inspect"];
+        inspect_words.extend_from_slice(&base);
+        inspect_words.extend_from_slice(&["--in", path_str]);
+        cli(&inspect_words).expect("inspect --in");
         // A trace from a different instance breaks conservation.
-        let mismatched = flags_of(&["--lambda", "8", "--seed", "9", "--in", path_str]);
-        assert!(cmd_inspect(&mismatched).is_err());
+        let mismatched = ["inspect", "--lambda", "8", "--seed", "9", "--in", path_str];
+        assert!(cli(&mismatched).is_err());
         std::fs::remove_file(path).ok();
     }
 
@@ -1384,8 +1440,9 @@ mod tests {
         let new = dir.join("cloudsched-cli-test-diff-new.json");
         std::fs::write(&old, render_report(&[row(100.0)])).expect("write old");
         std::fs::write(&new, render_report(&[row(101.0)])).expect("write new");
-        let flags = |tol: &str| {
-            flags_of(&[
+        let diff = |tol: &str| {
+            cli(&[
+                "bench-diff",
                 "--old",
                 old.to_str().expect("utf-8 temp path"),
                 "--new",
@@ -1394,24 +1451,16 @@ mod tests {
                 tol,
             ])
         };
-        cmd_bench_diff(&flags("10")).expect("1% drift within 10% tolerance");
+        diff("10").expect("1% drift within 10% tolerance");
         std::fs::write(&new, render_report(&[row(200.0)])).expect("write new");
-        let err = cmd_bench_diff(&flags("10")).expect_err("100% slowdown");
+        let err = diff("10").expect_err("100% slowdown");
         match &err {
             CliError::Runtime(e) => assert!(e.contains("regressed"), "got: {e}"),
             CliError::Usage(e) => panic!("regression is a runtime error, got usage: {e}"),
         }
-        assert!(cmd_bench_diff(&flags_of(&["--old", "/no/file"])).is_err());
+        assert!(cli(&["bench-diff", "--old", "/no/file"]).is_err());
         std::fs::remove_file(old).ok();
         std::fs::remove_file(new).ok();
-    }
-
-    #[test]
-    fn get_f64_reports_missing_and_malformed() {
-        let f = flags_of(&["--k", "7", "--delta", "abc"]);
-        assert_eq!(get_f64(&f, "k").unwrap(), 7.0);
-        assert!(get_f64(&f, "delta").is_err());
-        assert!(get_f64(&f, "nope").unwrap_err().contains("--nope"));
     }
 
     #[test]
@@ -1428,7 +1477,8 @@ mod tests {
     fn trace_command_round_trips_through_replay() {
         let dir = std::env::temp_dir();
         let jsonl = dir.join("cloudsched-cli-test-events.jsonl");
-        cmd_trace(&flags_of(&[
+        cli(&[
+            "trace",
             "--lambda",
             "4",
             "--seed",
@@ -1437,89 +1487,77 @@ mod tests {
             "edf",
             "--out",
             jsonl.to_str().unwrap(),
-        ]))
+        ])
         .expect("trace");
-        cmd_replay(&flags_of(&["--in", jsonl.to_str().unwrap()])).expect("replay");
-        cmd_metrics(&flags_of(&["--lambda", "4", "--seed", "2"])).expect("metrics");
+        cli(&["replay", "--in", jsonl.to_str().unwrap()]).expect("replay");
+        cli(&["metrics", "--lambda", "4", "--seed", "2"]).expect("metrics");
         std::fs::remove_file(jsonl).ok();
     }
 
     #[test]
     fn gen_and_info_round_trip_through_a_temp_file() {
         let path = std::env::temp_dir().join("cloudsched-cli-test-trace.txt");
-        let f = flags_of(&[
-            "--lambda",
-            "8",
-            "--seed",
-            "5",
-            "--out",
-            path.to_str().unwrap(),
-        ]);
-        cmd_gen(&f).expect("gen");
-        let f = flags_of(&["--trace", path.to_str().unwrap()]);
-        cmd_info(&f).expect("info");
-        cmd_run(&flags_of(&[
-            "--trace",
-            path.to_str().unwrap(),
-            "--scheduler",
-            "edf",
-        ]))
-        .expect("run");
+        let path_s = path.to_str().unwrap();
+        cli(&["gen", "--lambda", "8", "--seed", "5", "--out", path_s]).expect("gen");
+        cli(&["info", "--trace", path_s]).expect("info");
+        cli(&["run", "--trace", path_s, "--scheduler", "edf"]).expect("run");
         std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn audit_command_certifies_a_generated_trace() {
         let path = std::env::temp_dir().join("cloudsched-cli-test-audit.txt");
-        cmd_gen(&flags_of(&[
-            "--lambda",
-            "4",
-            "--seed",
-            "11",
-            "--out",
-            path.to_str().unwrap(),
-        ]))
-        .expect("gen");
-        cmd_audit(&flags_of(&["--trace", path.to_str().unwrap()])).expect("audit");
+        let path_s = path.to_str().unwrap();
+        cli(&["gen", "--lambda", "4", "--seed", "11", "--out", path_s]).expect("gen");
+        cli(&["audit", "--trace", path_s]).expect("audit");
         std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn missing_trace_is_an_error() {
-        assert!(load_trace(&flags_of(&[])).is_err());
-        assert!(load_trace(&flags_of(&["--trace", "/no/such/file"])).is_err());
+        assert!(cli(&["info"]).is_err());
+        assert!(cli(&["info", "--trace", "/no/such/file"]).is_err());
     }
 
     #[test]
     fn usage_errors_are_typed_and_distinct_from_runtime_errors() {
-        let usage = |r: Result<(), CliError>| matches!(r, Err(CliError::Usage(_)));
         let runtime = |r: Result<(), CliError>| matches!(r, Err(CliError::Runtime(_)));
         // bench-diff: missing required flags, malformed tolerance, unknown
         // flags → usage; unreadable files → runtime.
-        assert!(usage(cmd_bench_diff(&flags_of(&["--old", "x"]))));
-        assert!(usage(cmd_bench_diff(&flags_of(&[
-            "--old", "a", "--new", "b", "--tol", "-1"
-        ]))));
-        assert!(usage(cmd_bench_diff(&flags_of(&[
-            "--old", "a", "--new", "b", "--typo", "1"
-        ]))));
-        assert!(runtime(cmd_bench_diff(&flags_of(&[
-            "--old", "/no/a", "--new", "/no/b"
-        ]))));
+        assert!(is_usage(cli(&["bench-diff", "--old", "x"])));
+        assert!(is_usage(cli(&[
+            "bench-diff",
+            "--old",
+            "a",
+            "--new",
+            "b",
+            "--tol",
+            "-1"
+        ])));
+        assert!(is_usage(cli(&[
+            "bench-diff",
+            "--old",
+            "a",
+            "--new",
+            "b",
+            "--typo",
+            "1"
+        ])));
+        assert!(runtime(cli(&[
+            "bench-diff",
+            "--old",
+            "/no/a",
+            "--new",
+            "/no/b"
+        ])));
         // inspect: malformed job id, unknown flag, conflicting modes.
-        let base = &["--lambda", "4", "--seed", "2", "--horizon", "4"];
-        let with = |extra: &[&str]| {
-            let mut v: Vec<&str> = base.to_vec();
-            v.extend_from_slice(extra);
-            flags_of(&v)
-        };
-        assert!(usage(cmd_inspect(&with(&["--job", "x"]))));
-        assert!(usage(cmd_inspect(&with(&["--frobnicate", "1"]))));
-        assert!(usage(cmd_inspect(&with(&["--queues", "--job", "0"]))));
-        assert!(usage(cmd_inspect(&with(&["--ratio", "--seeds", "x"]))));
+        assert!(is_usage(inspect_with(&["--job", "x"])));
+        assert!(is_usage(inspect_with(&["--frobnicate", "1"])));
+        assert!(is_usage(inspect_with(&["--queues", "--job", "0"])));
+        assert!(is_usage(inspect_with(&["--ratio", "--seeds", "x"])));
         // serve/recover: missing required flags.
-        assert!(usage(cmd_serve(&flags_of(&[]))));
-        assert!(usage(cmd_recover(&flags_of(&["--journal", "x"]))));
+        assert!(is_usage(cli(&["serve"])));
+        assert!(is_usage(cli(&["recover", "--journal", "x"])));
     }
 
     #[test]
@@ -1537,7 +1575,8 @@ mod tests {
         .expect("write stream");
         let stream_s = stream.to_str().expect("utf-8 temp path");
         let journal_s = journal.to_str().expect("utf-8 temp path");
-        cmd_serve(&flags_of(&[
+        cli(&[
+            "serve",
             "--in",
             stream_s,
             "--journal",
@@ -1546,9 +1585,9 @@ mod tests {
             "2",
             "--crash-after",
             "1",
-        ]))
+        ])
         .expect("crashed serve still exits cleanly");
-        cmd_recover(&flags_of(&["--journal", journal_s, "--in", stream_s]))
+        cli(&["recover", "--journal", journal_s, "--in", stream_s])
             .expect("recover finishes the crashed run");
         // The journal header names the scheduler for recovery.
         let body = std::fs::read_to_string(&journal).expect("journal file");
@@ -1557,120 +1596,4 @@ mod tests {
         std::fs::remove_file(stream).ok();
         std::fs::remove_file(journal).ok();
     }
-}
-
-/// Probe instants for the stretch-bijection certificate: every release and
-/// deadline, plus window midpoints and a short tail past the horizon.
-fn audit_probes(instance: &Instance) -> Vec<cloudsched_core::Time> {
-    let mut probes = Vec::new();
-    for j in instance.jobs.iter() {
-        probes.push(j.release);
-        probes.push(j.deadline);
-        probes.push(cloudsched_core::Time::new(
-            0.5 * (j.release.as_f64() + j.deadline.as_f64()),
-        ));
-    }
-    let horizon = instance.jobs.last_deadline().as_f64();
-    for i in 0..=20 {
-        probes.push(cloudsched_core::Time::new(horizon * 1.1 * i as f64 / 20.0));
-    }
-    probes
-}
-
-fn cmd_audit(flags: &HashMap<String, String>) -> Result<(), String> {
-    let instance = load_trace(flags)?;
-    let c_lo = match flags.get("c-lo") {
-        Some(s) => s.parse().map_err(|e| format!("--c-lo: {e}"))?,
-        None => instance.capacity.bounds().0,
-    };
-    let certificates = [
-        (
-            "Theorem 2 (EDF on underloaded systems)",
-            certify_underloaded_edf(&instance.jobs, &instance.capacity),
-        ),
-        (
-            "Definition 4 (individual admissibility)",
-            certify_admissibility(&instance.jobs, c_lo),
-        ),
-        (
-            "SIII-A stretch bijection",
-            certify_stretch_roundtrip(&instance.capacity, &audit_probes(&instance)),
-        ),
-    ];
-    let mut violated = 0usize;
-    for (name, cert) in &certificates {
-        println!("{name}: {cert}");
-        if matches!(cert, Certificate::Violated { .. }) {
-            violated += 1;
-        }
-    }
-    if violated > 0 {
-        Err(format!("{violated} certificate(s) violated"))
-    } else {
-        Ok(())
-    }
-}
-
-fn cmd_lint(flags: &HashMap<String, String>) -> Result<(), String> {
-    if let Some(id) = flags.get("explain") {
-        let text = cloudsched_lint::explain(id).ok_or_else(|| {
-            arg_error(
-                "--explain",
-                &format!("unknown rule `{id}` (valid: L001–L011)"),
-            )
-        })?;
-        print!("{text}");
-        return Ok(());
-    }
-    let root = match flags.get("root") {
-        Some(dir) => std::path::PathBuf::from(dir),
-        None => {
-            let cwd = std::env::current_dir().map_err(|e| e.to_string())?;
-            cloudsched_lint::find_workspace_root(&cwd)
-                .ok_or("could not locate the workspace root (pass --root DIR)")?
-        }
-    };
-    if flags.contains_key("write-baseline") {
-        let n = cloudsched_lint::write_baseline(&root).map_err(|e| e.to_string())?;
-        eprintln!("wrote {n} baseline entries to lint.baseline");
-        return Ok(());
-    }
-    let report = cloudsched_lint::run_workspace(&root).map_err(|e| e.to_string())?;
-    if flags.contains_key("json") {
-        println!("{}", report.to_json());
-    } else {
-        print!("{}", report.render());
-    }
-    if report.is_clean() {
-        Ok(())
-    } else {
-        Err("lint findings present".into())
-    }
-}
-
-fn cmd_bounds(flags: &HashMap<String, String>) -> Result<(), String> {
-    let k = get_f64(flags, "k")?;
-    let delta = get_f64(flags, "delta")?;
-    if delta > 1.0 {
-        println!(
-            "f(k, δ)                  = {:.4}",
-            theory::f_overload(k, delta)
-        );
-        println!(
-            "optimal β*               = {:.4}",
-            theory::optimal_beta(k, delta)
-        );
-        println!(
-            "V-Dover achievable ratio = {:.6}",
-            theory::vdover_achievable_ratio(k, delta)
-        );
-    } else {
-        println!("δ = 1: constant capacity (Dover's setting)");
-        println!("Dover β                  = {:.4}", theory::dover_beta(k));
-    }
-    println!(
-        "online upper bound       = {:.6}  (1/(1+√k)², Theorem 3(1))",
-        theory::vdover_upper_bound(k)
-    );
-    Ok(())
 }

@@ -11,7 +11,7 @@
 //! not invalidate the baseline; moving or fixing the offending line does.
 //! Every baseline entry must match a current finding — stale entries fail
 //! the run, keeping the debt ledger honest. Regenerate with
-//! `cloudsched-lint --write-baseline` after deliberate changes.
+//! `cloudsched lint --write-baseline` after deliberate changes.
 
 use crate::rules::Finding;
 use std::collections::HashMap;
@@ -94,7 +94,7 @@ impl Baseline {
         let mut out = String::from(
             "# cloudsched-lint baseline — grandfathered findings.\n\
              # Format: RULE|path|trimmed offending line. Regenerate with\n\
-             # `cargo run -p cloudsched-lint -- --write-baseline`.\n",
+             # `cloudsched lint --write-baseline`.\n",
         );
         for l in lines {
             out.push_str(&l);

@@ -1,10 +1,10 @@
-//! Typed errors for the lint binary, mirroring the workspace's
+//! Typed errors of the lint front end (`cloudsched lint`), mirroring the workspace's
 //! `CoreError` conventions (PR 3): argument problems carry the flag and a
 //! reason, and every error renders a single actionable line.
 
 use std::fmt;
 
-/// Error raised by the `cloudsched-lint` binary.
+/// Error raised by the lint front end.
 #[derive(Debug)]
 pub enum LintError {
     /// A command-line argument was missing, malformed or unknown.

@@ -21,11 +21,10 @@
 //! scope, so a rule can point its message at the real replacement helper
 //! and cross-check names against the file that defines them.
 //!
-//! The pass runs three ways:
+//! The pass runs two ways:
 //!
-//! * `cargo run -p cloudsched-lint` — the standalone binary (`--json` for
-//!   machine output, `--explain Lxxx` for the rule text);
-//! * `cloudsched lint` — through the workspace CLI;
+//! * `cloudsched lint` — through the workspace CLI (`--json` for machine
+//!   output, `--explain Lxxx` for the rule text);
 //! * `cargo test -q` — the tier-1 test in `tests/workspace.rs` fails the
 //!   suite on any unbaselined finding.
 //!

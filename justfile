@@ -5,7 +5,7 @@
 export CARGO_NET_OFFLINE := "true"
 
 # Run the full CI gauntlet.
-ci: fmt build test lint clippy golden-trace chaos serve-smoke serve-scale bench-smoke sweep-smoke fleet-smoke fleet-scale
+ci: fmt build test lint cli-flags clippy golden-trace chaos serve-smoke serve-scale bench-smoke sweep-smoke fleet-smoke fleet-scale
 
 fmt:
     cargo fmt --all --check
@@ -18,7 +18,23 @@ test:
 
 # Workspace static analysis (rules L001–L011); also runs as a tier-1 test.
 lint:
-    cargo run --release -p cloudsched-lint
+    cargo run --release -p cloudsched-cli -- lint
+
+# Every command rejects an unknown flag with exit 2 (mirrors the CI step).
+cli-flags:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    cargo build --release -p cloudsched-cli
+    cmds=$(target/release/cloudsched help | sed -n 's/^  cloudsched \([a-z-]*\) .*/\1/p')
+    test -n "$cmds"
+    for cmd in $cmds; do
+        status=0
+        target/release/cloudsched "$cmd" --no-such-flag > /dev/null 2>&1 || status=$?
+        if [ "$status" -ne 2 ]; then
+            echo "cloudsched $cmd --no-such-flag exited $status, expected 2"
+            exit 1
+        fi
+    done
 
 # Clippy at its default levels (mirrors the CI step): fails only on
 # deny-level lints; warnings are tolerated until `-D warnings` lands.
@@ -27,15 +43,15 @@ clippy:
 
 # Machine-readable lint report (the artifact CI uploads).
 lint-json:
-    cargo run --release -p cloudsched-lint -- --json
+    cargo run --release -p cloudsched-cli -- lint --json
 
 # Explain one rule: summary, scope, rationale, fix. E.g. `just lint-explain L007`.
 lint-explain rule:
-    cargo run --release -p cloudsched-lint -- --explain {{rule}}
+    cargo run --release -p cloudsched-cli -- lint --explain {{rule}}
 
 # Regenerate lint.baseline (only to grandfather genuinely unfixable debt).
 lint-baseline:
-    cargo run --release -p cloudsched-lint -- --write-baseline
+    cargo run --release -p cloudsched-cli -- lint --write-baseline
 
 # Certify a generated trace against Thm 2 / Def 4 / the SIII-A bijection.
 audit lambda="8" seed="1":
@@ -51,6 +67,12 @@ golden-trace:
 # Regenerate the checked-in golden trace after an *intentional* semantic change.
 golden-trace-regen:
     cargo run --release -p cloudsched-cli -- trace --lambda 12 --seed 7 --horizon 6 --scheduler vdover --out tests/golden/trace_seed7_vdover.jsonl
+
+# The paper's Table I, Figure 1 and the extra experiments at paper counts
+# (800 / 200 / 200 / 50 runs), rewriting results/*.csv. Output does not
+# depend on the thread count.
+repro:
+    cargo run --release -p cloudsched-cli -- repro --out results
 
 # Span profile + tracing-overhead table (best of 10 runs per case).
 profile:
