@@ -15,7 +15,6 @@
 //! * [`table`] — plain CSV/Markdown emitters for reproducing the paper's
 //!   Table I and Figure 1 without extra dependencies.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod admissibility;

@@ -72,7 +72,6 @@ impl Table {
 
     /// Renders as a GitHub-flavoured Markdown table with aligned columns.
     pub fn to_markdown(&self) -> String {
-        let cols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (i, f) in row.iter().enumerate() {
@@ -82,9 +81,9 @@ impl Table {
         let mut out = String::new();
         let emit = |out: &mut String, row: &[String]| {
             out.push('|');
-            for i in 0..cols {
+            for (i, &w) in widths.iter().enumerate() {
                 let f = row.get(i).map(String::as_str).unwrap_or("");
-                let _ = write!(out, " {f:<w$} |", w = widths[i]);
+                let _ = write!(out, " {f:<w$} |");
             }
             out.push('\n');
         };

@@ -16,8 +16,6 @@
 //! cargo run --release -p cloudsched-bench --bin profile
 //! ```
 
-#![forbid(unsafe_code)]
-
 use cloudsched_capacity::StretchMap;
 use cloudsched_obs::{Clock, MetricsRegistry, MonotonicClock, NoopTracer, Profiler, RingTracer};
 use cloudsched_sched::VDover;

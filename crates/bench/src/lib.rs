@@ -11,7 +11,6 @@
 //! (`BENCH_sweep.json`) and the [`fleet_bench`] fleet-scaling suite
 //! (`BENCH_fleet.json`). All three reports share the one [`row`] codec.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod algos;

@@ -7,8 +7,6 @@
 //! the byte-exact per-machine reports (Debug formatting covers every field,
 //! float bits included).
 
-#![forbid(unsafe_code)]
-
 use cloudsched_bench::{fleet_digest, fleet_suite_run, FleetBenchConfig};
 
 #[test]

@@ -14,6 +14,8 @@ pub struct Constant {
 impl Constant {
     /// Creates a constant profile with rate `c > 0`.
     pub fn new(rate: f64) -> Result<Self, CoreError> {
+        // NaN guard: the negated comparison also rejects NaN.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
         if !(rate > 0.0) || !rate.is_finite() {
             return Err(CoreError::InvalidCapacityProfile {
                 reason: format!("constant rate must be positive and finite, got {rate}"),
@@ -109,6 +111,6 @@ mod tests {
         let c = Constant::unit();
         let r: &dyn CapacityProfile = &c;
         assert_eq!(r.rate_at(Time::ZERO), 1.0);
-        assert_eq!((&c).integrate(Time::ZERO, Time::new(2.0)), 2.0);
+        assert_eq!(c.integrate(Time::ZERO, Time::new(2.0)), 2.0);
     }
 }

@@ -101,6 +101,8 @@ impl PiecewiseConstant {
         let mut starts = Vec::with_capacity(segments.len());
         let mut rates = Vec::with_capacity(segments.len());
         for (i, s) in segments.iter().enumerate() {
+            // NaN guard: the negated comparison also rejects NaN.
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
             if !(s.rate > 0.0) || !s.rate.is_finite() {
                 return Err(CoreError::InvalidCapacityProfile {
                     reason: format!(
@@ -165,6 +167,8 @@ impl PiecewiseConstant {
         let mut t = 0.0;
         let mut segments = Vec::with_capacity(pairs.len());
         for &(dur, rate) in pairs {
+            // NaN guard: the negated comparison also rejects NaN.
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
             if !(dur > 0.0) || !dur.is_finite() {
                 return Err(CoreError::InvalidCapacityProfile {
                     reason: format!("segment duration must be positive and finite, got {dur}"),
@@ -197,6 +201,8 @@ impl PiecewiseConstant {
     /// # Errors
     /// If the declared interval does not contain every realised rate.
     pub fn with_declared_bounds(mut self, c_lo: f64, c_hi: f64) -> Result<Self, CoreError> {
+        // NaN guard: the negated comparison also rejects NaN.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
         if !(c_lo > 0.0) || c_hi < c_lo {
             return Err(CoreError::InvalidCapacityProfile {
                 reason: format!("invalid declared bounds ({c_lo}, {c_hi})"),
@@ -228,6 +234,8 @@ impl PiecewiseConstant {
     /// # Errors
     /// If the bounds are not an interval with `0 < c_lo ≤ c_hi`.
     pub fn with_asserted_bounds(mut self, c_lo: f64, c_hi: f64) -> Result<Self, CoreError> {
+        // NaN guard: the negated comparison also rejects NaN.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
         if !(c_lo > 0.0) || !c_hi.is_finite() || c_hi < c_lo {
             return Err(CoreError::InvalidCapacityProfile {
                 reason: format!("invalid asserted bounds ({c_lo}, {c_hi})"),

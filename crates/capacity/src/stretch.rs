@@ -47,6 +47,8 @@ impl StretchMap {
     /// # Errors
     /// If `c_ref` is not positive and finite.
     pub fn with_reference(profile: PiecewiseConstant, c_ref: f64) -> Result<Self, CoreError> {
+        // NaN guard: the negated comparison also rejects NaN.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
         if !(c_ref > 0.0) || !c_ref.is_finite() {
             return Err(CoreError::InvalidCapacityProfile {
                 reason: format!("stretch reference rate must be positive, got {c_ref}"),

@@ -13,8 +13,6 @@
 //! bounds, lint findings), 2 usage error (unknown command, unknown flag,
 //! missing or malformed value).
 
-#![forbid(unsafe_code)]
-
 mod flags;
 
 use cloudsched::run_traced;
@@ -84,9 +82,7 @@ const COMMANDS: &[Command] = &[
     ] },
     Command { name: "lint", about: "workspace static analysis (exit 1 on findings)", run: cmd_lint, flags: &[
         Flag::new("root", Text("DIR"), "workspace root (found from cwd if absent)"),
-        Flag::new("json", Bool, "machine-readable report"),
         Flag::new("explain", Text("Lxxx"), "print one rule's card"),
-        Flag::new("write-baseline", Bool, "rewrite lint.baseline"),
     ] },
     Command { name: "trace", about: "JSONL event trace of one run", run: cmd_trace, flags: &[
         FROM_TRACE, LAMBDA, SEED, SLACK, HORIZON, SCHEDULER,
@@ -166,6 +162,7 @@ const COMMANDS: &[Command] = &[
 ];
 
 fn main() -> ExitCode {
+    #[allow(clippy::disallowed_methods)] // the command line is the CLI's input
     let mut argv = std::env::args().skip(1);
     let Some(name) = argv.next() else {
         eprint!("{}", help());
@@ -210,8 +207,22 @@ fn help() -> String {
     text
 }
 
+// The CLI is the file boundary of the deterministic core (L011): every
+// file it reads or writes goes through these two helpers.
+#[allow(clippy::disallowed_methods)]
+fn read_text(path: impl AsRef<std::path::Path>) -> Result<String, String> {
+    let path = path.as_ref();
+    std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+#[allow(clippy::disallowed_methods)]
+fn write_text(path: impl AsRef<std::path::Path>, text: &str) -> Result<(), String> {
+    let path = path.as_ref();
+    std::fs::write(path, text).map_err(|e| format!("{}: {e}", path.display()))
+}
+
 fn load_trace(path: &str) -> Result<Instance, CliError> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let text = read_text(path)?;
     Ok(traces::from_text(&text).map_err(|e| format!("{path}: {e}"))?)
 }
 
@@ -248,7 +259,7 @@ fn cmd_gen(args: &Args) -> Result<(), CliError> {
     let text = traces::to_text(&generated.instance);
     match args.opt::<String>("out") {
         Some(path) => {
-            std::fs::write(&path, text).map_err(|e| format!("{path}: {e}"))?;
+            write_text(&path, &text)?;
             eprintln!(
                 "wrote {} jobs / {} capacity segments to {path}",
                 generated.instance.job_count(),
@@ -453,9 +464,9 @@ fn cmd_audit(args: &Args) -> Result<(), CliError> {
     }
 }
 
-/// `cloudsched lint`: the workspace static-analysis pass. Exits 0 when
-/// clean, 1 on findings (or stale baseline entries), 2 on a usage error,
-/// including an unknown `--explain` rule.
+/// `cloudsched lint`: the rules clippy cannot express (L001, L002, L009)
+/// and the manifest check L004. Exits 0 when clean, 1 on findings, 2 on a
+/// usage error, including an `--explain` id this pass does not check.
 fn cmd_lint(args: &Args) -> Result<(), CliError> {
     if let Some(id) = args.opt::<String>("explain") {
         let text = cloudsched_lint::explain(&id).ok_or_else(|| {
@@ -467,23 +478,15 @@ fn cmd_lint(args: &Args) -> Result<(), CliError> {
     let root = match args.opt::<String>("root") {
         Some(dir) => std::path::PathBuf::from(dir),
         None => {
+            #[allow(clippy::disallowed_methods)] // the CLI resolves its own cwd
             let cwd = std::env::current_dir().map_err(|e| e.to_string())?;
             cloudsched_lint::find_workspace_root(&cwd).ok_or_else(|| {
                 "could not locate the workspace root (pass --root DIR)".to_string()
             })?
         }
     };
-    if args.on("write-baseline") {
-        let n = cloudsched_lint::write_baseline(&root).map_err(|e| e.to_string())?;
-        eprintln!("wrote {n} baseline entries to lint.baseline");
-        return Ok(());
-    }
     let report = cloudsched_lint::run_workspace(&root).map_err(|e| e.to_string())?;
-    if args.on("json") {
-        println!("{}", report.to_json());
-    } else {
-        print!("{}", report.render());
-    }
+    print!("{}", report.render());
     if report.is_clean() {
         Ok(())
     } else {
@@ -495,7 +498,7 @@ fn cmd_trace(args: &Args) -> Result<(), CliError> {
     let instance = resolve_instance(args)?;
     let run = run_traced(&instance, &args.get::<String>("scheduler"))?;
     match args.opt::<String>("out") {
-        Some(path) => std::fs::write(&path, &run.jsonl).map_err(|e| format!("{path}: {e}"))?,
+        Some(path) => write_text(&path, &run.jsonl)?,
         None => print!("{}", run.jsonl),
     }
     eprintln!(
@@ -532,7 +535,7 @@ fn cmd_metrics(args: &Args) -> Result<(), CliError> {
 
 fn cmd_replay(args: &Args) -> Result<(), CliError> {
     let path: String = args.get("in");
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
+    let text = read_text(&path)?;
     for (idx, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
@@ -590,7 +593,7 @@ fn cmd_chaos(args: &Args) -> Result<(), CliError> {
             .or_else(|| cfg.policies.first().copied())
             .ok_or_else(|| "--policy resolved to an empty policy set".to_string())?;
         let trace = chaos_trace(&cfg, cfg.first_seed, policy).map_err(|e| e.to_string())?;
-        std::fs::write(&path, &trace).map_err(|e| format!("{path}: {e}"))?;
+        write_text(&path, &trace)?;
         eprintln!(
             "wrote {} fault-trace events (seed {}, policy {}) to {path}",
             trace.lines().count(),
@@ -628,7 +631,7 @@ fn cmd_bench(args: &Args) -> Result<(), CliError> {
         .unwrap_or_else(|| format!("BENCH_{suite}.json"));
     let json = render_report(&rows);
     parse_report(&json).map_err(|e| format!("generated report failed schema validation: {e}"))?;
-    std::fs::write(&out, &json).map_err(|e| format!("{out}: {e}"))?;
+    write_text(&out, &json)?;
     eprintln!("wrote {} rows to {out}", rows.len());
     Ok(())
 }
@@ -838,7 +841,7 @@ fn cmd_inspect(args: &Args) -> Result<(), CliError> {
     let instance = resolve_instance(args)?;
     let scheduler: String = args.get("scheduler");
     let jsonl = match args.opt::<String>("in") {
-        Some(path) => std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?,
+        Some(path) => read_text(&path)?,
         None => cloudsched::run_traced_with_provenance(&instance, &scheduler, true)?.jsonl,
     };
     let mut events = Vec::new();
@@ -921,8 +924,8 @@ fn cmd_bench_diff(args: &Args) -> Result<(), CliError> {
             format!("expected a non-negative percent, got `{tol}`"),
         ));
     }
-    let old = std::fs::read_to_string(&old_path).map_err(|e| format!("{old_path}: {e}"))?;
-    let new = std::fs::read_to_string(&new_path).map_err(|e| format!("{new_path}: {e}"))?;
+    let old = read_text(&old_path)?;
+    let new = read_text(&new_path)?;
     let diff = cloudsched_insight::diff_reports(&old, &new, tol)?;
     print!("{}", diff.render());
     let regressions = diff.regressions();
@@ -993,7 +996,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let rate = args.get("rate");
     let capacity =
         cloudsched_capacity::Constant::new(rate).map_err(|e| CliError::usage("rate", e))?;
-    let stream = std::fs::read_to_string(&in_path).map_err(|e| format!("{in_path}: {e}"))?;
+    let stream = read_text(&in_path)?;
     let mut scheduler = cloudsched_sched::by_name(&cfg.scheduler, cfg.k, cfg.delta, rate, rate)
         .map_err(|e| CliError::usage("scheduler", e))?;
     let mut journal = match args.opt::<String>("journal") {
@@ -1030,9 +1033,8 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
 fn cmd_recover(args: &Args) -> Result<(), CliError> {
     let journal_path: String = args.get("journal");
     let in_path: String = args.get("in");
-    let journal =
-        std::fs::read_to_string(&journal_path).map_err(|e| format!("{journal_path}: {e}"))?;
-    let stream = std::fs::read_to_string(&in_path).map_err(|e| format!("{in_path}: {e}"))?;
+    let journal = read_text(&journal_path)?;
+    let stream = read_text(&in_path)?;
     let header = cloudsched_sim::journal_header(&journal).map_err(|e| e.to_string())?;
     let capacity = cloudsched_capacity::Constant::new(header.rate).map_err(|e| e.to_string())?;
     let mut scheduler = cloudsched_sched::by_name(
@@ -1073,6 +1075,7 @@ fn cmd_repro(args: &Args) -> Result<(), CliError> {
         .opt("threads")
         .unwrap_or_else(cloudsched_bench::default_threads);
     let dir = std::path::PathBuf::from(args.get::<String>("out"));
+    #[allow(clippy::disallowed_methods)] // the CSV directory, beside write_text
     std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     for name in names {
         eprintln!("repro {name}: {threads} thread(s)");
@@ -1080,7 +1083,7 @@ fn cmd_repro(args: &Args) -> Result<(), CliError> {
         print!("{}", output.stdout);
         for (file, csv) in &output.files {
             let path = dir.join(file);
-            std::fs::write(&path, csv).map_err(|e| format!("{}: {e}", path.display()))?;
+            write_text(&path, csv)?;
             eprintln!("wrote {}", path.display());
         }
     }
@@ -1088,6 +1091,7 @@ fn cmd_repro(args: &Args) -> Result<(), CliError> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests stage scratch files in the temp dir
 mod tests {
     use super::*;
     use flags::Kind;
@@ -1220,19 +1224,31 @@ mod tests {
         let src = dir.join("crates/sim/src");
         std::fs::create_dir_all(&src).expect("mkdir");
         std::fs::write(dir.join("Cargo.toml"), "[workspace]\n").expect("manifest");
-        std::fs::write(
-            src.join("lib.rs"),
-            "#![forbid(unsafe_code)]\npub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
-        )
-        .expect("source");
+        std::fs::write(src.join("lib.rs"), "pub fn f() {}\n").expect("source");
         let root = dir.to_str().expect("utf-8 temp path");
+        // The root manifest does not opt into the workspace lints (L004).
         assert!(matches!(
             cli(&["lint", "--root", root]),
             Err(CliError::Runtime(_))
         ));
-        std::fs::write(src.join("lib.rs"), "#![forbid(unsafe_code)]\n").expect("source");
-        cli(&["lint", "--root", root, "--json"]).expect("clean workspace");
-        cli(&["lint", "--explain", "L007"]).expect("known rule");
+        std::fs::write(
+            dir.join("Cargo.toml"),
+            "[workspace]\n\n[lints]\nworkspace = true\n",
+        )
+        .expect("manifest");
+        cli(&["lint", "--root", root]).expect("clean workspace");
+        std::fs::write(
+            src.join("lib.rs"),
+            "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
+        )
+        .expect("source");
+        assert!(matches!(
+            cli(&["lint", "--root", root]),
+            Err(CliError::Runtime(_))
+        ));
+        cli(&["lint", "--explain", "L009"]).expect("known rule");
+        // Ids clippy enforces are not this pass's to explain.
+        assert!(is_usage(cli(&["lint", "--explain", "L007"])));
         assert!(is_usage(cli(&["lint", "--explain", "L099"])));
         std::fs::remove_dir_all(dir).ok();
     }

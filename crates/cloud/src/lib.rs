@@ -26,7 +26,6 @@
 //! alternative used by the examples, producing exactly the same
 //! [`PiecewiseConstant`] profiles the schedulers consume.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod primary;

@@ -15,6 +15,8 @@ pub struct JobId(pub u64);
 impl JobId {
     /// The raw index.
     #[inline]
+    // Ids are dense indices into in-memory job tables, so they fit a usize.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -53,9 +55,12 @@ impl Job {
         workload: f64,
         value: f64,
     ) -> Result<Self, CoreError> {
+        // NaN guard: the negated comparison also rejects NaN.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
         if !(workload > 0.0) || !workload.is_finite() {
             return Err(CoreError::NonPositiveWorkload { workload });
         }
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
         // lint: allow(L001) — exact sign check; !(x >= 0) also rejects NaN
         if !(value >= 0.0) || !value.is_finite() {
             return Err(CoreError::NegativeValue { value });

@@ -17,11 +17,13 @@
 //! * [`rng`] — vendored deterministic RNGs ([`SplitMix64`], [`Pcg32`]) so the
 //!   stochastic generators build with zero external dependencies.
 //!
-//! The crate is dependency-free and `#![forbid(unsafe_code)]`; all numeric
+//! The crate is dependency-free and free of unsafe code; all numeric
 //! subtleties (total order on `f64`, tolerance-based comparisons) are
 //! concentrated here so downstream crates can stay simple.
 
-#![forbid(unsafe_code)]
+// L010: no lossy `as` casts in the kernel; the few deliberate ones carry a
+// site-level allow that gives the reason.
+#![deny(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
 #![warn(missing_docs)]
 
 pub mod error;

@@ -9,6 +9,10 @@
 //! The policy is a standard mixed absolute/relative test:
 //! `|a - b| <= EPS_ABS + EPS_REL * max(|a|, |b|)`.
 
+// The checked and saturating conversions below are the sanctioned spelling
+// of a lossy cast (L010); their bodies are the casts themselves.
+#![allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+
 /// Absolute comparison tolerance.
 ///
 /// Chosen so that workloads/times on the order of `1e-3 ..= 1e6` (the ranges

@@ -58,6 +58,9 @@ where
 /// The state is a reuse arena (buffers, workspaces, caches) — `f`'s output
 /// must depend only on `i`, or the result ceases to be thread-count
 /// independent.
+// This is the one sanctioned thread fan-out (L008): output is index-ordered,
+// so it does not depend on the thread count.
+#[allow(clippy::disallowed_methods)]
 pub fn parallel_map_with<W, T, I, F>(n: usize, threads: usize, init: I, f: F) -> Vec<T>
 where
     T: Send,

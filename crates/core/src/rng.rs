@@ -93,6 +93,9 @@ pub trait Rng {
     /// # Panics
     /// If `n == 0`.
     #[inline]
+    // Multiply-shift keeps the low and the high word of the 128-bit product,
+    // both by truncation.
+    #[allow(clippy::cast_possible_truncation)]
     fn next_index(&mut self, n: usize) -> usize {
         assert!(n > 0, "next_index needs a non-empty range");
         let n = n as u64;
@@ -189,6 +192,8 @@ impl Pcg32 {
 
     /// The next 32-bit output word.
     #[inline]
+    // PCG's XSH-RR output function truncates the shifted state to 32 bits.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn next_u32(&mut self) -> u32 {
         let old = self.state;
         self.step();
@@ -307,6 +312,8 @@ mod tests {
     }
 
     #[test]
+    // The historical inline formula, casts and all.
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     fn derive_seed_reproduces_the_historical_formulas() {
         // These are the exact inline expressions the experiment binaries
         // used before centralization; recorded results depend on them.

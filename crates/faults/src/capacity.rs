@@ -28,6 +28,8 @@ pub fn inject_dip(
     dip_end: f64,
     dip_rate: f64,
 ) -> Result<PiecewiseConstant, CoreError> {
+    // NaN guard: the negated comparison also rejects NaN.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
     if !(dip_start >= 0.0) || !(dip_end > dip_start) || !dip_rate.is_finite() || !(dip_rate > 0.0) {
         return Err(CoreError::InvalidCapacityProfile {
             reason: format!("invalid dip: [{dip_start}, {dip_end}) at rate {dip_rate}"),

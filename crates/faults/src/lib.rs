@@ -24,7 +24,6 @@
 //! corrupted instance, the same oracle readings, and — because the kernel's
 //! event order is total — the same fault/recovery trace, byte for byte.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod campaign;

@@ -20,7 +20,6 @@
 //! iteration — the same inputs produce byte-identical output on any
 //! platform and at any thread count. File I/O stays at the `cli` boundary.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod benchdiff;

@@ -10,7 +10,7 @@ use cloudsched_core::JobId;
 use cloudsched_obs::TraceEvent;
 
 /// Events concerning one job, in trace order.
-pub fn job_timeline<'a>(events: &'a [TraceEvent], job: JobId) -> Vec<&'a TraceEvent> {
+pub fn job_timeline(events: &[TraceEvent], job: JobId) -> Vec<&TraceEvent> {
     events.iter().filter(|e| e.job() == Some(job)).collect()
 }
 

@@ -1,52 +1,48 @@
 //! # cloudsched-lint
 //!
-//! A std-only static-analysis pass for this workspace. The paper's
-//! guarantees (Thm 2's EDF 1-competitiveness, Thm 3's V-Dover bound) hold
-//! only if the simulator respects the model *exactly*, and the workspace's
-//! correctness story rests on tolerance-disciplined `f64` arithmetic
+//! The workspace's own static checks. The paper's guarantees (Thm 2's EDF
+//! 1-competitiveness, Thm 3's V-Dover bound) hold only if the simulator
+//! respects the model *exactly*: tolerance-disciplined `f64` arithmetic
 //! (`cloudsched_core::numeric::approx_*`), panic-free library code, a
-//! deterministic event clock, and — since the PR 5 sweep machinery — on
-//! three structural determinism invariants: all parallelism through
-//! `core::par::parallel_map`, all seeds through `core::rng::derive_seed`,
-//! and no hash-order iteration anywhere goldens can see. Nothing in stock
-//! `rustc`/`clippy` enforces those project policies, and the sandbox has no
-//! network to fetch a real parser — so this crate lexes every workspace
-//! `.rs` file itself ([`tokens`]), builds a per-file symbol model
-//! ([`model`]), and enforces the eleven rules listed in [`rules`].
+//! deterministic clock, seeds, threads and I/O. The contract is split by
+//! what can express it:
 //!
-//! The pass is **two-phase**: phase 1 tokenizes every file and assembles a
-//! [`WorkspaceIndex`] — per-file token streams and models plus the
-//! sanctioned helper surfaces (what `core::numeric`, `core::par` and
-//! `core::rng` actually export). Phase 2 runs the rules with the index in
-//! scope, so a rule can point its message at the real replacement helper
-//! and cross-check names against the file that defines them.
+//! * rules about types and paths (L003, L005–L008, L010, L011, and L004's
+//!   `unsafe_code = "forbid"`) are clippy configuration — the root
+//!   `clippy.toml` and the `[workspace.lints]` table, checked by
+//!   `cargo clippy --workspace --all-targets -- -D warnings`;
+//! * the three rules that hang on strings and model vocabulary (L001, L002,
+//!   L009), plus L004's check that every member manifest opts into that
+//!   table, live here and are listed in [`rules`].
+//!
+//! This crate lexes every workspace `.rs` file itself ([`tokens`]) and
+//! builds a per-file model ([`model`]) of `#[cfg(test)]` spans, allow
+//! escapes and `pub const` items. The pass is **two-phase**: phase 1
+//! assembles a [`WorkspaceIndex`] of every file plus the seed streams
+//! `core::rng` exports; phase 2 runs the rules with the index in scope, so
+//! L009 can name the real `SEED_STREAM_*` constants in its message.
 //!
 //! The pass runs two ways:
 //!
-//! * `cloudsched lint` — through the workspace CLI (`--json` for machine
-//!   output, `--explain Lxxx` for the rule text);
+//! * `cloudsched lint` — through the workspace CLI (`--explain Lxxx` for
+//!   the rule text);
 //! * `cargo test -q` — the tier-1 test in `tests/workspace.rs` fails the
-//!   suite on any unbaselined finding.
+//!   suite on any finding.
 //!
-//! Escapes: `// lint: allow(Lxxx) — reason` on (or immediately above) a
-//! line, or the checked-in `lint.baseline` ledger for grandfathered sites
-//! (see [`baseline`]). The baseline is kept empty; a non-empty one renders
-//! a warning so CI can annotate the debt.
+//! Escape: `// lint: allow(Lxxx) — reason` on (or immediately above) a
+//! line.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod error;
 pub mod model;
 pub mod rules;
 pub mod source;
 pub mod tokens;
 
-pub use baseline::{Baseline, BaselineResult};
 pub use error::LintError;
-pub use rules::{explain, rule_info, Finding, RuleInfo, Severity, RULES};
-pub use source::{discover, FileKind, SourceFile};
+pub use rules::{check_manifest, explain, rule_info, Finding, RuleInfo, RULES};
+pub use source::{discover, member_manifests, FileKind, SourceFile};
 
 use model::FileModel;
 use std::collections::BTreeSet;
@@ -64,65 +60,37 @@ pub struct FileEntry {
     pub model: FileModel,
 }
 
-/// Phase-1 product: every file tokenized and modelled, plus the sanctioned
-/// helper surfaces rules reference in their messages and checks.
+/// Phase-1 product: every file tokenized and modelled, plus the seed
+/// streams L009 names in its messages.
 #[derive(Debug)]
 pub struct WorkspaceIndex {
     /// Every workspace file, sorted by path.
     pub files: Vec<FileEntry>,
-    /// Public fns exported by `core/src/numeric.rs` (checked conversions,
-    /// `approx_*`). L010 names these in its fix hint.
-    pub numeric_helpers: BTreeSet<String>,
-    /// Public fns exported by `core/src/par.rs` (`parallel_map`, …). L008
-    /// names these in its fix hint.
-    pub par_fns: BTreeSet<String>,
-    /// Public consts exported by `core/src/rng.rs` (`SEED_STREAM_*`). L009
-    /// names these in its fix hint.
+    /// Public consts exported by `core/src/rng.rs` (`SEED_STREAM_*`).
     pub rng_consts: BTreeSet<String>,
 }
 
 /// Tokenizes and models `files` into a [`WorkspaceIndex`] (phase 1).
 pub fn build_index(files: Vec<SourceFile>) -> WorkspaceIndex {
-    let mut entries = Vec::with_capacity(files.len());
-    for file in files {
-        let tokens = tokens::tokenize(&file.text);
-        let model = model::build_model(&tokens);
-        entries.push(FileEntry {
-            file,
-            tokens,
-            model,
-        });
-    }
-    let exported = |suffix: &str, pick: fn(&FileEntry) -> &[String]| -> BTreeSet<String> {
-        entries
-            .iter()
-            .filter(|e| e.file.rel_path.ends_with(suffix))
-            .flat_map(|e| pick(e).iter().cloned())
-            .collect()
-    };
-    let pub_fn_names = |e: &FileEntry| -> Vec<String> {
-        e.model
-            .fns
-            .iter()
-            .filter(|f| f.is_pub)
-            .map(|f| f.name.clone())
-            .collect()
-    };
-    let numeric_helpers = entries
-        .iter()
-        .filter(|e| e.file.rel_path.ends_with("core/src/numeric.rs"))
-        .flat_map(|e| pub_fn_names(e))
+    let entries: Vec<FileEntry> = files
+        .into_iter()
+        .map(|file| {
+            let tokens = tokens::tokenize(&file.text);
+            let model = model::build_model(&tokens);
+            FileEntry {
+                file,
+                tokens,
+                model,
+            }
+        })
         .collect();
-    let par_fns = entries
+    let rng_consts = entries
         .iter()
-        .filter(|e| e.file.rel_path.ends_with("core/src/par.rs"))
-        .flat_map(|e| pub_fn_names(e))
+        .filter(|e| e.file.rel_path.ends_with("core/src/rng.rs"))
+        .flat_map(|e| e.model.pub_consts.iter().cloned())
         .collect();
-    let rng_consts = exported("core/src/rng.rs", |e| &e.model.pub_consts);
     WorkspaceIndex {
         files: entries,
-        numeric_helpers,
-        par_fns,
         rng_consts,
     }
 }
@@ -149,8 +117,8 @@ pub fn check_index(index: &WorkspaceIndex) -> Vec<Finding> {
     findings
 }
 
-/// Lints an in-memory file set (both phases, no baseline). This is the
-/// entry point fixture tests use.
+/// Lints an in-memory file set (both phases). This is the entry point
+/// fixture tests use.
 pub fn check_files(files: Vec<SourceFile>) -> Vec<Finding> {
     check_index(&build_index(files))
 }
@@ -158,116 +126,31 @@ pub fn check_files(files: Vec<SourceFile>) -> Vec<Finding> {
 /// Result of a full workspace pass.
 #[derive(Debug)]
 pub struct LintReport {
-    /// Findings not covered by the baseline (fail the run).
-    pub new: Vec<Finding>,
-    /// Baseline-tolerated findings.
-    pub grandfathered: Vec<Finding>,
-    /// Baseline entries whose finding no longer exists (fail the run).
-    pub stale: Vec<String>,
-    /// Number of files scanned.
+    /// Every finding; any one fails the run.
+    pub findings: Vec<Finding>,
+    /// Number of files scanned (sources and member manifests).
     pub files_scanned: usize,
 }
 
 impl LintReport {
-    /// A run is clean when nothing new fired and no baseline entry is stale.
+    /// A run is clean when nothing fired.
     pub fn is_clean(&self) -> bool {
-        self.new.is_empty() && self.stale.is_empty()
+        self.findings.is_empty()
     }
 
     /// Human-readable multi-line summary.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        for f in &self.new {
-            out.push_str(&format!("{f}\n"));
-        }
-        for s in &self.stale {
-            out.push_str(&format!(
-                "stale baseline entry (fix was landed — remove the line): {s}\n"
-            ));
-        }
-        if !self.grandfathered.is_empty() {
-            out.push_str(&format!(
-                "warning: {} grandfathered finding(s) remain in lint.baseline — \
-                 the ledger should be burned down to empty\n",
-                self.grandfathered.len()
-            ));
-        }
+        let mut out: String = self.findings.iter().map(|f| format!("{f}\n")).collect();
         out.push_str(&format!(
-            "cloudsched-lint: {} files, {} new finding(s), {} grandfathered, {} stale baseline entr{}\n",
+            "cloudsched-lint: {} files, {} finding(s)\n",
             self.files_scanned,
-            self.new.len(),
-            self.grandfathered.len(),
-            self.stale.len(),
-            if self.stale.len() == 1 { "y" } else { "ies" },
+            self.findings.len()
         ));
         out
     }
-
-    /// Machine-readable JSON rendering (hand-rolled; the workspace is
-    /// dependency-free). Shape:
-    ///
-    /// ```json
-    /// {"files_scanned":N,"clean":bool,
-    ///  "new":[{"rule":"L001","severity":"error","path":"…","line":N,
-    ///          "message":"…","excerpt":"…"}],
-    ///  "grandfathered":[…],"stale":["…"]}
-    /// ```
-    pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len() + 2);
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\t' => out.push_str("\\t"),
-                    '\r' => out.push_str("\\r"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
-        fn finding_json(f: &Finding) -> String {
-            format!(
-                "{{\"rule\":\"{}\",\"severity\":\"{}\",\"path\":\"{}\",\"line\":{},\
-                 \"message\":\"{}\",\"excerpt\":\"{}\"}}",
-                f.rule,
-                f.severity.name(),
-                esc(&f.path),
-                f.line,
-                esc(&f.message),
-                esc(&f.excerpt)
-            )
-        }
-        let list = |fs: &[Finding]| -> String {
-            fs.iter().map(finding_json).collect::<Vec<_>>().join(",")
-        };
-        let stale = self
-            .stale
-            .iter()
-            .map(|s| format!("\"{}\"", esc(s)))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"files_scanned\":{},\"clean\":{},\"new\":[{}],\
-             \"grandfathered\":[{}],\"stale\":[{}]}}",
-            self.files_scanned,
-            self.is_clean(),
-            list(&self.new),
-            list(&self.grandfathered),
-            stale
-        )
-    }
 }
 
-/// The canonical baseline location for a workspace root.
-pub fn baseline_path(root: &Path) -> PathBuf {
-    root.join("lint.baseline")
-}
-
-/// Lints every workspace file under `root`, applying the baseline at
-/// [`baseline_path`].
+/// Lints every workspace source file and member manifest under `root`.
 pub fn run_workspace(root: &Path) -> std::io::Result<LintReport> {
     if !root.join("Cargo.toml").is_file() {
         return Err(std::io::Error::new(
@@ -276,33 +159,22 @@ pub fn run_workspace(root: &Path) -> std::io::Result<LintReport> {
         ));
     }
     let files = discover(root)?;
-    let files_scanned = files.len();
-    let findings = check_files(files);
-    let baseline = Baseline::load(&baseline_path(root))?;
-    let BaselineResult {
-        new,
-        grandfathered,
-        stale,
-    } = baseline.apply(findings);
+    let manifests = member_manifests(root)?;
+    let files_scanned = files.len() + manifests.len();
+    let mut findings: Vec<Finding> = manifests
+        .iter()
+        .filter_map(|(path, text)| check_manifest(path, text))
+        .collect();
+    findings.extend(check_files(files));
     Ok(LintReport {
-        new,
-        grandfathered,
-        stale,
+        findings,
         files_scanned,
     })
 }
 
-/// Lints the workspace and rewrites the baseline to cover every current
-/// finding. Returns the number of entries written.
-pub fn write_baseline(root: &Path) -> std::io::Result<usize> {
-    let files = discover(root)?;
-    let findings = check_files(files);
-    std::fs::write(baseline_path(root), Baseline::render(&findings))?;
-    Ok(findings.len())
-}
-
 /// Walks upward from `start` to the first directory containing a
 /// `Cargo.toml` that declares `[workspace]`.
+#[allow(clippy::disallowed_methods)] // reads manifests, like the rest of the pass
 pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     let mut dir = Some(start.to_path_buf());
     while let Some(d) = dir {
@@ -331,54 +203,26 @@ mod tests {
     #[test]
     fn report_rendering_counts() {
         let r = LintReport {
-            new: vec![],
-            grandfathered: vec![],
-            stale: vec!["L001|x.rs|a == 1.0".into()],
+            findings: vec![Finding {
+                rule: "L002",
+                path: "a.rs".into(),
+                line: 7,
+                message: "`.unwrap()` in library code".into(),
+                excerpt: "x.unwrap()".into(),
+            }],
             files_scanned: 3,
         };
         assert!(!r.is_clean());
         let text = r.render();
-        assert!(text.contains("stale"));
-        assert!(text.contains("3 files"));
+        assert!(text.contains("a.rs:7: L002"));
+        assert!(text.contains("3 files, 1 finding(s)"));
     }
 
     #[test]
-    fn json_rendering_escapes_and_counts() {
-        let r = LintReport {
-            new: vec![Finding {
-                rule: "L002",
-                severity: Severity::Error,
-                path: "a.rs".into(),
-                line: 7,
-                message: "`.unwrap()` with \"quotes\"".into(),
-                excerpt: "x.unwrap()".into(),
-            }],
-            grandfathered: vec![],
-            stale: vec![],
-            files_scanned: 1,
-        };
-        let json = r.to_json();
-        assert!(json.contains("\"clean\":false"));
-        assert!(json.contains("\\\"quotes\\\""));
-        assert!(json.contains("\"line\":7"));
-        assert!(json.contains("\"severity\":\"error\""));
-    }
-
-    #[test]
-    fn index_captures_sanctioned_surfaces() {
+    fn index_captures_seed_streams() {
         let here = Path::new(env!("CARGO_MANIFEST_DIR"));
         let root = find_workspace_root(here).expect("workspace root");
         let index = build_index(discover(&root).expect("discover"));
-        assert!(
-            index.par_fns.contains("parallel_map"),
-            "core::par exports not indexed: {:?}",
-            index.par_fns
-        );
-        assert!(
-            index.numeric_helpers.contains("approx_eq"),
-            "core::numeric exports not indexed: {:?}",
-            index.numeric_helpers
-        );
         assert!(
             index
                 .rng_consts

@@ -1,47 +1,22 @@
 //! Per-file symbol model built from the token stream.
 //!
-//! The rules in this crate need more than raw tokens: they scope on
-//! `#[cfg(test)]` regions, resolve imported names to full paths (so `HashMap`
-//! is known to be `std::collections::HashMap` and not a local type), type
-//! local bindings well enough to answer "is this receiver a hash
-//! collection?", and locate `fn`/`const` items so a workspace index can list
-//! what `core::numeric` or `core::par` actually export. This module derives
-//! all of that from the [`crate::tokens`] stream — brace-tracked, so strings
-//! and comments can never confuse the spans.
+//! The rules in this crate scope on `#[cfg(test)]` regions, honour
+//! `// lint: allow(Lxxx)` escapes, and need the `pub const` items a
+//! workspace index lists from `core::rng`. This module derives all of that
+//! from the [`crate::tokens`] stream — brace-tracked, so strings and
+//! comments can never confuse the spans.
 
 use crate::tokens::{Comment, Token, TokenStream};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::Range;
 
-/// A function item located in the file.
-#[derive(Debug, Clone)]
-pub struct FnSpan {
-    /// Function name.
-    pub name: String,
-    /// Whether the item is `pub` (any visibility qualifier counts).
-    pub is_pub: bool,
-    /// Token-index range covering `fn … { … }` (signature through body).
-    pub tokens: Range<usize>,
-    /// 1-based line range of the item.
-    pub lines: Range<usize>,
-}
-
 /// Per-file symbol model.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct FileModel {
-    /// Resolved `use` imports: local name → full path
-    /// (`HashMap` → `std::collections::HashMap`, `c` → `a::b` for
-    /// `use a::b as c`).
-    pub uses: BTreeMap<String, String>,
     /// Token-index ranges gated by `#[cfg(test)]`.
     pub test_spans: Vec<Range<usize>>,
-    /// `fn` items (name, visibility, token and line span).
-    pub fns: Vec<FnSpan>,
     /// Names of `pub const` items.
     pub pub_consts: Vec<String>,
-    /// Local names whose declared (or constructed) type is `HashMap` /
-    /// `HashSet`: struct fields, `let` bindings and fn parameters.
-    pub hash_bindings: BTreeSet<String>,
     /// 1-based line → rules allowed (escaped) on that line, from
     /// `// lint: allow(Lxxx)` directives.
     pub allows: BTreeMap<usize, Vec<String>>,
@@ -59,35 +34,15 @@ impl FileModel {
             .get(&line)
             .is_some_and(|rules| rules.iter().any(|r| r == rule))
     }
-
-    /// Does `name` (as used in this file) resolve to a path ending in
-    /// `suffix`? Unresolved names resolve to themselves, so fully-qualified
-    /// uses still match.
-    pub fn resolves_to(&self, name: &str, suffix: &str) -> bool {
-        match self.uses.get(name) {
-            Some(full) => {
-                full == suffix || full.ends_with(&format!("::{suffix}")) || {
-                    // `use std::collections::HashMap` → suffix `collections::HashMap`.
-                    full.ends_with(suffix)
-                }
-            }
-            None => name == suffix,
-        }
-    }
 }
 
 /// Builds the [`FileModel`] for one token stream.
 pub fn build_model(ts: &TokenStream) -> FileModel {
-    let toks = ts.toks();
-    let mut model = FileModel {
+    FileModel {
+        test_spans: find_test_spans(ts.toks()),
+        pub_consts: collect_pub_consts(ts.toks()),
         allows: collect_allows(&ts.comments),
-        ..FileModel::default()
-    };
-    collect_uses(toks, &mut model.uses);
-    model.test_spans = find_test_spans(toks);
-    collect_fns(toks, &mut model);
-    model.hash_bindings = collect_hash_bindings(toks, &model.uses);
-    model
+    }
 }
 
 /// Extracts `lint: allow(Lxxx[, Lyyy…])` directives: a trailing comment
@@ -120,96 +75,6 @@ fn parse_allow(comment: &str) -> Option<Vec<String>> {
         None
     } else {
         Some(rules)
-    }
-}
-
-/// Parses `use` items into local-name → full-path entries. Handles plain
-/// paths, `as` renames, nested `{…}` groups (recursively) and `*` globs
-/// (recorded under the name `*` with the prefix as the path).
-fn collect_uses(toks: &[Token], out: &mut BTreeMap<String, String>) {
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].is_ident("use") && (i == 0 || !toks[i - 1].is_punct(".")) {
-            let start = i + 1;
-            let mut end = start;
-            while end < toks.len() && !toks[end].is_punct(";") {
-                end += 1;
-            }
-            parse_use_tree(&toks[start..end], "", out);
-            i = end;
-        }
-        i += 1;
-    }
-}
-
-/// Parses one use-tree (the tokens between `use` and `;`) with `prefix`
-/// already joined by `::`.
-fn parse_use_tree(toks: &[Token], prefix: &str, out: &mut BTreeMap<String, String>) {
-    // Split off a leading path `a::b::c`, then either a group `{…}`, a
-    // rename `as x`, a glob `*`, or the end.
-    let mut path: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        let t = &toks[i];
-        if t.is_punct("::") {
-            i += 1;
-            continue;
-        }
-        if t.is_punct("{") {
-            // Group: split the interior on top-level commas, recurse.
-            let joined = join_path(prefix, &path);
-            let mut depth = 0i32;
-            let mut item_start = i + 1;
-            for j in i + 1..toks.len() {
-                if toks[j].is_punct("{") {
-                    depth += 1;
-                } else if toks[j].is_punct("}") {
-                    if depth == 0 {
-                        if j > item_start {
-                            parse_use_tree(&toks[item_start..j], &joined, out);
-                        }
-                        break;
-                    }
-                    depth -= 1;
-                } else if toks[j].is_punct(",") && depth == 0 {
-                    if j > item_start {
-                        parse_use_tree(&toks[item_start..j], &joined, out);
-                    }
-                    item_start = j + 1;
-                }
-            }
-            return;
-        }
-        if t.is_punct("*") {
-            out.insert("*".to_string(), join_path(prefix, &path));
-            return;
-        }
-        if t.is_ident("as") {
-            if let Some(rename) = toks.get(i + 1) {
-                out.insert(rename.text.clone(), join_path(prefix, &path));
-            }
-            return;
-        }
-        if t.is_punct(",") {
-            // Top-level comma inside a group slice: handled by the caller.
-            break;
-        }
-        path.push(t.text.clone());
-        i += 1;
-    }
-    if let Some(last) = path.last() {
-        out.insert(last.clone(), join_path(prefix, &path));
-    }
-}
-
-fn join_path(prefix: &str, segs: &[String]) -> String {
-    let tail = segs.join("::");
-    if prefix.is_empty() {
-        tail
-    } else if tail.is_empty() {
-        prefix.to_string()
-    } else {
-        format!("{prefix}::{tail}")
     }
 }
 
@@ -255,93 +120,12 @@ fn find_test_spans(toks: &[Token]) -> Vec<Range<usize>> {
     spans
 }
 
-/// Locates `fn` items and `pub const` items.
-fn collect_fns(toks: &[Token], model: &mut FileModel) {
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].is_ident("fn") && i + 1 < toks.len() {
-            let name = toks[i + 1].text.clone();
-            // Visibility: a `pub` within the few tokens before `fn`
-            // (covers `pub`, `pub(crate) unsafe extern "C"` and friends).
-            let lo = i.saturating_sub(6);
-            let is_pub = toks[lo..i].iter().any(|t| t.is_ident("pub"));
-            // Body: brace-match from the first `{`; a `;` first means a
-            // trait/extern declaration with no body.
-            let mut depth = 0i64;
-            let mut end = i + 2;
-            let mut opened = false;
-            for (j, t) in toks.iter().enumerate().skip(i + 2) {
-                if t.is_punct("{") {
-                    depth += 1;
-                    opened = true;
-                } else if t.is_punct("}") {
-                    depth -= 1;
-                    if depth == 0 && opened {
-                        end = j + 1;
-                        break;
-                    }
-                } else if t.is_punct(";") && !opened && depth == 0 {
-                    end = j + 1;
-                    break;
-                }
-                end = j + 1;
-            }
-            let lines = toks[i].line..toks[end.min(toks.len()) - 1].line + 1;
-            model.fns.push(FnSpan {
-                name,
-                is_pub,
-                tokens: i..end,
-                lines,
-            });
-            // Continue *inside* the fn too (nested fns are rare but legal):
-            // advance past the name only.
-            i += 2;
-            continue;
-        }
-        if toks[i].is_ident("pub") && toks.get(i + 1).is_some_and(|t| t.is_ident("const")) {
-            if let Some(name) = toks.get(i + 2) {
-                model.pub_consts.push(name.text.clone());
-            }
-        }
-        i += 1;
-    }
-}
-
-/// Records local names declared (or initialized) as hash collections:
-/// `name: HashMap<…>` / `name: HashSet<…>` (fields, params, lets) and
-/// `let name = HashMap::new()` / `HashSet::with_capacity(…)`.
-fn collect_hash_bindings(toks: &[Token], uses: &BTreeMap<String, String>) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    // `HashMap`/`HashSet` count as the std hash collections unless an
-    // import explicitly binds the name elsewhere; an unimported mention is
-    // either a fully-qualified `std::collections::…` path or dead code.
-    let is_hash_type = |t: &Token| {
-        (t.is_ident("HashMap") || t.is_ident("HashSet"))
-            && match uses.get(&t.text) {
-                Some(path) => *path == format!("std::collections::{}", t.text),
-                None => true,
-            }
-    };
-    for i in 0..toks.len() {
-        if !is_hash_type(&toks[i]) {
-            continue;
-        }
-        // Walk back over a fully-qualified path prefix (`std::collections::`).
-        let mut j = i;
-        while j >= 2 && toks[j - 1].is_punct("::") {
-            j -= 2;
-        }
-        // `name : [std::collections::] HashMap`
-        if j >= 2 && toks[j - 1].is_punct(":") {
-            out.insert(toks[j - 2].text.clone());
-            continue;
-        }
-        // `let name = HashMap::new(…)` / `= HashSet::with_capacity(…)`
-        if j >= 2 && toks[j - 1].is_punct("=") {
-            out.insert(toks[j - 2].text.clone());
-        }
-    }
-    out
+/// Names of `pub const` items.
+fn collect_pub_consts(toks: &[Token]) -> Vec<String> {
+    toks.windows(3)
+        .filter(|w| w[0].is_ident("pub") && w[1].is_ident("const"))
+        .map(|w| w[2].text.clone())
+        .collect()
 }
 
 #[cfg(test)]
@@ -351,43 +135,6 @@ mod tests {
 
     fn model_of(src: &str) -> FileModel {
         build_model(&tokenize(src))
-    }
-
-    #[test]
-    fn resolves_plain_and_grouped_uses() {
-        let m = model_of(
-            "use std::collections::HashMap;\n\
-             use std::collections::{BTreeMap, HashSet};\n\
-             use a::b as c;\n\
-             use x::y::*;\n",
-        );
-        assert_eq!(
-            m.uses.get("HashMap").map(String::as_str),
-            Some("std::collections::HashMap")
-        );
-        assert_eq!(
-            m.uses.get("HashSet").map(String::as_str),
-            Some("std::collections::HashSet")
-        );
-        assert_eq!(
-            m.uses.get("BTreeMap").map(String::as_str),
-            Some("std::collections::BTreeMap")
-        );
-        assert_eq!(m.uses.get("c").map(String::as_str), Some("a::b"));
-        assert_eq!(m.uses.get("*").map(String::as_str), Some("x::y"));
-    }
-
-    #[test]
-    fn nested_use_groups() {
-        let m = model_of("use std::{collections::{HashMap, HashSet}, time::Instant};\n");
-        assert_eq!(
-            m.uses.get("HashMap").map(String::as_str),
-            Some("std::collections::HashMap")
-        );
-        assert_eq!(
-            m.uses.get("Instant").map(String::as_str),
-            Some("std::time::Instant")
-        );
     }
 
     #[test]
@@ -433,39 +180,9 @@ mod tests {
     }
 
     #[test]
-    fn fn_spans_and_visibility() {
-        let src = "pub fn alpha(x: u32) -> u32 { x }\nfn beta() {}\npub(crate) fn gamma();\n";
-        let m = model_of(src);
-        let names: Vec<(&str, bool)> = m.fns.iter().map(|f| (f.name.as_str(), f.is_pub)).collect();
-        assert_eq!(names, [("alpha", true), ("beta", false), ("gamma", true)]);
-    }
-
-    #[test]
     fn pub_consts_are_collected() {
         let m = model_of("pub const SEED_STREAM_X: u64 = 1;\nconst PRIVATE: u64 = 2;\n");
         assert_eq!(m.pub_consts, ["SEED_STREAM_X"]);
-    }
-
-    #[test]
-    fn hash_bindings_from_fields_lets_and_constructors() {
-        let m = model_of(
-            "use std::collections::{HashMap, HashSet};\n\
-             struct S { ready: HashSet<u64>, counts: HashMap<u64, u64>, ok: Vec<u64> }\n\
-             fn f() { let seen = HashMap::new(); let fine: std::collections::BTreeSet<u8> = Default::default(); }\n",
-        );
-        assert!(m.hash_bindings.contains("ready"));
-        assert!(m.hash_bindings.contains("counts"));
-        assert!(m.hash_bindings.contains("seen"));
-        assert!(!m.hash_bindings.contains("ok"));
-        assert!(!m.hash_bindings.contains("fine"));
-    }
-
-    #[test]
-    fn locally_defined_hashmap_is_not_std() {
-        // A file that imports its own HashMap must not type bindings as std
-        // hash collections.
-        let m = model_of("use crate::fast::HashMap;\nstruct S { m: HashMap }\n");
-        assert!(!m.hash_bindings.contains("m"));
     }
 
     #[test]

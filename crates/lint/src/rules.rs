@@ -1,76 +1,41 @@
-//! The project-specific rule set, evaluated over the token stream.
+//! The rules clippy cannot express, evaluated over the token stream.
 //!
-//! | id | severity | enforces |
-//! |----|----------|----------|
-//! | L001 | error | no raw `f64` comparisons on model quantities — route
-//!   through `core::numeric::approx_*` |
-//! | L002 | error | no `.unwrap()`; `.expect(…)` only with an
-//!   `"invariant: …"` justification |
-//! | L003 | error | no `panic!` / `todo!` / `unimplemented!` in library code |
-//! | L004 | error | crate roots must declare `#![forbid(unsafe_code)]` |
-//! | L005 | error | no wall clock (`Instant::now`, `SystemTime::now`) in
-//!   deterministic simulation code |
-//! | L006 | error | no `std::time::Instant` / `SystemTime` types outside the
-//!   `cloudsched_obs::Clock` seam and `bench` |
-//! | L007 | error | no `HashMap`/`HashSet` iteration in deterministic crates
-//!   — use `BTreeMap`/`BTreeSet` or sort explicitly |
-//! | L008 | error | no `std::thread` fan-out outside `core/src/par.rs` —
-//!   parallelism goes through `core::par::parallel_map` |
-//! | L009 | error | seed discipline: no RNG construction from integer
-//!   literals and no seed arithmetic outside `core::rng::derive_seed` |
-//! | L010 | error | no lossy `as` casts on model quantities in kernel crates
-//!   — route through the checked helpers in `core::numeric` |
-//! | L011 | error | no `std::env` / `std::fs` reads in deterministic crates
-//!   — config enters through typed constructors |
+//! | id | enforces |
+//! |----|----------|
+//! | L001 | no raw `f64` comparisons on model quantities — route through
+//!   `core::numeric::approx_*` |
+//! | L002 | no `.unwrap()`; `.expect(…)` only with an `"invariant: …"`
+//!   justification |
+//! | L004 | every workspace member's `Cargo.toml` opts into the workspace
+//!   lint table (`[lints] workspace = true`) |
+//! | L009 | seed discipline: no RNG construction from integer literals and
+//!   no seed arithmetic outside `core::rng::derive_seed` |
 //!
-//! Every rule is evaluated against the [`crate::tokens`] stream and the
-//! [`crate::model`] symbol model, under a two-phase runner: phase one builds
-//! a [`crate::WorkspaceIndex`] of every file's tokens/model plus the
-//! workspace's sanctioned helper surfaces (what `core::numeric`, `core::par`
-//! and `core::rng` actually export), phase two runs the rules with that
-//! index in scope, so messages can point at the real helpers and rules can
-//! reason across files. Escape hatches: `// lint: allow(Lxxx)` on (or above)
-//! the offending line, and the checked-in baseline for grandfathered sites.
+//! L001, L002 and L009 hang on strings and model vocabulary (`float_cmp`
+//! skips `<=`/`>=`; clippy has no `"invariant: …"` convention and no notion
+//! of a seed). The rest of the contract — L003, L005–L008, L010, L011 and
+//! L004's `unsafe_code = "forbid"` itself — is clippy configuration: the
+//! root `clippy.toml` and `[workspace.lints]` table. L004 here only makes
+//! sure no member crate silently leaves that table. Escape hatch:
+//! `// lint: allow(Lxxx) — reason` on (or above) the offending line.
 
 use crate::model::FileModel;
 use crate::source::{FileKind, SourceFile};
 use crate::tokens::{Token, TokenKind};
 use crate::WorkspaceIndex;
 
-/// Finding severity. Errors fail the run; warnings are reported (and
-/// surfaced as CI annotations) but do not gate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Gates the tier-1 lint test and the CI lint step.
-    Error,
-    /// Reported and annotated, never gating.
-    Warning,
-}
-
-impl Severity {
-    /// Lowercase name, as rendered in text and JSON output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Severity::Error => "error",
-            Severity::Warning => "warning",
-        }
-    }
-}
-
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Rule id, e.g. `L002`.
     pub rule: &'static str,
-    /// Severity of the rule that fired.
-    pub severity: Severity,
     /// Workspace-relative path.
     pub path: String,
     /// 1-based line.
     pub line: usize,
     /// Explanation of the violation.
     pub message: String,
-    /// Trimmed text of the offending line (used for baseline matching).
+    /// Trimmed text of the offending line.
     pub excerpt: String,
 }
 
@@ -78,13 +43,8 @@ impl std::fmt::Display for Finding {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}:{}: {} [{}] {}\n    {}",
-            self.path,
-            self.line,
-            self.rule,
-            self.severity.name(),
-            self.message,
-            self.excerpt
+            "{}:{}: {} {}\n    {}",
+            self.path, self.line, self.rule, self.message, self.excerpt
         )
     }
 }
@@ -94,8 +54,6 @@ impl std::fmt::Display for Finding {
 pub struct RuleInfo {
     /// Rule id.
     pub id: &'static str,
-    /// Severity when it fires.
-    pub severity: Severity,
     /// One-line summary.
     pub summary: &'static str,
     /// Where the rule applies.
@@ -110,7 +68,6 @@ pub struct RuleInfo {
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "L001",
-        severity: Severity::Error,
         summary: "no raw f64 comparisons on model quantities",
         scope: "library code of core (outside numeric.rs), capacity, sim, sched, offline, analysis",
         rationale: "chained f64 sums accumulate ulps; every completion/deadline predicate must \
@@ -121,7 +78,6 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "L002",
-        severity: Severity::Error,
         summary: "no .unwrap(); .expect(…) needs an \"invariant: …\" justification",
         scope: "library code of sim, sched, capacity, offline",
         rationale: "library panics crash sweeps mid-campaign; every residual panic site must \
@@ -129,67 +85,16 @@ pub const RULES: &[RuleInfo] = &[
         fix: "propagate a CoreError, or write .expect(\"invariant: …\") naming the invariant",
     },
     RuleInfo {
-        id: "L003",
-        severity: Severity::Error,
-        summary: "no panic!/todo!/unimplemented! in library code",
-        scope: "library code of all crates",
-        rationale: "same as L002: library code returns typed errors, it does not abort",
-        fix: "return a CoreError (InvalidArgument, InvalidParameter, …) instead",
-    },
-    RuleInfo {
         id: "L004",
-        severity: Severity::Error,
-        summary: "crate roots must declare #![forbid(unsafe_code)]",
-        scope: "every lib.rs / binary root",
-        rationale: "the determinism and no-panic stories both assume safe Rust everywhere; \
-                    forbid(unsafe_code) makes that structural",
-        fix: "add #![forbid(unsafe_code)] at the top of the crate root",
-    },
-    RuleInfo {
-        id: "L005",
-        severity: Severity::Error,
-        summary: "no wall clock in deterministic simulation code",
-        scope: "library code of core, capacity, sim, sched, offline, workload, obs, faults, \
-                insight",
-        rationale: "simulated time comes from the event clock; a wall-clock read makes runs \
-                    irreproducible",
-        fix: "take time from the simulation clock, or inject a cloudsched_obs::Clock",
-    },
-    RuleInfo {
-        id: "L006",
-        severity: Severity::Error,
-        summary: "no std::time::Instant/SystemTime types outside the Clock seam",
-        scope: "every crate except bench and obs/src/clock.rs",
-        rationale: "holding raw time types invites timing side-channels into deterministic \
-                    code; all timing flows through the swappable Clock seam",
-        fix: "inject a cloudsched_obs::Clock instead of naming std::time types",
-    },
-    RuleInfo {
-        id: "L007",
-        severity: Severity::Error,
-        summary: "no HashMap/HashSet iteration in deterministic crates",
-        scope: "library code of core, capacity, sim, sched, offline, workload, obs, faults, \
-                insight",
-        rationale: "hash iteration order is unspecified and changes across std releases and \
-                    RandomState seeds; one hash-order loop silently breaks byte-identical \
-                    goldens, thread-count invariance and chaos replays",
-        fix: "use BTreeMap/BTreeSet, or collect and sort by a total key before iterating; \
-              pure lookup (get/insert/contains) stays legal",
-    },
-    RuleInfo {
-        id: "L008",
-        severity: Severity::Error,
-        summary: "no std::thread fan-out outside core/src/par.rs",
-        scope: "all code except core/src/par.rs",
-        rationale: "thread-count invariance is a structural property of \
-                    core::par::parallel_map's index-ordered join; ad-hoc spawn/scope fan-out \
-                    reintroduces scheduling nondeterminism",
-        fix: "express the fan-out as core::par::parallel_map / parallel_map_with over an \
-              index range",
+        summary: "every workspace member opts into the workspace lint table",
+        scope: "the root Cargo.toml and every crates/*/Cargo.toml",
+        rationale: "unsafe_code = \"forbid\" and the clippy half of this contract (L003, \
+                    L005-L008, L010, L011) live in [workspace.lints]; a crate without \
+                    `[lints] workspace = true` silently escapes all of them",
+        fix: "add `[lints]` with `workspace = true` to the member's Cargo.toml",
     },
     RuleInfo {
         id: "L009",
-        severity: Severity::Error,
         summary: "seed discipline: construct RNGs from derived seeds only",
         scope: "all non-test code except core/src/rng.rs",
         rationale: "every recorded artifact (Table I, goldens, BENCH_*.json) is pinned to the \
@@ -197,27 +102,6 @@ pub const RULES: &[RuleInfo] = &[
                     fork the seed universe and collide silently",
         fix: "declare a SEED_STREAM_* constant in core::rng and derive with \
               core::rng::derive_seed(stream, lambda, run)",
-    },
-    RuleInfo {
-        id: "L010",
-        severity: Severity::Error,
-        summary: "no lossy `as` casts on model quantities in kernel crates",
-        scope: "library code of core (outside numeric.rs), capacity, sim, sched, offline",
-        rationale: "`f64 as usize/u64` silently truncates and saturates; on model quantities \
-                    that is a correctness bug hiding as a cast",
-        fix: "route through core::numeric checked conversions (checked_usize_from_f64, \
-              checked_u64_from_f64, f64_to_u64_trunc_saturating)",
-    },
-    RuleInfo {
-        id: "L011",
-        severity: Severity::Error,
-        summary: "no std::env/std::fs reads in deterministic crates",
-        scope: "library code of core, capacity, sim, sched, offline, workload, obs (outside \
-                journal.rs, the write-ahead-journal seam), faults, insight",
-        rationale: "ambient process state (env vars, files) is invisible to the seed and \
-                    breaks replay; configuration enters through typed constructors only",
-        fix: "move the read to the cli/bench boundary and pass the value in as a typed \
-              constructor argument",
     },
 ];
 
@@ -230,41 +114,36 @@ pub fn rule_info(id: &str) -> Option<&'static RuleInfo> {
 pub fn explain(id: &str) -> Option<String> {
     let r = rule_info(id)?;
     Some(format!(
-        "{} ({})\n  summary:   {}\n  scope:     {}\n  rationale: {}\n  fix:       {}\n",
-        r.id,
-        r.severity.name(),
-        r.summary,
-        r.scope,
-        r.rationale,
-        r.fix
+        "{}\n  summary:   {}\n  scope:     {}\n  rationale: {}\n  fix:       {}\n",
+        r.id, r.summary, r.scope, r.rationale, r.fix
     ))
+}
+
+/// L004: a member manifest that does not opt into `[workspace.lints]`.
+pub fn check_manifest(rel_path: &str, manifest: &str) -> Option<Finding> {
+    let mut in_lints = false;
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_lints = line == "[lints]";
+        } else if in_lints && line.split('=').map(str::trim).eq(["workspace", "true"]) {
+            return None;
+        }
+    }
+    Some(Finding {
+        rule: "L004",
+        path: rel_path.to_string(),
+        line: 1,
+        message: "manifest lacks `[lints] workspace = true` — the crate escapes \
+                  unsafe_code = \"forbid\" and every clippy-enforced rule"
+            .to_string(),
+        excerpt: manifest.lines().next().unwrap_or("").trim().to_string(),
+    })
 }
 
 /// Crates whose library code must use tolerance-disciplined comparisons.
 const L001_CRATES: &[&str] = &["core", "capacity", "sim", "sched", "offline", "analysis"];
 /// Crates whose library code must not unwrap.
 const L002_CRATES: &[&str] = &["sim", "sched", "capacity", "offline"];
-/// Crates that form the deterministic simulation core: no wall clock (L005),
-/// no hash-order iteration (L007), no ambient process state (L011). `core`
-/// includes the work-stealing `par` fan-out and `sim` the reusable
-/// `SimWorkspace`: both sit on sweep hot paths and must stay wall-clock
-/// free — all sweep timing lives in `bench`, the sanctioned L005/L006
-/// wall-clock user. `insight` folds traces into ledgers and ratio reports
-/// that must reproduce bit-for-bit from a trace file alone, so it inherits
-/// the full determinism contract; its file I/O stays at the cli boundary.
-/// The fleet layer is fully in scope on both sides of its seam:
-/// `sim/src/fleet.rs` (the sharded multi-machine engine — dispatch merge,
-/// steal resolution, `parallel_map_with` fan-out) and
-/// `sched/src/dispatch.rs` (the rr/llf/p2c policies) promise output that
-/// is a pure function of `(seed, M, policy)` at every thread count, so
-/// they get no carve-outs from L005/L007/L008/L009/L011: p2c seeds flow
-/// through `derive_seed` (L009) and the fan-out rides `core::par`, never
-/// raw `std::thread` (L008).
-const DETERMINISTIC_CRATES: &[&str] = &[
-    "core", "capacity", "sim", "sched", "offline", "workload", "obs", "faults", "insight",
-];
-/// Kernel crates subject to the lossy-cast rule (L010).
-const L010_CRATES: &[&str] = &["core", "capacity", "sim", "sched", "offline"];
 
 /// Shared context for one file's rule evaluation.
 pub(crate) struct FileCtx<'a> {
@@ -281,9 +160,6 @@ impl<'a> FileCtx<'a> {
     }
 
     fn push(&self, findings: &mut Vec<Finding>, rule: &'static str, line: usize, message: String) {
-        let severity = rule_info(rule)
-            .map(|r| r.severity)
-            .unwrap_or(Severity::Error);
         let excerpt = self
             .file
             .text
@@ -294,7 +170,6 @@ impl<'a> FileCtx<'a> {
             .to_string();
         findings.push(Finding {
             rule,
-            severity,
             path: self.file.rel_path.clone(),
             line,
             message,
@@ -303,30 +178,18 @@ impl<'a> FileCtx<'a> {
     }
 }
 
-/// Runs every rule over one file (given the workspace index from phase 1).
+/// Runs every source rule over one file (given the workspace index from
+/// phase 1).
 pub(crate) fn check_file_ctx(ctx: &FileCtx<'_>) -> Vec<Finding> {
     let mut findings = Vec::new();
     l001_raw_float_comparison(ctx, &mut findings);
     l002_unwrap_expect(ctx, &mut findings);
-    l003_panic_macros(ctx, &mut findings);
-    l004_forbid_unsafe(ctx, &mut findings);
-    l005_wall_clock(ctx, &mut findings);
-    l006_raw_time_types(ctx, &mut findings);
-    l007_hash_iteration(ctx, &mut findings);
-    l008_thread_fanout(ctx, &mut findings);
     l009_seed_discipline(ctx, &mut findings);
-    l010_lossy_casts(ctx, &mut findings);
-    l011_ambient_reads(ctx, &mut findings);
     findings
 }
 
-/// Is this file's non-test code subject to library rules at all?
-fn is_library_code(file: &SourceFile) -> bool {
-    matches!(file.kind, FileKind::Lib)
-}
-
 fn in_scope(file: &SourceFile, crates: &[&str]) -> bool {
-    is_library_code(file) && crates.iter().any(|c| *c == file.crate_name)
+    file.kind == FileKind::Lib && crates.iter().any(|c| *c == file.crate_name)
 }
 
 // --- token-walk helpers ----------------------------------------------------
@@ -575,245 +438,6 @@ fn l002_unwrap_expect(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
     }
 }
 
-// --- L003 -------------------------------------------------------------------
-
-/// L003: `panic!` / `todo!` / `unimplemented!` in library code.
-fn l003_panic_macros(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    if !is_library_code(ctx.file) {
-        return;
-    }
-    let toks = ctx.toks;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokenKind::Ident
-            || !matches!(t.text.as_str(), "panic" | "todo" | "unimplemented")
-            || !toks.get(i + 1).is_some_and(|n| n.is_punct("!"))
-        {
-            continue;
-        }
-        if !ctx.active("L003", i) {
-            continue;
-        }
-        ctx.push(
-            findings,
-            "L003",
-            t.line,
-            format!("`{}!` in library code — return a CoreError instead", t.text),
-        );
-    }
-}
-
-// --- L004 -------------------------------------------------------------------
-
-/// L004: crate roots must forbid unsafe code.
-fn l004_forbid_unsafe(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    if !ctx.file.is_crate_root || ctx.model.is_allowed("L004", 1) {
-        return;
-    }
-    let toks = ctx.toks;
-    let has = toks.windows(7).any(|w| {
-        w[0].is_punct("#")
-            && w[1].is_punct("!")
-            && w[2].is_punct("[")
-            && w[3].is_ident("forbid")
-            && w[4].is_punct("(")
-            && w[5].is_ident("unsafe_code")
-            && w[6].is_punct(")")
-    });
-    if !has {
-        ctx.push(
-            findings,
-            "L004",
-            1,
-            "crate root missing `#![forbid(unsafe_code)]`".to_string(),
-        );
-    }
-}
-
-// --- L005 -------------------------------------------------------------------
-
-/// L005: wall clock in deterministic simulation code.
-fn l005_wall_clock(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    if !in_scope(ctx.file, DETERMINISTIC_CRATES) {
-        return;
-    }
-    let toks = ctx.toks;
-    for (i, t) in toks.iter().enumerate() {
-        let is_clock_type = t.is_ident("Instant") || t.is_ident("SystemTime");
-        if !is_clock_type
-            || !toks.get(i + 1).is_some_and(|n| n.is_punct("::"))
-            || !toks.get(i + 2).is_some_and(|n| n.is_ident("now"))
-        {
-            continue;
-        }
-        if !ctx.active("L005", i) {
-            continue;
-        }
-        ctx.push(
-            findings,
-            "L005",
-            t.line,
-            format!(
-                "`{}::now` in deterministic simulation code — simulated \
-                 time must come from the event clock",
-                t.text
-            ),
-        );
-    }
-}
-
-// --- L006 -------------------------------------------------------------------
-
-/// L006: the raw time types themselves, not just their `::now` calls.
-///
-/// Everything — library and binary code alike — must obtain timing through
-/// the `cloudsched_obs::Clock` seam. The only sanctioned holders of
-/// `std::time` types are the seam itself (`obs/src/clock.rs`) and the
-/// benchmark harness (the whole `bench` crate).
-fn l006_raw_time_types(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    if ctx.file.crate_name == "bench" || ctx.file.rel_path.ends_with("obs/src/clock.rs") {
-        return;
-    }
-    for (i, t) in ctx.toks.iter().enumerate() {
-        if !(t.is_ident("Instant") || t.is_ident("SystemTime")) {
-            continue;
-        }
-        if !ctx.active("L006", i) {
-            continue;
-        }
-        ctx.push(
-            findings,
-            "L006",
-            t.line,
-            format!(
-                "`{}` outside the clock seam — inject a \
-                 `cloudsched_obs::Clock` instead",
-                t.text
-            ),
-        );
-    }
-}
-
-// --- L007 -------------------------------------------------------------------
-
-/// Iteration methods whose order reflects the hash function.
-const HASH_ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "into_iter",
-    "into_keys",
-    "into_values",
-    "drain",
-    "retain",
-];
-
-/// L007: `HashMap`/`HashSet` iteration in deterministic crates.
-///
-/// Lookup (`get`/`insert`/`contains`/`remove`) is legal — only
-/// order-exposing operations fire: iterator methods on a hash-typed
-/// binding, and `for … in` loops whose iterated expression is one.
-fn l007_hash_iteration(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    if !in_scope(ctx.file, DETERMINISTIC_CRATES) || ctx.model.hash_bindings.is_empty() {
-        return;
-    }
-    let toks = ctx.toks;
-    let is_hash_binding =
-        |t: &Token| t.kind == TokenKind::Ident && ctx.model.hash_bindings.contains(t.text.as_str());
-    for (i, t) in toks.iter().enumerate() {
-        // `binding.iter()` / `self.binding.keys()` / `binding.retain(…)`.
-        if is_hash_binding(t)
-            && toks.get(i + 1).is_some_and(|n| n.is_punct("."))
-            && toks.get(i + 2).is_some_and(|n| {
-                n.kind == TokenKind::Ident && HASH_ITER_METHODS.contains(&n.text.as_str())
-            })
-        {
-            if ctx.active("L007", i) {
-                ctx.push(
-                    findings,
-                    "L007",
-                    t.line,
-                    format!(
-                        "hash-order iteration `.{}()` over hash collection `{}` — use \
-                         BTreeMap/BTreeSet or sort by a total key first",
-                        toks[i + 2].text,
-                        t.text
-                    ),
-                );
-            }
-            continue;
-        }
-        // `for k in &self.binding {` / `for k in binding {`.
-        if t.is_ident("in") && i > 0 {
-            let mut j = i + 1;
-            while toks
-                .get(j)
-                .is_some_and(|n| n.is_punct("&") || n.is_ident("mut"))
-            {
-                j += 1;
-            }
-            if toks.get(j).is_some_and(|n| n.is_ident("self"))
-                && toks.get(j + 1).is_some_and(|n| n.is_punct("."))
-            {
-                j += 2;
-            }
-            let direct_iter = toks.get(j).is_some_and(is_hash_binding)
-                && toks.get(j + 1).is_some_and(|n| n.is_punct("{"));
-            if direct_iter && ctx.active("L007", j) {
-                ctx.push(
-                    findings,
-                    "L007",
-                    toks[j].line,
-                    format!(
-                        "`for … in` over hash collection `{}` — hash order is \
-                         nondeterministic; use BTreeMap/BTreeSet or sort first",
-                        toks[j].text
-                    ),
-                );
-            }
-        }
-    }
-}
-
-// --- L008 -------------------------------------------------------------------
-
-/// L008: `std::thread` fan-out outside `core/src/par.rs`.
-fn l008_thread_fanout(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    if ctx.file.rel_path.ends_with("core/src/par.rs") {
-        return;
-    }
-    let par_hint = if ctx.index.par_fns.contains("parallel_map") {
-        "core::par::parallel_map"
-    } else {
-        "the sanctioned parallel fan-out"
-    };
-    let toks = ctx.toks;
-    for (i, t) in toks.iter().enumerate() {
-        // `thread::spawn`, `thread::scope`, `thread::Builder`, and the
-        // import that brings them in.
-        let thread_path = t.is_ident("thread")
-            && toks.get(i + 1).is_some_and(|n| n.is_punct("::"))
-            && (i == 0 || !toks[i - 1].is_punct("."));
-        if !thread_path {
-            continue;
-        }
-        if !ctx.active("L008", i) {
-            continue;
-        }
-        let target = toks.get(i + 2).map(|n| n.text.as_str()).unwrap_or("");
-        ctx.push(
-            findings,
-            "L008",
-            t.line,
-            format!(
-                "`thread::{target}` outside core/src/par.rs — all fan-out goes \
-                 through {par_hint} so thread-count invariance stays structural"
-            ),
-        );
-    }
-}
-
 // --- L009 -------------------------------------------------------------------
 
 /// RNG constructors whose argument is a seed.
@@ -950,137 +574,4 @@ fn seed_argument_verdict(arg: &[Token]) -> SeedArg {
         return SeedArg::Literal;
     }
     SeedArg::Ok
-}
-
-// --- L010 -------------------------------------------------------------------
-
-/// Integer target types of a lossy float cast.
-const INT_TYPES: &[&str] = &[
-    "usize", "u64", "u32", "u16", "u8", "isize", "i64", "i32", "i16", "i8",
-];
-/// Narrow targets of a lossy integer→integer cast when the operand visibly
-/// carries a wider type.
-const NARROW_TARGETS: &[&str] = &["u32", "u16", "u8", "i32", "i16", "i8"];
-/// Wider-type markers in an operand.
-const WIDE_SOURCES: &[&str] = &["u64", "usize", "i64", "isize"];
-
-/// L010: lossy `as` casts on model quantities in kernel crates.
-fn l010_lossy_casts(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    if !in_scope(ctx.file, L010_CRATES) || ctx.file.rel_path.ends_with("core/src/numeric.rs") {
-        return;
-    }
-    let helper_hint = {
-        let helpers: Vec<&str> = ctx
-            .index
-            .numeric_helpers
-            .iter()
-            .map(String::as_str)
-            .filter(|h| h.contains("_from_f64") || h.starts_with("f64_to_"))
-            .collect();
-        if helpers.is_empty() {
-            "a checked conversion helper in core::numeric".to_string()
-        } else {
-            format!("core::numeric::{{{}}}", helpers.join(", "))
-        }
-    };
-    let toks = ctx.toks;
-    for (i, t) in toks.iter().enumerate() {
-        if !t.is_ident("as") {
-            continue;
-        }
-        let Some(target) = toks.get(i + 1) else {
-            continue;
-        };
-        if target.kind != TokenKind::Ident || !INT_TYPES.contains(&target.text.as_str()) {
-            continue;
-        }
-        if !ctx.active("L010", i) {
-            continue;
-        }
-        let operand = &toks[operand_start(toks, i)..i];
-        if operand_looks_float(operand) {
-            ctx.push(
-                findings,
-                "L010",
-                t.line,
-                format!(
-                    "lossy float→{} `as` cast on a model quantity — route through \
-                     {helper_hint}",
-                    target.text
-                ),
-            );
-            continue;
-        }
-        if NARROW_TARGETS.contains(&target.text.as_str())
-            && operand
-                .iter()
-                .any(|t| t.kind == TokenKind::Ident && WIDE_SOURCES.contains(&t.text.as_str()))
-        {
-            ctx.push(
-                findings,
-                "L010",
-                t.line,
-                format!(
-                    "narrowing integer `as` cast to {} — use try_into or a checked \
-                     helper in core::numeric",
-                    target.text
-                ),
-            );
-        }
-    }
-}
-
-// --- L011 -------------------------------------------------------------------
-
-/// L011: ambient process state (`std::env` / `std::fs`) in deterministic
-/// crates.
-fn l011_ambient_reads(ctx: &FileCtx<'_>, findings: &mut Vec<Finding>) {
-    if !in_scope(ctx.file, DETERMINISTIC_CRATES) {
-        return;
-    }
-    // The write-ahead journal is the seam itself: `obs/src/journal.rs` is
-    // the single sanctioned `std::fs` site in the deterministic core,
-    // mirroring the `obs/src/clock.rs` carve-out for L005/L006. Everything
-    // durable flows through its `JournalSink` trait.
-    if ctx.file.rel_path.ends_with("obs/src/journal.rs") {
-        return;
-    }
-    let toks = ctx.toks;
-    for (i, t) in toks.iter().enumerate() {
-        // `std::env` / `std::fs` paths, and module calls through an import
-        // (`use std::env; … env::var(…)`).
-        let qualified = t.is_ident("std")
-            && toks.get(i + 1).is_some_and(|n| n.is_punct("::"))
-            && toks
-                .get(i + 2)
-                .is_some_and(|n| n.is_ident("env") || n.is_ident("fs"));
-        let imported = (t.is_ident("env") || t.is_ident("fs"))
-            && toks.get(i + 1).is_some_and(|n| n.is_punct("::"))
-            && (i == 0 || !toks[i - 1].is_punct("::"))
-            && ctx
-                .model
-                .uses
-                .get(t.text.as_str())
-                .is_some_and(|full| full == &format!("std::{}", t.text));
-        if !qualified && !imported {
-            continue;
-        }
-        if !ctx.active("L011", i) {
-            continue;
-        }
-        let module = if qualified {
-            toks[i + 2].text.clone()
-        } else {
-            t.text.clone()
-        };
-        ctx.push(
-            findings,
-            "L011",
-            t.line,
-            format!(
-                "`std::{module}` access in a deterministic crate — ambient process \
-                 state breaks replay; pass configuration through typed constructors"
-            ),
-        );
-    }
 }

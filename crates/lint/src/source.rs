@@ -30,9 +30,6 @@ pub struct SourceFile {
     pub rel_path: String,
     /// Target classification.
     pub kind: FileKind,
-    /// Is this file the root module of a compilation unit (lib.rs, main.rs,
-    /// a `src/bin` entry, a bench or example)?
-    pub is_crate_root: bool,
     /// Full file contents.
     pub text: String,
 }
@@ -42,6 +39,9 @@ pub struct SourceFile {
 /// Layout assumptions match this repository: member crates in `crates/*`,
 /// plus the root package's `src/`, `tests/` and `examples/`. The `target/`
 /// directory and hidden directories are skipped.
+// The lint pass reads the workspace it checks (L011 covers the
+// deterministic core, not this tool).
+#[allow(clippy::disallowed_methods)]
 pub fn discover(root: &Path) -> io::Result<Vec<SourceFile>> {
     let mut files = Vec::new();
     // Root package.
@@ -94,7 +94,26 @@ pub fn discover(root: &Path) -> io::Result<Vec<SourceFile>> {
     Ok(files)
 }
 
+/// Every workspace member manifest under `root` as `(relative path, text)`:
+/// the root package's `Cargo.toml`, then `crates/*/Cargo.toml` in order.
+#[allow(clippy::disallowed_methods)]
+pub fn member_manifests(root: &Path) -> io::Result<Vec<(String, String)>> {
+    let mut paths = vec!["Cargo.toml".to_string()];
+    let mut crates: Vec<String> = std::fs::read_dir(root.join("crates"))?
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .map(|name| format!("crates/{name}/Cargo.toml"))
+        .filter(|rel| root.join(rel).is_file())
+        .collect();
+    crates.sort();
+    paths.extend(crates);
+    paths
+        .into_iter()
+        .map(|rel| Ok((rel.clone(), std::fs::read_to_string(root.join(&rel))?)))
+        .collect()
+}
+
 /// Recursively collects `.rs` files under `dir` into `out`.
+#[allow(clippy::disallowed_methods)]
 fn collect(
     root: &Path,
     dir: &Path,
@@ -133,28 +152,11 @@ fn collect(
         } else {
             kind
         };
-        let is_crate_root = match kind {
-            FileKind::Lib => name == "lib.rs",
-            FileKind::Bin => name == "main.rs" || in_bin_dir,
-            FileKind::Bench | FileKind::Example | FileKind::Test => {
-                // Top-level files in benches/examples/tests are roots;
-                // files in nested subdirectories are shared modules.
-                rel_path
-                    .rsplit_once('/')
-                    .map(|(dir, _)| {
-                        dir.ends_with("benches")
-                            || dir.ends_with("examples")
-                            || dir.ends_with("tests")
-                    })
-                    .unwrap_or(true)
-            }
-        };
         let text = std::fs::read_to_string(&path)?;
         out.push(SourceFile {
             crate_name: crate_name.to_string(),
             rel_path,
             kind,
-            is_crate_root,
             text,
         });
     }
@@ -179,22 +181,15 @@ mod tests {
         let core_lib = find("crates/core/src/lib.rs");
         assert_eq!(core_lib.crate_name, "core");
         assert_eq!(core_lib.kind, FileKind::Lib);
-        assert!(core_lib.is_crate_root);
 
         let engine = find("crates/sim/src/engine.rs");
         assert_eq!(engine.kind, FileKind::Lib);
-        assert!(!engine.is_crate_root);
 
         let cli = find("crates/cli/src/main.rs");
         assert_eq!(cli.kind, FileKind::Bin);
-        assert!(cli.is_crate_root);
 
         let helper = find("tests/common/mod.rs");
         assert_eq!(helper.kind, FileKind::Test);
-        assert!(
-            !helper.is_crate_root,
-            "nested test files are shared modules"
-        );
 
         let example = find("examples/quickstart.rs");
         assert_eq!(example.kind, FileKind::Example);
@@ -205,6 +200,5 @@ mod tests {
 
         let bin = find("crates/bench/src/bin/profile.rs");
         assert_eq!(bin.kind, FileKind::Bin);
-        assert!(bin.is_crate_root);
     }
 }

@@ -11,8 +11,7 @@
 //!
 //! * comments (line and nested block), string literals (plain, raw, byte),
 //!   char literals and lifetimes are lexed *correctly*, not approximated;
-//! * every token carries its 1-based line and the brace-nesting depth at
-//!   which it appears, so item spans and line mapping are exact;
+//! * every token carries its 1-based line, so line mapping is exact;
 //! * comments are kept (with their line and trailing/standalone position)
 //!   so `// lint: allow(Lxxx)` escape directives survive tokenization.
 //!
@@ -49,9 +48,6 @@ pub struct Token {
     pub text: String,
     /// 1-based source line of the token's first byte.
     pub line: usize,
-    /// `{`-nesting depth at the token (the `{` itself is at the outer
-    /// depth; the matching `}` is back at it).
-    pub depth: u32,
 }
 
 impl Token {
@@ -111,7 +107,6 @@ struct Lexer<'a> {
     bytes: &'a [u8],
     i: usize,
     line: usize,
-    depth: u32,
     /// Has a code token been emitted on the current line yet?
     code_on_line: bool,
     out: TokenStream,
@@ -123,7 +118,6 @@ impl<'a> Lexer<'a> {
             bytes: source.as_bytes(),
             i: 0,
             line: 1,
-            depth: 0,
             code_on_line: false,
             out: TokenStream::default(),
         }
@@ -142,12 +136,7 @@ impl<'a> Lexer<'a> {
 
     fn push(&mut self, kind: TokenKind, start: usize, end: usize, line: usize) {
         let text = String::from_utf8_lossy(&self.bytes[start..end]).into_owned();
-        self.out.tokens.push(Token {
-            kind,
-            text,
-            line,
-            depth: self.depth,
-        });
+        self.out.tokens.push(Token { kind, text, line });
         self.code_on_line = true;
     }
 
@@ -289,7 +278,6 @@ impl<'a> Lexer<'a> {
                 kind: TokenKind::Lifetime,
                 text,
                 line,
-                depth: self.depth,
             });
             self.code_on_line = true;
             self.i = j;
@@ -443,14 +431,7 @@ impl<'a> Lexer<'a> {
                 return;
             }
         }
-        let b = self.bytes[self.i];
-        if b == b'}' {
-            self.depth = self.depth.saturating_sub(1);
-        }
         self.push(TokenKind::Punct, self.i, self.i + 1, self.line);
-        if b == b'{' {
-            self.depth += 1;
-        }
         self.i += 1;
     }
 }
@@ -579,16 +560,6 @@ mod tests {
         assert_eq!(tok("a").line, 1);
         assert_eq!(tok("b").line, 3);
         assert_eq!(tok("c").line, 5);
-    }
-
-    #[test]
-    fn brace_depth_tracks_nesting() {
-        let ts = tokenize("fn f() { let x = { 1 }; } const Y: u8 = 0;");
-        let tok = |name: &str| ts.tokens.iter().find(|t| t.text == name).expect("token");
-        assert_eq!(tok("fn").depth, 0);
-        assert_eq!(tok("x").depth, 1);
-        assert_eq!(tok("1").depth, 2);
-        assert_eq!(tok("const").depth, 0);
     }
 
     #[test]

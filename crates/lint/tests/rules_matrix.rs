@@ -1,12 +1,11 @@
-//! Fixture-driven rule matrix: every rule L001–L011 exercised on in-memory
-//! sources with one positive case (the rule fires), one negative case (the
-//! compliant spelling passes), and one allow-directive case (the escape
-//! hatch silences it). This is where rules whose violations no longer exist
-//! in the workspace (the point of this PR) keep their detection coverage.
+//! Fixture-driven rule matrix: every source rule of `cloudsched lint`
+//! (L001, L002, L009) exercised on in-memory sources with one positive case
+//! (the rule fires), one negative case (the compliant spelling passes), and
+//! one allow-directive case (the escape hatch silences it), plus L004's
+//! manifest check. The clippy-enforced rules keep their cases in
+//! `clippy_fixture.rs`.
 
-#![forbid(unsafe_code)]
-
-use cloudsched_lint::{check_files, FileKind, Finding, SourceFile};
+use cloudsched_lint::{check_files, check_manifest, FileKind, Finding, SourceFile};
 
 /// A library fixture file in the given crate.
 fn lib_file(crate_name: &str, rel_path: &str, text: &str) -> SourceFile {
@@ -14,7 +13,6 @@ fn lib_file(crate_name: &str, rel_path: &str, text: &str) -> SourceFile {
         crate_name: crate_name.into(),
         rel_path: rel_path.into(),
         kind: FileKind::Lib,
-        is_crate_root: false,
         text: text.into(),
     }
 }
@@ -111,120 +109,26 @@ fn l002_unwrap_and_unjustified_expect() {
 }
 
 #[test]
-fn l003_panic_macros() {
-    matrix(
-        "L003",
-        "workload",
-        "crates/workload/src/fixture.rs",
-        "pub fn f() { panic!(\"boom\"); }\n",
-        "pub fn f() -> Result<(), CoreError> { Err(CoreError::Infeasible) }\n",
-    );
-}
-
-#[test]
-fn l004_forbid_unsafe_on_crate_roots() {
-    let root = |text: &str| SourceFile {
-        crate_name: "sim".into(),
-        rel_path: "crates/sim/src/lib.rs".into(),
-        kind: FileKind::Lib,
-        is_crate_root: true,
-        text: text.into(),
-    };
-    let found = lint_one(root("pub mod engine;\n"));
-    assert!(fires(&found, "L004"), "missing forbid passed: {found:#?}");
-    let clean = lint_one(root("#![forbid(unsafe_code)]\npub mod engine;\n"));
+fn l004_members_opt_into_workspace_lints() {
+    let member = |lints: &str| format!("[package]\nname = \"cloudsched-sim\"\n{lints}");
+    let found = check_manifest("crates/sim/Cargo.toml", &member(""));
     assert!(
-        !fires(&clean, "L004"),
-        "forbidding root flagged: {clean:#?}"
+        found.is_some_and(|f| f.rule == "L004"),
+        "manifest without [lints] passed"
     );
-    let allowed = lint_one(root("pub mod engine; // lint: allow(L004) — fixture\n"));
+    let elsewhere = check_manifest(
+        "crates/sim/Cargo.toml",
+        &member("workspace = true\n\n[lints]\n"),
+    );
     assert!(
-        !fires(&allowed, "L004"),
-        "allow directive ignored: {allowed:#?}"
+        elsewhere.is_some(),
+        "`workspace = true` outside [lints] passed"
     );
-}
-
-#[test]
-fn l005_wall_clock() {
-    matrix(
-        "L005",
-        "sim",
-        "crates/sim/src/fixture.rs",
-        "pub fn f() -> Instant { Instant::now() }\n",
-        "pub fn f(ctx: &SimContext<'_>) -> Time { ctx.now() }\n",
+    let clean = check_manifest(
+        "crates/sim/Cargo.toml",
+        &member("\n[lints]\nworkspace = true\n"),
     );
-}
-
-#[test]
-fn l006_raw_time_types() {
-    matrix(
-        "L006",
-        "analysis",
-        "crates/analysis/src/fixture.rs",
-        "pub struct Timer { started: std::time::Instant }\n",
-        "pub struct Timer { clock: Box<dyn Clock> }\n",
-    );
-    // The bench crate is the sanctioned wall-clock user.
-    let bench = lint_one(lib_file(
-        "bench",
-        "crates/bench/src/fixture.rs",
-        "pub struct Timer { started: std::time::Instant }\n",
-    ));
-    assert!(!fires(&bench, "L006"), "bench exemption broken: {bench:#?}");
-}
-
-#[test]
-fn l007_hash_iteration() {
-    matrix(
-        "L007",
-        "sim",
-        "crates/sim/src/fixture.rs",
-        "use std::collections::HashMap;\n\
-         pub struct S { m: HashMap<u64, u64> }\n\
-         impl S { pub fn sum(&self) -> u64 { self.m.values().sum() } }\n",
-        "use std::collections::BTreeMap;\n\
-         pub struct S { m: BTreeMap<u64, u64> }\n\
-         impl S { pub fn sum(&self) -> u64 { self.m.values().sum() } }\n",
-    );
-    // Pure lookup on a hash collection stays legal.
-    let lookup = lint_one(lib_file(
-        "sim",
-        "crates/sim/src/fixture.rs",
-        "use std::collections::HashMap;\n\
-         pub struct S { m: HashMap<u64, u64> }\n\
-         impl S { pub fn get(&self, k: u64) -> Option<&u64> { self.m.get(&k) } }\n",
-    ));
-    assert!(!fires(&lookup, "L007"), "lookup flagged: {lookup:#?}");
-    // `for … in` over a hash collection fires too.
-    let for_loop = lint_one(lib_file(
-        "sim",
-        "crates/sim/src/fixture.rs",
-        "use std::collections::HashSet;\n\
-         pub struct S { seen: HashSet<u64> }\n\
-         impl S { pub fn dump(&self) { for v in &self.seen { drop(v); } } }\n",
-    ));
-    assert!(
-        fires(&for_loop, "L007"),
-        "for-loop iteration passed: {for_loop:#?}"
-    );
-}
-
-#[test]
-fn l008_thread_fanout() {
-    matrix(
-        "L008",
-        "faults",
-        "crates/faults/src/fixture.rs",
-        "pub fn f() { std::thread::spawn(|| {}); }\n",
-        "pub fn f(n: usize) -> Vec<u64> { parallel_map(n, 4, |i| i as u64) }\n",
-    );
-    // core/src/par.rs is the sanctioned site.
-    let par = lint_one(lib_file(
-        "core",
-        "crates/core/src/par.rs",
-        "pub fn f() { std::thread::scope(|_| {}); }\n",
-    ));
-    assert!(!fires(&par, "L008"), "par.rs exemption broken: {par:#?}");
+    assert!(clean.is_none(), "opted-in manifest flagged: {clean:#?}");
 }
 
 #[test]
@@ -250,7 +154,6 @@ fn l009_seed_discipline() {
         crate_name: "workload".into(),
         rel_path: "crates/workload/tests/fixture.rs".into(),
         kind: FileKind::Test,
-        is_crate_root: true,
         text: "fn f() -> Pcg32 { Pcg32::seed_from_u64(42) }\n".into(),
     };
     let found = lint_one(test_file);
@@ -258,160 +161,11 @@ fn l009_seed_discipline() {
 }
 
 #[test]
-fn l010_lossy_casts() {
-    matrix(
-        "L010",
-        "sim",
-        "crates/sim/src/fixture.rs",
-        "pub fn f(remaining: f64) -> usize { remaining as usize }\n",
-        "pub fn f(remaining: f64) -> Option<usize> { checked_usize_from_f64(remaining) }\n",
-    );
-    // Narrowing integer cast with a visibly wide operand.
-    let narrow = lint_one(lib_file(
-        "core",
-        "crates/core/src/fixture.rs",
-        "pub fn f(n: usize) -> u16 { (n as u64) as u16 }\n",
-    ));
-    assert!(fires(&narrow, "L010"), "narrowing cast passed: {narrow:#?}");
-    // Widening integer casts are fine.
-    let widen = lint_one(lib_file(
-        "core",
-        "crates/core/src/fixture.rs",
-        "pub fn f(n: u32) -> u64 { n as u64 }\n",
-    ));
-    assert!(!fires(&widen, "L010"), "widening cast flagged: {widen:#?}");
-}
-
-#[test]
-fn l011_ambient_reads() {
-    matrix(
-        "L011",
-        "sched",
-        "crates/sched/src/fixture.rs",
-        "pub fn f() -> Option<String> { std::env::var(\"THREADS\").ok() }\n",
-        "pub fn f(threads: usize) -> usize { threads }\n",
-    );
-    // The imported-module spelling is caught too.
-    let imported = lint_one(lib_file(
-        "sim",
-        "crates/sim/src/fixture.rs",
-        "use std::fs;\npub fn f() -> std::io::Result<String> { fs::read_to_string(\"cfg\") }\n",
-    ));
-    assert!(
-        fires(&imported, "L011"),
-        "imported fs read passed: {imported:#?}"
-    );
-    // The cli crate sits outside the deterministic core and may read files.
-    let cli = lint_one(lib_file(
-        "cli",
-        "crates/cli/src/fixture.rs",
-        "pub fn f() -> std::io::Result<String> { std::fs::read_to_string(\"cfg\") }\n",
-    ));
-    assert!(!fires(&cli, "L011"), "cli exemption broken: {cli:#?}");
-}
-
-#[test]
-fn l011_journal_is_the_sanctioned_fs_seam() {
-    // PR 8's write-ahead journal: `obs/src/journal.rs` is the single
-    // sanctioned `std::fs` site in the deterministic core (mirroring the
-    // `obs/src/clock.rs` carve-out for L005/L006) — everything durable
-    // flows through its `JournalSink` trait, so the file itself may open
-    // and append to files without per-line allow directives.
-    let journal = lint_one(lib_file(
-        "obs",
-        "crates/obs/src/journal.rs",
-        "pub fn create(path: &str) -> std::io::Result<std::fs::File> {\n\
-         \x20   std::fs::File::create(path)\n\
-         }\n",
-    ));
-    assert!(
-        !fires(&journal, "L011"),
-        "journal carve-out broken: {journal:#?}"
-    );
-    // The carve-out is the file, not the crate: any other obs module
-    // touching `std::fs` still fires.
-    let sibling = lint_one(lib_file(
-        "obs",
-        "crates/obs/src/metrics.rs",
-        "pub fn dump(path: &str, body: &str) -> std::io::Result<()> {\n\
-         \x20   std::fs::write(path, body)\n\
-         }\n",
-    ));
-    assert!(
-        fires(&sibling, "L011"),
-        "fs access outside journal.rs passed in obs: {sibling:#?}"
-    );
-}
-
-#[test]
-fn insight_is_a_deterministic_crate() {
-    // PR 7 adds `insight` to the deterministic core: ledgers and ratio
-    // reports must reproduce bit-for-bit from a trace alone, so the crate
-    // inherits L005 (no wall clock), L007 (no hash-order iteration) and
-    // L011 (no ambient process state).
-    matrix(
-        "L005",
-        "insight",
-        "crates/insight/src/fixture.rs",
-        "pub fn f() -> Instant { Instant::now() }\n",
-        "pub fn f(t: Time) -> Time { t }\n",
-    );
-    matrix(
-        "L007",
-        "insight",
-        "crates/insight/src/fixture.rs",
-        "use std::collections::HashMap;\n\
-         pub struct Ledger { buckets: HashMap<u64, f64> }\n\
-         impl Ledger { pub fn total(&self) -> f64 { self.buckets.values().sum() } }\n",
-        "use std::collections::BTreeMap;\n\
-         pub struct Ledger { buckets: BTreeMap<u64, f64> }\n\
-         impl Ledger { pub fn total(&self) -> f64 { self.buckets.values().sum() } }\n",
-    );
-    matrix(
-        "L011",
-        "insight",
-        "crates/insight/src/fixture.rs",
-        "pub fn f(path: &str) -> std::io::Result<String> { std::fs::read_to_string(path) }\n",
-        "pub fn f(jsonl: &str) -> usize { jsonl.lines().count() }\n",
-    );
-}
-
-#[test]
 fn fleet_engine_and_dispatch_are_fully_in_scope() {
-    // PR 10's fleet layer (`DESIGN.md` §16): the sharded multi-machine
-    // engine in `sim/src/fleet.rs` and the dispatch policies in
-    // `sched/src/dispatch.rs` promise output that is a pure function of
-    // `(seed, M, policy)` at every thread count, so both files carry the
-    // full determinism contract — no wall clock (L005), no hash-order
-    // iteration (L007), no raw thread fan-out (L008, `core::par` is the
-    // sanctioned seam), seed discipline (L009), no ambient process state
-    // (L011).
-    matrix(
-        "L005",
-        "sim",
-        "crates/sim/src/fleet.rs",
-        "pub fn f() -> Instant { Instant::now() }\n",
-        "pub fn f(t: Time) -> Time { t }\n",
-    );
-    matrix(
-        "L007",
-        "sim",
-        "crates/sim/src/fleet.rs",
-        "use std::collections::HashMap;\n\
-         pub struct Fleet { backlog: HashMap<usize, f64> }\n\
-         impl Fleet { pub fn total(&self) -> f64 { self.backlog.values().sum() } }\n",
-        "pub struct Fleet { backlog: Vec<f64> }\n\
-         impl Fleet { pub fn total(&self) -> f64 { self.backlog.iter().sum() } }\n",
-    );
-    matrix(
-        "L008",
-        "sim",
-        "crates/sim/src/fleet.rs",
-        "pub fn f() { std::thread::spawn(|| {}); }\n",
-        "pub fn f(n: usize, threads: usize) -> Vec<u64> {\n\
-         \x20   parallel_map_with(n, threads, || (), |_, i| i as u64)\n\
-         }\n",
-    );
+    // The dispatch policies in `sched/src/dispatch.rs` promise output that
+    // is a pure function of `(seed, M, policy)` at every thread count, so
+    // p2c seeds flow through `derive_seed` (L009). The fleet files' clock,
+    // hash-order, thread and I/O cases are clippy's (`clippy_fixture.rs`).
     matrix(
         "L009",
         "sched",
@@ -420,13 +174,6 @@ fn fleet_engine_and_dispatch_are_fully_in_scope() {
         "pub fn f(stream: u64, lambda: f64, run: usize) -> Pcg32 {\n\
          \x20   Pcg32::seed_from_u64(derive_seed(stream, lambda, run))\n\
          }\n",
-    );
-    matrix(
-        "L011",
-        "sched",
-        "crates/sched/src/dispatch.rs",
-        "pub fn f() -> Option<String> { std::env::var(\"FLEET_POLICY\").ok() }\n",
-        "pub fn f(policy: &str) -> String { policy.to_string() }\n",
     );
 }
 

@@ -1,11 +1,9 @@
 //! Tier-1 gate: the workspace must lint clean.
 //!
-//! This test makes `cargo test -q` run the full static-analysis pass (both
-//! phases: workspace index, then rules L001–L011): any new violation or
-//! stale baseline entry fails the suite with the finding list in the
-//! assertion message.
-
-#![forbid(unsafe_code)]
+//! This test makes `cargo test -q` run the full `cloudsched lint` pass (the
+//! source rules L001, L002 and L009 over every file, and L004 over every
+//! member manifest): any finding fails the suite with the finding list in
+//! the assertion message.
 
 use cloudsched_lint::run_workspace;
 use std::path::Path;

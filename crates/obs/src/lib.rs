@@ -37,7 +37,6 @@
 //!
 //! The crate is std-only and depends only on `cloudsched-core`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;

@@ -39,11 +39,7 @@ impl SpanStats {
 
     /// Mean span duration in nanoseconds (0 when no spans completed).
     pub fn mean_ns(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.total_ns / self.count
-        }
+        self.total_ns.checked_div(self.count).unwrap_or(0)
     }
 }
 

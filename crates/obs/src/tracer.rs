@@ -260,7 +260,7 @@ mod tests {
         struct Failing;
         impl Write for Failing {
             fn write(&mut self, _: &[u8]) -> io::Result<usize> {
-                Err(io::Error::new(io::ErrorKind::Other, "disk on fire"))
+                Err(io::Error::other("disk on fire"))
             }
             fn flush(&mut self) -> io::Result<()> {
                 Ok(())

@@ -26,6 +26,8 @@ pub fn optimal_value<P: CapacityProfile>(jobs: &JobSet, capacity: &P) -> (f64, V
     let mut best_set: Vec<JobId> = Vec::new();
     let mut chosen: Vec<Job> = Vec::new();
 
+    // The branch-and-bound state threaded through the recursion.
+    #[allow(clippy::too_many_arguments)]
     fn recurse<P: CapacityProfile>(
         order: &[&Job],
         suffix: &[f64],

@@ -132,6 +132,9 @@ pub fn fractional_optimal<P: CapacityProfile>(jobs: &JobSet, capacity: &P) -> (f
     (total, fractions)
 }
 
+/// `(target_cell, parent_job, parent_cell)`, as returned by [`bfs_augmenting`].
+type AugmentingPath = (usize, Vec<Option<usize>>, Vec<Option<usize>>);
+
 /// BFS for an augmenting path from job `i` to any cell with residual
 /// capacity. Returns `(target_cell, parent_job, parent_cell)` where
 /// `parent_job[c]` is the job that reached cell `c` and `parent_cell[j]` is
@@ -141,7 +144,7 @@ fn bfs_augmenting(
     window_cells: &[Vec<usize>],
     alloc: &[Vec<f64>],
     residual: &[f64],
-) -> Option<(usize, Vec<Option<usize>>, Vec<Option<usize>>)> {
+) -> Option<AugmentingPath> {
     let n = alloc.len();
     let m = residual.len();
     let mut parent_job: Vec<Option<usize>> = vec![None; m];

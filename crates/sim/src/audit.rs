@@ -341,6 +341,8 @@ pub fn certify_underloaded_edf<P: CapacityProfile>(jobs: &JobSet, capacity: &P) 
 /// Theorem 3's competitive bound for V-Dover assumes this of every job, so
 /// the CLI surfaces it as a certifiable input property.
 pub fn certify_admissibility(jobs: &JobSet, c_lo: f64) -> Certificate {
+    // NaN guard: the negated comparison also rejects NaN.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
     if !(c_lo > 0.0) || !c_lo.is_finite() {
         return Certificate::Inapplicable {
             reason: format!("admissibility needs a positive finite c_lo, got {c_lo}"),
@@ -379,6 +381,8 @@ pub fn certify_admissibility(jobs: &JobSet, c_lo: f64) -> Certificate {
 /// has flat spots and is not injective).
 pub fn certify_stretch_roundtrip(profile: &PiecewiseConstant, probes: &[Time]) -> Certificate {
     let (min_rate, _) = profile.observed_bounds();
+    // NaN guard: the negated comparison also rejects NaN.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
     if !(min_rate > 0.0) {
         return Certificate::Inapplicable {
             reason: format!(

@@ -323,7 +323,6 @@ mod tests {
         );
         ctx.set_timer(Time::new(3.0), JobId(0), 7); // in the past -> clamped
         ctx.set_timer(Time::new(8.0), JobId(1), 9);
-        drop(ctx);
         assert_eq!(timers.len(), 2);
         assert_eq!(timers[0].at, Time::new(5.0));
         assert_eq!(timers[0].token, 7);
@@ -351,7 +350,6 @@ mod tests {
         );
         assert!(ctx.tracing_enabled());
         ctx.abandon(JobId(1));
-        drop(ctx);
         assert_eq!(abandons, vec![JobId(1)]);
         assert!(timers.is_empty());
         let evs: Vec<_> = ring.take();
@@ -393,7 +391,6 @@ mod tests {
         );
         assert!(!ctx.provenance_enabled());
         ctx.trace_decision(DecisionAction::Admit, JobId(0), 2.0, 0, false);
-        drop(ctx);
         assert!(plain.is_empty());
         // An opted-in sink gets the stamp with laxity/density filled in.
         let mut wrapped = WithProvenance(RingTracer::new(8));
@@ -411,7 +408,6 @@ mod tests {
         );
         assert!(ctx.provenance_enabled());
         ctx.trace_decision(DecisionAction::Reject, JobId(0), 2.0, 3, true);
-        drop(ctx);
         let evs = wrapped.0.take();
         assert_eq!(evs.len(), 1);
         match evs[0] {
@@ -461,7 +457,6 @@ mod tests {
         // Abandon notices still flow even when tracing is off: the kernel's
         // expired/abandoned split must not depend on observability.
         ctx.abandon(JobId(0));
-        drop(ctx);
         assert_eq!(abandons, vec![JobId(0)]);
     }
 }

@@ -372,7 +372,6 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
             let _span = self.profiler.map(|p| p.span("kernel.dispatch"));
             f(scheduler, &mut ctx)
         };
-        drop(ctx);
         for i in 0..ws.timer_scratch.len() {
             let t = ws.timer_scratch[i];
             ws.queue.push(

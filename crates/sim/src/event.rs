@@ -181,9 +181,10 @@ impl Calendar {
     /// first — both keep the assignment monotone, which is all ordering
     /// needs.
     #[inline]
+    // `as usize` saturates at 0 for negative values, which is exactly the
+    // clamp we want for t < origin; the hot path takes no checked helper.
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     fn slot(&self, t: f64) -> usize {
-        // `as usize` saturates at 0 for negative values, which is exactly
-        // the clamp we want for t < origin.
         let idx = ((t - self.origin) / self.width) as usize;
         idx.min(self.buckets.len() - 1)
     }

@@ -1086,6 +1086,8 @@ pub fn recover<P: CapacityProfile>(
 
     let mut seq = start_seq;
     loop {
+        // Sequence numbers index the in-memory arrival stream.
+        #[allow(clippy::cast_possible_truncation)]
         let a = match parsed.arrivals.get(&seq) {
             Some(a) => *a,
             None => match stream_arrivals.get(seq as usize) {

@@ -41,6 +41,8 @@ impl CtmcCapacity {
             });
         }
         for (i, s) in states.iter().enumerate() {
+            // NaN guard: the negated comparison also rejects NaN.
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
             if !(s.rate > 0.0) || !(s.mean_sojourn > 0.0) {
                 return Err(CoreError::InvalidCapacityProfile {
                     reason: format!("CTMC state {i} invalid: {s:?}"),

@@ -13,7 +13,6 @@
 //! vendored uniform source in `cloudsched_core::rng`, so the crate builds
 //! with zero external dependencies (the sandbox has no registry access).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ctmc;

@@ -6,8 +6,6 @@
 //!
 //! Run with: `cargo run --release --example batch_analytics`
 
-#![forbid(unsafe_code)]
-
 use cloudsched::core::{Job, JobId};
 use cloudsched::prelude::*;
 use cloudsched::workload::ctmc::CtmcCapacity;

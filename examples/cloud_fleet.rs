@@ -6,8 +6,6 @@
 //!
 //! Run with: `cargo run --release --example cloud_fleet`
 
-#![forbid(unsafe_code)]
-
 use cloudsched::cloud::{induced_capacity, PrimaryLoad, Server};
 use cloudsched::core::{Job, JobId};
 use cloudsched::prelude::*;

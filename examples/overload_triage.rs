@@ -9,8 +9,6 @@
 //!
 //! Run with: `cargo run --release --example overload_triage`
 
-#![forbid(unsafe_code)]
-
 use cloudsched::offline::optimal_value;
 use cloudsched::prelude::*;
 

@@ -3,8 +3,6 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-#![forbid(unsafe_code)]
-
 use cloudsched::prelude::*;
 
 fn main() {

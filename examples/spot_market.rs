@@ -9,8 +9,6 @@
 //!
 //! Run with: `cargo run --release --example spot_market`
 
-#![forbid(unsafe_code)]
-
 use cloudsched::cloud::spot::{build_spot_instance, SpotPrice, SpotWorkload};
 use cloudsched::cloud::{induced_capacity, PrimaryLoad, Server};
 use cloudsched::prelude::*;

@@ -16,7 +16,8 @@ build:
 test:
     cargo test -q --workspace
 
-# Workspace static analysis (rules L001–L011); also runs as a tier-1 test.
+# The rules clippy cannot express (L001, L002, L009) and the L004 manifest
+# check; also runs as a tier-1 test. `just clippy` enforces the rest.
 lint:
     cargo run --release -p cloudsched-cli -- lint
 
@@ -36,22 +37,15 @@ cli-flags:
         fi
     done
 
-# Clippy at its default levels (mirrors the CI step): fails only on
-# deny-level lints; warnings are tolerated until `-D warnings` lands.
+# Clippy with clippy.toml and the workspace lint table (mirrors the CI
+# step): every warning fails, including an unfulfilled expectation in the
+# moved rules' fixture (crates/lint/tests/clippy_fixture.rs).
 clippy:
-    cargo clippy --workspace --all-targets
+    cargo clippy --workspace --all-targets -- -D warnings
 
-# Machine-readable lint report (the artifact CI uploads).
-lint-json:
-    cargo run --release -p cloudsched-cli -- lint --json
-
-# Explain one rule: summary, scope, rationale, fix. E.g. `just lint-explain L007`.
+# Explain one rule: summary, scope, rationale, fix. E.g. `just lint-explain L009`.
 lint-explain rule:
     cargo run --release -p cloudsched-cli -- lint --explain {{rule}}
-
-# Regenerate lint.baseline (only to grandfather genuinely unfixable debt).
-lint-baseline:
-    cargo run --release -p cloudsched-cli -- lint --write-baseline
 
 # Certify a generated trace against Thm 2 / Def 4 / the SIII-A bijection.
 audit lambda="8" seed="1":

@@ -38,7 +38,6 @@
 //! assert!(report.value > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use cloudsched_analysis as analysis;

@@ -3,8 +3,6 @@
 //! identical bytes, and diffs cleanly against itself — every row matched,
 //! no regression.
 
-#![forbid(unsafe_code)]
-
 use cloudsched_bench::{parse_report, render_report};
 use cloudsched_insight::diff_reports;
 

@@ -10,8 +10,6 @@
 //! * the fault-free path through the degraded kernel is byte-identical to
 //!   the plain traced kernel.
 
-#![forbid(unsafe_code)]
-
 use cloudsched::analysis::adversary::{CorruptRound, TrapParams};
 use cloudsched::faults::{chaos_trace, run_campaign, ChaosConfig, FaultPlan};
 use cloudsched::obs::JsonlTracer;

@@ -2,8 +2,6 @@
 //! generator through every scheduler, the audit layer, and the offline
 //! solvers.
 
-#![forbid(unsafe_code)]
-
 use cloudsched::offline::optimal_value;
 use cloudsched::prelude::*;
 use cloudsched::sim::audit::audit_report;

@@ -2,8 +2,6 @@
 //! MMPP arrivals, deterministic capacity patterns, the fractional LP bound
 //! and the empirical-ratio machinery.
 
-#![forbid(unsafe_code)]
-
 use cloudsched::capacity::patterns::{diurnal, sinusoid_steps};
 use cloudsched::core::{Job, JobId};
 use cloudsched::offline::{fractional_optimal, optimal_value};

@@ -10,8 +10,6 @@
 //! the compacted quarantine must reproduce every one of them bit for bit,
 //! at one and at two worker threads.
 
-#![forbid(unsafe_code)]
-
 mod common;
 
 use cloudsched_core::rng::{derive_seed, FLEET_DISPATCH_RUN_OFFSET, SEED_STREAM_FLEET};

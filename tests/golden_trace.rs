@@ -13,8 +13,6 @@
 //! *intentional*, regenerate the golden with the command above and review
 //! the diff like any other semantic change.
 
-#![forbid(unsafe_code)]
-
 use cloudsched::obs::TraceEvent;
 use cloudsched::prelude::*;
 use cloudsched::run_traced;

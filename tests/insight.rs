@@ -6,8 +6,6 @@
 //! not only on friendly instances. The empirical ratio is only trustworthy
 //! if it never contradicts Theorem 3 on the paper's own Table I scenarios.
 
-#![forbid(unsafe_code)]
-
 use cloudsched::insight::{measure_ratio, Bucket, ValueLedger};
 use cloudsched::obs::TraceEvent;
 use cloudsched::prelude::*;

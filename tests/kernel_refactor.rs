@@ -28,8 +28,6 @@
 //! config (workspace, tracer, profiler, watchdog with its oracle) must
 //! reproduce them bit for bit.
 
-#![forbid(unsafe_code)]
-
 mod common;
 
 use cloudsched_analysis::bounds::{dover_beta, optimal_beta};

@@ -6,15 +6,13 @@
 //! checked into CI — and (b) the folded metrics obey the structural
 //! identities of the kernel's job lifecycle.
 
-#![forbid(unsafe_code)]
-
 use cloudsched::obs::{
     JsonlTracer, NoopTracer, RingTracer, Tee, TraceEvent, Tracer, WithProvenance,
 };
 use cloudsched::prelude::*;
 use cloudsched::run_traced;
 use cloudsched::sim::Run;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// An overloaded CTMC-capacity instance from the paper's §IV setup.
 fn overloaded_instance() -> Instance {
@@ -117,7 +115,7 @@ fn preemptions_balance_resumes_per_job() {
         let report = Run::new(&instance.jobs, &instance.capacity, RunOptions::lean())
             .tracer(&mut ring)
             .run(&mut *s);
-        let mut preempted: HashMap<JobId, i64> = HashMap::new();
+        let mut preempted: BTreeMap<JobId, i64> = BTreeMap::new();
         let mut dangling = 0u64;
         let mut preempts = 0usize;
         let mut resumes = 0u64;
@@ -133,11 +131,11 @@ fn preemptions_balance_resumes_per_job() {
                     assert!(*slot > 0, "{scheduler}: job {job:?} resumed while running");
                     *slot -= 1;
                 }
-                TraceEvent::Abandon { job, .. } | TraceEvent::Expire { job, .. } => {
-                    if preempted.get(&job).copied().unwrap_or(0) > 0 {
-                        dangling += preempted[&job] as u64;
-                        preempted.insert(job, 0);
-                    }
+                TraceEvent::Abandon { job, .. } | TraceEvent::Expire { job, .. }
+                    if preempted.get(&job).copied().unwrap_or(0) > 0 =>
+                {
+                    dangling += preempted[&job] as u64;
+                    preempted.insert(job, 0);
                 }
                 _ => {}
             }

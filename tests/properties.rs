@@ -7,8 +7,6 @@
 //! the panic message carries the case seed — re-run with that seed pinned to
 //! debug.
 
-#![forbid(unsafe_code)]
-
 use cloudsched::offline::{edf_feasible, greedy_by_density, greedy_by_value, optimal_value};
 use cloudsched::prelude::*;
 use cloudsched::sim::audit::{

@@ -3,8 +3,6 @@
 //! [`DeadlineQueue`], whose set-style `insert` return value now backs
 //! `debug_assert!` guards at every scheduler call site.
 
-#![forbid(unsafe_code)]
-
 use cloudsched_core::{JobId, Time};
 use cloudsched_sched::ready::{DeadlineMap, DeadlineQueue, RankedQueue};
 

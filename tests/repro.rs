@@ -8,8 +8,6 @@
 //! counts below and `--threads 1`. The same counts also run at two threads,
 //! which must not move a byte.
 
-#![forbid(unsafe_code)]
-
 mod common;
 
 use cloudsched_bench::repro;

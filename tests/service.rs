@@ -15,8 +15,6 @@
 //!   loads under clean and mildly corrupted streams for every policy that
 //!   completes.
 
-#![forbid(unsafe_code)]
-
 mod common;
 
 use cloudsched::faults::{corrupt_stream, StreamFaultConfig};

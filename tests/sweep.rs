@@ -7,8 +7,6 @@
 //! output byte — reports, schedules and JSONL traces are identical to the
 //! throwaway-allocation, serial path.
 
-#![forbid(unsafe_code)]
-
 use cloudsched::obs::JsonlTracer;
 use cloudsched::prelude::*;
 use cloudsched::sim::{Run, SimWorkspace};
