@@ -13,7 +13,8 @@
 //!   `cargo clippy --workspace --all-targets -- -D warnings`;
 //! * the three rules that hang on strings and model vocabulary (L001, L002,
 //!   L009), plus L004's check that every member manifest opts into that
-//!   table, live here and are listed in [`rules`].
+//!   table and inherits the workspace `rust-version`, live here and are
+//!   listed in [`rules`].
 //!
 //! This crate lexes every workspace `.rs` file itself ([`tokens`]) and
 //! builds a per-file model ([`model`]) of `#[cfg(test)]` spans, allow

@@ -7,7 +7,8 @@
 //! | L002 | no `.unwrap()`; `.expect(…)` only with an `"invariant: …"`
 //!   justification |
 //! | L004 | every workspace member's `Cargo.toml` opts into the workspace
-//!   lint table (`[lints] workspace = true`) |
+//!   lint table (`[lints] workspace = true`), and every package inherits
+//!   the workspace MSRV (`rust-version.workspace = true`) |
 //! | L009 | seed discipline: no RNG construction from integer literals and
 //!   no seed arithmetic outside `core::rng::derive_seed` |
 //!
@@ -16,7 +17,8 @@
 //! of a seed). The rest of the contract — L003, L005–L008, L010, L011 and
 //! L004's `unsafe_code = "forbid"` itself — is clippy configuration: the
 //! root `clippy.toml` and `[workspace.lints]` table. L004 here only makes
-//! sure no member crate silently leaves that table. Escape hatch:
+//! sure no member crate silently leaves that table or the declared MSRV,
+//! which clippy reads from each package's `rust-version`. Escape hatch:
 //! `// lint: allow(Lxxx) — reason` on (or above) the offending line.
 
 use crate::model::FileModel;
@@ -86,12 +88,15 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "L004",
-        summary: "every workspace member opts into the workspace lint table",
+        summary: "every workspace member opts into the workspace lint table and MSRV",
         scope: "the root Cargo.toml and every crates/*/Cargo.toml",
         rationale: "unsafe_code = \"forbid\" and the clippy half of this contract (L003, \
                     L005-L008, L010, L011) live in [workspace.lints]; a crate without \
-                    `[lints] workspace = true` silently escapes all of them",
-        fix: "add `[lints]` with `workspace = true` to the member's Cargo.toml",
+                    `[lints] workspace = true` silently escapes all of them. A package \
+                    without `rust-version.workspace = true` has no declared minimum Rust \
+                    version, so cargo never checks it and clippy suggests newer std APIs",
+        fix: "add `[lints]` with `workspace = true`, and `rust-version.workspace = true` \
+              under `[package]`, to the member's Cargo.toml",
     },
     RuleInfo {
         id: "L009",
@@ -119,23 +124,44 @@ pub fn explain(id: &str) -> Option<String> {
     ))
 }
 
-/// L004: a member manifest that does not opt into `[workspace.lints]`.
+/// L004: a member manifest that does not opt into `[workspace.lints]`, or
+/// a package that does not inherit `[workspace.package] rust-version`.
 pub fn check_manifest(rel_path: &str, manifest: &str) -> Option<Finding> {
-    let mut in_lints = false;
+    let (mut section, mut is_package, mut lints, mut msrv) = ("", false, false, false);
     for line in manifest.lines().map(str::trim) {
         if line.starts_with('[') {
-            in_lints = line == "[lints]";
-        } else if in_lints && line.split('=').map(str::trim).eq(["workspace", "true"]) {
-            return None;
+            section = line;
+            is_package |= line == "[package]";
+            continue;
         }
+        let is = |key: &str| line.split('=').map(str::trim).eq([key, "true"]);
+        match section {
+            "[lints]" => lints |= is("workspace"),
+            "[package]" => msrv |= is("rust-version.workspace"),
+            _ => {}
+        }
+    }
+    let mut missing = Vec::new();
+    if !lints {
+        missing.push(
+            "`[lints] workspace = true` — the crate escapes unsafe_code = \"forbid\" \
+             and every clippy-enforced rule",
+        );
+    }
+    if is_package && !msrv {
+        missing.push(
+            "`rust-version.workspace = true` — cargo and clippy's MSRV-aware lints \
+             never see the declared minimum Rust version",
+        );
+    }
+    if missing.is_empty() {
+        return None;
     }
     Some(Finding {
         rule: "L004",
         path: rel_path.to_string(),
         line: 1,
-        message: "manifest lacks `[lints] workspace = true` — the crate escapes \
-                  unsafe_code = \"forbid\" and every clippy-enforced rule"
-            .to_string(),
+        message: format!("manifest lacks {}", missing.join("; it also lacks ")),
         excerpt: manifest.lines().next().unwrap_or("").trim().to_string(),
     })
 }

@@ -124,11 +124,25 @@ fn l004_members_opt_into_workspace_lints() {
         elsewhere.is_some(),
         "`workspace = true` outside [lints] passed"
     );
-    let clean = check_manifest(
+    let no_msrv = check_manifest(
         "crates/sim/Cargo.toml",
         &member("\n[lints]\nworkspace = true\n"),
     );
+    assert!(
+        no_msrv.is_some_and(|f| f.message.contains("rust-version")),
+        "package without the workspace rust-version passed"
+    );
+    let clean = check_manifest(
+        "crates/sim/Cargo.toml",
+        &member("rust-version.workspace = true\n\n[lints]\nworkspace = true\n"),
+    );
     assert!(clean.is_none(), "opted-in manifest flagged: {clean:#?}");
+    // A virtual workspace manifest has no package to carry a rust-version.
+    let virtual_root = check_manifest("Cargo.toml", "[workspace]\n\n[lints]\nworkspace = true\n");
+    assert!(
+        virtual_root.is_none(),
+        "virtual manifest flagged: {virtual_root:#?}"
+    );
 }
 
 #[test]

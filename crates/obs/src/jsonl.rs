@@ -13,12 +13,18 @@
 //! * [`split_flat_object`] walks a line and yields borrowed
 //!   `(key, raw value)` pairs; nothing is copied.
 //!
-//! `f64` values use Rust's shortest round-trip `Display`, so
-//! `parse(render(x))` is the identity and the text is byte-deterministic.
+//! Numbers go through [`push_u64`] and [`push_f64`], which write digits
+//! without `core::fmt`: digit pairs from a table, and Ryu's shortest
+//! round-trip digits laid out exactly as `f64`'s `Display` lays them out
+//! (ties rounded up, as std does). The text is byte-identical to
+//! `format!("{x}")` — `tests/number_text.rs` and a 1e8-pattern release
+//! sweep hold it to that — so `parse(render(x))` is the identity and every
+//! golden and digest is unchanged. The service's own records use the two
+//! writers directly.
 
+pub use crate::decimal::{push_f64, push_u64};
 use crate::event::TraceEvent;
 use cloudsched_core::JobId;
-use std::fmt::Write as _;
 
 /// Renders JSONL lines into one reused buffer. See the module docs.
 #[derive(Debug, Default, Clone)]
@@ -153,18 +159,6 @@ impl JsonlWriter {
     pub fn into_line(self) -> String {
         self.line
     }
-}
-
-/// Appends `x` in its shortest round-trip decimal form (`{}` of `f64`).
-fn push_f64(out: &mut String, x: f64) {
-    // Writing into a `String` cannot fail.
-    let _ = write!(out, "{x}");
-}
-
-/// Appends `n` in decimal.
-pub fn push_u64(out: &mut String, n: u64) {
-    // Writing into a `String` cannot fail.
-    let _ = write!(out, "{n}");
 }
 
 fn key(out: &mut String, key: &str) {

@@ -40,6 +40,7 @@
 #![warn(missing_docs)]
 
 pub mod clock;
+mod decimal;
 pub mod event;
 pub mod journal;
 pub mod jsonl;

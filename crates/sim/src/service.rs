@@ -67,12 +67,12 @@ use crate::snapshot;
 use crate::workspace::SimWorkspace;
 use cloudsched_capacity::CapacityProfile;
 use cloudsched_core::{CoreError, Job, JobId, JobSet, Time};
+use cloudsched_obs::jsonl::{push_f64, push_u64};
 use cloudsched_obs::{
     split_flat_object, unquote, FaultKind, JournalSink, JsonlWriter, RetryingJournal, TraceEvent,
     Tracer,
 };
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Tunables of one service run. `c_lo` / `c_hi` are not here — they come
 /// from the capacity profile's declared bounds.
@@ -298,10 +298,11 @@ fn corrupt(line: usize, reason: impl Into<String>) -> CoreError {
 }
 
 // ---------------------------------------------------------------------
-// Line codecs (flat JSON, byte-deterministic: `{}` float formatting is
-// Rust's shortest round-trip form, so parse ∘ render is the identity).
-// Records render into the WAL's reused buffer and parse through the
-// borrowing `split_flat_object`.
+// Line codecs (flat JSON, byte-deterministic). Records are built with
+// `push_str` and `obs::jsonl`'s fmt-free `push_u64` / `push_f64`, whose
+// text is byte-identical to `{}` formatting: the shortest round-trip
+// form, so parse ∘ render is the identity. They render into the WAL's
+// reused buffer and parse through the borrowing `split_flat_object`.
 // ---------------------------------------------------------------------
 
 /// The fields of one flat record, borrowed from its line.
@@ -381,45 +382,60 @@ pub fn parse_stream(text: &str) -> Result<Vec<Arrival>, CoreError> {
     Ok(out)
 }
 
-// Writing into a `String` cannot fail, so the `write!` results below are
-// discarded.
-
 fn arrival_record(out: &mut String, seq: u64, a: &Arrival) {
-    let _ = write!(
-        out,
-        "{{\"svc\":\"arrival\",\"seq\":{seq},\"r\":{},\"d\":{},\"p\":{},\"v\":{}}}",
-        a.release, a.deadline, a.workload, a.value
-    );
+    out.push_str("{\"svc\":\"arrival\",\"seq\":");
+    push_u64(out, seq);
+    out.push_str(",\"r\":");
+    push_f64(out, a.release);
+    out.push_str(",\"d\":");
+    push_f64(out, a.deadline);
+    out.push_str(",\"p\":");
+    push_f64(out, a.workload);
+    out.push_str(",\"v\":");
+    push_f64(out, a.value);
+    out.push('}');
 }
 
 fn decision_record(out: &mut String, d: &ServiceDecision) {
-    let _ = write!(
-        out,
-        "{{\"svc\":\"decision\",\"seq\":{},\"job\":{},\"admit\":{},\"reason\":\"{}\"}}",
-        d.seq,
-        d.job.0,
-        d.admitted,
-        d.reason.as_str()
-    );
+    out.push_str("{\"svc\":\"decision\",\"seq\":");
+    push_u64(out, d.seq);
+    out.push_str(",\"job\":");
+    push_u64(out, d.job.0);
+    out.push_str(if d.admitted {
+        ",\"admit\":true,\"reason\":\""
+    } else {
+        ",\"admit\":false,\"reason\":\""
+    });
+    out.push_str(d.reason.as_str());
+    out.push_str("\"}");
 }
 
 fn snapshot_unsupported_record(out: &mut String, seq: u64) {
-    let _ = write!(out, "{{\"svc\":\"snapshot-unsupported\",\"seq\":{seq}}}");
+    out.push_str("{\"svc\":\"snapshot-unsupported\",\"seq\":");
+    push_u64(out, seq);
+    out.push('}');
 }
 
 fn open_record(out: &mut String, cfg: &ServiceConfig, c_lo: f64, c_hi: f64, rate: f64) {
-    let _ = write!(
-        out,
-        "{{\"svc\":\"open\",\"version\":1,\"scheduler\":\"{}\",\"k\":{},\"delta\":{},\
-         \"c_lo\":{c_lo},\"c_hi\":{c_hi},\"rate\":{rate},\"queue_cap\":{},\
-         \"snapshot_every\":{},\"policy\":\"{}\"}}",
-        cfg.scheduler,
-        cfg.k,
-        cfg.delta,
-        cfg.queue_cap,
-        cfg.snapshot_every,
-        cfg.policy.as_str()
-    );
+    out.push_str("{\"svc\":\"open\",\"version\":1,\"scheduler\":\"");
+    out.push_str(&cfg.scheduler);
+    out.push_str("\",\"k\":");
+    push_f64(out, cfg.k);
+    out.push_str(",\"delta\":");
+    push_f64(out, cfg.delta);
+    out.push_str(",\"c_lo\":");
+    push_f64(out, c_lo);
+    out.push_str(",\"c_hi\":");
+    push_f64(out, c_hi);
+    out.push_str(",\"rate\":");
+    push_f64(out, rate);
+    out.push_str(",\"queue_cap\":");
+    push_u64(out, cfg.queue_cap as u64);
+    out.push_str(",\"snapshot_every\":");
+    push_u64(out, cfg.snapshot_every);
+    out.push_str(",\"policy\":\"");
+    out.push_str(cfg.policy.as_str());
+    out.push_str("\"}");
 }
 
 // ---------------------------------------------------------------------
@@ -745,7 +761,9 @@ impl<'a, P: CapacityProfile> Core<'a, P> {
                     .chain(self.snap_jobs..self.jobs.len());
                 let ws = &self.ws;
                 wal.commit(|out| {
-                    let _ = write!(out, "{{\"svc\":\"snapshot\",\"seq\":{seq},\"blob\":\"");
+                    out.push_str("{\"svc\":\"snapshot\",\"seq\":");
+                    push_u64(out, seq);
+                    out.push_str(",\"blob\":\"");
                     snapshot::encode(out, st, ws, rows, &blob);
                     out.push_str("\"}");
                 })?;

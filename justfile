@@ -5,7 +5,7 @@
 export CARGO_NET_OFFLINE := "true"
 
 # Run the full CI gauntlet.
-ci: fmt build test lint cli-flags clippy golden-trace chaos serve-smoke serve-scale bench-smoke sweep-smoke fleet-smoke fleet-scale
+ci: fmt build test number-sweep lint cli-flags clippy golden-trace chaos serve-smoke serve-scale bench-smoke sweep-smoke fleet-smoke fleet-scale
 
 fmt:
     cargo fmt --all --check
@@ -15,6 +15,11 @@ build:
 
 test:
     cargo test -q --workspace
+
+# 1e8 random f64 bit patterns: the fmt-free number writer against
+# `format!("{x}")` (mirrors the CI step; about a minute in release).
+number-sweep:
+    cargo test --release -p cloudsched-obs -- --ignored
 
 # The rules clippy cannot express (L001, L002, L009) and the L004 manifest
 # check; also runs as a tier-1 test. `just clippy` enforces the rest.
