@@ -1,16 +1,14 @@
 //! Structural diffs between two benchmark reports.
 //!
 //! Parses two `BENCH_kernel.json`, `BENCH_sweep.json`, or
-//! `BENCH_fleet.json` files with the strict row codec from
-//! `cloudsched-bench`, matches rows by the suite schema's key, and reports
+//! `BENCH_fleet.json` files with the strict [`crate::row`] codec, matches rows by the suite schema's key, and reports
 //! a delta for each of the schema's metrics with a tolerance. Rows present
 //! in only one file (e.g. a `--quick` run covers fewer sizes) are listed
 //! as informational, never as regressions.
 
 use std::collections::BTreeMap;
 
-use cloudsched_bench::row::Worse;
-use cloudsched_bench::{parse_report, Row};
+use crate::row::{parse_report, Row, Worse};
 
 /// One metric's old-vs-new comparison for one matched row.
 #[derive(Debug, Clone, PartialEq)]
@@ -153,8 +151,7 @@ pub fn diff_reports(old_text: &str, new_text: &str, tol_pct: f64) -> Result<Benc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloudsched_bench::render_report;
-    use cloudsched_bench::row::{FLEET_SCHEMA, KERNEL_SCHEMA, SWEEP_SCHEMA};
+    use crate::row::{render_report, FLEET_SCHEMA, KERNEL_SCHEMA, SWEEP_SCHEMA};
 
     fn kernel_row(scheduler: &str, n: usize, ns: f64, wall: f64) -> Row {
         Row::new(

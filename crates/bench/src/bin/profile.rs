@@ -18,7 +18,7 @@
 
 use cloudsched_capacity::StretchMap;
 use cloudsched_obs::{Clock, MetricsRegistry, MonotonicClock, NoopTracer, Profiler, RingTracer};
-use cloudsched_sched::VDover;
+use cloudsched_sched::SchedulerSpec;
 use cloudsched_sim::{simulate, Run, RunOptions, RunReport};
 use cloudsched_workload::PaperScenario;
 use std::hint::black_box;
@@ -31,15 +31,13 @@ fn main() {
         .generate(7)
         .expect("paper scenario generates");
     let instance = &generated.instance;
-    let k = instance.importance_ratio().unwrap_or(7.0);
-    let delta = instance.delta().max(1.0 + 1e-9);
+    let spec = SchedulerSpec::for_instance("vdover", instance).expect("V-Dover parameters");
 
     // --- 1. span profile of one observed run -----------------------------
     let profiler = Profiler::new(Box::new(MonotonicClock::new()));
-    let mut sched = VDover::new(k, delta);
     let report = Run::new(&instance.jobs, &instance.capacity, RunOptions::lean())
         .profiler(&profiler)
-        .run(&mut sched);
+        .run(&mut *spec.build());
     let map = StretchMap::new(instance.capacity.clone());
     let stretched = map
         .stretch_jobs_profiled(&instance.jobs, &profiler)
@@ -55,24 +53,24 @@ fn main() {
 
     // --- 2. tracing overhead ---------------------------------------------
     let run = || Run::new(&instance.jobs, &instance.capacity, RunOptions::lean());
-    let vdover = || VDover::new(k, delta);
+    let vdover = || spec.build();
     let cases: [(&str, &dyn Fn() -> RunReport); 4] = [
         ("simulate (noop tracer, static)", &|| {
             simulate(
                 &instance.jobs,
                 &instance.capacity,
-                &mut vdover(),
+                &mut *vdover(),
                 RunOptions::lean(),
             )
         }),
         ("Run + noop tracer", &|| {
-            run().tracer(NoopTracer).run(&mut vdover())
+            run().tracer(NoopTracer).run(&mut *vdover())
         }),
         ("Run + ring tracer", &|| {
-            run().tracer(RingTracer::new(1 << 16)).run(&mut vdover())
+            run().tracer(RingTracer::new(1 << 16)).run(&mut *vdover())
         }),
         ("Run + metrics registry", &|| {
-            run().tracer(MetricsRegistry::for_sim()).run(&mut vdover())
+            run().tracer(MetricsRegistry::for_sim()).run(&mut *vdover())
         }),
     ];
     let clock = MonotonicClock::new();

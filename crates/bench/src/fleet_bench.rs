@@ -18,10 +18,9 @@
 //! user, lint rules L005/L006).
 
 use crate::row::{fnv1a, Row, Value, FLEET_SCHEMA, FNV_OFFSET};
-use crate::SchedulerSpec;
 use cloudsched_core::rng::{derive_seed, FLEET_DISPATCH_RUN_OFFSET, SEED_STREAM_FLEET};
 use cloudsched_obs::{Clock, MonotonicClock};
-use cloudsched_sched::DispatchPolicy;
+use cloudsched_sched::{DispatchPolicy, SchedulerSpec, VDoverConfig};
 use cloudsched_sim::{run_fleet, FleetReport, RunOptions, Scheduler};
 use cloudsched_workload::{FleetInstance, FleetScenario};
 
@@ -126,10 +125,7 @@ fn run_instance(
         cfg.lambda,
         FLEET_DISPATCH_RUN_OFFSET + run,
     ));
-    let spec = SchedulerSpec::VDover {
-        k: 7.0,
-        delta: 35.0,
-    };
+    let spec = SchedulerSpec::VDover(VDoverConfig::paper(7.0, 35.0));
     let factory = move |_m: usize| -> Box<dyn Scheduler> { spec.build() };
     run_fleet(
         &instance.jobs,

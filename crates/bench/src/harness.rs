@@ -1,24 +1,21 @@
 //! Parallel Monte-Carlo driver.
 //!
 //! The index fan-out lives in [`cloudsched_core::par`] (work-stealing,
-//! index-order deterministic, thread-count independent) and is re-exported
-//! here so the experiments keep a single import point. This module adds
+//! index-order deterministic, thread-count independent). This module adds
 //! the simulation-specific layers on top: per-worker workspace reuse
 //! ([`run_instance_in`]) and the shared-instance multi-policy batch runner
 //! ([`run_instance_batch`]).
 
-use crate::algos::SchedulerSpec;
 use cloudsched_capacity::Instance;
+use cloudsched_sched::SchedulerSpec;
 use cloudsched_sim::{Run, RunOptions, RunReport, SimWorkspace};
-
-pub use cloudsched_core::par::{default_threads, parallel_map, parallel_map_with};
 
 /// Simulates one scheduler spec on one instance.
 ///
 /// Convenience form of [`run_instance_in`] with a throwaway workspace —
 /// fine for single runs; sweeps should hold a [`SimWorkspace`] per worker
-/// (e.g. via [`parallel_map_with`]) and call [`run_instance_in`] or
-/// [`run_instance_batch`] instead.
+/// (e.g. via [`cloudsched_core::par::parallel_map_with`]) and call
+/// [`run_instance_in`] or [`run_instance_batch`] instead.
 pub fn run_instance(instance: &Instance, spec: &SchedulerSpec, options: RunOptions) -> RunReport {
     run_instance_in(&mut SimWorkspace::new(), instance, spec, options)
 }
@@ -74,6 +71,7 @@ pub fn run_instance_batch_in(
 mod tests {
     use super::*;
     use cloudsched_core::JobSet;
+    use cloudsched_sched::VDoverConfig;
 
     fn small_instance() -> Instance {
         let jobs = JobSet::from_tuples(&[
@@ -87,21 +85,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map(100, 8, |i| i * i);
-        assert_eq!(out.len(), 100);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i * i);
-        }
-    }
-
-    #[test]
-    fn parallel_map_edge_cases() {
-        assert!(parallel_map(0, 4, |i| i).is_empty());
-        assert_eq!(parallel_map(1, 16, |i| i + 1), vec![1]);
-    }
-
-    #[test]
     fn run_instance_smoke() {
         let jobs = JobSet::from_tuples(&[(0.0, 4.0, 2.0, 1.0)]).unwrap();
         let cap = cloudsched_capacity::PiecewiseConstant::constant(1.0).unwrap();
@@ -112,19 +95,10 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_across_thread_counts() {
-        // The same indexed tasks give identical results regardless of
-        // parallelism.
-        let a = parallel_map(50, 1, |i| i as u64 * 7 % 13);
-        let b = parallel_map(50, 8, |i| i as u64 * 7 % 13);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn workspace_reuse_matches_fresh_runs() {
         let inst = small_instance();
         let mut ws = SimWorkspace::new();
-        let vdover = SchedulerSpec::VDover { k: 5.0, delta: 1.0 };
+        let vdover = SchedulerSpec::VDover(VDoverConfig::paper(5.0, 1.0));
         for spec in [SchedulerSpec::Edf, vdover] {
             let fresh = run_instance(&inst, &spec, RunOptions::full());
             let reused = run_instance_in(&mut ws, &inst, &spec, RunOptions::full());
@@ -139,7 +113,7 @@ mod tests {
         let inst = small_instance();
         let specs = [
             SchedulerSpec::Edf,
-            SchedulerSpec::VDover { k: 5.0, delta: 1.0 },
+            SchedulerSpec::VDover(VDoverConfig::paper(5.0, 1.0)),
             SchedulerSpec::Edf,
         ];
         let batch = run_instance_batch(&inst, &specs, RunOptions::full());

@@ -12,11 +12,11 @@
 //! stream.
 
 use crate::row::{Row, KERNEL_SCHEMA};
-use crate::SchedulerSpec;
 use cloudsched_capacity::Instance;
 use cloudsched_core::rng::{Pcg32, Rng};
 use cloudsched_core::{Job, JobId, JobSet, Time};
 use cloudsched_obs::{Clock, MonotonicClock};
+use cloudsched_sched::{SchedulerSpec, VDoverConfig};
 use cloudsched_sim::{RunOptions, SimWorkspace};
 use cloudsched_workload::dist::{exponential, uniform};
 use cloudsched_workload::CtmcCapacity;
@@ -71,10 +71,7 @@ fn specs() -> Vec<SchedulerSpec> {
             k: 7.0,
             c_estimate: 18.0,
         },
-        SchedulerSpec::VDover {
-            k: 7.0,
-            delta: 35.0,
-        },
+        SchedulerSpec::VDover(VDoverConfig::paper(7.0, 35.0)),
     ]
 }
 

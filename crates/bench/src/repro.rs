@@ -15,10 +15,9 @@
 //! text it prints and the CSV files it writes as an [`Output`], and the
 //! caller decides where they go. The thread count never changes a byte of
 //! either, because every fan-out goes through the index-ordered
-//! [`parallel_map_with`].
+//! [`cloudsched_core::par::parallel_map_with`].
 
-use crate::{parallel_map_with, run_instance, run_instance_batch, run_instance_batch_in};
-use crate::{run_instance_in, SchedulerSpec};
+use crate::{run_instance, run_instance_batch, run_instance_batch_in, run_instance_in};
 use cloudsched_analysis::adversary::{TrapParams, TrapRound};
 use cloudsched_analysis::bounds::{
     dover_beta, f_overload, optimal_beta, vdover_achievable_ratio, vdover_upper_bound,
@@ -26,6 +25,7 @@ use cloudsched_analysis::bounds::{
 use cloudsched_analysis::stats::Summary;
 use cloudsched_analysis::table::{fnum, Table};
 use cloudsched_capacity::Instance;
+use cloudsched_core::par::parallel_map_with;
 use cloudsched_core::rng::{derive_seed, Pcg32, Rng};
 use cloudsched_core::rng::{
     SEED_STREAM_ABLATION, SEED_STREAM_TABLE1, SEED_STREAM_TRANSFORM, SEED_STREAM_UNDERLOADED,
@@ -35,6 +35,7 @@ use cloudsched_offline::exact::optimal_value;
 use cloudsched_offline::greedy::greedy_by_density;
 use cloudsched_offline::reduction::{reduce, solve_via_stretch};
 use cloudsched_sched::dover::SupplementOrder;
+use cloudsched_sched::{SchedulerSpec, VDoverConfig};
 use cloudsched_sim::{RunOptions, SimWorkspace, TrajectoryPoint};
 use cloudsched_workload::ctmc::CtmcCapacity;
 use cloudsched_workload::dist::{exponential, uniform};
@@ -131,7 +132,7 @@ fn table1(runs: usize, threads: usize) -> Output {
         .iter()
         .map(|&c| SchedulerSpec::Dover { k, c_estimate: c })
         .collect();
-    specs.push(SchedulerSpec::VDover { k, delta });
+    specs.push(SchedulerSpec::VDover(VDoverConfig::paper(k, delta)));
     let names: Vec<String> = specs.iter().map(SchedulerSpec::name).collect();
 
     let mut table = Table::new(
@@ -219,10 +220,7 @@ fn fig1() -> Output {
     // All five curves come from one batch over the shared sample path: the
     // instance is consumed once and every policy replays it.
     let c_estimates = [1.0, 10.5, 24.5, 35.0];
-    let mut specs = vec![SchedulerSpec::VDover {
-        k: 7.0,
-        delta: 35.0,
-    }];
+    let mut specs = vec![SchedulerSpec::VDover(VDoverConfig::paper(7.0, 35.0))];
     specs.extend(c_estimates.iter().map(|&c| SchedulerSpec::Dover {
         k: 7.0,
         c_estimate: c,
@@ -314,17 +312,18 @@ fn ablation(runs: usize, threads: usize) -> Output {
     let (k, delta) = (7.0, 35.0);
     let beta_star = optimal_beta(k, delta);
     let beta_dover = dover_beta(k);
-    let custom =
-        |beta: f64, supplement: bool, order: SupplementOrder| SchedulerSpec::VDoverCustom {
+    let custom = |beta: f64, supplement: bool, supplement_order: SupplementOrder| {
+        SchedulerSpec::VDover(VDoverConfig {
             beta,
             supplement,
-            order,
-        };
+            supplement_order,
+        })
+    };
 
     let mut variants: Vec<(String, SchedulerSpec)> = vec![
         (
             format!("V-Dover β*={beta_star:.3} (paper)"),
-            SchedulerSpec::VDover { k, delta },
+            SchedulerSpec::VDover(VDoverConfig::paper(k, delta)),
         ),
         (
             "V-Dover, no supplement queue".into(),
@@ -411,7 +410,7 @@ fn adversary() -> Output {
     let k = 7.0;
     let delta = 5.0;
     let specs = [
-        SchedulerSpec::VDover { k, delta },
+        SchedulerSpec::VDover(VDoverConfig::paper(k, delta)),
         SchedulerSpec::Dover {
             k,
             c_estimate: delta,
@@ -662,7 +661,7 @@ fn underloaded(instances: usize, threads: usize) -> Output {
     let specs = [
         SchedulerSpec::Edf,
         SchedulerSpec::Llf(1.0),
-        SchedulerSpec::VDover { k: 7.0, delta: 4.0 },
+        SchedulerSpec::VDover(VDoverConfig::paper(7.0, 4.0)),
         SchedulerSpec::Dover {
             k: 7.0,
             c_estimate: 1.0,

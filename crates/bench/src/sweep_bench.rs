@@ -17,11 +17,12 @@
 //! ([`MonotonicClock`] — the bench crate is the sanctioned wall-clock
 //! user, lint rules L005/L006).
 
-use crate::harness::{parallel_map, parallel_map_with, run_instance, run_instance_batch_in};
+use crate::harness::{run_instance, run_instance_batch_in};
 use crate::row::{fnv1a, Row, Value, FNV_OFFSET, SWEEP_SCHEMA};
-use crate::SchedulerSpec;
+use cloudsched_core::par::{parallel_map, parallel_map_with};
 use cloudsched_core::rng::{derive_seed, SEED_STREAM_TABLE1};
 use cloudsched_obs::{Clock, MetricsRegistry, MetricsSnapshot, MonotonicClock};
+use cloudsched_sched::{SchedulerSpec, VDoverConfig};
 use cloudsched_sim::{RunOptions, RunReport, SimWorkspace};
 use cloudsched_workload::PaperScenario;
 
@@ -67,10 +68,7 @@ pub fn sweep_specs() -> Vec<SchedulerSpec> {
             c_estimate: c,
         })
         .collect();
-    specs.push(SchedulerSpec::VDover {
-        k: 7.0,
-        delta: 35.0,
-    });
+    specs.push(SchedulerSpec::VDover(VDoverConfig::paper(7.0, 35.0)));
     specs
 }
 

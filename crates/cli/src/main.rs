@@ -21,7 +21,7 @@ use cloudsched_bench::repro;
 use cloudsched_capacity::{CapacityProfile, Instance};
 use cloudsched_obs::TraceEvent;
 use cloudsched_offline as offline;
-use cloudsched_sched::{DISPATCH_NAMES, SCHEDULER_NAMES};
+use cloudsched_sched::{SchedulerSpec, DISPATCH_NAMES, SCHEDULER_NAMES};
 use cloudsched_sim::{
     audit::{
         audit_report, certify_admissibility, certify_stretch_roundtrip, certify_underloaded_edf,
@@ -273,23 +273,19 @@ fn cmd_gen(args: &Args) -> Result<(), CliError> {
 
 fn cmd_run(args: &Args) -> Result<(), CliError> {
     let instance = load_trace(&args.get::<String>("trace"))?;
-    let (c_lo, c_hi) = instance.capacity.bounds();
-    let k = instance.importance_ratio().unwrap_or(7.0);
-    let delta = instance.delta().max(1.0 + 1e-9);
     let audit = args.on("audit");
     println!(
         "{:<16} {:>10} {:>8} {:>11} {:>12}",
         "scheduler", "value", "value %", "completed", "preemptions"
     );
     for name in args.get::<String>("scheduler").split(',') {
-        let mut s = cloudsched_sched::by_name(name.trim(), k, delta, c_lo, c_hi)
-            .map_err(|e| e.to_string())?;
+        let s = SchedulerSpec::for_instance(name.trim(), &instance).map_err(|e| e.to_string())?;
         let opts = if audit {
             RunOptions::full()
         } else {
             RunOptions::lean()
         };
-        let report = simulate(&instance.jobs, &instance.capacity, &mut *s, opts);
+        let report = simulate(&instance.jobs, &instance.capacity, &mut *s.build(), opts);
         if audit {
             audit_report(&instance.jobs, &instance.capacity, &report)
                 .map_err(|e| format!("{}: audit failed: {:?}", report.scheduler, e))?;
@@ -722,8 +718,8 @@ fn bench_fleet(quick: bool) -> Vec<cloudsched_bench::Row> {
 fn cmd_fleet(args: &Args) -> Result<(), CliError> {
     use cloudsched_core::rng::{derive_seed, FLEET_DISPATCH_RUN_OFFSET, SEED_STREAM_FLEET};
     use cloudsched_insight::{fold_fleet, MachineValue};
-    use cloudsched_sched::{by_name, DispatchPolicy};
-    use cloudsched_sim::run_fleet;
+    use cloudsched_sched::DispatchPolicy;
+    use cloudsched_sim::{run_fleet, Scheduler};
     use cloudsched_workload::FleetScenario;
 
     let machines: usize = args.get("machines");
@@ -749,12 +745,10 @@ fn cmd_fleet(args: &Args) -> Result<(), CliError> {
     let name = name.as_str();
     let k = args.opt("k").unwrap_or(scenario.base.density_hi);
     let delta = args.opt("delta").unwrap_or(scenario.base.c_hi);
-    let c_lo = scenario.base.c_lo;
-    let c_hi = scenario.base.c_hi;
-    // Validate the scheduler parameters once up front so a typo is a
-    // usage error before any work happens; the factory then re-builds the
-    // validated configuration per machine.
-    by_name(name, k, delta, c_lo, c_hi).map_err(|e| CliError::Usage(e.to_string()))?;
+    // Parse the scheduler once up front so a typo is a usage error before
+    // any work happens; the factory then builds the spec per machine.
+    let spec = SchedulerSpec::parse(name, k, delta, scenario.base.c_lo, scenario.base.c_hi)
+        .map_err(|e| CliError::Usage(e.to_string()))?;
     let seed = derive_seed(SEED_STREAM_FLEET, lambda, run);
     let instance = scenario.generate(seed).map_err(|e| e.to_string())?;
     let mut dispatch = policy.build(derive_seed(
@@ -762,9 +756,7 @@ fn cmd_fleet(args: &Args) -> Result<(), CliError> {
         lambda,
         FLEET_DISPATCH_RUN_OFFSET + run,
     ));
-    let factory = move |_m: usize| {
-        by_name(name, k, delta, c_lo, c_hi).expect("invariant: parameters validated above")
-    };
+    let factory = move |_m: usize| -> Box<dyn Scheduler> { spec.build() };
     let report = run_fleet(
         &instance.jobs,
         &instance.machines,
@@ -883,15 +875,11 @@ fn cmd_inspect_ratio(args: &Args) -> Result<(), CliError> {
     let mut violations = 0usize;
     for seed in first_seed..first_seed.saturating_add(seeds) {
         let instance = scenario.generate(seed).map_err(|e| e.to_string())?.instance;
-        let (c_lo, c_hi) = instance.capacity.bounds();
-        let k = instance.importance_ratio().unwrap_or(7.0);
-        let delta = instance.delta().max(1.0 + 1e-9);
-        let mut s = cloudsched_sched::by_name(&scheduler, k, delta, c_lo, c_hi)
-            .map_err(|e| e.to_string())?;
+        let s = SchedulerSpec::for_instance(&scheduler, &instance).map_err(|e| e.to_string())?;
         let run = simulate(
             &instance.jobs,
             &instance.capacity,
-            &mut *s,
+            &mut *s.build(),
             RunOptions::lean(),
         );
         let report = cloudsched_insight::measure_ratio(&instance, run.value, &run.scheduler);
@@ -926,7 +914,7 @@ fn cmd_bench_diff(args: &Args) -> Result<(), CliError> {
     }
     let old = read_text(&old_path)?;
     let new = read_text(&new_path)?;
-    let diff = cloudsched_insight::diff_reports(&old, &new, tol)?;
+    let diff = cloudsched_bench::diff_reports(&old, &new, tol)?;
     print!("{}", diff.render());
     let regressions = diff.regressions();
     if regressions > 0 {
@@ -997,8 +985,9 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let capacity =
         cloudsched_capacity::Constant::new(rate).map_err(|e| CliError::usage("rate", e))?;
     let stream = read_text(&in_path)?;
-    let mut scheduler = cloudsched_sched::by_name(&cfg.scheduler, cfg.k, cfg.delta, rate, rate)
-        .map_err(|e| CliError::usage("scheduler", e))?;
+    let mut scheduler = SchedulerSpec::parse(&cfg.scheduler, cfg.k, cfg.delta, rate, rate)
+        .map_err(|e| CliError::usage("scheduler", e))?
+        .build();
     let mut journal = match args.opt::<String>("journal") {
         Some(path) => Some(
             cloudsched_obs::FileJournal::create(std::path::Path::new(&path))
@@ -1037,14 +1026,15 @@ fn cmd_recover(args: &Args) -> Result<(), CliError> {
     let stream = read_text(&in_path)?;
     let header = cloudsched_sim::journal_header(&journal).map_err(|e| e.to_string())?;
     let capacity = cloudsched_capacity::Constant::new(header.rate).map_err(|e| e.to_string())?;
-    let mut scheduler = cloudsched_sched::by_name(
+    let mut scheduler = SchedulerSpec::parse(
         &header.scheduler,
         header.k,
         header.delta,
         header.c_lo,
         header.c_hi,
     )
-    .map_err(|e| e.to_string())?;
+    .map_err(|e| e.to_string())?
+    .build();
     let outcome = cloudsched_sim::recover(&capacity, scheduler.as_mut(), &journal, &stream)
         .map_err(|e| e.to_string())?;
     eprintln!(
@@ -1073,7 +1063,7 @@ fn cmd_repro(args: &Args) -> Result<(), CliError> {
     }
     let threads = args
         .opt("threads")
-        .unwrap_or_else(cloudsched_bench::default_threads);
+        .unwrap_or_else(cloudsched_core::par::default_threads);
     let dir = std::path::PathBuf::from(args.get::<String>("out"));
     #[allow(clippy::disallowed_methods)] // the CSV directory, beside write_text
     std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
@@ -1483,7 +1473,7 @@ mod tests {
     fn default_run_list_resolves_through_the_factory() {
         for name in "vdover,dover-lo,edf,hvdf".split(',') {
             assert!(
-                cloudsched_sched::by_name(name, 7.0, 2.0, 1.0, 2.0).is_ok(),
+                SchedulerSpec::parse(name, 7.0, 2.0, 1.0, 2.0).is_ok(),
                 "factory rejected {name}"
             );
         }

@@ -14,6 +14,7 @@ use crate::stream::{corrupt_stream, InjectedFault};
 use cloudsched_capacity::{CapacityProfile, Instance};
 use cloudsched_core::{derive_seed, parallel_map, CoreError, Rng, SplitMix64};
 use cloudsched_obs::JsonlTracer;
+use cloudsched_sched::SchedulerSpec;
 use cloudsched_sim::{
     simulate, DegradationPolicy, DegradationStats, Run, RunOptions, WatchdogConfig,
 };
@@ -255,17 +256,22 @@ impl CampaignReport {
     }
 }
 
+/// Parses `name` with the scenario's `k` and `δ` and the declared class
+/// bounds (capacity faults keep them, so baseline and faulted runs agree).
+fn scheduler_spec(fi: &FaultedInstance, name: &str) -> Result<SchedulerSpec, CoreError> {
+    let (c_lo, c_hi) = fi.baseline.capacity.bounds();
+    SchedulerSpec::parse(name, fi.k, fi.delta, c_lo, c_hi)
+}
+
 /// Runs one degraded `(instance, policy)` pair and folds the outcome.
 fn run_policy(
     fi: &FaultedInstance,
-    scheduler: &str,
+    spec: &SchedulerSpec,
     policy: DegradationPolicy,
     seed: u64,
     plan: &FaultPlan,
     baseline_value: f64,
-) -> Result<PolicyOutcome, CoreError> {
-    let (c_lo, c_hi) = fi.faulted.capacity.bounds();
-    let mut sched = cloudsched_sched::by_name(scheduler, fi.k, fi.delta, c_lo, c_hi)?;
+) -> PolicyOutcome {
     let mut oracle = crate::oracle::FaultyOracle::new(plan.oracle, oracle_seed(seed));
     let cfg = WatchdogConfig {
         max_retries: 3,
@@ -277,20 +283,20 @@ fn run_policy(
     };
     let outcome = Run::new(&fi.faulted.jobs, &fi.faulted.capacity, options)
         .watchdog(policy, cfg, Some(&mut oracle))
-        .run_degraded(&mut *sched);
+        .run_degraded(&mut *spec.build());
     let retention = if baseline_value > 0.0 {
         outcome.report.value / baseline_value
     } else {
         1.0
     };
-    Ok(PolicyOutcome {
+    PolicyOutcome {
         policy,
         value: outcome.report.value,
         retention,
         aborted: outcome.aborted.map(|e| e.to_string()),
         stats: outcome.stats,
         audit_errors: outcome.audit_errors.len(),
-    })
+    }
 }
 
 /// Runs the whole campaign: for every seed, a fault-free baseline run plus
@@ -324,25 +330,18 @@ pub fn run_campaign(cfg: &ChaosConfig) -> Result<CampaignReport, CoreError> {
 /// generation failures.
 pub fn run_seed(cfg: &ChaosConfig, seed: u64) -> Result<SeedOutcome, CoreError> {
     let fi = prepare(&cfg.plan, cfg.lambda, seed)?;
-    let (c_lo, c_hi) = fi.baseline.capacity.bounds();
-    let mut base_sched = cloudsched_sched::by_name(&cfg.scheduler, fi.k, fi.delta, c_lo, c_hi)?;
+    let spec = scheduler_spec(&fi, &cfg.scheduler)?;
     let baseline = simulate(
         &fi.baseline.jobs,
         &fi.baseline.capacity,
-        &mut *base_sched,
+        &mut *spec.build(),
         RunOptions::lean(),
     );
-    let mut policies = Vec::with_capacity(cfg.policies.len());
-    for &policy in &cfg.policies {
-        policies.push(run_policy(
-            &fi,
-            &cfg.scheduler,
-            policy,
-            seed,
-            &cfg.plan,
-            baseline.value,
-        )?);
-    }
+    let policies = cfg
+        .policies
+        .iter()
+        .map(|&policy| run_policy(&fi, &spec, policy, seed, &cfg.plan, baseline.value))
+        .collect();
     Ok(SeedOutcome {
         seed,
         clean_jobs: fi.baseline.jobs.len(),
@@ -365,8 +364,7 @@ pub fn chaos_trace(
     policy: DegradationPolicy,
 ) -> Result<String, CoreError> {
     let fi = prepare(&cfg.plan, cfg.lambda, seed)?;
-    let (c_lo, c_hi) = fi.faulted.capacity.bounds();
-    let mut sched = cloudsched_sched::by_name(&cfg.scheduler, fi.k, fi.delta, c_lo, c_hi)?;
+    let spec = scheduler_spec(&fi, &cfg.scheduler)?;
     let mut oracle = crate::oracle::FaultyOracle::new(cfg.plan.oracle, oracle_seed(seed));
     let mut tracer = JsonlTracer::new(Vec::new());
     let wcfg = WatchdogConfig {
@@ -376,7 +374,7 @@ pub fn chaos_trace(
     Run::new(&fi.faulted.jobs, &fi.faulted.capacity, RunOptions::lean())
         .tracer(&mut tracer)
         .watchdog(policy, wcfg, Some(&mut oracle))
-        .run_degraded(&mut *sched);
+        .run_degraded(&mut *spec.build());
     let bytes = tracer
         .finish()
         .expect("invariant: writing to an in-memory Vec cannot fail");

@@ -12,23 +12,21 @@
 //! * [`ratio`] — the empirical competitive ratio of one run against the
 //!   exact (branch-and-bound) or fractional (LP) offline optimum, printed
 //!   next to the paper's Theorem 3(2) guarantee;
-//! * [`benchdiff`] — structural diffs between two checked-in benchmark
-//!   reports (`BENCH_kernel.json` / `BENCH_sweep.json` / `BENCH_fleet.json`).
+//! * [`fleetfold`] — the per-machine value table and conservation fold of
+//!   a fleet run.
 //!
-//! Everything here is a pure function from parsed trace events (or report
-//! text) to values and rendered text: no filesystem, no clock, no hashing
-//! iteration — the same inputs produce byte-identical output on any
+//! Everything here is a pure function from parsed trace events (or
+//! per-machine values) to values and rendered text: no filesystem, no
+//! clock, no hashing iteration — the same inputs produce byte-identical output on any
 //! platform and at any thread count. File I/O stays at the `cli` boundary.
 
 #![warn(missing_docs)]
 
-pub mod benchdiff;
 pub mod fleetfold;
 pub mod ledger;
 pub mod ratio;
 pub mod timeline;
 
-pub use benchdiff::{diff_reports, BenchDiff, MetricDelta};
 pub use fleetfold::{fold_fleet, FleetFold, MachineValue};
 pub use ledger::{Bucket, LedgerEntry, LedgerReport, ValueLedger};
 pub use ratio::{measure_ratio, RatioReport, EXACT_JOB_LIMIT};

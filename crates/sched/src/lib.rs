@@ -21,6 +21,8 @@
 //!
 //! All schedulers implement [`cloudsched_sim::Scheduler`] and are driven by
 //! the kernel's release / completion-or-failure / timer interrupts.
+//! [`SchedulerSpec`] is the one vocabulary that names them: parse a
+//! command-line name into a spec, then build a fresh scheduler from it.
 
 // L010: no lossy `as` casts in the kernel; the few deliberate ones carry a
 // site-level allow that gives the reason.
@@ -40,7 +42,7 @@ pub mod vdover;
 pub use dispatch::{DispatchPolicy, LeastLaxityFit, PowerOfTwo, RoundRobin, DISPATCH_NAMES};
 pub use dover::Dover;
 pub use edf::Edf;
-pub use factory::{by_name, SCHEDULER_NAMES};
+pub use factory::{by_name, SchedulerSpec, SCHEDULER_NAMES};
 pub use fifo::Fifo;
 pub use greedy::{Greedy, GreedyKey};
 pub use llf::Llf;

@@ -5,7 +5,7 @@
 export CARGO_NET_OFFLINE := "true"
 
 # Run the full CI gauntlet.
-ci: fmt build test number-sweep lint cli-flags clippy golden-trace chaos serve-smoke serve-scale bench-smoke sweep-smoke fleet-smoke fleet-scale
+ci: fmt build test number-sweep lint deps cli-flags clippy golden-trace chaos serve-smoke serve-scale bench-smoke sweep-smoke fleet-smoke fleet-scale
 
 fmt:
     cargo fmt --all --check
@@ -25,6 +25,26 @@ number-sweep:
 # check; also runs as a tier-1 test. `just clippy` enforces the rest.
 lint:
     cargo run --release -p cloudsched-cli -- lint
+
+# Every `cloudsched-*` entry under a member's [dependencies] is named as
+# `cloudsched_*` somewhere in that crate's src/ (mirrors the CI step): an
+# unused edge only slows the build and hides the real crate graph.
+deps:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    status=0
+    for manifest in Cargo.toml crates/*/Cargo.toml; do
+        dir=$(dirname "$manifest")
+        deps=$(sed -n '/^\[dependencies\]/,/^\[/s/^\(cloudsched-[a-z-]*\)[ .=].*/\1/p' "$manifest")
+        for dep in $deps; do
+            name=${dep//-/_}
+            if ! grep -rqw "$name" "$dir/src"; then
+                echo "$manifest: $dep is a dependency, but $dir/src never names $name"
+                status=1
+            fi
+        done
+    done
+    exit "$status"
 
 # Every command rejects an unknown flag with exit 2 (mirrors the CI step).
 cli-flags:

@@ -60,7 +60,9 @@ pub mod prelude {
         CapacityProfile, Constant, Instance, PiecewiseConstant, StretchMap,
     };
     pub use cloudsched_core::prelude::*;
-    pub use cloudsched_sched::{Dover, Edf, Fifo, Greedy, Llf, VDover, VDoverConfig};
+    pub use cloudsched_sched::{
+        Dover, Edf, Fifo, Greedy, Llf, SchedulerSpec, VDover, VDoverConfig,
+    };
     pub use cloudsched_sim::{
         audit::audit_report, simulate, Decision, RunOptions, RunReport, Scheduler, SimContext,
     };

@@ -8,7 +8,7 @@
 //! is event-driven with a total event order, and `f64` `Display` in Rust is
 //! the deterministic shortest round-trip form.
 
-use cloudsched_capacity::{CapacityProfile, Instance};
+use cloudsched_capacity::Instance;
 use cloudsched_obs::{JsonlTracer, MetricsRegistry, Tee, WithProvenance};
 use cloudsched_sim::{Run, RunOptions, RunReport};
 
@@ -54,11 +54,9 @@ pub fn run_traced_with_provenance(
     scheduler: &str,
     provenance: bool,
 ) -> Result<TracedRun, String> {
-    let (c_lo, c_hi) = instance.capacity.bounds();
-    let k = instance.importance_ratio().unwrap_or(7.0);
-    let delta = instance.delta().max(1.0 + 1e-9);
-    let mut sched =
-        cloudsched_sched::by_name(scheduler, k, delta, c_lo, c_hi).map_err(|e| e.to_string())?;
+    let mut sched = cloudsched_sched::SchedulerSpec::for_instance(scheduler, instance)
+        .map_err(|e| e.to_string())?
+        .build();
     let mut run = |jsonl_tracer: &mut dyn cloudsched_obs::Tracer| -> RunReport {
         let mut metrics = MetricsRegistry::for_sim();
         let mut sink = Tee(jsonl_tracer, &mut metrics);

@@ -3,8 +3,7 @@
 //! identical bytes, and diffs cleanly against itself — every row matched,
 //! no regression.
 
-use cloudsched_bench::{parse_report, render_report};
-use cloudsched_insight::diff_reports;
+use cloudsched_bench::{diff_reports, parse_report, render_report};
 
 const REPORTS: [(&str, &str); 3] = [
     ("kernel", include_str!("../BENCH_kernel.json")),

@@ -133,17 +133,15 @@ fn best_effort_logs_and_schedules_everything() {
 #[test]
 fn the_fault_free_path_is_byte_identical_to_the_plain_kernel() {
     let instance = PaperScenario::table1(6.0).generate(11).unwrap().instance;
-    let (c_lo, c_hi) = instance.capacity.bounds();
-    let k = instance.importance_ratio().unwrap_or(7.0);
-    let delta = instance.delta().max(1.0 + 1e-9);
+    let spec = SchedulerSpec::for_instance("vdover", &instance).unwrap();
 
-    let mut plain_sched = cloudsched::sched::by_name("vdover", k, delta, c_lo, c_hi).unwrap();
+    let mut plain_sched = spec.build();
     let mut plain_tracer = JsonlTracer::new(Vec::new());
     let plain = Run::new(&instance.jobs, &instance.capacity, RunOptions::lean())
         .tracer(&mut plain_tracer)
         .run(&mut *plain_sched);
 
-    let mut deg_sched = cloudsched::sched::by_name("vdover", k, delta, c_lo, c_hi).unwrap();
+    let mut deg_sched = spec.build();
     let mut deg_tracer = JsonlTracer::new(Vec::new());
     let out = Run::new(&instance.jobs, &instance.capacity, RunOptions::lean())
         .tracer(&mut deg_tracer)

@@ -94,15 +94,12 @@ fn empirical_ratio_never_violates_the_paper_bounds_on_table1() {
             let mut scenario = PaperScenario::table1(lambda);
             scenario.horizon = 4.0;
             let instance = scenario.generate(seed).unwrap().instance;
-            let (c_lo, c_hi) = instance.capacity.bounds();
-            let k = instance.importance_ratio().unwrap_or(7.0);
-            let delta = instance.delta().max(1.0 + 1e-9);
             for scheduler in ["vdover", "dover-lo", "edf"] {
-                let mut s = cloudsched::sched::by_name(scheduler, k, delta, c_lo, c_hi).unwrap();
+                let s = SchedulerSpec::for_instance(scheduler, &instance).unwrap();
                 let run = simulate(
                     &instance.jobs,
                     &instance.capacity,
-                    &mut *s,
+                    &mut *s.build(),
                     RunOptions::lean(),
                 );
                 let report = measure_ratio(&instance, run.value, scheduler);

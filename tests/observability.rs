@@ -44,14 +44,11 @@ fn traced_report_matches_untraced_report() {
     let instance = overloaded_instance();
     for scheduler in ["edf", "dover-lo", "vdover"] {
         let traced = run_traced(&instance, scheduler).unwrap().report;
-        let (c_lo, c_hi) = instance.capacity.bounds();
-        let k = instance.importance_ratio().unwrap_or(7.0);
-        let delta = instance.delta().max(1.0 + 1e-9);
-        let mut s = cloudsched::sched::by_name(scheduler, k, delta, c_lo, c_hi).unwrap();
+        let s = SchedulerSpec::for_instance(scheduler, &instance).unwrap();
         let plain = simulate(
             &instance.jobs,
             &instance.capacity,
-            &mut *s,
+            &mut *s.build(),
             RunOptions::lean(),
         );
         assert_eq!(traced.value, plain.value, "{scheduler}: value drifted");
@@ -106,11 +103,10 @@ fn preemptions_balance_resumes_per_job() {
     // Every preemption is followed by a resume, an abandonment, or an
     // expiry of that job — checked per job from the raw event stream.
     let instance = overloaded_instance();
-    let (c_lo, c_hi) = instance.capacity.bounds();
-    let k = instance.importance_ratio().unwrap_or(7.0);
-    let delta = instance.delta().max(1.0 + 1e-9);
     for scheduler in ["edf", "dover-lo", "vdover"] {
-        let mut s = cloudsched::sched::by_name(scheduler, k, delta, c_lo, c_hi).unwrap();
+        let mut s = SchedulerSpec::for_instance(scheduler, &instance)
+            .unwrap()
+            .build();
         let mut ring = RingTracer::new(1 << 20);
         let report = Run::new(&instance.jobs, &instance.capacity, RunOptions::lean())
             .tracer(&mut ring)
@@ -156,10 +152,9 @@ fn preemptions_balance_resumes_per_job() {
 
 /// Runs `scheduler` over the overloaded instance into `sink`.
 fn run_into<T: Tracer>(instance: &Instance, scheduler: &str, sink: &mut T) -> RunReport {
-    let (c_lo, c_hi) = instance.capacity.bounds();
-    let k = instance.importance_ratio().unwrap_or(7.0);
-    let delta = instance.delta().max(1.0 + 1e-9);
-    let mut s = cloudsched::sched::by_name(scheduler, k, delta, c_lo, c_hi).unwrap();
+    let mut s = SchedulerSpec::for_instance(scheduler, instance)
+        .unwrap()
+        .build();
     Run::new(&instance.jobs, &instance.capacity, RunOptions::lean())
         .tracer(sink)
         .run(&mut *s)

@@ -11,9 +11,10 @@ use cloudsched::obs::JsonlTracer;
 use cloudsched::prelude::*;
 use cloudsched::sim::{Run, SimWorkspace};
 use cloudsched_bench::{
-    parallel_map, parse_report, render_report, run_instance, run_instance_batch_in,
-    run_instance_in, run_sweep_bench, SchedulerSpec, SweepBenchConfig,
+    parse_report, render_report, run_instance, run_instance_batch_in, run_instance_in,
+    run_sweep_bench, SweepBenchConfig,
 };
+use cloudsched_core::par::parallel_map;
 use cloudsched_core::rng::{derive_seed, Pcg32, Rng};
 use cloudsched_core::{Job, JobId, Time};
 use cloudsched_workload::dist::{exponential, uniform};
@@ -83,10 +84,7 @@ fn panel() -> [SchedulerSpec; 3] {
             k: 7.0,
             c_estimate: 6.0,
         },
-        SchedulerSpec::VDover {
-            k: 7.0,
-            delta: 35.0,
-        },
+        SchedulerSpec::VDover(VDoverConfig::paper(7.0, 35.0)),
         SchedulerSpec::Edf,
     ]
 }
@@ -171,10 +169,7 @@ fn sweep_results_are_independent_of_the_thread_count() {
             let instance = pattern_instance(run % 3, seed);
             let report = run_instance(
                 &instance,
-                &SchedulerSpec::VDover {
-                    k: 7.0,
-                    delta: 35.0,
-                },
+                &SchedulerSpec::VDover(VDoverConfig::paper(7.0, 35.0)),
                 RunOptions::lean(),
             );
             (report.value.to_bits(), report.completed, report.events)
