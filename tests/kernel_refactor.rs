@@ -26,7 +26,10 @@
 //! recorded when the kernel had seven public entry functions, one per
 //! attachment combination; every combination driven through the one `Run`
 //! config (workspace, tracer, profiler, watchdog with its oracle) must
-//! reproduce them bit for bit.
+//! reproduce them bit for bit. Its `tie/` rows add an integer-grid family
+//! whose releases, deadlines, completions and capacity boundaries coincide
+//! and whose ids run against release order, so the kernel's tie order
+//! (time, kind, then job id for deadlines and FIFO otherwise) is pinned.
 
 mod common;
 
@@ -921,8 +924,14 @@ fn degraded_case_digest(
     } else {
         (run.run_degraded(sched.as_mut()), Vec::new())
     };
-    let mut h = fold_report(FNV_OFFSET, &out.report, &fi.faulted.jobs);
-    h = fnv1a_bytes(h, &trace);
+    degraded_digest(&out, &fi.faulted.jobs, &trace)
+}
+
+/// Hashes a watchdog run: the report, the trace bytes, the degradation
+/// stats, the abort cause and the audit findings.
+fn degraded_digest(out: &cloudsched_sim::DegradedOutcome, jobs: &JobSet, trace: &[u8]) -> u64 {
+    let mut h = fold_report(FNV_OFFSET, &out.report, jobs);
+    h = fnv1a_bytes(h, trace);
     let s = &out.stats;
     for word in [
         s.faults_detected as u64,
@@ -937,7 +946,11 @@ fn degraded_case_digest(
     ] {
         h = fnv1a_word(h, word);
     }
-    let aborted = out.aborted.map(|e| e.to_string()).unwrap_or_default();
+    let aborted = out
+        .aborted
+        .as_ref()
+        .map(|e| e.to_string())
+        .unwrap_or_default();
     h = fnv1a_bytes(h, aborted.as_bytes());
     for e in &out.audit_errors {
         h = fnv1a_bytes(h, e.as_bytes());
@@ -945,6 +958,126 @@ fn degraded_case_digest(
     h
 }
 
+/// An instance on a quarter-unit time grid for the tie rows: integer
+/// releases, windows and workloads, capacity segments of whole length at
+/// rates 1, 2 and 4 (one dip to 0.5 below the declared `c_lo = 1`), so
+/// releases, deadlines, completions and segment boundaries coincide. Job
+/// ids are a seeded shuffle of release order, so co-timed deadlines are
+/// not in id order; idle gaps let the capacity-marker chain run out and
+/// re-arm; about one window in eight is shorter than its workload
+/// (inadmissible at `c_lo`), which the watchdog quarantines.
+fn tie_instance(seed: u64) -> Instance {
+    const N: usize = 48;
+    let mut rng = Pcg32::seed_from_u64(seed ^ 0x7165_0000);
+    let mut release = 0usize;
+    let mut tuples = Vec::with_capacity(N);
+    for _ in 0..N {
+        release += [0, 0, 1, 1, 2, 9][rng.next_index(6)];
+        let workload = 1 + rng.next_index(3);
+        let window = if rng.next_index(8) == 0 {
+            workload.max(2) - 1
+        } else {
+            workload + rng.next_index(4)
+        };
+        let value = workload * (1 + rng.next_index(4));
+        tuples.push((release, release + window, workload, value));
+    }
+    let mut ids: Vec<usize> = (0..N).collect();
+    for i in (1..N).rev() {
+        ids.swap(i, rng.next_index(i + 1));
+    }
+    let jobs = tuples
+        .iter()
+        .zip(&ids)
+        .map(|(&(r, d, p, v), &id)| {
+            Job::new(
+                JobId(id as u64),
+                Time::new(r as f64),
+                Time::new(d as f64),
+                p as f64,
+                v as f64,
+            )
+            .expect("grid jobs have positive workloads and windows")
+        })
+        .collect();
+    let jobs = JobSet::new(jobs).expect("shuffled ids are a permutation of 0..N");
+    let span = tuples.iter().map(|t| t.1).max().unwrap_or(0);
+    let dip_at = 2 * span / 3;
+    let mut segments = Vec::new();
+    let mut t = 0;
+    while t <= span {
+        let (len, rate) = if t == dip_at {
+            (2, 0.5)
+        } else {
+            let len = 1 + rng.next_index(4);
+            let len = if t < dip_at { len.min(dip_at - t) } else { len };
+            (len, [1.0, 2.0, 4.0][rng.next_index(3)])
+        };
+        segments.push((len, rate));
+        t += len;
+    }
+    // The family must hold the ties it exists for: co-timed deadlines whose
+    // ids run against release order, co-timed releases, and a segment
+    // boundary that coincides with a release or a deadline.
+    let ranked: Vec<(usize, usize, usize)> = tuples
+        .iter()
+        .zip(&ids)
+        .map(|(&(r, d, _, _), &id)| (r, d, id))
+        .collect();
+    let pairs = || {
+        ranked
+            .iter()
+            .enumerate()
+            .flat_map(|(i, a)| ranked[i + 1..].iter().map(move |b| (a, b)))
+    };
+    assert!(pairs().any(|(a, b)| a.1 == b.1 && a.0 < b.0 && a.2 > b.2));
+    assert!(pairs().any(|(a, b)| a.0 == b.0));
+    let boundaries: Vec<usize> = segments
+        .iter()
+        .scan(0, |t, &(len, _)| {
+            *t += len;
+            Some(*t)
+        })
+        .collect();
+    assert!(ranked
+        .iter()
+        .any(|&(r, d, _)| boundaries.contains(&r) || boundaries.contains(&d)));
+    let segments: Vec<(f64, f64)> = segments
+        .into_iter()
+        .map(|(len, rate)| (len as f64, rate))
+        .collect();
+    let capacity = PiecewiseConstant::from_durations(&segments)
+        .expect("grid segments have positive lengths and rates")
+        .with_asserted_bounds(1.0, 4.0)
+        .expect("asserted bounds are an interval");
+    Instance::new(jobs, capacity)
+}
+
+/// Runs `name` on `instance` under a watchdog with `policy`, measuring
+/// the physical profile and tracing to JSONL.
+fn tie_watchdog_digest(
+    instance: &Instance,
+    name: &str,
+    policy: cloudsched_sim::DegradationPolicy,
+) -> u64 {
+    use cloudsched_obs::JsonlTracer;
+    use cloudsched_sim::WatchdogConfig;
+    let (c_lo, c_hi) = instance.capacity.bounds();
+    let mut sched = by_name(name, 7.0, 5.0, c_lo, c_hi).expect("roster scheduler builds");
+    let cfg = WatchdogConfig {
+        max_retries: 3,
+        k_limit: Some(7.0),
+    };
+    let mut t = JsonlTracer::new(Vec::new());
+    let out = Run::new(&instance.jobs, &instance.capacity, RunOptions::full())
+        .watchdog(policy, cfg, None)
+        .tracer(&mut t)
+        .run_degraded(sched.as_mut());
+    let trace = t.finish().expect("in-memory sink");
+    degraded_digest(&out, &instance.jobs, &trace)
+}
+
+const TIE_SEEDS: [u64; 4] = [0, 1, 2, 3];
 const ORACLE_SEEDS: [u64; 3] = [0, 1, 2];
 const ORACLE_SCHEDULERS: [&str; 3] = ["edf", "dover", "vdover"];
 
@@ -982,10 +1115,31 @@ fn entry_point_digests() -> Vec<(String, u64)> {
             }
         }
     }
+    let ties: Vec<Instance> = TIE_SEEDS.iter().map(|&s| tie_instance(s)).collect();
+    for name in ORACLE_SCHEDULERS {
+        for case in ["plain", "jsonl"] {
+            let h = ties.iter().fold(FNV_OFFSET, |h, instance| {
+                fnv1a_word(h, plain_case_digest(instance, name, case, &mut ws))
+            });
+            out.push((format!("tie/{name}/{case}"), h));
+        }
+        for policy in [
+            DegradationPolicy::Strict,
+            DegradationPolicy::Degrade,
+            DegradationPolicy::BestEffort,
+        ] {
+            let h = ties.iter().fold(FNV_OFFSET, |h, instance| {
+                fnv1a_word(h, tie_watchdog_digest(instance, name, policy))
+            });
+            out.push((format!("tie/{name}/watchdog-{policy:?}"), h));
+        }
+    }
     out
 }
 
-/// `(scheduler/case, digest)`, recorded on the seven-function kernel API.
+/// `(scheduler/case, digest)`, recorded on the seven-function kernel API;
+/// the `tie/` rows were recorded on the kernel that pushed every job's
+/// Release and Deadline before the first pop.
 const ENTRY_POINT_PINNED: &[(&str, u64)] = &[
     ("edf/plain", 0x59472d1938036ad1),
     ("edf/ws-fresh", 0x59472d1938036ad1),
@@ -1089,12 +1243,29 @@ const ENTRY_POINT_PINNED: &[(&str, u64)] = &[
         "vdover/watchdog-silent-BestEffort-Faulty",
         0x766afd778669e646,
     ),
+    ("tie/edf/plain", 0x9a0c9cbf07f47ec2),
+    ("tie/edf/jsonl", 0xb15fdca7062fc441),
+    ("tie/edf/watchdog-Strict", 0x298096c32dfca3dd),
+    ("tie/edf/watchdog-Degrade", 0xc04474e2e9a5d35f),
+    ("tie/edf/watchdog-BestEffort", 0xacdcbc11bdcd6afa),
+    ("tie/dover/plain", 0x65a7b55fc6d131d7),
+    ("tie/dover/jsonl", 0x317ce05f57d25845),
+    ("tie/dover/watchdog-Strict", 0xfbd1ae03b230e840),
+    ("tie/dover/watchdog-Degrade", 0xfbd1565925eda5c9),
+    ("tie/dover/watchdog-BestEffort", 0xca619957d5f8f025),
+    ("tie/vdover/plain", 0x730fd50bda225848),
+    ("tie/vdover/jsonl", 0x102ecd1f8f320b70),
+    ("tie/vdover/watchdog-Strict", 0x33bd51d7fdb139df),
+    ("tie/vdover/watchdog-Degrade", 0x043dbbab9a828e92),
+    ("tie/vdover/watchdog-BestEffort", 0xcc04bc62efa1ca4c),
 ];
 
 /// Every way of driving the kernel — fresh or reused workspace, no tracer
 /// or a ring / JSONL / metrics sink, with or without a profiler, and
 /// under a watchdog with each degradation policy and oracle — reproduces
-/// the digests pinned on the seven-function API bit for bit.
+/// the digests pinned on the seven-function API bit for bit, and the
+/// co-timed integer-grid family reproduces its rows plain, traced and under
+/// each degradation policy.
 #[test]
 fn entry_point_digests_match_the_pinned_oracle() {
     let got = entry_point_digests();
