@@ -81,13 +81,6 @@ pub fn checked_u64_from_f64(x: f64) -> Option<u64> {
     }
 }
 
-/// Checked `f64 → usize`: like [`checked_u64_from_f64`], additionally
-/// bounded by the platform's `usize`.
-#[inline]
-pub fn checked_usize_from_f64(x: f64) -> Option<usize> {
-    checked_u64_from_f64(x).and_then(|v| usize::try_from(v).ok())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -133,11 +133,6 @@ impl ValueLedger {
         ledger
     }
 
-    /// Number of jobs the trace mentions.
-    pub fn traced_jobs(&self) -> usize {
-        self.lifecycles.len()
-    }
-
     /// Attributes every traced job's instance value to its bucket and
     /// verifies conservation.
     ///

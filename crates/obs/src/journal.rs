@@ -176,11 +176,6 @@ impl<J: JournalSink> RetryingJournal<J> {
         &self.inner
     }
 
-    /// Consumes the wrapper, returning the wrapped sink.
-    pub fn into_inner(self) -> J {
-        self.inner
-    }
-
     fn retry<F>(&mut self, mut op: F) -> Result<(), CoreError>
     where
         F: FnMut(&mut J) -> io::Result<()>,

@@ -9,7 +9,7 @@
 //! continuous-time LLF thrashing: a waiting job preempts only once its
 //! estimated laxity is smaller than the running job's by `hysteresis`.
 
-use cloudsched_core::{JobId, Time};
+use cloudsched_core::JobId;
 use cloudsched_sim::{Decision, Scheduler, SimContext};
 use std::collections::BTreeSet;
 
@@ -152,12 +152,6 @@ impl Scheduler for Llf {
         }
         self.reschedule(ctx)
     }
-}
-
-/// Internal helper re-exported for tests.
-#[doc(hidden)]
-pub fn _laxity_at(d: Time, now: Time, remaining: f64, rate: f64) -> f64 {
-    (d - now).as_f64() - remaining / rate
 }
 
 #[cfg(test)]

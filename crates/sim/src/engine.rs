@@ -84,7 +84,7 @@ pub(crate) struct KernelState {
     /// maintained while tracing).
     pub(crate) capacity_segment: usize,
     /// Last instant of interest; capacity-segment markers stop here. Grows
-    /// when streaming admission seeds a job with a later deadline.
+    /// whenever [`Kernel::seed_job`] seeds a job with a later deadline.
     pub(crate) horizon: Time,
     /// Whether a capacity-segment marker event is pending in the queue. The
     /// marker chain stops when the next boundary lies past the horizon;
@@ -99,10 +99,10 @@ pub(crate) struct KernelState {
 }
 
 impl KernelState {
-    /// A fresh pre-run state for a streaming kernel that starts empty:
-    /// time at the origin, nothing running, horizon zero, marker chain
-    /// unarmed (seeding the first job arms it).
-    pub(crate) fn streaming(options: RunOptions, c_lo: f64, c_hi: f64) -> Self {
+    /// A fresh pre-run state for a kernel whose queue starts empty: time
+    /// at the origin, nothing running, horizon zero, marker chain unarmed
+    /// (seeding the first job arms it).
+    pub(crate) fn new(options: RunOptions, c_lo: f64, c_hi: f64) -> Self {
         KernelState {
             now: Time::ZERO,
             running: None,
@@ -155,8 +155,11 @@ pub(crate) struct Kernel<'a, P: CapacityProfile, T: Tracer> {
 }
 
 impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
-    /// Seeds a fresh batch run of `run`'s instance into `ws`, borrowing the
-    /// run's tracer, profiler and oracle and arming its watchdog.
+    /// Opens a fresh batch run of `run`'s instance in `ws`, borrowing the
+    /// run's tracer, profiler and oracle and arming its watchdog. The
+    /// per-job tables are sized for every job up front (batch ids need not
+    /// follow release order); the event queue starts empty, and
+    /// [`Kernel::run`] seeds it one job at a time.
     pub(crate) fn new(ws: &'a mut SimWorkspace, run: &'a mut Run<'_, P, T>) -> Self {
         let (jobs, capacity) = (run.jobs, run.capacity);
         let (c_lo, c_hi) = capacity.bounds();
@@ -164,48 +167,22 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
             .watchdog
             .map(|(policy, cfg)| Watchdog::new(policy, c_lo, c_hi, cfg));
         let tracer = &mut run.tracer;
-        let n = jobs.len();
-        ws.begin(n);
+        ws.begin(jobs.len());
         ws.remaining.extend(jobs.iter().map(|j| j.workload));
-        for job in jobs.iter() {
-            ws.queue
-                .push(job.release, EventKind::Release { job: job.id });
-            ws.queue
-                .push(job.deadline, EventKind::Deadline { job: job.id });
+        if tracer.enabled() && !jobs.is_empty() {
+            // The initial capacity segment; later boundaries are stamped by
+            // the marker chain that seeding arms.
+            tracer.record(&TraceEvent::CapacityChange {
+                t: Time::ZERO,
+                rate: capacity.rate_at(Time::ZERO),
+                segment: 0,
+            });
         }
-        let horizon = if n > 0 {
-            jobs.last_deadline()
-        } else {
-            Time::ZERO
-        };
-        let mut capacity_armed = false;
-        if (tracer.enabled() || watchdog.is_some()) && n > 0 {
-            // Chain capacity-segment markers through the queue (see the
-            // CapacityChange arm): the tracer wants them stamped, and the
-            // watchdog probes the oracle at every segment boundary. The
-            // initial segment is stamped here; the watchdog's t = 0 probe
-            // happens at the top of `run`.
-            if tracer.enabled() {
-                tracer.record(&TraceEvent::CapacityChange {
-                    t: Time::ZERO,
-                    rate: capacity.rate_at(Time::ZERO),
-                    segment: 0,
-                });
-            }
-            let next = capacity.next_change_after(Time::ZERO);
-            if next <= horizon {
-                ws.queue.push(next, EventKind::CapacityChange);
-                capacity_armed = true;
-            }
-        }
-        let mut st = KernelState::streaming(run.options, c_lo, c_hi);
-        st.horizon = horizon;
-        st.capacity_armed = capacity_armed;
         Kernel {
             jobs,
             capacity,
             ws,
-            st,
+            st: KernelState::new(run.options, c_lo, c_hi),
             tracer,
             profiler: run.profiler,
             watchdog,
@@ -222,7 +199,7 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
     /// the live event queue and per-job tables exactly as [`Kernel::suspend`]
     /// (or a snapshot restore) left them, `st` the scalar run-state. No
     /// buffer is reset and nothing is seeded — the streaming service drives
-    /// seeding explicitly through [`Kernel::admit_job`].
+    /// seeding explicitly through [`Kernel::seed_job`].
     pub(crate) fn resume(
         ws: &'a mut SimWorkspace,
         jobs: &'a JobSet,
@@ -260,11 +237,12 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
         self.ws.grow_one(job.workload);
     }
 
-    /// Admits a streaming arrival into the run: grows the tables, schedules
-    /// its release and deadline events, extends the horizon and re-arms the
-    /// capacity-marker chain if it had run out.
-    pub(crate) fn admit_job(&mut self, job: &Job) {
-        self.register_job(job);
+    /// Seeds `job` into the run: schedules its release and deadline events,
+    /// extends the horizon to its deadline and re-arms the capacity-marker
+    /// chain if it had run out. The one place Release and Deadline events
+    /// enter the queue — [`Kernel::run`] seeds every job in release order,
+    /// the streaming service each admitted arrival.
+    pub(crate) fn seed_job(&mut self, job: &Job) {
         self.ws
             .queue
             .push(job.release, EventKind::Release { job: job.id });
@@ -274,7 +252,10 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
         if job.deadline > self.st.horizon {
             self.st.horizon = job.deadline;
         }
-        if self.tracer.enabled() && !self.st.capacity_armed {
+        // Chain capacity-segment markers through the queue (see the
+        // CapacityChange arm): the tracer wants them stamped, and the
+        // watchdog probes the oracle at every segment boundary.
+        if (self.tracer.enabled() || self.watchdog.is_some()) && !self.st.capacity_armed {
             let next = self.capacity.next_change_after(self.st.now);
             if next > self.st.now && next <= self.st.horizon {
                 self.ws.queue.push(next, EventKind::CapacityChange);
@@ -609,13 +590,6 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
         }
     }
 
-    /// The monitoring plane's first oracle probe, at the origin before any
-    /// job event (a no-op without a watchdog). Batch runs call this once at
-    /// the top of [`Kernel::run`].
-    fn prime<S: Scheduler + ?Sized>(&mut self, scheduler: &mut S) {
-        self.watch_capacity(scheduler);
-    }
-
     /// Processes one popped event: advances the clock, counts it, and
     /// executes its arm. The single code path behind both the batch drain
     /// and the streaming service's bounded pumps — which is what makes an
@@ -788,9 +762,9 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
     /// Processes every event strictly before `until`, plus co-timed events
     /// that batch ordering places before a release at `until` (capacity
     /// markers, completions and timers — see `EventKind::priority`). This is
-    /// the streaming service's pump boundary: seeding an arrival after
-    /// `pump_ready(release)` reproduces the exact event order a batch run
-    /// (all jobs known upfront) would process.
+    /// the pump boundary of both seeding loops: [`Kernel::run`] pumps to each
+    /// job's release, the streaming service to each arrival's, so the queue
+    /// never needs a job's events before its release instant.
     pub(crate) fn pump_ready<S: Scheduler + ?Sized>(&mut self, scheduler: &mut S, until: Time) {
         while self.st.aborted.is_none() {
             let ready = match self.ws.queue.peek() {
@@ -868,11 +842,28 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
         (report, self.st.aborted, stats)
     }
 
+    /// Runs a batch instance through the calls the streaming service makes
+    /// for a stream: the monitoring plane's t = 0 oracle probe, then each
+    /// job in release order is seeded and the kernel pumped to its release,
+    /// then the queue drains. The queue holds only the live set plus the
+    /// job being pumped to.
+    ///
+    /// Each job is seeded *before* the pump to its release, so during a
+    /// pump the horizon already covers a deadline past the pump's bound.
+    /// The capacity-marker chain therefore never runs out while later jobs
+    /// are pending, and every boundary a batch run stamps or probes is
+    /// stamped or probed in time order, even across an idle gap that only
+    /// a stale completion or timer crosses.
     fn run<S: Scheduler + ?Sized>(
         mut self,
         scheduler: &mut S,
     ) -> (RunReport, Option<CoreError>, Option<DegradationStats>) {
-        self.prime(scheduler);
+        self.watch_capacity(scheduler);
+        let jobs = self.jobs;
+        for job in jobs.iter_by_release() {
+            self.seed_job(job);
+            self.pump_ready(scheduler, job.release);
+        }
         self.finish(scheduler)
     }
 }
@@ -883,8 +874,9 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
 /// `Run::new(&jobs, &cap, options).tracer(&mut sink).run(&mut sched)`.
 ///
 /// The kernel delivers release, completion-or-failure and timer interrupts
-/// in deterministic order (time, then kind, then FIFO) and integrates job
-/// progress exactly over the piecewise capacity profile. No attachment but
+/// in deterministic order (time, then kind, then job id for deadlines and
+/// FIFO otherwise) and integrates job progress exactly over the piecewise
+/// capacity profile. No attachment but
 /// the watchdog changes the run: a reused workspace, a trace sink or a
 /// profiler leave the report bit-identical to a bare run.
 pub struct Run<'a, P, T = NoopTracer> {
@@ -1557,7 +1549,7 @@ mod tests {
         ws.begin(0);
         let mut st = {
             let (c_lo, c_hi) = cap.bounds();
-            KernelState::streaming(RunOptions::lean(), c_lo, c_hi)
+            KernelState::new(RunOptions::lean(), c_lo, c_hi)
         };
         // The batch kernel stamps segment 0 up front; the streaming caller
         // owns that stamp (its job table starts empty).
@@ -1569,7 +1561,8 @@ mod tests {
         for job in jobs.iter() {
             let mut k = Kernel::resume(&mut ws, &jobs, &cap, &mut stream_ring, st);
             k.pump_ready(&mut stream_sched, job.release);
-            k.admit_job(job);
+            k.register_job(job);
+            k.seed_job(job);
             st = k.suspend();
         }
         let k = Kernel::resume(&mut ws, &jobs, &cap, &mut stream_ring, st);

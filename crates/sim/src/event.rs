@@ -4,7 +4,8 @@
 //! fallback), not a plain binary heap: near-future events live in an array
 //! of time buckets scanned by a cursor, far-future and non-finite events
 //! wait in an overflow heap. Pops stay byte-identical to a `BinaryHeap`
-//! with the same `(time, kind-priority, seq)` total order — the bucket
+//! with the same `(time, kind-priority, tie)` total order (the tie is the
+//! job id for deadlines, the insertion sequence otherwise) — the bucket
 //! boundaries are a pure function of event *time*, so co-timed events can
 //! never straddle a bucket edge and ties always resolve inside one bucket
 //! by the full [`Ord`] on [`Event`]. The unit tests below check that
@@ -67,8 +68,10 @@ impl EventKind {
     }
 }
 
-/// A scheduled event. Ordering: time, then kind priority, then insertion
-/// sequence — fully deterministic.
+/// A scheduled event. Ordering: time, then kind priority, then job id for
+/// deadlines and insertion sequence for every other kind — fully
+/// deterministic. Each job has one deadline, so co-timed deadlines pop in
+/// id order however their jobs were seeded.
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
     /// When the event fires.
@@ -94,7 +97,10 @@ impl Ord for Event {
         self.time
             .cmp(&other.time)
             .then(self.kind.priority().cmp(&other.kind.priority()))
-            .then(self.seq.cmp(&other.seq))
+            .then_with(|| match (self.kind, other.kind) {
+                (EventKind::Deadline { job: a }, EventKind::Deadline { job: b }) => a.cmp(&b),
+                _ => self.seq.cmp(&other.seq),
+            })
     }
 }
 
@@ -111,7 +117,7 @@ const MAX_AVG_OCCUPANCY: usize = 32;
 const FAR_WINDOWS: f64 = 4.0;
 
 /// Deterministic event queue: a calendar of time buckets that pops in
-/// the exact `(time, kind-priority, seq)` order of a binary heap.
+/// the exact `(time, kind-priority, tie)` order of a binary heap.
 #[derive(Debug)]
 pub struct EventQueue {
     calendar: Calendar,
@@ -397,7 +403,7 @@ impl EventQueue {
     }
 
     /// All pending events in pop order plus the live sequence counter — the
-    /// snapshot image of the queue. The total `(time, priority, seq)` order
+    /// snapshot image of the queue. The total `(time, priority, tie)` order
     /// makes the pop sequence a pure function of the event multiset, so
     /// restoring this image reproduces the exact future of the run —
     /// regardless of how the calendar happened to bucket the events.
@@ -538,6 +544,23 @@ mod tests {
             })
             .collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn co_timed_deadlines_pop_in_job_id_order() {
+        // A release-order walk seeds co-timed deadlines out of id order;
+        // they must still pop by id.
+        let mut q = EventQueue::new();
+        for id in [3, 0, 2, 1] {
+            q.push(t(4.0), EventKind::Deadline { job: JobId(id) });
+        }
+        let ids: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|e| match e.kind {
+                EventKind::Deadline { job } => job.0,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(ids, vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -318,19 +318,10 @@ pub fn run_fleet(
     assert!(!machines.is_empty(), "fleet requires at least one machine");
     let m_count = machines.len();
     let slice = jobs.as_slice();
-    let n = slice.len();
 
     // --- dispatch phase (serial) -----------------------------------------
     // Timeline: releases in (release, id) order merged with capacity-
     // recovery points in (time, machine) order; recoveries win ties.
-    let mut release_order: Vec<usize> = (0..n).collect();
-    release_order.sort_by(|&a, &b| {
-        slice[a]
-            .release
-            .as_f64()
-            .total_cmp(&slice[b].release.as_f64())
-            .then(slice[a].id.cmp(&slice[b].id))
-    });
     let mut recoveries: Vec<(f64, usize)> = Vec::new();
     for (m, cap) in machines.iter().enumerate() {
         let mut prev = f64::INFINITY;
@@ -344,13 +335,13 @@ pub fn run_fleet(
     recoveries.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
     let mut state = DispatchState::new(slice, machines);
-    let mut rel_iter = release_order.iter().peekable();
+    let mut rel_iter = jobs.iter_by_release().map(|j| j.id.index()).peekable();
     let mut rec_iter = recoveries.iter().peekable();
     loop {
         // Pick the next tick; recoveries go first on equal times.
         let (now, tick) = match (rel_iter.peek(), rec_iter.peek()) {
             (None, None) => break,
-            (Some(&&pos), None) => {
+            (Some(&pos), None) => {
                 rel_iter.next();
                 (slice[pos].release.as_f64(), Tick::Release { pos })
             }
@@ -358,7 +349,7 @@ pub fn run_fleet(
                 rec_iter.next();
                 (t, Tick::Recovery { machine: m })
             }
-            (Some(&&pos), Some(&&(t, m))) => {
+            (Some(&pos), Some(&&(t, m))) => {
                 let r = slice[pos].release.as_f64();
                 if t.total_cmp(&r) != Ordering::Greater {
                     rec_iter.next();

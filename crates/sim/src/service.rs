@@ -5,12 +5,12 @@
 //! cloud setting actually poses: jobs *arrive over time*, the scheduler
 //! decides admission online, and the process hosting it can die at any
 //! instant. The service wraps the streaming kernel seam
-//! ([`Kernel::resume`] / `pump_ready` / `admit_job` / `suspend`) in a
-//! classic write-ahead-log discipline so that an admission, once
-//! journaled, is a *commitment*: after any crash, snapshot restore plus
-//! deterministic journal replay reconstructs a run whose final trace —
-//! and hence its value-loss ledger — is byte-identical to the run that
-//! never crashed.
+//! ([`Kernel::resume`] / `pump_ready` / `register_job` + `seed_job` /
+//! `suspend`) in a classic write-ahead-log discipline so that an
+//! admission, once journaled, is a *commitment*: after any crash, snapshot
+//! restore plus deterministic journal replay reconstructs a run whose final
+//! trace — and hence its value-loss ledger — is byte-identical to the run
+//! that never crashed.
 //!
 //! ## Journal format
 //!
@@ -569,7 +569,7 @@ impl<'a, P: CapacityProfile> Core<'a, P> {
                 },
             ),
             ws,
-            st: Some(KernelState::streaming(RunOptions::lean(), c_lo, c_hi)),
+            st: Some(KernelState::new(RunOptions::lean(), c_lo, c_hi)),
             sink,
             flushed: 0,
             crashed: false,
@@ -692,11 +692,10 @@ impl<'a, P: CapacityProfile> Core<'a, P> {
         {
             let st = self.st.take().expect("invariant: kernel state parked");
             let mut k = Kernel::resume(&mut self.ws, &self.jobs, self.capacity, &mut self.sink, st);
+            k.register_job(&job);
             if admitted {
-                k.admit_job(&job);
+                k.seed_job(&job);
                 self.live.push(id);
-            } else {
-                k.register_job(&job);
             }
             self.st = Some(k.suspend());
         }

@@ -616,7 +616,7 @@ mod tests {
                 remaining_workload: 1.25,
             },
         );
-        let mut st = crate::engine::KernelState::streaming(crate::RunOptions::lean(), 1.0, 2.0);
+        let mut st = crate::engine::KernelState::new(crate::RunOptions::lean(), 1.0, 2.0);
         st.now = Time::new(1.25);
         st.running = Some(JobId(1));
         st.epoch = 7;
@@ -726,7 +726,7 @@ mod tests {
     fn empty_run_round_trips() {
         let mut ws = SimWorkspace::new();
         ws.begin(0);
-        let st = crate::engine::KernelState::streaming(crate::RunOptions::lean(), 2.0, 2.0);
+        let st = crate::engine::KernelState::new(crate::RunOptions::lean(), 2.0, 2.0);
         let b = blob(&st, &ws, &[], "");
         let mut ws2 = SimWorkspace::new();
         let st2 = restore(&[(3, b.as_str())], 0).unwrap().apply(&mut ws2);

@@ -130,14 +130,13 @@ impl SimWorkspace {
     /// Resets all run state for an `n`-job instance, keeping allocations.
     pub(crate) fn begin(&mut self, n: usize) {
         // A hit means this reset allocates nothing: every per-job buffer
-        // can hold n entries and the calendar can hold the 2n seed events
-        // (release + deadline per job). Mid-run growth (completion events,
-        // timers) also reuses capacity once the high-water mark is reached,
+        // can hold n entries. The event queue is not sized by n: it holds
+        // only the live set, whose growth (seeded jobs, completions,
+        // timers) reuses capacity once the high-water mark is reached,
         // since buffers are never shrunk.
         let hit = self.remaining.capacity() >= n
             && self.flags.capacity() >= n
-            && self.outcome.capacity() >= n
-            && self.queue.capacity() >= 2 * n;
+            && self.outcome.capacity() >= n;
         self.runs += 1;
         if hit {
             self.reuse_hits += 1;
@@ -175,20 +174,13 @@ impl SimWorkspace {
 mod tests {
     use super::*;
 
-    /// Mirrors the kernel: every run fills the workload table and seeds 2n
-    /// events (release + deadline per job) right after `begin` — that
-    /// warm-up is what gives the buffers their capacity.
+    /// Mirrors the kernel: every run fills the workload table right after
+    /// `begin` — that warm-up is what gives the per-job buffers their
+    /// capacity. (The event queue is seeded one job at a time and holds
+    /// only the live set, so it plays no part in the hit rule.)
     fn begin_and_seed(ws: &mut SimWorkspace, n: usize) {
         ws.begin(n);
         ws.remaining.extend((0..n).map(|i| i as f64 + 1.0));
-        for i in 0..2 * n {
-            ws.queue.push(
-                cloudsched_core::Time::new(i as f64),
-                crate::event::EventKind::Release {
-                    job: JobId(i as u64),
-                },
-            );
-        }
     }
 
     #[test]
@@ -347,6 +339,19 @@ mod tests {
             "identical instance, identical outcomes"
         );
         assert_eq!(second.outcome.len(), 5);
+    }
+
+    /// A batch run seeds each job only when the kernel reaches its
+    /// release, so on a long instance of short windows the event queue
+    /// holds a handful of live jobs, not the 2n events of the whole run.
+    #[test]
+    fn batch_queue_follows_the_live_set() {
+        let mut ws = SimWorkspace::new();
+        let n = 20_000;
+        let report = run(&mut ws, n);
+        assert_eq!(report.completed, n);
+        let cap = ws.queue.capacity();
+        assert!(cap <= 1024, "queue capacity {cap} for a {n}-job run");
     }
 
     #[test]

@@ -51,18 +51,11 @@ fn main() {
     );
     assert!(instance.all_individually_admissible());
 
-    let k = instance.importance_ratio().unwrap_or(4.0);
-    let delta = instance.delta();
     let mut results: Vec<(String, f64)> = Vec::new();
-    let schedulers: Vec<Box<dyn Scheduler>> = vec![
-        Box::new(VDover::new(k, delta)),
-        Box::new(Dover::new(k, c_lo)),
-        Box::new(Dover::new(k, c_hi)),
-        Box::new(Edf::new()),
-        Box::new(Fifo::new()),
-        Box::new(Greedy::highest_density()),
-    ];
-    for mut s in schedulers {
+    for name in ["vdover", "dover-lo", "dover-hi", "edf", "fifo", "hvdf"] {
+        let mut s = SchedulerSpec::for_instance(name, &instance)
+            .expect("roster name")
+            .build();
         let report = simulate(
             &instance.jobs,
             &instance.capacity,

@@ -5,7 +5,7 @@
 export CARGO_NET_OFFLINE := "true"
 
 # Run the full CI gauntlet.
-ci: fmt build test number-sweep lint deps cli-flags clippy golden-trace chaos serve-smoke serve-scale bench-smoke sweep-smoke fleet-smoke fleet-scale
+ci: fmt build test number-sweep lint deps cli-flags clippy golden-trace chaos serve-smoke serve-scale batch-scale bench-smoke sweep-smoke fleet-smoke fleet-scale
 
 fmt:
     cargo fmt --all --check
@@ -220,6 +220,43 @@ serve-scale:
     echo "journal: $bytes B for 100000 arrivals ($((bytes / 100000)) B/arrival)"
     rm -f /dev/shm/serve-scale.wal
     test "$bytes" -le 100000000
+
+# Batch scale gate (mirrors the CI step): a deterministic ≈1e6-job trace
+# in the paper's shape (λ = 8 over 125,000 time units, zero conservative
+# laxity) through `run --scheduler edf,vdover` must peak within 160 MiB
+# resident. Seeding each job at its release keeps the event queue at the
+# live set (≈95 MiB peak); pre-pushing 2n events peaks at ≈305 MiB.
+batch-scale:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    python3 -c '
+    import random
+    rng = random.Random(20110516)
+    H = 125000.0
+    print("# cloudsched trace v1")
+    print("bounds 1 35")
+    t, rate = 0.0, 35
+    while t < H:
+        print("cap %.6f %d" % (t, rate))
+        t += rng.expovariate(1.0 / 50.0)
+        rate = 36 - rate
+    t = 0.0
+    while True:
+        t += rng.expovariate(8.0)
+        if t >= H:
+            break
+        p = rng.uniform(0.05, 2.0)
+        print("job %.6f %.6f %.6f %.6f" % (t, t + p, p, p * rng.uniform(1.0, 7.0)))
+    ' > /tmp/batch-scale.txt
+    cargo build --release -p cloudsched-cli
+    python3 -c '
+    import resource, subprocess
+    subprocess.run(["target/release/cloudsched", "run", "--trace",
+                    "/tmp/batch-scale.txt", "--scheduler", "edf,vdover"], check=True)
+    mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss // 1024
+    print("peak RSS: %d MiB" % mib)
+    assert mib <= 160, "batch run peaked at %d MiB; the bound is 160" % mib
+    '
 
 # Regenerate the checked-in golden service ledger after an *intentional*
 # change to the admission service, the ledger, or the commitment audit.

@@ -960,7 +960,7 @@ fn degraded_digest(out: &cloudsched_sim::DegradedOutcome, jobs: &JobSet, trace: 
 
 /// An instance on a quarter-unit time grid for the tie rows: integer
 /// releases, windows and workloads, capacity segments of whole length at
-/// rates 1, 2 and 4 (one dip to 0.5 below the declared `c_lo = 1`), so
+/// rates 1, 2 and 4 (one dip to 0.5 below the asserted `c_lo = 1`), so
 /// releases, deadlines, completions and segment boundaries coincide. Job
 /// ids are a seeded shuffle of release order, so co-timed deadlines are
 /// not in id order; idle gaps let the capacity-marker chain run out and
