@@ -767,23 +767,19 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
     /// never needs a job's events before its release instant.
     pub(crate) fn pump_ready<S: Scheduler + ?Sized>(&mut self, scheduler: &mut S, until: Time) {
         while self.st.aborted.is_none() {
-            let ready = match self.ws.queue.peek() {
-                None => false,
-                Some(ev) => {
-                    ev.time < until
-                        || (ev.time == until
-                            && matches!(
-                                ev.kind,
-                                EventKind::CapacityChange
-                                    | EventKind::Completion { .. }
-                                    | EventKind::Timer { .. }
-                            ))
-                }
+            let ready = |ev: &Event| {
+                ev.time < until
+                    || (ev.time == until
+                        && matches!(
+                            ev.kind,
+                            EventKind::CapacityChange
+                                | EventKind::Completion { .. }
+                                | EventKind::Timer { .. }
+                        ))
             };
-            if !ready {
+            let Some(ev) = self.ws.queue.pop_if(ready) else {
                 break;
-            }
-            let ev = self.ws.queue.pop().expect("invariant: peek saw an event");
+            };
             self.step(scheduler, ev);
         }
     }

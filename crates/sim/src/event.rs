@@ -98,7 +98,9 @@ impl Ord for Event {
             .cmp(&other.time)
             .then(self.kind.priority().cmp(&other.kind.priority()))
             .then_with(|| match (self.kind, other.kind) {
-                (EventKind::Deadline { job: a }, EventKind::Deadline { job: b }) => a.cmp(&b),
+                (EventKind::Deadline { job: a }, EventKind::Deadline { job: b }) => {
+                    a.cmp(&b).then(self.seq.cmp(&other.seq))
+                }
                 _ => self.seq.cmp(&other.seq),
             })
     }
@@ -113,8 +115,10 @@ const TARGET_OCCUPANCY: usize = 8;
 /// Global average occupancy that triggers a re-spread on push.
 const MAX_AVG_OCCUPANCY: usize = 32;
 /// How many calendar windows past the dense span still go into buckets;
-/// events beyond `origin + FAR_WINDOWS × span` fall back to the heap.
-const FAR_WINDOWS: f64 = 4.0;
+/// events beyond `origin + FAR_WINDOWS × span` fall back to the heap, and
+/// between re-spreads the bucket vector grows to at most this many times
+/// its size.
+const FAR_WINDOWS: usize = 4;
 
 /// Deterministic event queue: a calendar of time buckets that pops in
 /// the exact `(time, kind-priority, tie)` order of a binary heap.
@@ -136,8 +140,8 @@ impl Default for EventQueue {
 ///   event has a non-finite time or a time `>= limit` — so the earliest
 ///   bucketed event always precedes every overflow event, and co-timed
 ///   events are always classified the same way;
-/// * bucket assignment is monotone in time (`slot`), so bucket `i` holds
-///   strictly earlier times than bucket `j > i`;
+/// * bucket assignment is monotone in time (`bucket_for`), so bucket `i`
+///   holds strictly earlier times than bucket `j > i`;
 /// * no non-empty bucket lies before `cursor`;
 /// * when `sorted` is set, `buckets[cursor]` is sorted descending, so the
 ///   minimum is at the back.
@@ -148,8 +152,12 @@ struct Calendar {
     cursor: usize,
     /// Whether `buckets[cursor]` is currently sorted (descending).
     sorted: bool,
-    /// Time at the start of bucket 0.
+    /// Time at the start of calendar slot 0.
     origin: f64,
+    /// Calendar slot of `buckets[0]`: bucket `i` holds the times whose slot
+    /// `⌊(t − origin) / width⌋` is `base + i` (earlier times land in bucket
+    /// 0). The window slides by raising `base` over drained buckets.
+    base: usize,
     /// Bucket width in time units (always positive and finite).
     width: f64,
     /// Times `>= limit` (or non-finite) go to the overflow heap.
@@ -172,6 +180,7 @@ impl Calendar {
             cursor: 0,
             sorted: false,
             origin: 0.0,
+            base: 0,
             width: 1.0,
             limit: f64::INFINITY,
             in_buckets: 0,
@@ -181,18 +190,39 @@ impl Calendar {
         }
     }
 
-    /// Bucket index for a time accepted by the window (`t < limit`,
-    /// finite). Monotone in `t`; times past the geometric end of the
-    /// window clamp into the last bucket, times before the origin into the
-    /// first — both keep the assignment monotone, which is all ordering
-    /// needs.
+    /// Bucket index for time `t`, or `None` when `t` belongs in the overflow
+    /// heap (non-finite or `>= limit`). Monotone in `t`: times before the
+    /// window's first slot clamp into bucket 0, which is all ordering
+    /// needs. A time past the last bucket first slides the
+    /// window over the drained buckets before the cursor, then grows it, so
+    /// a queue fed one job at a time — which never crowds a bucket enough
+    /// to re-spread — keeps its events in distinct buckets instead of
+    /// sorted-inserting them all into one. A time more than `FAR_WINDOWS`
+    /// windows past the start gets `None` and becomes the new `limit`: it,
+    /// and everything at or after it, waits in the overflow heap.
     #[inline]
     // `as usize` saturates at 0 for negative values, which is exactly the
     // clamp we want for t < origin; the hot path takes no checked helper.
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    fn slot(&self, t: f64) -> usize {
-        let idx = ((t - self.origin) / self.width) as usize;
-        idx.min(self.buckets.len() - 1)
+    fn bucket_for(&mut self, t: f64) -> Option<usize> {
+        if !t.is_finite() || t >= self.limit {
+            return None;
+        }
+        let mut idx = (((t - self.origin) / self.width) as usize).saturating_sub(self.base);
+        if idx >= self.buckets.len() && self.cursor > 0 {
+            self.buckets.rotate_left(self.cursor);
+            self.base += self.cursor;
+            idx -= self.cursor;
+            self.cursor = 0;
+        }
+        if idx >= self.buckets.len() {
+            if idx >= FAR_WINDOWS * self.buckets.len().max(MIN_BUCKETS) {
+                self.limit = t;
+                return None;
+            }
+            self.buckets.resize_with(idx + 1, Vec::new);
+        }
+        Some(idx)
     }
 
     #[inline]
@@ -201,15 +231,15 @@ impl Calendar {
     }
 
     fn insert(&mut self, ev: Event) {
-        let t = ev.time.as_f64();
-        if !t.is_finite() || t >= self.limit {
+        let Some(idx) = self.bucket_for(ev.time.as_f64()) else {
             self.overflow.push(std::cmp::Reverse(ev));
+            // A population outgrowing the window re-spreads, as a crowded
+            // bucket does.
+            if self.overflow.len() >= SPILL_LIMIT && self.len() >= self.respread_floor {
+                self.respread();
+            }
             return;
-        }
-        if self.buckets.is_empty() {
-            self.buckets.resize_with(MIN_BUCKETS, Vec::new);
-        }
-        let idx = self.slot(t);
+        };
         if idx < self.cursor {
             self.cursor = idx;
             self.sorted = false;
@@ -260,16 +290,19 @@ impl Calendar {
             // can be resized in either direction: grow for a population
             // spike, shrink back when the live population collapses (a
             // spike would otherwise pin the bucket count — and the cost of
-            // every cursor sweep — at its high-water mark forever).
-            let want = (scratch.len() / TARGET_OCCUPANCY).max(MIN_BUCKETS);
-            if want > self.buckets.len() {
-                self.buckets.resize_with(want, Vec::new);
-            } else if want < self.buckets.len() {
-                self.buckets.truncate(want);
+            // every cursor sweep — at its high-water mark forever). Buckets
+            // the window can still grow into (up to the heap limit) are
+            // kept, so re-anchoring a steady live set does not free and
+            // reallocate them each time.
+            let nb = (scratch.len() / TARGET_OCCUPANCY).max(MIN_BUCKETS);
+            if nb > self.buckets.len() {
+                self.buckets.resize_with(nb, Vec::new);
+            } else if self.buckets.len() > nb * FAR_WINDOWS {
+                self.buckets.truncate(nb);
             }
-            let nb = self.buckets.len();
             let span = tmax - tmin;
             self.origin = tmin;
+            self.base = 0;
             self.width = if span > 0.0 && (span / (nb - 1) as f64) > 0.0 {
                 span / (nb - 1) as f64
             } else {
@@ -277,19 +310,18 @@ impl Calendar {
             };
             // Heap fallback for the far future: anything beyond a few
             // window spans of the dense region waits in the overflow heap
-            // instead of piling into the last bucket.
-            self.limit = self.origin + (self.width * nb as f64) * FAR_WINDOWS;
+            // instead of growing the bucket vector without bound.
+            self.limit = self.origin + self.width * (nb * FAR_WINDOWS) as f64;
         }
         self.cursor = 0;
         self.sorted = false;
         for ev in scratch.drain(..) {
-            let t = ev.time.as_f64();
-            if !t.is_finite() || t >= self.limit {
-                self.overflow.push(std::cmp::Reverse(ev));
-            } else {
-                let idx = self.slot(t);
-                self.buckets[idx].push(ev);
-                self.in_buckets += 1;
+            match self.bucket_for(ev.time.as_f64()) {
+                Some(idx) => {
+                    self.buckets[idx].push(ev);
+                    self.in_buckets += 1;
+                }
+                None => self.overflow.push(std::cmp::Reverse(ev)),
             }
         }
         self.scratch = scratch;
@@ -308,15 +340,23 @@ impl Calendar {
         false
     }
 
-    fn pop(&mut self) -> Option<Event> {
+    /// Removes the earliest event if `ready` accepts it.
+    fn pop_if(&mut self, ready: impl FnOnce(&Event) -> bool) -> Option<Event> {
         loop {
             if self.settle_cursor() {
                 if !self.sorted {
                     self.buckets[self.cursor].sort_unstable_by(|a, b| b.cmp(a));
                     self.sorted = true;
                 }
+                // The bucket invariant puts every bucketed event before
+                // every overflow event, so the bucket minimum is the queue
+                // minimum.
+                let bucket = &mut self.buckets[self.cursor];
+                if !ready(bucket.last()?) {
+                    return None;
+                }
                 self.in_buckets -= 1;
-                return self.buckets[self.cursor].pop();
+                return bucket.pop();
             }
             // Window drained: refill from the overflow heap.
             match self.overflow.peek() {
@@ -324,6 +364,9 @@ impl Calendar {
                 Some(r) if !r.0.time.as_f64().is_finite() => {
                     // Only non-finite times remain (the heap minimum is
                     // non-finite): pop straight from the heap.
+                    if !ready(&r.0) {
+                        return None;
+                    }
                     return self.overflow.pop().map(|r| r.0);
                 }
                 Some(_) => {
@@ -337,22 +380,6 @@ impl Calendar {
         }
     }
 
-    fn peek(&self) -> Option<&Event> {
-        for b in &self.buckets[self.cursor.min(self.buckets.len())..] {
-            if b.is_empty() {
-                continue;
-            }
-            // The bucket invariant puts every bucketed event before every
-            // overflow event, so the bucket minimum is the queue minimum.
-            return if self.sorted && std::ptr::eq(b, &self.buckets[self.cursor]) {
-                b.last()
-            } else {
-                b.iter().min()
-            };
-        }
-        self.overflow.peek().map(|r| &r.0)
-    }
-
     fn clear(&mut self) {
         for b in &mut self.buckets {
             b.clear();
@@ -361,12 +388,13 @@ impl Calendar {
         self.cursor = 0;
         self.sorted = false;
         self.origin = 0.0;
+        self.base = 0;
         self.limit = f64::INFINITY;
         self.in_buckets = 0;
         self.respread_floor = 0;
         // width and bucket count are kept: they only shape *where* events
         // land, never the pop order, and a recycled run of similar scale
-        // re-uses the fitted geometry.
+        // re-uses the fitted width.
     }
 
     fn capacity(&self) -> usize {
@@ -392,14 +420,14 @@ impl EventQueue {
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<Event> {
-        self.calendar.pop()
+        self.calendar.pop_if(|_| true)
     }
 
-    /// The earliest pending event without removing it — the streaming
-    /// service peeks to decide whether the next event precedes the next
-    /// arrival.
-    pub fn peek(&self) -> Option<&Event> {
-        self.calendar.peek()
+    /// Removes and returns the earliest event if `ready` accepts it, and
+    /// leaves the queue untouched otherwise — the kernel's pumps stop at
+    /// the first event that does not precede the next release.
+    pub fn pop_if(&mut self, ready: impl FnOnce(&Event) -> bool) -> Option<Event> {
+        self.calendar.pop_if(ready)
     }
 
     /// All pending events in pop order plus the live sequence counter — the
@@ -613,13 +641,13 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_consume() {
+    fn pop_if_rejects_without_consuming() {
         let mut q = EventQueue::new();
         q.push(t(1.0), EventKind::Release { job: JobId(7) });
-        assert_eq!(q.peek().unwrap().time, t(1.0));
+        assert!(q.pop_if(|e| e.time < t(1.0)).is_none());
         assert_eq!(q.len(), 1);
-        q.pop();
-        assert!(q.peek().is_none());
+        assert_eq!(q.pop_if(|e| e.time <= t(1.0)).unwrap().time, t(1.0));
+        assert!(q.pop_if(|_| true).is_none());
     }
 
     #[test]
@@ -671,8 +699,10 @@ mod tests {
             for step in 0..600 {
                 let r = xorshift(&mut state);
                 if r % 4 == 0 && !cal.is_empty() {
-                    assert_eq!(cal.peek().copied(), heap.peek().map(|r| r.0));
-                    assert_eq!(cal.pop(), pop_ref(&mut heap), "seed {seed} step {step}");
+                    let want = pop_ref(&mut heap);
+                    assert!(cal.pop_if(|_| false).is_none());
+                    let got = cal.pop_if(|e| Some(*e) == want);
+                    assert_eq!(got, want, "seed {seed} step {step}");
                 } else {
                     let raw = xorshift(&mut state);
                     // Cluster times on a coarse grid for ties; sprinkle

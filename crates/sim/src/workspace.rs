@@ -347,11 +347,11 @@ mod tests {
     #[test]
     fn batch_queue_follows_the_live_set() {
         let mut ws = SimWorkspace::new();
-        let n = 20_000;
+        let n = 50_000;
         let report = run(&mut ws, n);
         assert_eq!(report.completed, n);
         let cap = ws.queue.capacity();
-        assert!(cap <= 1024, "queue capacity {cap} for a {n}-job run");
+        assert!(cap <= 4096, "queue capacity {cap} for a {n}-job run");
     }
 
     #[test]
