@@ -81,7 +81,7 @@ fn specs() -> Vec<SchedulerSpec> {
 const TIGHT_SHARE: f64 = 0.9;
 
 /// Generates the benchmark instance: exactly `n` jobs released over the
-/// fixed [`HORIZON`] with Exp(n/HORIZON) inter-arrivals, Exp(1) workloads
+/// fixed `HORIZON` with Exp(n/HORIZON) inter-arrivals, Exp(1) workloads
 /// and value densities U[1, 7]; capacity follows the two-state CTMC on
 /// {0.01, 35} with mean sojourn a quarter of the horizon (so the run
 /// alternates between deep overload and fast drains that exercise the

@@ -9,8 +9,8 @@
 //! The policy is a standard mixed absolute/relative test:
 //! `|a - b| <= EPS_ABS + EPS_REL * max(|a|, |b|)`.
 
-// The checked and saturating conversions below are the sanctioned spelling
-// of a lossy cast (L010); their bodies are the casts themselves.
+// The saturating conversion below is the sanctioned spelling of a lossy
+// cast (L010); its body is the cast itself.
 #![allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
 
 /// Absolute comparison tolerance.
@@ -63,22 +63,6 @@ pub fn approx_zero(a: f64) -> bool {
 #[inline]
 pub fn f64_to_u64_saturating(x: f64) -> u64 {
     x as u64
-}
-
-/// Checked `f64 → u64`: `Some(x as u64)` (truncating toward zero) only when
-/// `x` is finite, non-negative, and below `2^64`; `None` otherwise.
-///
-/// Use this when an out-of-range value indicates a logic error upstream —
-/// unlike [`f64_to_u64_saturating`], nothing is silently clamped.
-#[inline]
-pub fn checked_u64_from_f64(x: f64) -> Option<u64> {
-    // `u64::MAX as f64` rounds up to exactly 2^64, so `<` is the right
-    // exclusive bound for every representable in-range value.
-    if x.is_finite() && x >= 0.0 && x < u64::MAX as f64 {
-        Some(x as u64)
-    } else {
-        None
-    }
 }
 
 #[cfg(test)]

@@ -11,10 +11,11 @@
 //!   laxity for this job (ties to the lowest index), the fleet analogue of
 //!   the paper's conservative-laxity reasoning;
 //! * [`PowerOfTwo`] — power-of-two-choices: two candidate machines drawn
-//!   from a seeded [`Pcg32`] (seed via [`derive_seed`] — lint rule L009),
-//!   keep the one with the larger fit laxity. The classic load-balancing
-//!   sweet spot: near-best placement at O(1) probes, fully deterministic
-//!   for a fixed seed.
+//!   from a seeded [`Pcg32`] (seed via
+//!   [`cloudsched_core::rng::derive_seed`] — lint rule L009), keep the one
+//!   with the larger fit laxity. The classic load-balancing sweet spot:
+//!   near-best placement at O(1) probes, fully deterministic for a fixed
+//!   seed.
 
 use cloudsched_core::rng::{Pcg32, Rng};
 use cloudsched_core::{CoreError, Job};

@@ -246,11 +246,6 @@ impl Watchdog {
         self.declared_hi
     }
 
-    /// Whether the oracle is currently considered dead.
-    pub fn oracle_dead(&self) -> bool {
-        self.dead
-    }
-
     /// Quarantined jobs not yet re-admitted.
     pub fn quarantine_pending(&self) -> usize {
         self.pending_quarantine
@@ -512,10 +507,8 @@ mod tests {
             .is_none());
         let a = w.observe_rate(Time::new(3.0), OracleReading::Down);
         assert_eq!(a.declared_dead, Some(3));
-        assert!(w.oracle_dead());
         // Recovery reports the outage length since the first dark probe.
         let a = w.observe_rate(Time::new(5.0), OracleReading::Rate(2.0));
-        assert!(!w.oracle_dead());
         let down_for = a.recovered_after.expect("recovered");
         assert!(cloudsched_core::approx_eq(down_for, 4.0));
         assert_eq!(w.stats().oracle_dropouts, 1);

@@ -87,8 +87,8 @@ pub(crate) struct KernelState {
     /// whenever [`Kernel::seed_job`] seeds a job with a later deadline.
     pub(crate) horizon: Time,
     /// Whether a capacity-segment marker event is pending in the queue. The
-    /// marker chain stops when the next boundary lies past the horizon;
-    /// seeding a job that extends the horizon re-arms it.
+    /// marker chain stops when the next boundary lies past both the horizon
+    /// and the current pump's bound; the next pump or seeding re-arms it.
     pub(crate) capacity_armed: bool,
     pub(crate) c_lo: f64,
     pub(crate) c_hi: f64,
@@ -152,6 +152,9 @@ pub(crate) struct Kernel<'a, P: CapacityProfile, T: Tracer> {
     /// always integrates the physical profile; only the watchdog sees the
     /// oracle's (possibly faulty) view.
     oracle: Option<&'a mut dyn RateOracle>,
+    /// Bound of the last [`Kernel::pump_ready`]; the marker chain reaches up
+    /// to it. Not part of [`KernelState`], so snapshots never carry it.
+    pump_until: Time,
 }
 
 impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
@@ -192,6 +195,7 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
                 Some(o) => Some(&mut **o),
                 None => None,
             },
+            pump_until: Time::ZERO,
         }
     }
 
@@ -216,6 +220,7 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
             profiler: None,
             watchdog: None,
             oracle: None,
+            pump_until: Time::ZERO,
         }
     }
 
@@ -237,11 +242,16 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
         self.ws.grow_one(job.workload);
     }
 
-    /// Seeds `job` into the run: schedules its release and deadline events,
-    /// extends the horizon to its deadline and re-arms the capacity-marker
+    /// Whether the job with this id has resolved (completed or missed).
+    pub(crate) fn resolved(&self, job: JobId) -> bool {
+        self.ws.resolved(job.index())
+    }
+
+    /// Seeds `job` into the run: schedules its release and deadline events
+    /// and extends the horizon to its deadline, re-arming the capacity-marker
     /// chain if it had run out. The one place Release and Deadline events
-    /// enter the queue — [`Kernel::run`] seeds every job in release order,
-    /// the streaming service each admitted arrival.
+    /// enter the queue; every run shape calls it right after pumping to the
+    /// job's release.
     pub(crate) fn seed_job(&mut self, job: &Job) {
         self.ws
             .queue
@@ -252,15 +262,21 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
         if job.deadline > self.st.horizon {
             self.st.horizon = job.deadline;
         }
-        // Chain capacity-segment markers through the queue (see the
-        // CapacityChange arm): the tracer wants them stamped, and the
-        // watchdog probes the oracle at every segment boundary.
-        if (self.tracer.enabled() || self.watchdog.is_some()) && !self.st.capacity_armed {
-            let next = self.capacity.next_change_after(self.st.now);
-            if next > self.st.now && next <= self.st.horizon {
-                self.ws.queue.push(next, EventKind::CapacityChange);
-                self.st.capacity_armed = true;
-            }
+        self.arm_capacity();
+    }
+
+    /// The one arming rule of the capacity-marker chain: when the tracer
+    /// wants boundaries stamped or the watchdog probes the oracle at them,
+    /// and no marker is pending, push one at the next boundary if it lies
+    /// within the horizon or the current pump's bound.
+    fn arm_capacity(&mut self) {
+        if !(self.tracer.enabled() || self.watchdog.is_some()) || self.st.capacity_armed {
+            return;
+        }
+        let next = self.capacity.next_change_after(self.st.now);
+        if next > self.st.now && next <= self.st.horizon.max(self.pump_until) {
+            self.ws.queue.push(next, EventKind::CapacityChange);
+            self.st.capacity_armed = true;
         }
     }
 
@@ -614,11 +630,7 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
                     });
                 }
                 self.st.capacity_armed = false;
-                let next = self.capacity.next_change_after(self.st.now);
-                if next > self.st.now && next <= self.st.horizon {
-                    self.ws.queue.push(next, EventKind::CapacityChange);
-                    self.st.capacity_armed = true;
-                }
+                self.arm_capacity();
                 self.watch_capacity(scheduler);
             }
             EventKind::Completion { job, epoch } => {
@@ -761,11 +773,17 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
 
     /// Processes every event strictly before `until`, plus co-timed events
     /// that batch ordering places before a release at `until` (capacity
-    /// markers, completions and timers — see `EventKind::priority`). This is
-    /// the pump boundary of both seeding loops: [`Kernel::run`] pumps to each
-    /// job's release, the streaming service to each arrival's, so the queue
-    /// never needs a job's events before its release instant.
+    /// markers, completions and timers — see `EventKind::priority`). Every
+    /// run shape pumps to a job's release and then seeds the job, so the
+    /// queue never needs a job's events before its release instant.
+    ///
+    /// The pump first arms the capacity-marker chain up to `until`: the
+    /// horizon does not yet cover the job about to be seeded, and without
+    /// markers a stale completion or timer could carry the clock across an
+    /// idle-gap boundary that would then be neither stamped nor probed.
     pub(crate) fn pump_ready<S: Scheduler + ?Sized>(&mut self, scheduler: &mut S, until: Time) {
+        self.pump_until = until;
+        self.arm_capacity();
         while self.st.aborted.is_none() {
             let ready = |ev: &Event| {
                 ev.time < until
@@ -839,17 +857,9 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
     }
 
     /// Runs a batch instance through the calls the streaming service makes
-    /// for a stream: the monitoring plane's t = 0 oracle probe, then each
-    /// job in release order is seeded and the kernel pumped to its release,
-    /// then the queue drains. The queue holds only the live set plus the
-    /// job being pumped to.
-    ///
-    /// Each job is seeded *before* the pump to its release, so during a
-    /// pump the horizon already covers a deadline past the pump's bound.
-    /// The capacity-marker chain therefore never runs out while later jobs
-    /// are pending, and every boundary a batch run stamps or probes is
-    /// stamped or probed in time order, even across an idle gap that only
-    /// a stale completion or timer crosses.
+    /// for a stream: the monitoring plane's t = 0 oracle probe, then for
+    /// each job in release order a pump to its release and the seeding of
+    /// the job, then a drain. The queue holds only the live set.
     fn run<S: Scheduler + ?Sized>(
         mut self,
         scheduler: &mut S,
@@ -857,8 +867,8 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
         self.watch_capacity(scheduler);
         let jobs = self.jobs;
         for job in jobs.iter_by_release() {
-            self.seed_job(job);
             self.pump_ready(scheduler, job.release);
+            self.seed_job(job);
         }
         self.finish(scheduler)
     }

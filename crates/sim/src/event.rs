@@ -10,6 +10,13 @@
 //! never straddle a bucket edge and ties always resolve inside one bucket
 //! by the full [`Ord`] on [`Event`]. The unit tests below check that
 //! against a plain `BinaryHeap`.
+//!
+//! Why not just the heap: a `BinaryHeap<Reverse<Event>>` drop-in is about
+//! 280 lines shorter and keeps every pinned digest, but it is slower end to
+//! end. Over 6 alternating pairs of 8 s perfbench fleet-p2c64 runs on a
+//! 2-core VM, `jobs_per_s` fell from a median of 2.57 M (2.11–2.83 M) to
+//! 2.12 M (2.00–2.35 M), −17%, lower in every pair, and arrival p50 rose
+//! 21%.
 
 use cloudsched_core::{JobId, Time};
 use std::cmp::Ordering;

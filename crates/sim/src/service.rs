@@ -5,7 +5,7 @@
 //! cloud setting actually poses: jobs *arrive over time*, the scheduler
 //! decides admission online, and the process hosting it can die at any
 //! instant. The service wraps the streaming kernel seam
-//! ([`Kernel::resume`] / `pump_ready` / `register_job` + `seed_job` /
+//! (`Kernel::resume` / `pump_ready` / `register_job` + `seed_job` /
 //! `suspend`) in a classic write-ahead-log discipline so that an
 //! admission, once journaled, is a *commitment*: after any crash, snapshot
 //! restore plus deterministic journal replay reconstructs a run whose final
@@ -500,11 +500,6 @@ impl Tracer for VecSink {
     }
 }
 
-enum Step {
-    Continue,
-    Stop,
-}
-
 // ---------------------------------------------------------------------
 // The service core: one struct drives both serve and recovery replay, so
 // the two code paths cannot diverge.
@@ -584,6 +579,24 @@ impl<'a, P: CapacityProfile> Core<'a, P> {
         Ok(())
     }
 
+    /// Applies `(seq, arrival, journaled decision)` triples in order until
+    /// they run out, a crash point trips or a `Strict` policy aborts, then
+    /// finishes the run. The one arrival loop of `serve` and `recover`.
+    fn run<'j>(
+        mut self,
+        sched: &mut dyn Scheduler,
+        wal: &mut Wal<'_>,
+        arrivals: impl IntoIterator<Item = (u64, Arrival, Option<&'j (bool, &'j str, usize)>)>,
+    ) -> Result<ServiceOutcome, CoreError> {
+        for (seq, a, journaled) in arrivals {
+            if self.crashed || self.aborted.is_some() {
+                break;
+            }
+            self.apply_arrival(sched, wal, seq, &a, journaled)?;
+        }
+        self.finish(sched, wal)
+    }
+
     /// Applies one arrival end to end: WAL the arrival, pump the kernel
     /// to its release instant, decide admission, WAL the decision, apply
     /// its effects, then honour crash points and the snapshot cadence.
@@ -598,7 +611,7 @@ impl<'a, P: CapacityProfile> Core<'a, P> {
         seq: u64,
         a: &Arrival,
         journaled: Option<&(bool, &str, usize)>,
-    ) -> Result<Step, CoreError> {
+    ) -> Result<(), CoreError> {
         let last_release = self.jobs.last_release().as_f64();
         if a.release < last_release {
             return Err(CoreError::InvalidParameter {
@@ -623,20 +636,18 @@ impl<'a, P: CapacityProfile> Core<'a, P> {
         // WAL: the arrival record is durable before any of its effects.
         wal.commit(|out| arrival_record(out, seq, a))?;
 
-        // Advance the kernel to the arrival instant (events strictly
-        // before the release, plus co-timed capacity changes, completions
-        // and timers — the same boundary the batch kernel uses).
+        // One kernel view per arrival: pump to the arrival instant (events
+        // strictly before the release, plus co-timed capacity changes,
+        // completions and timers — the batch kernel's boundary), decide,
+        // then register the job and seed it if admitted.
         let release = job.release;
-        {
-            let st = self.st.take().expect("invariant: kernel state parked");
-            let mut k = Kernel::resume(&mut self.ws, &self.jobs, self.capacity, &mut self.sink, st);
-            k.pump_ready(sched, release);
-            self.st = Some(k.suspend());
-        }
+        let st = self.st.take().expect("invariant: kernel state parked");
+        let mut k = Kernel::resume(&mut self.ws, &self.jobs, self.capacity, &mut self.sink, st);
+        k.pump_ready(sched, release);
 
         // Decide. Pure function of the arrival sequence: replayable.
         let fault = self.book.inspect_release(&job);
-        self.live.retain(|j| !self.ws.resolved(j.index()));
+        self.live.retain(|&j| !k.resolved(j));
         let live = self.live.len();
         let (admitted, reason, abort): (bool, DecisionReason, Option<CoreError>) = match fault {
             Some(f) => {
@@ -689,16 +700,12 @@ impl<'a, P: CapacityProfile> Core<'a, P> {
         self.decisions.push(decision);
 
         // Effects.
-        {
-            let st = self.st.take().expect("invariant: kernel state parked");
-            let mut k = Kernel::resume(&mut self.ws, &self.jobs, self.capacity, &mut self.sink, st);
-            k.register_job(&job);
-            if admitted {
-                k.seed_job(&job);
-                self.live.push(id);
-            }
-            self.st = Some(k.suspend());
+        k.register_job(&job);
+        if admitted {
+            k.seed_job(&job);
+            self.live.push(id);
         }
+        self.st = Some(k.suspend());
         if !admitted {
             // The kernel never releases a rejected job, so the service
             // stamps its lifecycle: every arrival is visible in the
@@ -740,14 +747,14 @@ impl<'a, P: CapacityProfile> Core<'a, P> {
                 .aborted = Some(err.clone());
             self.aborted = Some(err);
             self.flush(wal)?;
-            return Ok(Step::Stop);
+            return Ok(());
         }
 
         // Seeded crash point: stop dead. No snapshot, no drain, no sync —
         // only what the WAL already made durable survives.
         if self.cfg.crash_after == Some(seq) {
             self.crashed = true;
-            return Ok(Step::Stop);
+            return Ok(());
         }
 
         if self.cfg.snapshot_every > 0 && (seq + 1) % self.cfg.snapshot_every == 0 {
@@ -776,7 +783,7 @@ impl<'a, P: CapacityProfile> Core<'a, P> {
                 wal.commit(|out| snapshot_unsupported_record(out, seq))?;
             }
         }
-        Ok(Step::Continue)
+        Ok(())
     }
 
     /// Makes the current state the delta base of the next snapshot.
@@ -839,14 +846,8 @@ pub fn serve<P: CapacityProfile>(
     let (c_lo, c_hi) = capacity.bounds();
     let rate = capacity.rate_at(Time::ZERO);
     wal.commit(|out| open_record(out, cfg, c_lo, c_hi, rate))?;
-    let mut core = Core::new(capacity, cfg);
-    for (seq, a) in arrivals.iter().enumerate() {
-        match core.apply_arrival(scheduler, &mut wal, seq as u64, a, None)? {
-            Step::Continue => {}
-            Step::Stop => break,
-        }
-    }
-    core.finish(scheduler, &mut wal)
+    let arrivals = (0..).zip(arrivals).map(|(seq, a)| (seq, a, None));
+    Core::new(capacity, cfg).run(scheduler, &mut wal, arrivals)
 }
 
 // ---------------------------------------------------------------------
@@ -1101,25 +1102,18 @@ pub fn recover<P: CapacityProfile>(
         None => 0,
     };
 
-    let mut seq = start_seq;
-    loop {
+    // Journaled arrivals first, then the stream's arrivals the journal
+    // never saw.
+    let arrivals = (start_seq..).map_while(|seq| {
         // Sequence numbers index the in-memory arrival stream.
         #[allow(clippy::cast_possible_truncation)]
-        let a = match parsed.arrivals.get(&seq) {
-            Some(a) => *a,
-            None => match stream_arrivals.get(seq as usize) {
-                Some(a) => *a,
-                None => break,
-            },
-        };
-        let journaled = parsed.decisions.get(&seq);
-        match core.apply_arrival(scheduler, &mut wal, seq, &a, journaled)? {
-            Step::Continue => {}
-            Step::Stop => break,
-        }
-        seq += 1;
-    }
-    core.finish(scheduler, &mut wal)
+        let a = parsed
+            .arrivals
+            .get(&seq)
+            .or_else(|| stream_arrivals.get(seq as usize))?;
+        Some((seq, *a, parsed.decisions.get(&seq)))
+    });
+    core.run(scheduler, &mut wal, arrivals)
 }
 
 #[cfg(test)]

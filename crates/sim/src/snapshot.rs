@@ -3,7 +3,7 @@
 //! A snapshot is a byte-deterministic, ASCII-only image of what the kernel
 //! needs to resume a streaming run at a *quiescent point* (between
 //! arrivals, with the scratch buffers drained): the scalar
-//! [`KernelState`], the pending event queue (including its FIFO tie-break
+//! `KernelState`, the pending event queue (including its FIFO tie-break
 //! counter), per-job workspace rows and the scheduler's own opaque state
 //! blob. Jobs, admission decisions and the admission book are *not* in the
 //! image — recovery rebuilds them by folding the journal's service records,

@@ -17,7 +17,7 @@
 //! `Vec<bool>`s — one cache line covers 64 jobs' entire lifecycle state,
 //! and the kernel's per-event flag checks touch exactly one table.
 //!
-//! Reuse never changes results: [`SimWorkspace::begin`] resets all run
+//! Reuse never changes results: `SimWorkspace::begin` resets all run
 //! state, including the event queue's FIFO tie-break counter, so a recycled
 //! workspace is observationally identical to a fresh one — decisions,
 //! traces and [`crate::RunReport`]s stay byte-for-byte the same. The
@@ -79,7 +79,7 @@ impl SimWorkspace {
     }
 
     /// Number of runs that started without any buffer growth — every arena
-    /// buffer already had sufficient capacity at [`SimWorkspace::begin`].
+    /// buffer already had sufficient capacity at `SimWorkspace::begin`.
     /// `runs() - reuse_hits()` is the count of warm-up (allocating) runs;
     /// in a steady-state sweep it stays at the handful of runs that raised
     /// the high-water mark.

@@ -5,7 +5,7 @@
 export CARGO_NET_OFFLINE := "true"
 
 # Run the full CI gauntlet.
-ci: fmt build test number-sweep lint deps cli-flags clippy golden-trace chaos serve-smoke serve-scale batch-scale bench-smoke sweep-smoke fleet-smoke fleet-scale
+ci: fmt build test number-sweep lint deps cli-flags clippy docs golden-trace chaos serve-smoke serve-scale batch-scale bench-smoke sweep-smoke fleet-smoke fleet-scale
 
 fmt:
     cargo fmt --all --check
@@ -67,6 +67,11 @@ cli-flags:
 # moved rules' fixture (crates/lint/tests/clippy_fixture.rs).
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
+
+# Rustdoc with warnings denied (mirrors the CI step): every intra-doc link
+# resolves, and no public doc links to a private item.
+docs:
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
 
 # Explain one rule: summary, scope, rationale, fix. E.g. `just lint-explain L009`.
 lint-explain rule:

@@ -26,6 +26,7 @@ use cloudsched::sim::{
     audit::commitments::audit_commitments, journal_header, recover, serve, DecisionReason,
     DegradationPolicy, Run, ServiceConfig, ServiceDecision,
 };
+use cloudsched_core::rng::{Pcg32, Rng};
 use cloudsched_core::CoreError;
 use cloudsched_obs::RingTracer;
 use common::{fnv1a_bytes, FNV_OFFSET};
@@ -67,44 +68,115 @@ fn ledger_render(events: &[cloudsched::obs::TraceEvent], jobs: &JobSet) -> Strin
         .render()
 }
 
+/// A clean stream (every window fits its workload at `c_lo`, no two
+/// arrivals alike, value densities within a factor of 2) of overloaded
+/// bursts separated by idle gaps of 1–3 time units, on a profile that
+/// alternates rate 1 and 2 every half unit. A gap thus spans several
+/// capacity boundaries, and the bursts leave stale completions (and LLF
+/// timers) past every pending deadline, which carry the clock into it.
+fn gapped_clean_instance(seed: u64) -> Instance {
+    let mut rng = Pcg32::seed_from_u64(seed ^ 0x6a90_0000);
+    let mut tuples = Vec::new();
+    let mut start = 0.0;
+    for _ in 0..5 {
+        let mut end: f64 = start;
+        let mut burst: Vec<(f64, f64, f64, f64)> = (0..2 + rng.next_index(3))
+            .map(|_| {
+                let release = start + rng.next_f64();
+                let window = 0.5 + 2.0 * rng.next_f64();
+                let workload = window * (0.4 + 0.5 * rng.next_f64());
+                let value = workload * (1.0 + rng.next_f64());
+                end = end.max(release + window);
+                (release, release + window, workload, value)
+            })
+            .collect();
+        burst.sort_by(|a, b| a.0.total_cmp(&b.0));
+        tuples.extend(burst);
+        start = end + 1.0 + 2.0 * rng.next_f64();
+    }
+    let segments: Vec<(f64, f64)> = (0..2 * start.ceil() as usize + 2)
+        .map(|i| (0.5, [1.0, 2.0][i % 2]))
+        .collect();
+    Instance::new(
+        JobSet::from_tuples(&tuples).unwrap(),
+        PiecewiseConstant::from_durations(&segments)
+            .unwrap()
+            .with_declared_bounds(1.0, 2.0)
+            .unwrap(),
+    )
+}
+
+/// `serve` drives the kernel with the calls a batch run makes (pump to a
+/// release, then seed the job), so on a clean stream its trace and value
+/// are byte-identical to a traced batch run's. The cases: a Table I
+/// workload; a stale completion of job 0 at 3.375 that crosses the rate
+/// change at 3.25 after the last pending deadline; and seeded gapped
+/// streams whose idle gaps outlast a capacity segment.
 #[test]
 fn serve_matches_batch_kernel_on_clean_stream() {
-    let instance = small_table1(3.0, 8.0, 11);
-    let (c_lo, c_hi) = instance.capacity.bounds();
-    assert!(instance.job_count() >= 8, "scenario should be non-trivial");
-
-    let mut batch_ring = RingTracer::new(4096);
-    let mut batch_sched = by_name("vdover", 7.0, 5.0, c_lo, c_hi).unwrap();
-    let batch = Run::new(&instance.jobs, &instance.capacity, RunOptions::lean())
-        .tracer(&mut batch_ring)
-        .run(batch_sched.as_mut());
-
-    let cfg = ServiceConfig::new("vdover", 7.0);
-    let mut sched = by_name("vdover", 7.0, 5.0, c_lo, c_hi).unwrap();
-    let outcome = serve(
-        &instance.capacity,
-        &cfg,
-        sched.as_mut(),
-        &stream_text(&instance.jobs),
-        None,
-    )
-    .unwrap();
-
-    assert!(!outcome.crashed);
-    assert!(outcome.aborted.is_none());
+    let stale_completion = Instance::new(
+        JobSet::from_tuples(&[
+            (0.0, 3.0, 2.0, 2.0),
+            (1.0, 2.5, 1.5, 3.0),
+            (5.0, 7.0, 1.0, 1.0),
+        ])
+        .unwrap(),
+        PiecewiseConstant::from_durations(&[(3.25, 1.0), (1.0, 2.0)])
+            .unwrap()
+            .with_declared_bounds(1.0, 2.0)
+            .unwrap(),
+    );
+    let mut cases = vec![
+        ("table1".to_string(), small_table1(3.0, 8.0, 11)),
+        ("stale-completion".to_string(), stale_completion),
+    ];
+    cases.extend((0..16).map(|seed| (format!("gapped/{seed}"), gapped_clean_instance(seed))));
     assert!(
-        outcome.decisions.iter().all(|d| d.admitted),
-        "a clean admissible stream admits everything"
+        cases[0].1.job_count() >= 8,
+        "scenario should be non-trivial"
     );
-    let report = outcome.report.as_ref().unwrap();
-    assert_eq!(report.value.to_bits(), batch.value.to_bits());
-    assert_eq!(report.completed, batch.completed);
-    let batch_lines: Vec<String> = batch_ring.events().map(|e| e.to_jsonl()).collect();
-    assert_eq!(
-        events_jsonl(&outcome.events),
-        batch_lines,
-        "streaming admission must be trace-identical to the batch kernel"
-    );
+
+    for (case, instance) in &cases {
+        let (c_lo, c_hi) = instance.capacity.bounds();
+        for scheduler in ["edf", "dover", "vdover", "llf"] {
+            let mut batch_ring = RingTracer::new(4096);
+            let mut batch_sched = by_name(scheduler, 7.0, 5.0, c_lo, c_hi).unwrap();
+            let batch = Run::new(&instance.jobs, &instance.capacity, RunOptions::lean())
+                .tracer(&mut batch_ring)
+                .run(batch_sched.as_mut());
+
+            let cfg = ServiceConfig::new(scheduler, 7.0);
+            let mut sched = by_name(scheduler, 7.0, 5.0, c_lo, c_hi).unwrap();
+            let outcome = serve(
+                &instance.capacity,
+                &cfg,
+                sched.as_mut(),
+                &stream_text(&instance.jobs),
+                None,
+            )
+            .unwrap();
+
+            assert!(!outcome.crashed);
+            assert!(outcome.aborted.is_none());
+            assert!(
+                outcome.decisions.iter().all(|d| d.admitted),
+                "{case}: a clean admissible stream admits everything"
+            );
+            let report = outcome.report.as_ref().unwrap();
+            assert_eq!(
+                report.value.to_bits(),
+                batch.value.to_bits(),
+                "{case}/{scheduler}: value"
+            );
+            assert_eq!(report.completed, batch.completed, "{case}/{scheduler}");
+            let batch_lines: Vec<String> = batch_ring.events().map(|e| e.to_jsonl()).collect();
+            assert_eq!(
+                events_jsonl(&outcome.events),
+                batch_lines,
+                "{case}/{scheduler}: streaming admission must be trace-identical to the batch kernel"
+            );
+        }
+    }
 }
 
 /// Runs the full crash sweep for one scheduler/cadence combination: for
