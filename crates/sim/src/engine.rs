@@ -72,6 +72,8 @@ pub(crate) struct KernelState {
     /// epoch mismatch.
     pub(crate) epoch: u64,
     pub(crate) slice_start: Time,
+    /// The running job's remaining workload at `slice_start`.
+    pub(crate) slice_rem: f64,
     pub(crate) value: f64,
     pub(crate) preemptions: usize,
     pub(crate) dispatches: usize,
@@ -108,6 +110,7 @@ impl KernelState {
             running: None,
             epoch: 0,
             slice_start: Time::ZERO,
+            slice_rem: 0.0,
             value: 0.0,
             preemptions: 0,
             dispatches: 0,
@@ -280,18 +283,22 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
         }
     }
 
-    /// Integrates the running job's progress from the last visited instant.
+    /// Moves the clock to `t` and sets the running job's remaining workload
+    /// to its workload at dispatch minus the capacity integral over its
+    /// slice so far (§III-A: work done is the capacity integral between
+    /// slice boundaries), so progress never depends on which instants the
+    /// loop visits in between.
     fn advance_to(&mut self, t: Time) {
         debug_assert!(t >= self.st.now, "kernel time went backwards");
         if let Some(j) = self.st.running {
-            let done = self.capacity.integrate(self.st.now, t);
+            let done = self.capacity.integrate(self.st.slice_start, t);
             debug_assert!(
                 done.is_finite() && done >= 0.0,
                 "capacity integral over [{}, {t}] is {done}",
-                self.st.now
+                self.st.slice_start
             );
             let r = &mut self.ws.remaining[j.index()];
-            *r = (*r - done).max(0.0);
+            *r = (self.st.slice_rem - done).max(0.0);
             debug_assert!(
                 r.is_finite() && *r >= 0.0,
                 "remaining workload of {j} went to {r}"
@@ -591,10 +598,11 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
                 self.st.running = Some(j);
                 self.st.epoch += 1;
                 self.st.slice_start = self.st.now;
+                self.st.slice_rem = self.ws.remaining[i];
                 self.st.dispatches += 1;
                 let done_at = self
                     .capacity
-                    .time_to_complete(self.st.now, self.ws.remaining[i]);
+                    .time_to_complete(self.st.now, self.st.slice_rem);
                 self.ws.queue.push(
                     done_at,
                     EventKind::Completion {

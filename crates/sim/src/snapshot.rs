@@ -9,7 +9,7 @@
 //! image — recovery rebuilds them by folding the journal's service records,
 //! which the WAL discipline guarantees are durable up to the snapshot.
 //!
-//! ## Delta rows (`csnap2`)
+//! ## Delta rows
 //!
 //! A record carries table rows (remaining workload, lifecycle flags,
 //! outcome) only for the job slots the service names: those that were live
@@ -27,7 +27,7 @@
 //! only `|`, `,`, `:`, `-` and alphanumerics):
 //!
 //! ```text
-//! csnap2;<kernel scalars>;<event queue>;<next_seq>;<jobs>;<rows>;<quarantine>;<scheduler blob>
+//! csnap3;<kernel scalars>;<event queue>;<next_seq>;<jobs>;<rows>;<quarantine>;<scheduler blob>
 //! ```
 //!
 //! The event queue stays the third section and the scheduler blob the
@@ -52,11 +52,11 @@ use cloudsched_core::{CoreError, JobId, JobOutcome, Time};
 use cloudsched_obs::jsonl::push_u64;
 
 /// Magic tag of the snapshot format this build reads and writes.
-const MAGIC: &str = "csnap2";
+const MAGIC: &str = "csnap3";
 /// Number of `;`-separated sections (scheduler blob last).
 const SECTIONS: usize = 8;
 /// Scalar fields in the kernel-state section.
-const KERNEL_FIELDS: usize = 17;
+const KERNEL_FIELDS: usize = 18;
 /// Every lifecycle bit the workspace defines.
 const FLAG_BITS: u8 = 0b1_1111;
 
@@ -148,6 +148,7 @@ pub(crate) fn encode(
         Kernel::Running(st.running),
         Kernel::Int(st.epoch),
         Kernel::Hex(st.slice_start.as_f64()),
+        Kernel::Hex(st.slice_rem),
         Kernel::Hex(st.value),
         Kernel::Int(st.preemptions as u64),
         Kernel::Int(st.dispatches as u64),
@@ -390,39 +391,41 @@ fn decode(blob: &str, line: usize) -> Result<SnapshotImage<'_>, CoreError> {
             ),
         ));
     }
-    let running = if k[1] == "-" {
-        None
-    } else {
-        Some(JobId(parse_uint::<u64>(k[1], "running job id", line)?))
-    };
-    let capacity_armed = match k[14] {
-        "0" => false,
-        "1" => true,
-        other => {
-            return Err(corrupt(
-                line,
-                format!("snapshot capacity_armed is {other:?}, expected 0 or 1"),
-            ))
-        }
-    };
+    // Fields in `encode`'s order; the struct literal evaluates in source
+    // order, so each `f()` takes the next one.
+    let mut k = k.into_iter();
+    let mut f = || k.next().unwrap_or_default();
     let st = KernelState {
-        now: parse_time(k[0], "now", line)?,
-        running,
-        epoch: parse_uint(k[2], "epoch", line)?,
-        slice_start: parse_time(k[3], "slice_start", line)?,
-        value: parse_f64(k[4], "value", line)?,
-        preemptions: parse_uint(k[5], "preemptions", line)?,
-        dispatches: parse_uint(k[6], "dispatches", line)?,
-        events_processed: parse_uint(k[7], "events_processed", line)?,
-        expired: parse_uint(k[8], "expired", line)?,
-        expired_value: parse_f64(k[9], "expired_value", line)?,
-        abandoned_count: parse_uint(k[10], "abandoned_count", line)?,
-        abandoned_value: parse_f64(k[11], "abandoned_value", line)?,
-        capacity_segment: parse_uint(k[12], "capacity_segment", line)?,
-        horizon: parse_time(k[13], "horizon", line)?,
-        capacity_armed,
-        c_lo: parse_f64(k[15], "c_lo", line)?,
-        c_hi: parse_f64(k[16], "c_hi", line)?,
+        now: parse_time(f(), "now", line)?,
+        running: match f() {
+            "-" => None,
+            id => Some(JobId(parse_uint(id, "running job id", line)?)),
+        },
+        epoch: parse_uint(f(), "epoch", line)?,
+        slice_start: parse_time(f(), "slice_start", line)?,
+        slice_rem: parse_f64(f(), "slice_rem", line)?,
+        value: parse_f64(f(), "value", line)?,
+        preemptions: parse_uint(f(), "preemptions", line)?,
+        dispatches: parse_uint(f(), "dispatches", line)?,
+        events_processed: parse_uint(f(), "events_processed", line)?,
+        expired: parse_uint(f(), "expired", line)?,
+        expired_value: parse_f64(f(), "expired_value", line)?,
+        abandoned_count: parse_uint(f(), "abandoned_count", line)?,
+        abandoned_value: parse_f64(f(), "abandoned_value", line)?,
+        capacity_segment: parse_uint(f(), "capacity_segment", line)?,
+        horizon: parse_time(f(), "horizon", line)?,
+        capacity_armed: match f() {
+            "0" => false,
+            "1" => true,
+            other => {
+                return Err(corrupt(
+                    line,
+                    format!("snapshot capacity_armed is {other:?}, expected 0 or 1"),
+                ))
+            }
+        },
+        c_lo: parse_f64(f(), "c_lo", line)?,
+        c_hi: parse_f64(f(), "c_hi", line)?,
         schedule: None,
         trajectory: None,
         aborted: None,
@@ -741,7 +744,7 @@ mod tests {
         let b = blob(&st, &ws, &[0, 1, 2], "sched");
         let cases = [
             "garbage".to_string(),
-            b.replacen("csnap2", "csnap9", 1),
+            b.replacen("csnap3", "csnap9", 1),
             b.replacen(":D:", ":Z:", 1), // unknown event kind code
             {
                 // truncate the kernel section to 3 fields
@@ -786,15 +789,21 @@ mod tests {
 
     #[test]
     fn older_snapshot_versions_are_rejected_by_name() {
+        // csnap1 carried full tables; csnap2 had no `slice_rem` and queued
+        // epoch-tagged completions.
         let csnap1 = "csnap1;0000000000000000,-,0,0000000000000000,0000000000000000,0,0,0,0,\
                       0000000000000000,0,0000000000000000,0,0000000000000000,0,\
                       3ff0000000000000,3ff0000000000000;;0;;,,,,;;;dover1|I|7ff0000000000000||||";
-        match restore(&[(5, csnap1)], 0) {
-            Err(CoreError::CorruptJournal { line: 5, reason }) => {
-                assert!(reason.contains("\"csnap1\""), "{reason}");
-                assert!(reason.contains("\"csnap2\""), "{reason}");
+        let csnap2 = "csnap2;0,-,0,0,0,0,0,0,0,0,0,0,0,0,0,3ff0000000000000,3ff0000000000000;\
+                      3ff0000000000000:C:0:1:0;1;1;0:4000000000000000:3:N;;dover2|I|0||||-";
+        for (old, name) in [(csnap1, "\"csnap1\""), (csnap2, "\"csnap2\"")] {
+            match restore(&[(5, old)], 0) {
+                Err(CoreError::CorruptJournal { line: 5, reason }) => {
+                    assert!(reason.contains(name), "{reason}");
+                    assert!(reason.contains("\"csnap3\""), "{reason}");
+                }
+                other => panic!("expected a version rejection, got {other:?}"),
             }
-            other => panic!("expected a version rejection, got {other:?}"),
         }
     }
 }

@@ -882,7 +882,8 @@ fn journals_with_older_snapshot_or_scheduler_blob_versions_are_rejected_by_name(
         .rposition(|l| l.starts_with("{\"svc\":\"snapshot\","))
         .expect("the crashed run took a snapshot");
     for (from, to, named) in [
-        ("\"blob\":\"csnap2;", "\"blob\":\"csnap1;", "csnap1"),
+        ("\"blob\":\"csnap3;", "\"blob\":\"csnap2;", "csnap2"),
+        ("\"blob\":\"csnap3;", "\"blob\":\"csnap1;", "csnap1"),
         ("dover2|", "dover1|", "dover1"),
     ] {
         let mut old = lines.clone();
