@@ -610,7 +610,8 @@ fn queue_cell_digests() -> Vec<(String, u64)> {
 
 /// `(pattern/scheduler, digest)` over seeds 0..50, recorded when a
 /// reference `BinaryHeap` event-queue backend produced the same digest for
-/// every cell.
+/// every cell; the CTMC-pattern cells were re-pinned when job progress
+/// became a function of the slice's ends.
 const QUEUE_PINNED: &[(&str, u64)] = &[
     ("pattern0/vdover", 0x51b850a3aac442ce),
     ("pattern0/dover", 0x7cf3987ae80a279a),
@@ -621,24 +622,24 @@ const QUEUE_PINNED: &[(&str, u64)] = &[
     ("pattern0/fifo", 0xe6ada83f44ae66c4),
     ("pattern0/greedy", 0x08c5c9dead1876c0),
     ("pattern0/hvdf", 0x26a2cd3d848f3086),
-    ("pattern1/vdover", 0xc461166310f7c71e),
-    ("pattern1/dover", 0xe51115df43dd5f12),
-    ("pattern1/dover-lo", 0xe51115df43dd5f12),
-    ("pattern1/dover-hi", 0x938ac7dc5d74df77),
-    ("pattern1/edf", 0x5bf8204d355ed912),
-    ("pattern1/llf", 0x8c441942578c410f),
+    ("pattern1/vdover", 0x1d337a2017f7324b),
+    ("pattern1/dover", 0x739bedd8dddbd3b7),
+    ("pattern1/dover-lo", 0x739bedd8dddbd3b7),
+    ("pattern1/dover-hi", 0x57553e0f168964b8),
+    ("pattern1/edf", 0x35cb7cca1dc8e069),
+    ("pattern1/llf", 0xf86261a3a025cafe),
     ("pattern1/fifo", 0x716ae9a742eb1817),
-    ("pattern1/greedy", 0x571e5de06d1f3ad9),
+    ("pattern1/greedy", 0x31bcf92a90a39fc8),
     ("pattern1/hvdf", 0x8269b87b91cab51c),
-    ("pattern2/vdover", 0xce2710452e129824),
-    ("pattern2/dover", 0xffa592a1e498c930),
-    ("pattern2/dover-lo", 0xffa592a1e498c930),
-    ("pattern2/dover-hi", 0xb633fb6f4405ac2d),
-    ("pattern2/edf", 0x2beee5a4c3d83548),
-    ("pattern2/llf", 0xfcfc653092715340),
-    ("pattern2/fifo", 0x470ddbf420643424),
-    ("pattern2/greedy", 0x97fc4e84c2fb83e0),
-    ("pattern2/hvdf", 0x52d300c385559806),
+    ("pattern2/vdover", 0x74a2edd461e775c0),
+    ("pattern2/dover", 0xf8362aa3137cd0b1),
+    ("pattern2/dover-lo", 0xf8362aa3137cd0b1),
+    ("pattern2/dover-hi", 0x5c3449e6922fa94b),
+    ("pattern2/edf", 0x375f1047ff8ed26f),
+    ("pattern2/llf", 0xae30c1db12dd0f8c),
+    ("pattern2/fifo", 0x0776dcf8de881cfc),
+    ("pattern2/greedy", 0x07bce5866caca867),
+    ("pattern2/hvdf", 0x9706131c80457fb7),
 ];
 
 /// Across 50 seeds × 3 capacity patterns × the whole scheduler roster,
@@ -1139,17 +1140,19 @@ fn entry_point_digests() -> Vec<(String, u64)> {
 
 /// `(scheduler/case, digest)`, recorded on the seven-function kernel API;
 /// the `tie/` rows were recorded on the kernel that pushed every job's
-/// Release and Deadline before the first pop.
+/// Release and Deadline before the first pop. The traced rows and the
+/// V-Dover watchdog rows were re-pinned when job progress became a
+/// function of the slice's ends.
 const ENTRY_POINT_PINNED: &[(&str, u64)] = &[
     ("edf/plain", 0x59472d1938036ad1),
     ("edf/ws-fresh", 0x59472d1938036ad1),
     ("edf/ws-reused", 0x59472d1938036ad1),
     ("edf/noop", 0x59472d1938036ad1),
-    ("edf/ring", 0x100dc59c10ffc294),
-    ("edf/jsonl", 0x100dc59c10ffc294),
-    ("edf/ws-reused-jsonl", 0x100dc59c10ffc294),
+    ("edf/ring", 0xe1bf7283b8231e2c),
+    ("edf/jsonl", 0xe1bf7283b8231e2c),
+    ("edf/ws-reused-jsonl", 0xe1bf7283b8231e2c),
     ("edf/profiler-off", 0x59472d1938036ad1),
-    ("edf/profiler-jsonl", 0xad88419fe0ae0797),
+    ("edf/profiler-jsonl", 0xd237b7ac7069bb12),
     ("edf/metrics", 0x8be840521a788830),
     ("edf/watchdog-jsonl-Strict-Absent", 0x520638e4c4136963),
     ("edf/watchdog-silent-Strict-Absent", 0xa443744a2b8465dd),
@@ -1173,11 +1176,11 @@ const ENTRY_POINT_PINNED: &[(&str, u64)] = &[
     ("dover/ws-fresh", 0xed905c23648bb61f),
     ("dover/ws-reused", 0xed905c23648bb61f),
     ("dover/noop", 0xed905c23648bb61f),
-    ("dover/ring", 0x5177312dee615ef6),
-    ("dover/jsonl", 0x5177312dee615ef6),
-    ("dover/ws-reused-jsonl", 0x5177312dee615ef6),
+    ("dover/ring", 0xe7368124af7f9b16),
+    ("dover/jsonl", 0xe7368124af7f9b16),
+    ("dover/ws-reused-jsonl", 0xe7368124af7f9b16),
     ("dover/profiler-off", 0xed905c23648bb61f),
-    ("dover/profiler-jsonl", 0x6fe6fe8bd8216639),
+    ("dover/profiler-jsonl", 0x32c422a83f53ea4e),
     ("dover/metrics", 0x2777895f1425b372),
     ("dover/watchdog-jsonl-Strict-Absent", 0x3160bde311ea5a70),
     ("dover/watchdog-silent-Strict-Absent", 0x4833353d457ac334),
@@ -1207,41 +1210,41 @@ const ENTRY_POINT_PINNED: &[(&str, u64)] = &[
     ("vdover/ws-fresh", 0x2ba7993e56cb39d3),
     ("vdover/ws-reused", 0x2ba7993e56cb39d3),
     ("vdover/noop", 0x2ba7993e56cb39d3),
-    ("vdover/ring", 0xfb60bfc153390507),
-    ("vdover/jsonl", 0xfb60bfc153390507),
-    ("vdover/ws-reused-jsonl", 0xfb60bfc153390507),
+    ("vdover/ring", 0xf13c4dd8ad577308),
+    ("vdover/jsonl", 0xf13c4dd8ad577308),
+    ("vdover/ws-reused-jsonl", 0xf13c4dd8ad577308),
     ("vdover/profiler-off", 0x2ba7993e56cb39d3),
-    ("vdover/profiler-jsonl", 0x9a7cd900bcf372a4),
+    ("vdover/profiler-jsonl", 0xbfb334a38848a8cd),
     ("vdover/metrics", 0x1f4c3ebb6c11fa1e),
-    ("vdover/watchdog-jsonl-Strict-Absent", 0xe80634fd05750bb6),
-    ("vdover/watchdog-silent-Strict-Absent", 0x0d5aaeff34cd8e94),
-    ("vdover/watchdog-jsonl-Strict-True", 0xe80634fd05750bb6),
-    ("vdover/watchdog-silent-Strict-True", 0x0d5aaeff34cd8e94),
-    ("vdover/watchdog-jsonl-Strict-Faulty", 0x6d311b715a69ffa8),
-    ("vdover/watchdog-silent-Strict-Faulty", 0xe64548fc6fb8b3ea),
-    ("vdover/watchdog-jsonl-Degrade-Absent", 0x2e1a8b218eb2138a),
-    ("vdover/watchdog-silent-Degrade-Absent", 0x3ba75e8034a9fb1e),
-    ("vdover/watchdog-jsonl-Degrade-True", 0x2e1a8b218eb2138a),
-    ("vdover/watchdog-silent-Degrade-True", 0x3ba75e8034a9fb1e),
-    ("vdover/watchdog-jsonl-Degrade-Faulty", 0xa06c64fdfffbfb9b),
-    ("vdover/watchdog-silent-Degrade-Faulty", 0x77dd922afbf0af9e),
+    ("vdover/watchdog-jsonl-Strict-Absent", 0x6527ceff96454e5a),
+    ("vdover/watchdog-silent-Strict-Absent", 0xa0109b68dcaebc25),
+    ("vdover/watchdog-jsonl-Strict-True", 0x6527ceff96454e5a),
+    ("vdover/watchdog-silent-Strict-True", 0xa0109b68dcaebc25),
+    ("vdover/watchdog-jsonl-Strict-Faulty", 0xc93f1a1fb279f0f4),
+    ("vdover/watchdog-silent-Strict-Faulty", 0x2693d00cdc4a7852),
+    ("vdover/watchdog-jsonl-Degrade-Absent", 0xd793b60972665081),
+    ("vdover/watchdog-silent-Degrade-Absent", 0x9de1bdb879f206ff),
+    ("vdover/watchdog-jsonl-Degrade-True", 0xd793b60972665081),
+    ("vdover/watchdog-silent-Degrade-True", 0x9de1bdb879f206ff),
+    ("vdover/watchdog-jsonl-Degrade-Faulty", 0xd9a7018c96e25cdf),
+    ("vdover/watchdog-silent-Degrade-Faulty", 0xbe19b29e3b736f67),
     (
         "vdover/watchdog-jsonl-BestEffort-Absent",
-        0x26fb436263917d5b,
+        0x23201926a143e9a9,
     ),
     (
         "vdover/watchdog-silent-BestEffort-Absent",
-        0xfe51b85afb646b05,
+        0x9a726a417ce15ae9,
     ),
-    ("vdover/watchdog-jsonl-BestEffort-True", 0x26fb436263917d5b),
-    ("vdover/watchdog-silent-BestEffort-True", 0xfe51b85afb646b05),
+    ("vdover/watchdog-jsonl-BestEffort-True", 0x23201926a143e9a9),
+    ("vdover/watchdog-silent-BestEffort-True", 0x9a726a417ce15ae9),
     (
         "vdover/watchdog-jsonl-BestEffort-Faulty",
-        0x4243bce906af50a9,
+        0x2165e1eea9c48b72,
     ),
     (
         "vdover/watchdog-silent-BestEffort-Faulty",
-        0x766afd778669e646,
+        0xe1429255f33fc350,
     ),
     ("tie/edf/plain", 0x9a0c9cbf07f47ec2),
     ("tie/edf/jsonl", 0xb15fdca7062fc441),

