@@ -68,12 +68,13 @@ pub(crate) fn completion_tolerance(workload: f64) -> f64 {
 pub(crate) struct KernelState {
     pub(crate) now: Time,
     pub(crate) running: Option<JobId>,
-    /// Incremented on every dispatch; stale completion events are detected by
-    /// epoch mismatch.
-    pub(crate) epoch: u64,
     pub(crate) slice_start: Time,
     /// The running job's remaining workload at `slice_start`.
     pub(crate) slice_rem: f64,
+    /// The completion slot: when the running job finishes. One processor
+    /// runs at most one job, so this is the one live completion; the queue
+    /// never holds one. Meaningless while `running` is `None`.
+    pub(crate) done_at: Time,
     pub(crate) value: f64,
     pub(crate) preemptions: usize,
     pub(crate) dispatches: usize,
@@ -108,9 +109,9 @@ impl KernelState {
         KernelState {
             now: Time::ZERO,
             running: None,
-            epoch: 0,
             slice_start: Time::ZERO,
             slice_rem: 0.0,
+            done_at: Time::ZERO,
             value: 0.0,
             preemptions: 0,
             dispatches: 0,
@@ -317,7 +318,16 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
                     );
                 }
             }
-            self.st.epoch += 1;
+        }
+    }
+
+    /// Vacates the running job before its completion came due. The
+    /// superseded completion counts as one processed event, so a drained
+    /// run counts one completion per dispatch.
+    fn supersede(&mut self) {
+        if self.st.running.is_some() {
+            self.st.events_processed += 1;
+            self.vacate();
         }
     }
 
@@ -395,18 +405,21 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
         self.apply(decision);
     }
 
-    /// Stamps a preemption trace event for the currently running job.
-    fn trace_preempt(&mut self) {
+    /// Takes the running job, if any, off the processor on a scheduler's
+    /// decision: counts and stamps the preemption and supersedes the job's
+    /// completion.
+    fn preempt(&mut self) {
+        let Some(cur) = self.st.running else { return };
+        self.st.preemptions += 1;
         if self.tracer.enabled() {
-            if let Some(cur) = self.st.running {
-                self.tracer.record(&TraceEvent::Preempt {
-                    t: self.st.now,
-                    job: cur,
-                    remaining: self.ws.remaining[cur.index()],
-                });
-                self.trace_provenance(DecisionAction::Preempt, cur, 0);
-            }
+            self.tracer.record(&TraceEvent::Preempt {
+                t: self.st.now,
+                job: cur,
+                remaining: self.ws.remaining[cur.index()],
+            });
+            self.trace_provenance(DecisionAction::Preempt, cur, 0);
         }
+        self.supersede();
     }
 
     /// Stamps a kernel-side decision-provenance event, filling in the
@@ -560,13 +573,7 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
     fn apply(&mut self, decision: Decision) {
         match decision {
             Decision::Continue => {}
-            Decision::Idle => {
-                if self.st.running.is_some() {
-                    self.st.preemptions += 1;
-                    self.trace_preempt();
-                    self.vacate();
-                }
-            }
+            Decision::Idle => self.preempt(),
             Decision::Run(j) => {
                 if self.st.running == Some(j) {
                     return;
@@ -574,11 +581,7 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
                 let i = j.index();
                 assert!(self.ws.released(i), "scheduler dispatched unreleased {j}");
                 assert!(!self.ws.resolved(i), "scheduler dispatched resolved {j}");
-                if self.st.running.is_some() {
-                    self.st.preemptions += 1;
-                    self.trace_preempt();
-                    self.vacate();
-                }
+                self.preempt();
                 if self.tracer.enabled() {
                     let ev = if self.ws.started(i) {
                         TraceEvent::Resume {
@@ -596,29 +599,53 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
                 }
                 self.ws.set_flag(i, flag::STARTED, true);
                 self.st.running = Some(j);
-                self.st.epoch += 1;
                 self.st.slice_start = self.st.now;
                 self.st.slice_rem = self.ws.remaining[i];
-                self.st.dispatches += 1;
-                let done_at = self
+                self.st.done_at = self
                     .capacity
                     .time_to_complete(self.st.now, self.st.slice_rem);
-                self.ws.queue.push(
-                    done_at,
-                    EventKind::Completion {
-                        job: j,
-                        epoch: self.st.epoch,
-                    },
-                );
+                self.st.dispatches += 1;
             }
         }
     }
 
-    /// Processes one popped event: advances the clock, counts it, and
-    /// executes its arm. The single code path behind both the batch drain
+    /// Processes the next event if it is ready at `until`: the running
+    /// job's completion or the queue head, whichever comes first. The
+    /// completion sits after a co-timed capacity marker and before every
+    /// other co-timed kind. Ready means strictly before `until`, or at
+    /// `until` for a capacity marker, the completion or a timer: everything
+    /// batch order places before a release there. Returns `false` when
+    /// nothing is ready. The single code path behind both the batch drain
     /// and the streaming service's bounded pumps — which is what makes an
-    /// interleaved (pump/seed/pump) run produce the same event sequence as a
-    /// batch run over the same admitted job set.
+    /// interleaved (pump/seed/pump) run produce the same event sequence as
+    /// a batch run over the same admitted job set.
+    fn step_next<S: Scheduler + ?Sized>(&mut self, scheduler: &mut S, until: Time) -> bool {
+        let slot = self.st.running.map(|job| (self.st.done_at, job));
+        let ready = |ev: &Event| {
+            let before_slot = slot.map_or(true, |(t, _)| {
+                ev.time < t || (ev.time == t && ev.kind == EventKind::CapacityChange)
+            });
+            before_slot
+                && (ev.time < until
+                    || (ev.time == until
+                        && matches!(ev.kind, EventKind::CapacityChange | EventKind::Timer { .. })))
+        };
+        if let Some(ev) = self.ws.queue.pop_if(ready) {
+            self.step(scheduler, ev);
+        } else if let Some((t, job)) = slot.filter(|&(t, _)| t <= until) {
+            self.advance_to(t);
+            self.st.events_processed += 1;
+            self.vacate();
+            self.complete(job);
+            self.dispatch_handler(scheduler, |s, ctx| s.on_completion(ctx, job));
+        } else {
+            return false;
+        }
+        true
+    }
+
+    /// Processes one popped event: advances the clock, counts it, and
+    /// executes its arm.
     fn step<S: Scheduler + ?Sized>(&mut self, scheduler: &mut S, ev: Event) {
         self.advance_to(ev.time);
         // Capacity-segment markers are trace bookkeeping, not kernel
@@ -640,14 +667,6 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
                 self.st.capacity_armed = false;
                 self.arm_capacity();
                 self.watch_capacity(scheduler);
-            }
-            EventKind::Completion { job, epoch } => {
-                if self.st.running != Some(job) || epoch != self.st.epoch {
-                    return; // stale: the job was preempted since
-                }
-                self.vacate();
-                self.complete(job);
-                self.dispatch_handler(scheduler, |s, ctx| s.on_completion(ctx, job));
             }
             EventKind::Timer { job, token } => {
                 if self.ws.resolved(job.index()) || !self.ws.released(job.index()) {
@@ -721,9 +740,8 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
                 if self.ws.resolved(job.index()) {
                     return;
                 }
-                let was_running = self.st.running == Some(job);
-                if was_running {
-                    self.vacate();
+                if self.st.running == Some(job) {
+                    self.supersede();
                 }
                 let i = job.index();
                 // A still-quarantined job is invisible to the scheduler
@@ -779,43 +797,26 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
         }
     }
 
-    /// Processes every event strictly before `until`, plus co-timed events
-    /// that batch ordering places before a release at `until` (capacity
-    /// markers, completions and timers — see `EventKind::priority`). Every
-    /// run shape pumps to a job's release and then seeds the job, so the
-    /// queue never needs a job's events before its release instant.
+    /// Processes every event strictly before `until`, plus the co-timed
+    /// events that batch ordering places before a release at `until`:
+    /// capacity markers, the running job's completion and timers. Every run
+    /// shape pumps to a job's release and then seeds the job, so the queue
+    /// never needs a job's events before its release instant.
     ///
     /// The pump first arms the capacity-marker chain up to `until`: the
     /// horizon does not yet cover the job about to be seeded, and without
-    /// markers a stale completion or timer could carry the clock across an
-    /// idle-gap boundary that would then be neither stamped nor probed.
+    /// markers a timer could carry the clock across an idle-gap boundary
+    /// that would then be neither stamped nor probed.
     pub(crate) fn pump_ready<S: Scheduler + ?Sized>(&mut self, scheduler: &mut S, until: Time) {
         self.pump_until = until;
         self.arm_capacity();
-        while self.st.aborted.is_none() {
-            let ready = |ev: &Event| {
-                ev.time < until
-                    || (ev.time == until
-                        && matches!(
-                            ev.kind,
-                            EventKind::CapacityChange
-                                | EventKind::Completion { .. }
-                                | EventKind::Timer { .. }
-                        ))
-            };
-            let Some(ev) = self.ws.queue.pop_if(ready) else {
-                break;
-            };
-            self.step(scheduler, ev);
-        }
+        while self.st.aborted.is_none() && self.step_next(scheduler, until) {}
     }
 
-    /// Runs the event loop to completion (or abort).
+    /// Runs the event loop to completion (or abort). Deadlines are finite,
+    /// so every event is ready at `Time::NEVER`.
     fn drain<S: Scheduler + ?Sized>(&mut self, scheduler: &mut S) {
-        while self.st.aborted.is_none() {
-            let Some(ev) = self.ws.queue.pop() else { break };
-            self.step(scheduler, ev);
-        }
+        while self.st.aborted.is_none() && self.step_next(scheduler, Time::NEVER) {}
     }
 
     /// Drains all remaining events and builds the final report.
@@ -1159,7 +1160,7 @@ mod tests {
     }
 
     #[test]
-    fn preemption_produces_stale_completion_and_correct_resume() {
+    fn preemption_supersedes_the_completion_and_resumes_correctly() {
         // Job 0 (p=4) starts at 0; job 1 (p=1) released at 1 preempts (LIFO);
         // job 0 is NOT resumed by this scheduler, so it misses; job 1 done at 2.
         let jobs = JobSet::from_tuples(&[(0.0, 10.0, 4.0, 1.0), (1.0, 10.0, 1.0, 2.0)]).unwrap();

@@ -1,5 +1,11 @@
 //! Kernel events and the deterministic event queue.
 //!
+//! The queue holds timers, releases, deadlines and capacity markers. It
+//! never holds a completion: one processor runs at most one job, so the
+//! kernel keeps the one live completion in a slot of its own and compares
+//! it with the queue head (see `EventKind::priority`). A preemption
+//! overwrites the slot instead of leaving a dead event behind.
+//!
 //! The queue is a *calendar queue* (a bucketed timing wheel with a heap
 //! fallback), not a plain binary heap: near-future events live in an array
 //! of time buckets scanned by a cursor, far-future and non-finite events
@@ -22,17 +28,10 @@ use cloudsched_core::{JobId, Time};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// What happened.
+/// What happened. Completions are not queued events: the kernel keeps the
+/// running job's completion in a slot of its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
-    /// The currently running job (as of epoch `epoch`) finishes its workload.
-    Completion {
-        /// The job that completes.
-        job: JobId,
-        /// Dispatch epoch; a mismatch with the kernel's current epoch marks
-        /// the event stale (the job was preempted in between).
-        epoch: u64,
-    },
     /// A scheduler-requested timer (e.g. a zero-conservative-laxity
     /// interrupt) fires for `job`.
     Timer {
@@ -59,18 +58,18 @@ pub enum EventKind {
 
 impl EventKind {
     /// Processing priority at equal timestamps. Capacity-segment markers go
-    /// first so the trace shows the new rate before any co-timed activity;
-    /// completions are handled before deadlines so that a job finishing
-    /// *exactly at* its deadline counts as completed ("completing a job
-    /// **by** its deadline"), and before releases so queues are in a
-    /// settled state when new work arrives.
+    /// first so the trace shows the new rate before any co-timed activity.
+    /// The kernel's completion slot comes next, between markers and timers:
+    /// before deadlines so that a job finishing *exactly at* its deadline
+    /// counts as completed ("completing a job **by** its deadline"), and
+    /// before releases so queues are in a settled state when new work
+    /// arrives.
     fn priority(&self) -> u8 {
         match self {
             EventKind::CapacityChange => 0,
-            EventKind::Completion { .. } => 1,
-            EventKind::Timer { .. } => 2,
-            EventKind::Release { .. } => 3,
-            EventKind::Deadline { .. } => 4,
+            EventKind::Timer { .. } => 1,
+            EventKind::Release { .. } => 2,
+            EventKind::Deadline { .. } => 3,
         }
     }
 }
@@ -541,13 +540,6 @@ mod tests {
         q.push(t(5.0), EventKind::Release { job: JobId(1) });
         q.push(
             t(5.0),
-            EventKind::Completion {
-                job: JobId(2),
-                epoch: 0,
-            },
-        );
-        q.push(
-            t(5.0),
             EventKind::Timer {
                 job: JobId(3),
                 token: 0,
@@ -557,13 +549,12 @@ mod tests {
         let kinds: Vec<u8> = std::iter::from_fn(|| q.pop())
             .map(|e| match e.kind {
                 EventKind::CapacityChange => 0,
-                EventKind::Completion { .. } => 1,
-                EventKind::Timer { .. } => 2,
-                EventKind::Release { .. } => 3,
-                EventKind::Deadline { .. } => 4,
+                EventKind::Timer { .. } => 1,
+                EventKind::Release { .. } => 2,
+                EventKind::Deadline { .. } => 3,
             })
             .collect();
-        assert_eq!(kinds, vec![0, 1, 2, 3, 4]);
+        assert_eq!(kinds, vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -627,9 +618,9 @@ mod tests {
         q.push(t(1.0), EventKind::Release { job: JobId(2) });
         q.push(
             t(1.0),
-            EventKind::Completion {
+            EventKind::Timer {
                 job: JobId(3),
-                epoch: 4,
+                token: 4,
             },
         );
         let (image, next_seq) = q.snapshot();
@@ -679,17 +670,13 @@ mod tests {
     }
 
     fn arbitrary_kind(r: u64) -> EventKind {
-        match r % 5 {
+        match r % 4 {
             0 => EventKind::CapacityChange,
-            1 => EventKind::Completion {
-                job: JobId(r % 11),
-                epoch: r % 3,
-            },
-            2 => EventKind::Timer {
+            1 => EventKind::Timer {
                 job: JobId(r % 11),
                 token: r % 7,
             },
-            3 => EventKind::Release { job: JobId(r % 11) },
+            2 => EventKind::Release { job: JobId(r % 11) },
             _ => EventKind::Deadline { job: JobId(r % 11) },
         }
     }

@@ -146,9 +146,9 @@ pub(crate) fn encode(
     for (i, field) in [
         Kernel::Hex(st.now.as_f64()),
         Kernel::Running(st.running),
-        Kernel::Int(st.epoch),
         Kernel::Hex(st.slice_start.as_f64()),
         Kernel::Hex(st.slice_rem),
+        Kernel::Hex(st.done_at.as_f64()),
         Kernel::Hex(st.value),
         Kernel::Int(st.preemptions as u64),
         Kernel::Int(st.dispatches as u64),
@@ -184,7 +184,6 @@ pub(crate) fn encode(
             out.push(',');
         }
         let (code, a, b) = match *kind {
-            EventKind::Completion { job, epoch } => ('C', job.0, epoch),
             EventKind::Timer { job, token } => ('T', job.0, token),
             EventKind::Release { job } => ('R', job.0, 0),
             EventKind::Deadline { job } => ('D', job.0, 0),
@@ -401,9 +400,9 @@ fn decode(blob: &str, line: usize) -> Result<SnapshotImage<'_>, CoreError> {
             "-" => None,
             id => Some(JobId(parse_uint(id, "running job id", line)?)),
         },
-        epoch: parse_uint(f(), "epoch", line)?,
         slice_start: parse_time(f(), "slice_start", line)?,
         slice_rem: parse_f64(f(), "slice_rem", line)?,
+        done_at: parse_time(f(), "done_at", line)?,
         value: parse_f64(f(), "value", line)?,
         preemptions: parse_uint(f(), "preemptions", line)?,
         dispatches: parse_uint(f(), "dispatches", line)?,
@@ -449,10 +448,6 @@ fn decode(blob: &str, line: usize) -> Result<SnapshotImage<'_>, CoreError> {
             let b: u64 = parse_uint(f[3], "event field", line)?;
             let seq: u64 = parse_uint(f[4], "event seq", line)?;
             let kind = match f[1] {
-                "C" => EventKind::Completion {
-                    job: JobId(a),
-                    epoch: b,
-                },
                 "T" => EventKind::Timer {
                     job: JobId(a),
                     token: b,
@@ -593,13 +588,6 @@ mod tests {
         }
         ws.queue.push(
             Time::new(1.5),
-            EventKind::Completion {
-                job: JobId(1),
-                epoch: 7,
-            },
-        );
-        ws.queue.push(
-            Time::new(1.5),
             EventKind::Timer {
                 job: JobId(0),
                 token: 42,
@@ -622,8 +610,9 @@ mod tests {
         let mut st = crate::engine::KernelState::new(crate::RunOptions::lean(), 1.0, 2.0);
         st.now = Time::new(1.25);
         st.running = Some(JobId(1));
-        st.epoch = 7;
         st.slice_start = Time::new(1.0);
+        st.slice_rem = 2.75;
+        st.done_at = Time::new(1.5);
         st.value = 12.5;
         st.preemptions = 3;
         st.dispatches = 5;
@@ -790,7 +779,7 @@ mod tests {
     #[test]
     fn older_snapshot_versions_are_rejected_by_name() {
         // csnap1 carried full tables; csnap2 had no `slice_rem` and queued
-        // epoch-tagged completions.
+        // one completion event per dispatch.
         let csnap1 = "csnap1;0000000000000000,-,0,0000000000000000,0000000000000000,0,0,0,0,\
                       0000000000000000,0,0000000000000000,0,0000000000000000,0,\
                       3ff0000000000000,3ff0000000000000;;0;;,,,,;;;dover1|I|7ff0000000000000||||";
