@@ -1142,7 +1142,10 @@ fn entry_point_digests() -> Vec<(String, u64)> {
 /// the `tie/` rows were recorded on the kernel that pushed every job's
 /// Release and Deadline before the first pop. The traced rows and the
 /// V-Dover watchdog rows were re-pinned when job progress became a
-/// function of the slice's ends.
+/// function of the slice's ends, and the `Strict` rows when the kernel
+/// began to count a superseded completion at once rather than when its
+/// stale event was popped: an aborted run never popped the stale events
+/// due after the abort.
 const ENTRY_POINT_PINNED: &[(&str, u64)] = &[
     ("edf/plain", 0x59472d1938036ad1),
     ("edf/ws-fresh", 0x59472d1938036ad1),
@@ -1154,12 +1157,12 @@ const ENTRY_POINT_PINNED: &[(&str, u64)] = &[
     ("edf/profiler-off", 0x59472d1938036ad1),
     ("edf/profiler-jsonl", 0xd237b7ac7069bb12),
     ("edf/metrics", 0x8be840521a788830),
-    ("edf/watchdog-jsonl-Strict-Absent", 0x520638e4c4136963),
-    ("edf/watchdog-silent-Strict-Absent", 0xa443744a2b8465dd),
-    ("edf/watchdog-jsonl-Strict-True", 0x520638e4c4136963),
-    ("edf/watchdog-silent-Strict-True", 0xa443744a2b8465dd),
-    ("edf/watchdog-jsonl-Strict-Faulty", 0x9f00af6127a6713d),
-    ("edf/watchdog-silent-Strict-Faulty", 0x4a022fc098773abe),
+    ("edf/watchdog-jsonl-Strict-Absent", 0x9ccdb936ccc7088d),
+    ("edf/watchdog-silent-Strict-Absent", 0x1733187cb555d7e7),
+    ("edf/watchdog-jsonl-Strict-True", 0x9ccdb936ccc7088d),
+    ("edf/watchdog-silent-Strict-True", 0x1733187cb555d7e7),
+    ("edf/watchdog-jsonl-Strict-Faulty", 0x9ba54525ff80c862),
+    ("edf/watchdog-silent-Strict-Faulty", 0xc5bc396f9da1e612),
     ("edf/watchdog-jsonl-Degrade-Absent", 0x2ce96458e61b10cc),
     ("edf/watchdog-silent-Degrade-Absent", 0x7cb8fd13f899234d),
     ("edf/watchdog-jsonl-Degrade-True", 0x2ce96458e61b10cc),
@@ -1182,12 +1185,12 @@ const ENTRY_POINT_PINNED: &[(&str, u64)] = &[
     ("dover/profiler-off", 0xed905c23648bb61f),
     ("dover/profiler-jsonl", 0x32c422a83f53ea4e),
     ("dover/metrics", 0x2777895f1425b372),
-    ("dover/watchdog-jsonl-Strict-Absent", 0x3160bde311ea5a70),
-    ("dover/watchdog-silent-Strict-Absent", 0x4833353d457ac334),
-    ("dover/watchdog-jsonl-Strict-True", 0x3160bde311ea5a70),
-    ("dover/watchdog-silent-Strict-True", 0x4833353d457ac334),
-    ("dover/watchdog-jsonl-Strict-Faulty", 0xc9b93a4219584bce),
-    ("dover/watchdog-silent-Strict-Faulty", 0x576e2e8356ad2b16),
+    ("dover/watchdog-jsonl-Strict-Absent", 0x7e9caa2ce1eb90cb),
+    ("dover/watchdog-silent-Strict-Absent", 0xa8e5573fa3f45a22),
+    ("dover/watchdog-jsonl-Strict-True", 0x7e9caa2ce1eb90cb),
+    ("dover/watchdog-silent-Strict-True", 0xa8e5573fa3f45a22),
+    ("dover/watchdog-jsonl-Strict-Faulty", 0x60803041ed8739ff),
+    ("dover/watchdog-silent-Strict-Faulty", 0xf76677916bc18608),
     ("dover/watchdog-jsonl-Degrade-Absent", 0x7bdcd32e2e890d59),
     ("dover/watchdog-silent-Degrade-Absent", 0x55530a7b32336e0f),
     ("dover/watchdog-jsonl-Degrade-True", 0x7bdcd32e2e890d59),
@@ -1216,12 +1219,12 @@ const ENTRY_POINT_PINNED: &[(&str, u64)] = &[
     ("vdover/profiler-off", 0x2ba7993e56cb39d3),
     ("vdover/profiler-jsonl", 0xbfb334a38848a8cd),
     ("vdover/metrics", 0x1f4c3ebb6c11fa1e),
-    ("vdover/watchdog-jsonl-Strict-Absent", 0x6527ceff96454e5a),
-    ("vdover/watchdog-silent-Strict-Absent", 0xa0109b68dcaebc25),
-    ("vdover/watchdog-jsonl-Strict-True", 0x6527ceff96454e5a),
-    ("vdover/watchdog-silent-Strict-True", 0xa0109b68dcaebc25),
-    ("vdover/watchdog-jsonl-Strict-Faulty", 0xc93f1a1fb279f0f4),
-    ("vdover/watchdog-silent-Strict-Faulty", 0x2693d00cdc4a7852),
+    ("vdover/watchdog-jsonl-Strict-Absent", 0xe160973aacdc0ebc),
+    ("vdover/watchdog-silent-Strict-Absent", 0x644f68345fc3d7d2),
+    ("vdover/watchdog-jsonl-Strict-True", 0xe160973aacdc0ebc),
+    ("vdover/watchdog-silent-Strict-True", 0x644f68345fc3d7d2),
+    ("vdover/watchdog-jsonl-Strict-Faulty", 0x410509e5cef5873e),
+    ("vdover/watchdog-silent-Strict-Faulty", 0xce29dca2b3933e98),
     ("vdover/watchdog-jsonl-Degrade-Absent", 0xd793b60972665081),
     ("vdover/watchdog-silent-Degrade-Absent", 0x9de1bdb879f206ff),
     ("vdover/watchdog-jsonl-Degrade-True", 0xd793b60972665081),
@@ -1248,17 +1251,17 @@ const ENTRY_POINT_PINNED: &[(&str, u64)] = &[
     ),
     ("tie/edf/plain", 0x9a0c9cbf07f47ec2),
     ("tie/edf/jsonl", 0xb15fdca7062fc441),
-    ("tie/edf/watchdog-Strict", 0x298096c32dfca3dd),
+    ("tie/edf/watchdog-Strict", 0x8cc8f7eff255c334),
     ("tie/edf/watchdog-Degrade", 0xc04474e2e9a5d35f),
     ("tie/edf/watchdog-BestEffort", 0xacdcbc11bdcd6afa),
     ("tie/dover/plain", 0x65a7b55fc6d131d7),
     ("tie/dover/jsonl", 0x317ce05f57d25845),
-    ("tie/dover/watchdog-Strict", 0xfbd1ae03b230e840),
+    ("tie/dover/watchdog-Strict", 0xafca06d894b1d128),
     ("tie/dover/watchdog-Degrade", 0xfbd1565925eda5c9),
     ("tie/dover/watchdog-BestEffort", 0xca619957d5f8f025),
     ("tie/vdover/plain", 0x730fd50bda225848),
     ("tie/vdover/jsonl", 0x102ecd1f8f320b70),
-    ("tie/vdover/watchdog-Strict", 0x33bd51d7fdb139df),
+    ("tie/vdover/watchdog-Strict", 0x6edb90464798a060),
     ("tie/vdover/watchdog-Degrade", 0x043dbbab9a828e92),
     ("tie/vdover/watchdog-BestEffort", 0xcc04bc62efa1ca4c),
 ];

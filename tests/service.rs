@@ -714,17 +714,17 @@ fn serve_outputs_outside_snapshots_match_the_pinned_digests() {
 fn serve_outputs_match_the_pinned_reference_digests() {
     const PINNED: [(usize, &str, u64); 12] = [
         (1, "strict", 0x3319_670c_8f09_6472),
-        (1, "degrade", 0x3966_9fbc_5847_d95b),
-        (1, "best-effort", 0x60f5_c9c2_c09b_01b1),
+        (1, "degrade", 0x1d83_521a_5052_6135),
+        (1, "best-effort", 0x7523_2dcb_d5e5_c2bc),
         (2, "strict", 0xa720_c01c_6e7d_efd6),
-        (2, "degrade", 0x7ec1_ae07_27e9_c660),
-        (2, "best-effort", 0xbab9_0232_2614_0b5c),
-        (12, "strict", 0x29c9_c85f_a681_1e29),
-        (12, "degrade", 0x69c5_2435_1fe4_d76f),
-        (12, "best-effort", 0xc518_1477_d64f_42c9),
-        (usize::MAX, "strict", 0xb65f_4290_00bf_4e33),
-        (usize::MAX, "degrade", 0x4dfd_291f_5af8_e0e9),
-        (usize::MAX, "best-effort", 0xa9b7_9b08_060f_ad2b),
+        (2, "degrade", 0xaf6a_068e_696d_84d4),
+        (2, "best-effort", 0x9d7c_1d7d_93b3_4623),
+        (12, "strict", 0x0ee8_8c58_1add_99f7),
+        (12, "degrade", 0x519a_c625_b8e0_ebf6),
+        (12, "best-effort", 0xeeaf_b16e_940e_caa4),
+        (usize::MAX, "strict", 0x6f7a_2556_ef28_cea5),
+        (usize::MAX, "degrade", 0xe64d_1f99_6570_bbf7),
+        (usize::MAX, "best-effort", 0xf99d_9c36_51dc_0ed2),
     ];
     let actual = pinned_cell_digests(&PINNED, |_| true);
     assert_eq!(
