@@ -1281,3 +1281,89 @@ fn entry_point_digests_match_the_pinned_oracle() {
         assert_eq!(digest, want, "{label}: digest drifted");
     }
 }
+
+// ---------------------------------------------------------------------------
+// Extra visits change no bit
+// ---------------------------------------------------------------------------
+
+/// An instance on which the set of visited instants matters: releases and
+/// windows on a quarter-unit grid (co-timed releases, co-timed deadlines,
+/// deadlines on releases), ids a seeded shuffle of release order,
+/// off-grid workloads, and a two-state capacity that switches every 0.15
+/// time units on average, so most slices span several boundaries.
+fn visit_instance(seed: u64) -> Instance {
+    const N: usize = 40;
+    let mut rng = Pcg32::seed_from_u64(seed ^ 0x0715_17ed);
+    let mut release = 0usize;
+    let mut tuples = Vec::with_capacity(N);
+    for _ in 0..N {
+        release += [0, 0, 1, 2, 4][rng.next_index(5)];
+        let window = 2 + rng.next_index(12);
+        let workload = exponential(&mut rng, 0.8).max(1e-3);
+        let value = workload * uniform(&mut rng, 1.0, 7.0);
+        tuples.push((release, release + window, workload, value));
+    }
+    let mut ids: Vec<u64> = (0..N as u64).collect();
+    for i in (1..N).rev() {
+        ids.swap(i, rng.next_index(i + 1));
+    }
+    let quarter = |q: usize| Time::new(q as f64 * 0.25);
+    let jobs = tuples
+        .iter()
+        .zip(&ids)
+        .map(|(&(r, d, p, v), &id)| {
+            Job::new(JobId(id), quarter(r), quarter(d), p, v)
+                .expect("grid jobs have positive workloads and windows")
+        })
+        .collect();
+    let jobs = JobSet::new(jobs).expect("shuffled ids are a permutation of 0..N");
+    let span = jobs.last_deadline().as_f64() + 1.0;
+    let capacity = CtmcCapacity::two_state(1.0, 3.0, 0.15)
+        .expect("CTMC bounds are positive and ordered")
+        .sample(&mut rng, span)
+        .expect("sampled trace covers the span");
+    Instance::new(jobs, capacity)
+}
+
+/// Extra visits change no bit. A JSONL tracer arms a capacity marker at
+/// every boundary, so the traced run visits instants inside the running
+/// job's slice that the plain, the profiled and the reused-workspace runs
+/// skip. Progress is a function of the slice's two ends, so every report —
+/// counters, value sums, per-job outcomes, schedule and trajectory — is
+/// bit-identical across the four shapes, for every scheduler.
+#[test]
+fn extra_visits_change_no_bit() {
+    use cloudsched_obs::{JsonlTracer, Profiler};
+    let mut ws = SimWorkspace::new();
+    for seed in 0..16u64 {
+        let instance = visit_instance(seed);
+        let (jobs, cap) = (&instance.jobs, &instance.capacity);
+        let (c_lo, c_hi) = cap.bounds();
+        for name in SCHEDULER_NAMES {
+            let sched = || by_name(name, 7.0, 5.0, c_lo, c_hi).expect("roster scheduler builds");
+            let run = || Run::new(jobs, cap, RunOptions::full());
+            let plain = run().run(sched().as_mut());
+            let mut sink = JsonlTracer::new(Vec::new());
+            let traced = run().tracer(&mut sink).run(sched().as_mut());
+            let trace = String::from_utf8(sink.finish().expect("in-memory sink"))
+                .expect("JSONL traces are UTF-8");
+            let markers = trace.matches("\"ev\":\"capacity\"").count();
+            assert!(markers > 40, "seed {seed}: only {markers} capacity markers");
+            let profiler = Profiler::deterministic();
+            let profiled = run().profiler(&profiler).run(sched().as_mut());
+            let reused = run().workspace(&mut ws).run(sched().as_mut());
+            let want = fold_report(FNV_OFFSET, &plain, jobs);
+            for (shape, report) in [
+                ("jsonl", &traced),
+                ("profiled", &profiled),
+                ("reused", &reused),
+            ] {
+                assert_eq!(
+                    fold_report(FNV_OFFSET, report, jobs),
+                    want,
+                    "seed {seed} {name}: the {shape} run differs from the plain run"
+                );
+            }
+        }
+    }
+}
