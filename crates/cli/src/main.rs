@@ -1039,7 +1039,7 @@ fn cmd_recover(args: &Args) -> Result<(), CliError> {
         .map_err(|e| e.to_string())?;
     eprintln!(
         "recovered from {journal_path}: scheduler {}, {} journaled arrivals",
-        header.scheduler, outcome.arrivals_applied
+        header.scheduler, outcome.journaled_arrivals
     );
     finish_service_outcome(&outcome)
 }

@@ -238,6 +238,9 @@ pub struct ServiceOutcome {
     pub jobs: JobSet,
     /// Arrivals whose effects were applied before the run ended.
     pub arrivals_applied: u64,
+    /// Arrival records [`recover`] read from the journal; the rest of
+    /// `arrivals_applied` came from the stream. Always 0 for [`serve`].
+    pub journaled_arrivals: u64,
     /// `true` when a seeded crash point stopped the run.
     pub crashed: bool,
     /// The typed error a `Strict` policy aborted with, if any.
@@ -821,6 +824,7 @@ impl<'a, P: CapacityProfile> Core<'a, P> {
             decisions: self.decisions,
             jobs: set,
             arrivals_applied,
+            journaled_arrivals: 0,
             crashed: self.crashed,
             aborted: self.aborted,
             snapshot_unsupported: self.snapshot_unsupported,
@@ -1104,6 +1108,7 @@ pub fn recover<P: CapacityProfile>(
 
     // Journaled arrivals first, then the stream's arrivals the journal
     // never saw.
+    let journaled_arrivals = parsed.arrivals.len() as u64;
     let arrivals = (start_seq..).map_while(|seq| {
         // Sequence numbers index the in-memory arrival stream.
         #[allow(clippy::cast_possible_truncation)]
@@ -1113,7 +1118,11 @@ pub fn recover<P: CapacityProfile>(
             .or_else(|| stream_arrivals.get(seq as usize))?;
         Some((seq, *a, parsed.decisions.get(&seq)))
     });
-    core.run(scheduler, &mut wal, arrivals)
+    let outcome = core.run(scheduler, &mut wal, arrivals)?;
+    Ok(ServiceOutcome {
+        journaled_arrivals,
+        ..outcome
+    })
 }
 
 #[cfg(test)]

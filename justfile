@@ -188,13 +188,15 @@ bench-diff tol="50":
 # checked-in golden stream to completion, then serve it again with a seeded
 # crash mid-stream and recover from the journal — both the uninterrupted
 # and the recovered ledger + commitment audit must match the checked-in
-# golden byte-for-byte.
+# golden byte-for-byte, and `recover` must report the 18 arrivals the
+# crashed run journaled.
 serve-smoke:
     cargo run --release -p cloudsched-cli -- serve --in tests/golden/stream_small.jsonl --scheduler vdover --k 7 --snapshot-every 8 --journal /tmp/serve-smoke-full.wal > /tmp/serve-smoke-full.txt
     diff -u tests/golden/serve_stream_small.txt /tmp/serve-smoke-full.txt
     cargo run --release -p cloudsched-cli -- serve --in tests/golden/stream_small.jsonl --scheduler vdover --k 7 --snapshot-every 8 --journal /tmp/serve-smoke-crash.wal --crash-after 17
-    cargo run --release -p cloudsched-cli -- recover --journal /tmp/serve-smoke-crash.wal --in tests/golden/stream_small.jsonl > /tmp/serve-smoke-recovered.txt
+    cargo run --release -p cloudsched-cli -- recover --journal /tmp/serve-smoke-crash.wal --in tests/golden/stream_small.jsonl > /tmp/serve-smoke-recovered.txt 2> /tmp/serve-smoke-recover.err
     diff -u tests/golden/serve_stream_small.txt /tmp/serve-smoke-recovered.txt
+    grep -F "vdover, 18 journaled arrivals" /tmp/serve-smoke-recover.err
 
 # Serve scale gate (mirrors the CI step): a deterministic 1e5-arrival λ=8
 # stream through `serve` must finish within 60 s with no journal and again

@@ -232,6 +232,8 @@ fn crash_sweep_on(instance: &Instance, cfg: &ServiceConfig) -> Vec<ServiceDecisi
         let recovered = recover(&instance.capacity, fresh.as_mut(), &tail, &stream).unwrap();
 
         assert!(!recovered.crashed && recovered.aborted.is_none());
+        assert_eq!(recovered.journaled_arrivals, crash_at + 1);
+        assert_eq!(recovered.arrivals_applied, n);
         assert_eq!(
             ledger_render(&recovered.events, &recovered.jobs),
             golden_ledger,
