@@ -88,14 +88,6 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Empirical CDF evaluated at `x`: fraction of samples `<= x`.
-pub fn ecdf(samples: &[f64], x: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.iter().filter(|&&s| s <= x).count() as f64 / samples.len() as f64
-}
-
 /// Welford online accumulator — lets the parallel harness merge partial
 /// results without storing every sample.
 #[derive(Debug, Clone, Copy, Default)]
@@ -208,17 +200,13 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_and_ecdf() {
+    fn percentiles() {
         let xs = [4.0, 1.0, 3.0, 2.0, 5.0];
         assert_eq!(percentile(&xs, 0.0), 1.0);
         assert_eq!(percentile(&xs, 1.0), 5.0);
         assert_eq!(percentile(&xs, 0.5), 3.0);
         assert!((percentile(&xs, 0.25) - 2.0).abs() < 1e-12);
         assert!((percentile(&xs, 0.125) - 1.5).abs() < 1e-12); // interpolated
-        assert_eq!(ecdf(&xs, 2.5), 0.4);
-        assert_eq!(ecdf(&xs, 5.0), 1.0);
-        assert_eq!(ecdf(&xs, 0.0), 0.0);
-        assert_eq!(ecdf(&[], 1.0), 0.0);
     }
 
     #[test]

@@ -105,21 +105,6 @@ pub fn fnum(x: f64, prec: usize) -> String {
     format!("{x:.prec$}")
 }
 
-/// Emits an `(x, series...)` dataset as CSV — used for Figure 1 style curves.
-pub fn series_csv(x_name: &str, series_names: &[&str], points: &[(f64, Vec<f64>)]) -> String {
-    let mut t = Table::new(
-        std::iter::once(x_name.to_string())
-            .chain(series_names.iter().map(|s| s.to_string()))
-            .collect::<Vec<_>>(),
-    );
-    for (x, ys) in points {
-        let mut row = vec![fnum(*x, 6)];
-        row.extend(ys.iter().map(|y| fnum(*y, 6)));
-        t.push_row(row);
-    }
-    t.to_csv()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,18 +141,6 @@ mod tests {
     fn mismatched_row_panics() {
         let mut t = Table::new(vec!["a", "b"]);
         t.push_row(vec!["only-one"]);
-    }
-
-    #[test]
-    fn series_csv_layout() {
-        let csv = series_csv(
-            "t",
-            &["dover", "vdover"],
-            &[(0.0, vec![0.0, 0.0]), (1.0, vec![2.0, 3.0])],
-        );
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "t,dover,vdover");
-        assert!(lines[2].starts_with("1.000000,2.000000,3.000000"));
     }
 
     #[test]

@@ -137,17 +137,6 @@ impl StretchMap {
         let _span = profiler.span("stretch.forward");
         self.stretch_jobs(jobs)
     }
-
-    /// [`unstretch_schedule`](Self::unstretch_schedule) with a
-    /// `stretch.inverse` span recorded on `profiler`.
-    pub fn unstretch_schedule_profiled(
-        &self,
-        schedule: &Schedule,
-        profiler: &Profiler,
-    ) -> Result<Schedule, CoreError> {
-        let _span = profiler.span("stretch.inverse");
-        self.unstretch_schedule(schedule)
-    }
 }
 
 #[cfg(test)]
@@ -294,12 +283,7 @@ mod tests {
             assert_eq!(a.release, b.release);
             assert_eq!(a.deadline, b.deadline);
         }
-        let mut sched = Schedule::new();
-        sched.push(JobId(0), t(0.0), t(1.5)).unwrap();
-        let fwd = m.stretch_schedule(&sched).unwrap();
-        m.unstretch_schedule_profiled(&fwd, &prof).unwrap();
         assert_eq!(prof.stats("stretch.forward").unwrap().count, 1);
-        assert_eq!(prof.stats("stretch.inverse").unwrap().count, 1);
     }
 
     #[test]

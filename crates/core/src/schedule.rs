@@ -128,24 +128,6 @@ impl Schedule {
         self.slices.iter().map(|s| s.wall_time()).sum()
     }
 
-    /// Number of preemptions: context switches where a job's slice ends
-    /// without that job being finished *and* another slice follows. We count
-    /// conservatively as (slices of job) - 1 summed over jobs, i.e. how many
-    /// times execution of some job was split.
-    pub fn preemption_count(&self) -> usize {
-        use std::collections::BTreeMap;
-        let mut per_job: BTreeMap<JobId, usize> = BTreeMap::new();
-        for s in &self.slices {
-            *per_job.entry(s.job).or_insert(0) += 1;
-        }
-        per_job.values().map(|&n| n - 1).sum()
-    }
-
-    /// End of the last slice, or `None` if empty.
-    pub fn makespan_end(&self) -> Option<Time> {
-        self.slices.last().map(|s| s.end)
-    }
-
     /// Applies a strictly-increasing time map to every slice boundary
     /// (used by the stretch transformation of §III-A).
     pub fn map_time<F: Fn(Time) -> Time>(&self, f: F) -> Result<Schedule, CoreError> {
@@ -213,8 +195,6 @@ mod tests {
         assert_eq!(sched.wall_time_of(JobId(0)), 2.0);
         assert_eq!(sched.wall_time_of(JobId(1)), 2.0);
         assert_eq!(sched.busy_time(), 4.0);
-        assert_eq!(sched.preemption_count(), 1);
-        assert_eq!(sched.makespan_end(), Some(t(4.0)));
         assert_eq!(sched.slices_of(JobId(0)).count(), 2);
     }
 
@@ -250,7 +230,5 @@ mod tests {
         let sched = Schedule::new();
         assert!(sched.is_empty());
         assert_eq!(sched.busy_time(), 0.0);
-        assert_eq!(sched.preemption_count(), 0);
-        assert_eq!(sched.makespan_end(), None);
     }
 }
