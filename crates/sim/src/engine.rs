@@ -890,10 +890,11 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
 ///
 /// The kernel delivers release, completion-or-failure and timer interrupts
 /// in deterministic order (time, then kind, then job id for deadlines and
-/// FIFO otherwise) and integrates job progress exactly over the piecewise
-/// capacity profile. No attachment but
-/// the watchdog changes the run: a reused workspace, a trace sink or a
-/// profiler leave the report bit-identical to a bare run.
+/// FIFO otherwise). A job's progress is the capacity integral over its
+/// slice, taken from the slice's two ends, so it does not depend on which
+/// instants the loop visits in between. No attachment but the watchdog
+/// changes the run: a reused workspace, a trace sink or a profiler leave
+/// the report bit-identical to a bare run.
 pub struct Run<'a, P, T = NoopTracer> {
     jobs: &'a JobSet,
     capacity: &'a P,

@@ -42,7 +42,9 @@ pub struct RunReport {
     pub preemptions: usize,
     /// Number of dispatches (context switches onto the processor).
     pub dispatches: usize,
-    /// Number of kernel events processed.
+    /// Number of kernel events processed: releases, deadlines, timers and
+    /// one completion per dispatch, counted when it is delivered or
+    /// superseded. Capacity markers do not count.
     pub events: usize,
     /// The full execution schedule, if recording was enabled.
     pub schedule: Option<Schedule>,
