@@ -630,7 +630,8 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
                     || (ev.time == until
                         && matches!(ev.kind, EventKind::CapacityChange | EventKind::Timer { .. })))
         };
-        if let Some(ev) = self.ws.queue.pop_if(ready) {
+        let bound = slot.map_or(until, |(t, _)| t.min(until));
+        if let Some(ev) = self.ws.queue.pop_if(bound, ready) {
             self.step(scheduler, ev);
         } else if let Some((t, job)) = slot.filter(|&(t, _)| t <= until) {
             self.advance_to(t);

@@ -231,6 +231,19 @@ impl Calendar {
         Some(idx)
     }
 
+    /// Index of the last bucket that can hold a time at or before `t`, or
+    /// `usize::MAX` when such a time may wait in the overflow heap. By the
+    /// monotone bucket assignment, every bucket after it holds only later
+    /// times.
+    #[inline]
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    fn last_bucket_through(&self, t: f64) -> usize {
+        if !t.is_finite() || t >= self.limit {
+            return usize::MAX;
+        }
+        (((t - self.origin) / self.width) as usize).saturating_sub(self.base)
+    }
+
     #[inline]
     fn len(&self) -> usize {
         self.in_buckets + self.overflow.len()
@@ -333,10 +346,10 @@ impl Calendar {
         self.scratch = scratch;
     }
 
-    /// Advances `cursor` to the first non-empty bucket, if any.
+    /// Advances `cursor` to the first non-empty bucket up to `last`, if any.
     #[inline]
-    fn settle_cursor(&mut self) -> bool {
-        while self.cursor < self.buckets.len() {
+    fn settle_cursor(&mut self, last: usize) -> bool {
+        while self.cursor < self.buckets.len() && self.cursor <= last {
             if !self.buckets[self.cursor].is_empty() {
                 return true;
             }
@@ -346,10 +359,11 @@ impl Calendar {
         false
     }
 
-    /// Removes the earliest event if `ready` accepts it.
-    fn pop_if(&mut self, ready: impl FnOnce(&Event) -> bool) -> Option<Event> {
+    /// Removes the earliest event if `ready` accepts it; `ready` rejects
+    /// every event after `bound`, so the scan stops at `bound`'s bucket.
+    fn pop_if(&mut self, bound: f64, ready: impl FnOnce(&Event) -> bool) -> Option<Event> {
         loop {
-            if self.settle_cursor() {
+            if self.settle_cursor(self.last_bucket_through(bound)) {
                 if !self.sorted {
                     self.buckets[self.cursor].sort_unstable_by(|a, b| b.cmp(a));
                     self.sorted = true;
@@ -363,6 +377,10 @@ impl Calendar {
                 }
                 self.in_buckets -= 1;
                 return bucket.pop();
+            }
+            if self.cursor < self.buckets.len() {
+                // Every bucket through `bound`'s is empty.
+                return None;
             }
             // Window drained: refill from the overflow heap.
             match self.overflow.peek() {
@@ -426,14 +444,18 @@ impl EventQueue {
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<Event> {
-        self.calendar.pop_if(|_| true)
+        self.calendar.pop_if(f64::INFINITY, |_| true)
     }
 
     /// Removes and returns the earliest event if `ready` accepts it, and
     /// leaves the queue untouched otherwise — the kernel's pumps stop at
-    /// the first event that does not precede the next release.
-    pub fn pop_if(&mut self, ready: impl FnOnce(&Event) -> bool) -> Option<Event> {
-        self.calendar.pop_if(ready)
+    /// the first event that does not precede the next release or the
+    /// running job's completion. `ready` must reject every event after
+    /// `bound`: the search for the earliest event scans no bucket past
+    /// `bound`'s, so a pump whose next queued event lies far ahead does not
+    /// walk the empty buckets in between.
+    pub fn pop_if(&mut self, bound: Time, ready: impl FnOnce(&Event) -> bool) -> Option<Event> {
+        self.calendar.pop_if(bound.as_f64(), ready)
     }
 
     /// All pending events in pop order plus the live sequence counter — the
@@ -642,10 +664,27 @@ mod tests {
     fn pop_if_rejects_without_consuming() {
         let mut q = EventQueue::new();
         q.push(t(1.0), EventKind::Release { job: JobId(7) });
-        assert!(q.pop_if(|e| e.time < t(1.0)).is_none());
+        assert!(q.pop_if(t(1.0), |e| e.time < t(1.0)).is_none());
         assert_eq!(q.len(), 1);
-        assert_eq!(q.pop_if(|e| e.time <= t(1.0)).unwrap().time, t(1.0));
-        assert!(q.pop_if(|_| true).is_none());
+        assert!(q.pop_if(t(0.5), |e| e.time <= t(0.5)).is_none());
+        assert_eq!(q.pop_if(t(1.0), |e| e.time <= t(1.0)).unwrap().time, t(1.0));
+        assert!(q.pop_if(Time::NEVER, |_| true).is_none());
+    }
+
+    /// A pump whose next queued event lies far ahead must not walk the
+    /// empty buckets in between on every call: a rejected bounded pop
+    /// leaves the cursor just past the bound's bucket.
+    #[test]
+    fn bounded_pop_stops_scanning_at_the_bound() {
+        let mut q = EventQueue::new();
+        q.push(t(0.0), EventKind::Release { job: JobId(0) });
+        q.push(t(200.0), EventKind::Deadline { job: JobId(0) });
+        assert_eq!(q.pop().unwrap().time, t(0.0));
+        assert!(q.pop_if(t(1.0), |e| e.time <= t(1.0)).is_none());
+        assert!(q.calendar.cursor <= 2, "cursor {}", q.calendar.cursor);
+        q.push(t(1.5), EventKind::Release { job: JobId(1) });
+        assert_eq!(q.pop_if(t(2.0), |e| e.time <= t(2.0)).unwrap().time, t(1.5));
+        assert_eq!(q.pop().unwrap().time, t(200.0));
     }
 
     #[test]
@@ -694,8 +733,14 @@ mod tests {
                 let r = xorshift(&mut state);
                 if r % 4 == 0 && !cal.is_empty() {
                     let want = pop_ref(&mut heap);
-                    assert!(cal.pop_if(|_| false).is_none());
-                    let got = cal.pop_if(|e| Some(*e) == want);
+                    let bound = want.map_or(Time::NEVER, |e| e.time);
+                    assert!(cal.pop_if(Time::NEVER, |_| false).is_none());
+                    if bound.is_finite() {
+                        // A bound below the earliest time finds nothing.
+                        let below = Time::new(bound.as_f64() - 1e-3);
+                        assert!(cal.pop_if(below, |e| e.time <= below).is_none());
+                    }
+                    let got = cal.pop_if(bound, |e| Some(*e) == want);
                     assert_eq!(got, want, "seed {seed} step {step}");
                 } else {
                     let raw = xorshift(&mut state);
