@@ -5,7 +5,7 @@ use crate::degrade::{
     DegradationPolicy, DegradationStats, DegradedOutcome, OracleReading, RateOracle, Watchdog,
     WatchdogConfig,
 };
-use crate::event::{Event, EventKind};
+use crate::event::{Event, EventKind, COMPLETION_PRIORITY, RELEASE_PRIORITY};
 use crate::report::{RunReport, TrajectoryPoint};
 use crate::scheduler::Scheduler;
 use crate::workspace::{flag, SimWorkspace};
@@ -71,9 +71,8 @@ pub(crate) struct KernelState {
     pub(crate) slice_start: Time,
     /// The running job's remaining workload at `slice_start`.
     pub(crate) slice_rem: f64,
-    /// The completion slot: when the running job finishes. One processor
-    /// runs at most one job, so this is the one live completion; the queue
-    /// never holds one. Meaningless while `running` is `None`.
+    /// The completion slot: when the running job finishes (the queue never
+    /// holds a completion). Meaningless while `running` is `None`.
     pub(crate) done_at: Time,
     pub(crate) value: f64,
     pub(crate) preemptions: usize,
@@ -284,11 +283,9 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
         }
     }
 
-    /// Moves the clock to `t` and sets the running job's remaining workload
-    /// to its workload at dispatch minus the capacity integral over its
-    /// slice so far (§III-A: work done is the capacity integral between
-    /// slice boundaries), so progress never depends on which instants the
-    /// loop visits in between.
+    /// Moves the clock to `t`. The running job's progress is the capacity
+    /// integral over its slice so far (§III-A), so it does not depend on
+    /// which instants the loop visits in between.
     fn advance_to(&mut self, t: Time) {
         debug_assert!(t >= self.st.now, "kernel time went backwards");
         if let Some(j) = self.st.running {
@@ -298,12 +295,7 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
                 "capacity integral over [{}, {t}] is {done}",
                 self.st.slice_start
             );
-            let r = &mut self.ws.remaining[j.index()];
-            *r = (self.st.slice_rem - done).max(0.0);
-            debug_assert!(
-                r.is_finite() && *r >= 0.0,
-                "remaining workload of {j} went to {r}"
-            );
+            self.ws.remaining[j.index()] = (self.st.slice_rem - done).max(0.0);
         }
         self.st.now = t;
     }
@@ -321,9 +313,8 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
         }
     }
 
-    /// Vacates the running job before its completion came due. The
-    /// superseded completion counts as one processed event, so a drained
-    /// run counts one completion per dispatch.
+    /// Vacates the running job before its completion came due; the
+    /// superseded completion counts as one processed event.
     fn supersede(&mut self) {
         if self.st.running.is_some() {
             self.st.events_processed += 1;
@@ -406,8 +397,7 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
     }
 
     /// Takes the running job, if any, off the processor on a scheduler's
-    /// decision: counts and stamps the preemption and supersedes the job's
-    /// completion.
+    /// decision, counting and stamping the preemption.
     fn preempt(&mut self) {
         let Some(cur) = self.st.running else { return };
         self.st.preemptions += 1;
@@ -609,32 +599,26 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
         }
     }
 
-    /// Processes the next event if it is ready at `until`: the running
-    /// job's completion or the queue head, whichever comes first. The
-    /// completion sits after a co-timed capacity marker and before every
-    /// other co-timed kind. Ready means strictly before `until`, or at
-    /// `until` for a capacity marker, the completion or a timer: everything
-    /// batch order places before a release there. Returns `false` when
-    /// nothing is ready. The single code path behind both the batch drain
-    /// and the streaming service's bounded pumps — which is what makes an
+    /// Processes the earlier of the queue head and the completion slot if
+    /// it ranks before a release at `until`; returns `false` when neither
+    /// does. The single code path behind both the batch drain and the
+    /// streaming service's bounded pumps — which is what makes an
     /// interleaved (pump/seed/pump) run produce the same event sequence as
     /// a batch run over the same admitted job set.
     fn step_next<S: Scheduler + ?Sized>(&mut self, scheduler: &mut S, until: Time) -> bool {
-        let slot = self.st.running.map(|job| (self.st.done_at, job));
-        let ready = |ev: &Event| {
-            let before_slot = slot.map_or(true, |(t, _)| {
-                ev.time < t || (ev.time == t && ev.kind == EventKind::CapacityChange)
-            });
-            before_slot
-                && (ev.time < until
-                    || (ev.time == until
-                        && matches!(ev.kind, EventKind::CapacityChange | EventKind::Timer { .. })))
+        let done = self.st.running.filter(|_| self.st.done_at <= until);
+        let cut = match done {
+            Some(_) => (self.st.done_at, COMPLETION_PRIORITY),
+            None => (until, RELEASE_PRIORITY),
         };
-        let bound = slot.map_or(until, |(t, _)| t.min(until));
-        if let Some(ev) = self.ws.queue.pop_if(bound, ready) {
+        if let Some(ev) = self
+            .ws
+            .queue
+            .pop_if(cut.0, |ev| (ev.time, ev.kind.priority()) < cut)
+        {
             self.step(scheduler, ev);
-        } else if let Some((t, job)) = slot.filter(|&(t, _)| t <= until) {
-            self.advance_to(t);
+        } else if let Some(job) = done {
+            self.advance_to(self.st.done_at);
             self.st.events_processed += 1;
             self.vacate();
             self.complete(job);
@@ -814,8 +798,7 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
         while self.st.aborted.is_none() && self.step_next(scheduler, until) {}
     }
 
-    /// Runs the event loop to completion (or abort). Deadlines are finite,
-    /// so every event is ready at `Time::NEVER`.
+    /// Runs the event loop to completion (or abort).
     fn drain<S: Scheduler + ?Sized>(&mut self, scheduler: &mut S) {
         while self.st.aborted.is_none() && self.step_next(scheduler, Time::NEVER) {}
     }
@@ -826,8 +809,8 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
         scheduler: &mut S,
     ) -> (RunReport, Option<CoreError>, Option<DegradationStats>) {
         self.drain(scheduler);
-        // Close any open slice (cannot happen: the running job's deadline
-        // event always fires, vacating the processor — but stay defensive).
+        // Close the slice a `Strict` abort leaves open; its completion never
+        // came due, so it does not count as processed.
         self.vacate();
         let total_value = self.jobs.total_value();
         // The outcome table moves into the report; the workspace's slot is

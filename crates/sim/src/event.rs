@@ -1,10 +1,8 @@
 //! Kernel events and the deterministic event queue.
 //!
-//! The queue holds timers, releases, deadlines and capacity markers. It
-//! never holds a completion: one processor runs at most one job, so the
-//! kernel keeps the one live completion in a slot of its own and compares
-//! it with the queue head (see `EventKind::priority`). A preemption
-//! overwrites the slot instead of leaving a dead event behind.
+//! The queue never holds a completion: one processor runs at most one job,
+//! so the kernel keeps the one live completion in a slot of its own, ranked
+//! `COMPLETION_PRIORITY` among co-timed events.
 //!
 //! The queue is a *calendar queue* (a bucketed timing wheel with a heap
 //! fallback), not a plain binary heap: near-future events live in an array
@@ -28,8 +26,7 @@ use cloudsched_core::{JobId, Time};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// What happened. Completions are not queued events: the kernel keeps the
-/// running job's completion in a slot of its own.
+/// What happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// A scheduler-requested timer (e.g. a zero-conservative-laxity
@@ -56,20 +53,23 @@ pub enum EventKind {
     CapacityChange,
 }
 
+/// Rank of the kernel's completion slot among co-timed events: after
+/// capacity markers; before deadlines, so a job finishing *exactly at* its
+/// deadline counts as completed, and before releases, so queues are
+/// settled when new work arrives.
+pub(crate) const COMPLETION_PRIORITY: u8 = 1;
+/// Rank of a release; a pump to a release takes what ranks before it.
+pub(crate) const RELEASE_PRIORITY: u8 = 3;
+
 impl EventKind {
     /// Processing priority at equal timestamps. Capacity-segment markers go
     /// first so the trace shows the new rate before any co-timed activity.
-    /// The kernel's completion slot comes next, between markers and timers:
-    /// before deadlines so that a job finishing *exactly at* its deadline
-    /// counts as completed ("completing a job **by** its deadline"), and
-    /// before releases so queues are in a settled state when new work
-    /// arrives.
-    fn priority(&self) -> u8 {
+    pub(crate) fn priority(&self) -> u8 {
         match self {
             EventKind::CapacityChange => 0,
-            EventKind::Timer { .. } => 1,
-            EventKind::Release { .. } => 2,
-            EventKind::Deadline { .. } => 3,
+            EventKind::Timer { .. } => 2,
+            EventKind::Release { .. } => RELEASE_PRIORITY,
+            EventKind::Deadline { .. } => 4,
         }
     }
 }
@@ -207,14 +207,8 @@ impl Calendar {
     /// windows past the start gets `None` and becomes the new `limit`: it,
     /// and everything at or after it, waits in the overflow heap.
     #[inline]
-    // `as usize` saturates at 0 for negative values, which is exactly the
-    // clamp we want for t < origin; the hot path takes no checked helper.
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     fn bucket_for(&mut self, t: f64) -> Option<usize> {
-        if !t.is_finite() || t >= self.limit {
-            return None;
-        }
-        let mut idx = (((t - self.origin) / self.width) as usize).saturating_sub(self.base);
+        let mut idx = self.last_bucket_through(t)?;
         if idx >= self.buckets.len() && self.cursor > 0 {
             self.buckets.rotate_left(self.cursor);
             self.base += self.cursor;
@@ -231,17 +225,18 @@ impl Calendar {
         Some(idx)
     }
 
-    /// Index of the last bucket that can hold a time at or before `t`, or
-    /// `usize::MAX` when such a time may wait in the overflow heap. By the
-    /// monotone bucket assignment, every bucket after it holds only later
-    /// times.
+    /// The last bucket that can hold a time at or before `t` (past the
+    /// vector's end when the window must grow), or `None` when `t` belongs
+    /// in the overflow heap (non-finite or `>= limit`).
     #[inline]
+    // `as usize` saturates at 0 for negative values, which is exactly the
+    // clamp we want for t < origin; the hot path takes no checked helper.
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    fn last_bucket_through(&self, t: f64) -> usize {
+    fn last_bucket_through(&self, t: f64) -> Option<usize> {
         if !t.is_finite() || t >= self.limit {
-            return usize::MAX;
+            return None;
         }
-        (((t - self.origin) / self.width) as usize).saturating_sub(self.base)
+        Some((((t - self.origin) / self.width) as usize).saturating_sub(self.base))
     }
 
     #[inline]
@@ -359,11 +354,11 @@ impl Calendar {
         false
     }
 
-    /// Removes the earliest event if `ready` accepts it; `ready` rejects
-    /// every event after `bound`, so the scan stops at `bound`'s bucket.
+    /// Removes the earliest event if `ready`, which rejects everything
+    /// after `bound`, accepts it.
     fn pop_if(&mut self, bound: f64, ready: impl FnOnce(&Event) -> bool) -> Option<Event> {
         loop {
-            if self.settle_cursor(self.last_bucket_through(bound)) {
+            if self.settle_cursor(self.last_bucket_through(bound).unwrap_or(usize::MAX)) {
                 if !self.sorted {
                     self.buckets[self.cursor].sort_unstable_by(|a, b| b.cmp(a));
                     self.sorted = true;
@@ -379,8 +374,7 @@ impl Calendar {
                 return bucket.pop();
             }
             if self.cursor < self.buckets.len() {
-                // Every bucket through `bound`'s is empty.
-                return None;
+                return None; // every bucket through `bound`'s is empty
             }
             // Window drained: refill from the overflow heap.
             match self.overflow.peek() {
@@ -448,12 +442,9 @@ impl EventQueue {
     }
 
     /// Removes and returns the earliest event if `ready` accepts it, and
-    /// leaves the queue untouched otherwise — the kernel's pumps stop at
-    /// the first event that does not precede the next release or the
-    /// running job's completion. `ready` must reject every event after
-    /// `bound`: the search for the earliest event scans no bucket past
-    /// `bound`'s, so a pump whose next queued event lies far ahead does not
-    /// walk the empty buckets in between.
+    /// leaves the queue untouched otherwise. `ready` must reject every
+    /// event after `bound`, where the search stops: a pump whose next
+    /// queued event lies far ahead walks no empty bucket in between.
     pub fn pop_if(&mut self, bound: Time, ready: impl FnOnce(&Event) -> bool) -> Option<Event> {
         self.calendar.pop_if(bound.as_f64(), ready)
     }
