@@ -1,22 +1,8 @@
-//! Definition 4 (individual admissibility) checks and instance triage.
+//! Instance triage by the fluid load bound. The Definition 4 checks live
+//! on the types they check (`Job::individually_admissible`,
+//! `Instance::all_individually_admissible`) and in `sim::audit`.
 
-use cloudsched_capacity::{CapacityProfile, Instance};
-use cloudsched_core::{JobId, JobSet};
-
-/// Splits a job set into individually admissible and non-admissible jobs
-/// w.r.t. the worst-case capacity `c_lo` (Definition 4: `d−r >= p/c_lo`).
-pub fn partition_admissible(jobs: &JobSet, c_lo: f64) -> (Vec<JobId>, Vec<JobId>) {
-    let mut yes = Vec::new();
-    let mut no = Vec::new();
-    for j in jobs.iter() {
-        if j.individually_admissible(c_lo) {
-            yes.push(j.id);
-        } else {
-            no.push(j.id);
-        }
-    }
-    (yes, no)
-}
+use cloudsched_capacity::Instance;
 
 /// Coarse load triage of an instance. `CertifiedFit` is only a *necessary*
 /// underload condition (total workload fits the fluid capacity of the span);
@@ -39,49 +25,11 @@ pub fn triage(instance: &Instance) -> LoadTriage {
     }
 }
 
-/// The margin of Definition 4 for one job: `(d−r) − p/c_lo` (non-negative iff
-/// admissible). Useful for diagnosing generated workloads; the paper's §IV
-/// setup makes this exactly zero for every job.
-pub fn admissibility_margin(jobs: &JobSet, id: JobId, c_lo: f64) -> f64 {
-    let j = jobs.get(id);
-    j.relative_deadline().as_f64() - j.workload / c_lo
-}
-
-/// `true` iff the whole instance satisfies the Theorem 3(2) precondition.
-pub fn theorem3_precondition(instance: &Instance) -> bool {
-    instance
-        .jobs
-        .all_individually_admissible(instance.capacity.c_lo())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cloudsched_capacity::PiecewiseConstant;
-
-    fn jobs() -> JobSet {
-        JobSet::from_tuples(&[
-            (0.0, 4.0, 2.0, 1.0), // margin 2 at c_lo=1
-            (0.0, 1.0, 2.0, 1.0), // margin -1: not admissible
-            (1.0, 3.0, 2.0, 1.0), // margin 0: exactly admissible
-        ])
-        .unwrap()
-    }
-
-    #[test]
-    fn partition_matches_definition() {
-        let (yes, no) = partition_admissible(&jobs(), 1.0);
-        assert_eq!(yes, vec![JobId(0), JobId(2)]);
-        assert_eq!(no, vec![JobId(1)]);
-    }
-
-    #[test]
-    fn margins() {
-        let js = jobs();
-        assert_eq!(admissibility_margin(&js, JobId(0), 1.0), 2.0);
-        assert_eq!(admissibility_margin(&js, JobId(1), 1.0), -1.0);
-        assert_eq!(admissibility_margin(&js, JobId(2), 1.0), 0.0);
-    }
+    use cloudsched_core::JobSet;
 
     #[test]
     fn triage_detects_certain_overload() {
@@ -97,14 +45,5 @@ mod tests {
             triage(&Instance::new(light, cap)),
             LoadTriage::PossiblyUnderloaded
         );
-    }
-
-    #[test]
-    fn theorem3_precondition_uses_declared_c_lo() {
-        let cap = PiecewiseConstant::from_durations(&[(1.0, 1.0), (1.0, 3.0)]).unwrap();
-        let ok = JobSet::from_tuples(&[(0.0, 4.0, 2.0, 1.0)]).unwrap();
-        assert!(theorem3_precondition(&Instance::new(ok, cap.clone())));
-        let bad = JobSet::from_tuples(&[(0.0, 1.0, 2.0, 1.0)]).unwrap();
-        assert!(!theorem3_precondition(&Instance::new(bad, cap)));
     }
 }

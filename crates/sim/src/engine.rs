@@ -5,7 +5,7 @@ use crate::degrade::{
     DegradationPolicy, DegradationStats, DegradedOutcome, OracleReading, RateOracle, Watchdog,
     WatchdogConfig,
 };
-use crate::event::{Event, EventKind, COMPLETION_PRIORITY, RELEASE_PRIORITY};
+use crate::event::{Event, EventKind, COMPLETION_PRIORITY, DEADLINE_PRIORITY};
 use crate::report::{RunReport, TrajectoryPoint};
 use crate::scheduler::Scheduler;
 use crate::workspace::{flag, SimWorkspace};
@@ -250,15 +250,16 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
         self.ws.resolved(job.index())
     }
 
-    /// Seeds `job` into the run: schedules its release and deadline events
-    /// and extends the horizon to its deadline, re-arming the capacity-marker
-    /// chain if it had run out. The one place Release and Deadline events
-    /// enter the queue; every run shape calls it right after pumping to the
-    /// job's release.
-    pub(crate) fn seed_job(&mut self, job: &Job) {
-        self.ws
-            .queue
-            .push(job.release, EventKind::Release { job: job.id });
+    /// Seeds `job` into the run and releases it: schedules its deadline,
+    /// extends the horizon to it (re-arming the capacity-marker chain if
+    /// it had run out), moves the clock to the release and delivers the
+    /// release interrupt. The one place a job is released; every run shape
+    /// calls it right after pumping to the job's release. After a `Strict`
+    /// abort it seeds nothing.
+    pub(crate) fn seed_job<S: Scheduler + ?Sized>(&mut self, scheduler: &mut S, job: &Job) {
+        if self.st.aborted.is_some() {
+            return;
+        }
         self.ws
             .queue
             .push(job.deadline, EventKind::Deadline { job: job.id });
@@ -266,6 +267,9 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
             self.st.horizon = job.deadline;
         }
         self.arm_capacity();
+        self.advance_to(job.release);
+        self.st.events_processed += 1;
+        self.release(scheduler, job.id);
     }
 
     /// The one arming rule of the capacity-marker chain: when the tracer
@@ -598,7 +602,7 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
     }
 
     /// Processes the earlier of the queue head and the completion slot if
-    /// it ranks before a release at `until`; returns `false` when neither
+    /// it ranks before a deadline at `until`; returns `false` when neither
     /// does. The single code path behind both the batch drain and the
     /// streaming service's bounded pumps — which is what makes an
     /// interleaved (pump/seed/pump) run produce the same event sequence as
@@ -607,7 +611,7 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
         let done = self.st.running.filter(|_| self.st.done_at <= until);
         let cut = match done {
             Some(_) => (self.st.done_at, COMPLETION_PRIORITY),
-            None => (until, RELEASE_PRIORITY),
+            None => (until, DEADLINE_PRIORITY),
         };
         if let Some(ev) = self
             .ws
@@ -656,68 +660,6 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
                     return;
                 }
                 self.dispatch_handler(scheduler, |s, ctx| s.on_timer(ctx, job, token));
-            }
-            EventKind::Release { job } => {
-                self.ws.set_flag(job.index(), flag::RELEASED, true);
-                if self.tracer.enabled() {
-                    let j = self.jobs.get(job);
-                    self.tracer.record(&TraceEvent::Arrival {
-                        t: self.st.now,
-                        job,
-                        laxity: j
-                            .laxity_with(self.st.now, self.ws.remaining[job.index()], self.st.c_lo)
-                            .as_f64(),
-                    });
-                }
-                // The watchdog vets the release against the paper's
-                // input-stream assumptions before the scheduler sees it.
-                let fault = match self.watchdog.as_mut() {
-                    Some(w) => w.inspect_release(self.jobs.get(job)),
-                    None => None,
-                };
-                match fault {
-                    None => {
-                        self.dispatch_handler(scheduler, |s, ctx| s.on_release(ctx, job));
-                    }
-                    Some(f) => {
-                        if self.tracer.enabled() {
-                            self.tracer.record(&TraceEvent::FaultDetected {
-                                t: self.st.now,
-                                job,
-                                fault: f.kind,
-                            });
-                        }
-                        let policy = self
-                            .watchdog
-                            .as_ref()
-                            .map_or(DegradationPolicy::BestEffort, |w| w.policy());
-                        match policy {
-                            DegradationPolicy::Strict => {
-                                self.abort(f.kind, f.error);
-                            }
-                            DegradationPolicy::Degrade => {
-                                // Quarantine: the scheduler never sees
-                                // this job unless capacity recovery
-                                // re-admits it.
-                                self.ws.set_flag(job.index(), flag::QUARANTINED, true);
-                                self.ws.quarantine_pending.insert(job.index());
-                                if let Some(w) = self.watchdog.as_mut() {
-                                    w.note_quarantine();
-                                }
-                                if self.tracer.enabled() {
-                                    self.tracer.record(&TraceEvent::Quarantine {
-                                        t: self.st.now,
-                                        job,
-                                        fault: f.kind,
-                                    });
-                                }
-                            }
-                            DegradationPolicy::BestEffort => {
-                                self.dispatch_handler(scheduler, |s, ctx| s.on_release(ctx, job));
-                            }
-                        }
-                    }
-                }
             }
             EventKind::Deadline { job } => {
                 if self.ws.resolved(job.index()) {
@@ -780,11 +722,76 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
         }
     }
 
+    /// The release interrupt (V-Dover's procedure A): stamps the arrival,
+    /// lets the watchdog vet the job and hands it to the scheduler.
+    fn release<S: Scheduler + ?Sized>(&mut self, scheduler: &mut S, job: JobId) {
+        self.ws.set_flag(job.index(), flag::RELEASED, true);
+        if self.tracer.enabled() {
+            let j = self.jobs.get(job);
+            self.tracer.record(&TraceEvent::Arrival {
+                t: self.st.now,
+                job,
+                laxity: j
+                    .laxity_with(self.st.now, self.ws.remaining[job.index()], self.st.c_lo)
+                    .as_f64(),
+            });
+        }
+        // The watchdog vets the release against the paper's input-stream
+        // assumptions before the scheduler sees it.
+        let fault = match self.watchdog.as_mut() {
+            Some(w) => w.inspect_release(self.jobs.get(job)),
+            None => None,
+        };
+        match fault {
+            None => {
+                self.dispatch_handler(scheduler, |s, ctx| s.on_release(ctx, job));
+            }
+            Some(f) => {
+                if self.tracer.enabled() {
+                    self.tracer.record(&TraceEvent::FaultDetected {
+                        t: self.st.now,
+                        job,
+                        fault: f.kind,
+                    });
+                }
+                let policy = self
+                    .watchdog
+                    .as_ref()
+                    .map_or(DegradationPolicy::BestEffort, |w| w.policy());
+                match policy {
+                    DegradationPolicy::Strict => {
+                        self.abort(f.kind, f.error);
+                    }
+                    DegradationPolicy::Degrade => {
+                        // Quarantine: the scheduler never sees this job
+                        // unless capacity recovery re-admits it.
+                        self.ws.set_flag(job.index(), flag::QUARANTINED, true);
+                        self.ws.quarantine_pending.insert(job.index());
+                        if let Some(w) = self.watchdog.as_mut() {
+                            w.note_quarantine();
+                        }
+                        if self.tracer.enabled() {
+                            self.tracer.record(&TraceEvent::Quarantine {
+                                t: self.st.now,
+                                job,
+                                fault: f.kind,
+                            });
+                        }
+                    }
+                    DegradationPolicy::BestEffort => {
+                        self.dispatch_handler(scheduler, |s, ctx| s.on_release(ctx, job));
+                    }
+                }
+            }
+        }
+    }
+
     /// Processes every event strictly before `until`, plus the co-timed
-    /// events that batch ordering places before a release at `until`:
-    /// capacity markers, the running job's completion and timers. Every run
-    /// shape pumps to a job's release and then seeds the job, so the queue
-    /// never needs a job's events before its release instant.
+    /// events that rank before a deadline at `until`: capacity markers, the
+    /// running job's completion and timers. Every run shape pumps to a
+    /// job's release and then seeds the job, which releases it at once:
+    /// co-timed deadlines come after the release, and the queue never
+    /// needs a job's events before its release instant.
     ///
     /// The pump first arms the capacity-marker chain up to `until`: the
     /// horizon does not yet cover the job about to be seeded, and without
@@ -859,7 +866,7 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
         let jobs = self.jobs;
         for job in jobs.iter_by_release() {
             self.pump_ready(scheduler, job.release);
-            self.seed_job(job);
+            self.seed_job(scheduler, job);
         }
         self.finish(scheduler)
     }
@@ -1560,7 +1567,7 @@ mod tests {
             let mut k = Kernel::resume(&mut ws, &jobs, &cap, &mut stream_ring, st);
             k.pump_ready(&mut stream_sched, job.release);
             k.register_job(job);
-            k.seed_job(job);
+            k.seed_job(&mut stream_sched, job);
             st = k.suspend();
         }
         let k = Kernel::resume(&mut ws, &jobs, &cap, &mut stream_ring, st);
@@ -1596,7 +1603,7 @@ mod tests {
                 k.pump_ready(scheduler, t);
             }
             k.pump_ready(scheduler, job.release);
-            k.seed_job(job);
+            k.seed_job(scheduler, job);
         }
         k.finish(scheduler).0
     }

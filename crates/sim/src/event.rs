@@ -1,8 +1,11 @@
 //! Kernel events and the deterministic event queue.
 //!
-//! The queue never holds a completion: one processor runs at most one job,
-//! so the kernel keeps the one live completion in a slot of its own, ranked
-//! `COMPLETION_PRIORITY` among co-timed events.
+//! The queue holds deadlines, timers and capacity-segment markers only.
+//! It never holds a completion: one processor runs at most one job, so the
+//! kernel keeps the one live completion in a slot of its own, ranked
+//! `COMPLETION_PRIORITY` among co-timed events. Nor does it hold a release:
+//! the kernel releases a job the moment it is seeded, after the events that
+//! rank before a deadline at that instant.
 //!
 //! The queue is a *calendar queue* (a bucketed timing wheel with a heap
 //! fallback), not a plain binary heap: near-future events live in an array
@@ -26,7 +29,9 @@ use cloudsched_core::{JobId, Time};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// What happened.
+/// What a queued event is. Releases and completions never enter the
+/// queue: the kernel releases a job the moment it is seeded, and keeps the
+/// running job's completion in a slot of its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// A scheduler-requested timer (e.g. a zero-conservative-laxity
@@ -36,11 +41,6 @@ pub enum EventKind {
         job: JobId,
         /// Opaque token chosen by the scheduler at registration.
         token: u64,
-    },
-    /// `job` is released and becomes known to the scheduler.
-    Release {
-        /// The released job.
-        job: JobId,
     },
     /// `job`'s firm deadline passes.
     Deadline {
@@ -55,11 +55,12 @@ pub enum EventKind {
 
 /// Rank of the kernel's completion slot among co-timed events: after
 /// capacity markers; before deadlines, so a job finishing *exactly at* its
-/// deadline counts as completed, and before releases, so queues are
+/// deadline counts as completed, and before a seeded release, so queues are
 /// settled when new work arrives.
 pub(crate) const COMPLETION_PRIORITY: u8 = 1;
-/// Rank of a release; a pump to a release takes what ranks before it.
-pub(crate) const RELEASE_PRIORITY: u8 = 3;
+/// Rank of a deadline, the last among co-timed events. A pump to a release
+/// takes what ranks before it; the seeded release comes next.
+pub(crate) const DEADLINE_PRIORITY: u8 = 3;
 
 impl EventKind {
     /// Processing priority at equal timestamps. Capacity-segment markers go
@@ -68,8 +69,7 @@ impl EventKind {
         match self {
             EventKind::CapacityChange => 0,
             EventKind::Timer { .. } => 2,
-            EventKind::Release { .. } => RELEASE_PRIORITY,
-            EventKind::Deadline { .. } => 4,
+            EventKind::Deadline { .. } => DEADLINE_PRIORITY,
         }
     }
 }
@@ -534,12 +534,18 @@ mod tests {
         Time::new(x)
     }
 
+    /// A timer for `job`: like every kind but a deadline, co-timed timers
+    /// pop in insertion order.
+    fn timer(job: JobId) -> EventKind {
+        EventKind::Timer { job, token: 0 }
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.push(t(3.0), EventKind::Release { job: JobId(0) });
-        q.push(t(1.0), EventKind::Release { job: JobId(1) });
-        q.push(t(2.0), EventKind::Release { job: JobId(2) });
+        q.push(t(3.0), timer(JobId(0)));
+        q.push(t(1.0), timer(JobId(1)));
+        q.push(t(2.0), timer(JobId(2)));
         let order: Vec<f64> = std::iter::from_fn(|| q.pop())
             .map(|e| e.time.as_f64())
             .collect();
@@ -550,7 +556,6 @@ mod tests {
     fn equal_time_orders_by_kind_priority() {
         let mut q = EventQueue::new();
         q.push(t(5.0), EventKind::Deadline { job: JobId(0) });
-        q.push(t(5.0), EventKind::Release { job: JobId(1) });
         q.push(
             t(5.0),
             EventKind::Timer {
@@ -563,22 +568,21 @@ mod tests {
             .map(|e| match e.kind {
                 EventKind::CapacityChange => 0,
                 EventKind::Timer { .. } => 1,
-                EventKind::Release { .. } => 2,
-                EventKind::Deadline { .. } => 3,
+                EventKind::Deadline { .. } => 2,
             })
             .collect();
-        assert_eq!(kinds, vec![0, 1, 2, 3]);
+        assert_eq!(kinds, vec![0, 1, 2]);
     }
 
     #[test]
     fn equal_time_and_kind_is_fifo() {
         let mut q = EventQueue::new();
         for i in 0..5 {
-            q.push(t(1.0), EventKind::Release { job: JobId(i) });
+            q.push(t(1.0), timer(JobId(i)));
         }
         let ids: Vec<u64> = std::iter::from_fn(|| q.pop())
             .map(|e| match e.kind {
-                EventKind::Release { job } => job.0,
+                EventKind::Timer { job, .. } => job.0,
                 _ => unreachable!(),
             })
             .collect();
@@ -605,18 +609,18 @@ mod tests {
     #[test]
     fn clear_restarts_the_fifo_sequence() {
         let mut q = EventQueue::new();
-        q.push(t(1.0), EventKind::Release { job: JobId(9) });
-        q.push(t(1.0), EventKind::Release { job: JobId(8) });
+        q.push(t(1.0), timer(JobId(9)));
+        q.push(t(1.0), timer(JobId(8)));
         q.clear();
         assert!(q.is_empty());
         // After clear, ties must resolve exactly as in a fresh queue:
         // insertion order, counted from zero again.
         for i in 0..3 {
-            q.push(t(2.0), EventKind::Release { job: JobId(i) });
+            q.push(t(2.0), timer(JobId(i)));
         }
         let ids: Vec<u64> = std::iter::from_fn(|| q.pop())
             .map(|e| match e.kind {
-                EventKind::Release { job } => job.0,
+                EventKind::Timer { job, .. } => job.0,
                 _ => unreachable!(),
             })
             .collect();
@@ -627,8 +631,8 @@ mod tests {
     fn snapshot_restore_preserves_pop_order_and_fifo_counter() {
         let mut q = EventQueue::new();
         q.push(t(2.0), EventKind::Deadline { job: JobId(0) });
-        q.push(t(1.0), EventKind::Release { job: JobId(1) });
-        q.push(t(1.0), EventKind::Release { job: JobId(2) });
+        q.push(t(1.0), timer(JobId(1)));
+        q.push(t(1.0), timer(JobId(2)));
         q.push(
             t(1.0),
             EventKind::Timer {
@@ -654,7 +658,7 @@ mod tests {
     #[test]
     fn pop_if_rejects_without_consuming() {
         let mut q = EventQueue::new();
-        q.push(t(1.0), EventKind::Release { job: JobId(7) });
+        q.push(t(1.0), timer(JobId(7)));
         assert!(q.pop_if(t(1.0), |e| e.time < t(1.0)).is_none());
         assert_eq!(q.len(), 1);
         assert!(q.pop_if(t(0.5), |e| e.time <= t(0.5)).is_none());
@@ -668,12 +672,12 @@ mod tests {
     #[test]
     fn bounded_pop_stops_scanning_at_the_bound() {
         let mut q = EventQueue::new();
-        q.push(t(0.0), EventKind::Release { job: JobId(0) });
+        q.push(t(0.0), timer(JobId(0)));
         q.push(t(200.0), EventKind::Deadline { job: JobId(0) });
         assert_eq!(q.pop().unwrap().time, t(0.0));
         assert!(q.pop_if(t(1.0), |e| e.time <= t(1.0)).is_none());
         assert!(q.calendar.cursor <= 2, "cursor {}", q.calendar.cursor);
-        q.push(t(1.5), EventKind::Release { job: JobId(1) });
+        q.push(t(1.5), timer(JobId(1)));
         assert_eq!(q.pop_if(t(2.0), |e| e.time <= t(2.0)).unwrap().time, t(1.5));
         assert_eq!(q.pop().unwrap().time, t(200.0));
     }
@@ -682,7 +686,7 @@ mod tests {
     fn len_and_empty() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        q.push(t(0.0), EventKind::Release { job: JobId(0) });
+        q.push(t(0.0), timer(JobId(0)));
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
@@ -700,13 +704,12 @@ mod tests {
     }
 
     fn arbitrary_kind(r: u64) -> EventKind {
-        match r % 4 {
+        match r % 3 {
             0 => EventKind::CapacityChange,
             1 => EventKind::Timer {
                 job: JobId(r % 11),
                 token: r % 7,
             },
-            2 => EventKind::Release { job: JobId(r % 11) },
             _ => EventKind::Deadline { job: JobId(r % 11) },
         }
     }
@@ -759,11 +762,11 @@ mod tests {
     fn heavy_single_bucket_load_stays_ordered() {
         let mut q = EventQueue::new();
         for i in 0..2_000u64 {
-            q.push(t(5.0), EventKind::Release { job: JobId(i) });
+            q.push(t(5.0), timer(JobId(i)));
         }
         for want in 0..2_000u64 {
             match q.pop().unwrap().kind {
-                EventKind::Release { job } => assert_eq!(job.0, want),
+                EventKind::Timer { job, .. } => assert_eq!(job.0, want),
                 _ => unreachable!(),
             }
         }
@@ -777,11 +780,11 @@ mod tests {
         let mut q = EventQueue::new();
         // Dense near cluster to shape the window...
         for i in 0..512u64 {
-            q.push(t(i as f64 * 0.01), EventKind::Release { job: JobId(i) });
+            q.push(t(i as f64 * 0.01), timer(JobId(i)));
         }
         // ...then far-future stragglers and a NEVER deadline.
         q.push(t(1.0e7), EventKind::Deadline { job: JobId(1) });
-        q.push(t(1.0e7), EventKind::Release { job: JobId(2) });
+        q.push(t(1.0e7), timer(JobId(2)));
         q.push(Time::NEVER, EventKind::Deadline { job: JobId(3) });
         let drained: Vec<Event> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(drained.len(), 515);
@@ -807,12 +810,7 @@ mod tests {
         // Phase 1 — grow: 20k spread events force occupancy re-spreads
         // well past MIN_BUCKETS.
         for i in 0..20_000u64 {
-            push_both(
-                &mut q,
-                &mut heap,
-                t(i as f64 * 0.005),
-                EventKind::Release { job: JobId(i) },
-            );
+            push_both(&mut q, &mut heap, t(i as f64 * 0.005), timer(JobId(i)));
         }
         let grown = bucket_count(&q);
         assert!(
@@ -837,12 +835,7 @@ mod tests {
         // re-spread over the tiny surviving population, which must shrink
         // the bucket vector back down.
         for i in 0..100u64 {
-            push_both(
-                &mut q,
-                &mut heap,
-                t(i as f64 * 0.01),
-                EventKind::Release { job: JobId(i) },
-            );
+            push_both(&mut q, &mut heap, t(i as f64 * 0.01), timer(JobId(i)));
         }
         for i in 0..3u64 {
             push_both(

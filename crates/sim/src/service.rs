@@ -10,7 +10,9 @@
 //! admission, once journaled, is a *commitment*: after any crash, snapshot
 //! restore plus deterministic journal replay reconstructs a run whose final
 //! trace — and hence its value-loss ledger — is byte-identical to the run
-//! that never crashed.
+//! that never crashed. Seeding an admitted job releases it on the spot, so
+//! every arrival, admitted or rejected, reaches the trace with its own
+//! decision, in sequence order, before the next arrival is journaled.
 //!
 //! ## Journal format
 //!
@@ -638,18 +640,23 @@ impl<'a, P: CapacityProfile> Core<'a, P> {
 
         // WAL: the arrival record is durable before any of its effects.
         wal.commit(|out| arrival_record(out, seq, a))?;
+        // The set grows before the kernel view opens: seeding an admitted
+        // job releases it, and the release reads the job from the set.
+        self.jobs.push(job)?;
+        let job = self.jobs.get(id);
 
         // One kernel view per arrival: pump to the arrival instant (events
         // strictly before the release, plus co-timed capacity changes,
         // completions and timers — the batch kernel's boundary), decide,
-        // then register the job and seed it if admitted.
+        // then register the job and, if admitted, seed it, which releases
+        // it at once.
         let release = job.release;
         let st = self.st.take().expect("invariant: kernel state parked");
         let mut k = Kernel::resume(&mut self.ws, &self.jobs, self.capacity, &mut self.sink, st);
         k.pump_ready(sched, release);
 
         // Decide. Pure function of the arrival sequence: replayable.
-        let fault = self.book.inspect_release(&job);
+        let fault = self.book.inspect_release(job);
         self.live.retain(|&j| !k.resolved(j));
         let live = self.live.len();
         let (admitted, reason, abort): (bool, DecisionReason, Option<CoreError>) = match fault {
@@ -703,9 +710,9 @@ impl<'a, P: CapacityProfile> Core<'a, P> {
         self.decisions.push(decision);
 
         // Effects.
-        k.register_job(&job);
+        k.register_job(job);
         if admitted {
-            k.seed_job(&job);
+            k.seed_job(sched, job);
             self.live.push(id);
         }
         self.st = Some(k.suspend());
@@ -734,7 +741,6 @@ impl<'a, P: CapacityProfile> Core<'a, P> {
                 });
             }
         }
-        self.jobs.push(job)?;
         self.flush(wal)?;
 
         if let Some(err) = abort {

@@ -27,19 +27,25 @@
 //! only `|`, `,`, `:`, `-` and alphanumerics):
 //!
 //! ```text
-//! csnap3;<kernel scalars>;<event queue>;<next_seq>;<jobs>;<rows>;<quarantine>;<scheduler blob>
+//! csnap4;<kernel scalars>;<event queue>;<next_seq>;<jobs>;<rows>;<scheduler blob>
 //! ```
 //!
 //! The event queue stays the third section and the scheduler blob the
 //! last, recovered with a bounded `splitn` so future scheduler grammars
-//! cannot confuse the codec. A row is `slot:remaining:flags:outcome`,
-//! rows ascending by slot; the slot is left empty when it is the previous
-//! row's plus one. The packed flag byte is in decimal and the outcome is
-//! `N`, `C<time>` or `M<workload>` — a bare `M` when the missed workload
-//! equals the row's remaining workload. Every `f64` is its bit pattern in
-//! lowercase hex without leading zeros, so restore is bit-exact and replay
-//! after restore is byte-identical to an uninterrupted run. Other format
-//! versions are rejected by name.
+//! cannot confuse the codec. A queued event is `time:code:a:b:seq` with
+//! code `T` (a timer: job and token), `D` (a deadline: job, 0) or `X` (a
+//! capacity-segment marker: 0, 0); the queue never holds a release or a
+//! completion. The service runs no watchdog, so no job is ever
+//! quarantined and the image carries no quarantine list.
+//!
+//! A row is `slot:remaining:flags:outcome`, rows ascending by slot; the
+//! slot is left empty when it is the previous row's plus one. The packed
+//! flag byte is in decimal and the outcome is `N`, `C<time>` or
+//! `M<workload>` — a bare `M` when the missed workload equals the row's
+//! remaining workload. Every `f64` is its bit pattern in lowercase hex
+//! without leading zeros, so restore is bit-exact and replay after restore
+//! is byte-identical to an uninterrupted run. Other format versions are
+//! rejected by name.
 //!
 //! Every malformed input maps to [`CoreError::CorruptJournal`] with the
 //! journal line carrying the snapshot — never a panic: journals cross a
@@ -52,9 +58,9 @@ use cloudsched_core::{CoreError, JobId, JobOutcome, Time};
 use cloudsched_obs::jsonl::push_u64;
 
 /// Magic tag of the snapshot format this build reads and writes.
-const MAGIC: &str = "csnap3";
+const MAGIC: &str = "csnap4";
 /// Number of `;`-separated sections (scheduler blob last).
-const SECTIONS: usize = 8;
+const SECTIONS: usize = 7;
 /// Scalar fields in the kernel-state section.
 const KERNEL_FIELDS: usize = 18;
 /// Every lifecycle bit the workspace defines.
@@ -89,7 +95,6 @@ pub(crate) struct SnapshotImage<'a> {
     jobs: usize,
     /// `(slot, row)`, slots ascending. After [`restore`], one per slot.
     rows: Vec<(usize, Row)>,
-    quarantine_pending: Vec<usize>,
     /// The scheduler's own state blob, to hand to
     /// [`crate::Scheduler::restore_state`].
     pub(crate) sched_blob: &'a str,
@@ -112,9 +117,6 @@ impl SnapshotImage<'_> {
             ws.flags.push(row.flags);
             ws.outcome.set(JobId(*i as u64), row.outcome);
         }
-        for i in self.quarantine_pending {
-            ws.quarantine_pending.insert(i);
-        }
         ws.queue.restore(self.queue, self.next_seq);
         self.st
     }
@@ -124,8 +126,8 @@ impl SnapshotImage<'_> {
 /// with table rows for the job slots `rows` yields (ascending).
 ///
 /// The caller (the service) guarantees quiescence: lean options (no
-/// schedule / trajectory recording), no pending abort, scratch buffers
-/// drained.
+/// schedule / trajectory recording), no pending abort, no quarantined
+/// job, scratch buffers drained.
 pub(crate) fn encode(
     out: &mut String,
     st: &KernelState,
@@ -134,7 +136,10 @@ pub(crate) fn encode(
     sched_blob: &str,
 ) {
     debug_assert!(
-        st.schedule.is_none() && st.trajectory.is_none() && st.aborted.is_none(),
+        st.schedule.is_none()
+            && st.trajectory.is_none()
+            && st.aborted.is_none()
+            && ws.quarantine_pending.is_empty(),
         "snapshots are only taken at quiescent points of lean streaming runs"
     );
     debug_assert!(
@@ -185,7 +190,6 @@ pub(crate) fn encode(
         }
         let (code, a, b) = match *kind {
             EventKind::Timer { job, token } => ('T', job.0, token),
-            EventKind::Release { job } => ('R', job.0, 0),
             EventKind::Deadline { job } => ('D', job.0, 0),
             EventKind::CapacityChange => ('X', 0, 0),
         };
@@ -233,14 +237,6 @@ pub(crate) fn encode(
                 }
             }
         }
-    }
-    out.push(';');
-
-    for (k, i) in ws.quarantine_pending.iter().enumerate() {
-        if k > 0 {
-            out.push(':');
-        }
-        push_u64(out, *i as u64);
     }
     out.push(';');
     out.push_str(sched_blob);
@@ -452,7 +448,6 @@ fn decode(blob: &str, line: usize) -> Result<SnapshotImage<'_>, CoreError> {
                     job: JobId(a),
                     token: b,
                 },
-                "R" => EventKind::Release { job: JobId(a) },
                 "D" => EventKind::Deadline { job: JobId(a) },
                 "X" => EventKind::CapacityChange,
                 other => {
@@ -476,19 +471,6 @@ fn decode(blob: &str, line: usize) -> Result<SnapshotImage<'_>, CoreError> {
         }
     }
 
-    let mut quarantine_pending = Vec::new();
-    if !sections[6].is_empty() {
-        for s in sections[6].split(':') {
-            let i: usize = parse_uint(s, "quarantine index", line)?;
-            if i >= jobs {
-                return Err(corrupt(
-                    line,
-                    format!("snapshot quarantine index {i} out of range (jobs: {jobs})"),
-                ));
-            }
-            quarantine_pending.push(i);
-        }
-    }
     if let Some(j) = st.running {
         if j.index() >= jobs {
             return Err(corrupt(
@@ -504,8 +486,7 @@ fn decode(blob: &str, line: usize) -> Result<SnapshotImage<'_>, CoreError> {
         next_seq,
         jobs,
         rows,
-        quarantine_pending,
-        sched_blob: sections[7],
+        sched_blob: sections[6],
     })
 }
 
@@ -600,7 +581,6 @@ mod tests {
         ws.set_flag(1, wsflag::STARTED, true);
         ws.set_flag(0, wsflag::ABANDONED, true);
         ws.set_flag(2, wsflag::QUARANTINED, true);
-        ws.quarantine_pending.insert(2);
         ws.outcome.set(
             JobId(0),
             JobOutcome::Missed {
@@ -657,7 +637,6 @@ mod tests {
         // slot 2 arrives, and the second record carries only those two.
         ws.remaining.truncate(2);
         ws.flags.truncate(2);
-        ws.quarantine_pending.clear();
         let first = blob(&st, &ws, &[0, 1], "s");
         let (_, full) = populated();
         let mut ws = full;
@@ -733,7 +712,7 @@ mod tests {
         let b = blob(&st, &ws, &[0, 1, 2], "sched");
         let cases = [
             "garbage".to_string(),
-            b.replacen("csnap3", "csnap9", 1),
+            b.replacen("csnap4", "csnap9", 1),
             b.replacen(":D:", ":Z:", 1), // unknown event kind code
             {
                 // truncate the kernel section to 3 fields
@@ -779,17 +758,25 @@ mod tests {
     #[test]
     fn older_snapshot_versions_are_rejected_by_name() {
         // csnap1 carried full tables; csnap2 had no `slice_rem` and queued
-        // one completion event per dispatch.
+        // one completion event per dispatch; csnap3 queued releases and
+        // carried a quarantine section.
         let csnap1 = "csnap1;0000000000000000,-,0,0000000000000000,0000000000000000,0,0,0,0,\
                       0000000000000000,0,0000000000000000,0,0000000000000000,0,\
                       3ff0000000000000,3ff0000000000000;;0;;,,,,;;;dover1|I|7ff0000000000000||||";
         let csnap2 = "csnap2;0,-,0,0,0,0,0,0,0,0,0,0,0,0,0,3ff0000000000000,3ff0000000000000;\
                       3ff0000000000000:C:0:1:0;1;1;0:4000000000000000:3:N;;dover2|I|0||||-";
-        for (old, name) in [(csnap1, "\"csnap1\""), (csnap2, "\"csnap2\"")] {
+        let csnap3 = "csnap3;0,-,0,0,0,0,0,0,1,0,0,0,0,0,4000000000000000,0,3ff0000000000000,\
+                      3ff0000000000000;4000000000000000:D:0:0:1;2;1;0:4000000000000000:1:N;;\
+                      dover2|I|0||||-";
+        for (old, name) in [
+            (csnap1, "\"csnap1\""),
+            (csnap2, "\"csnap2\""),
+            (csnap3, "\"csnap3\""),
+        ] {
             match restore(&[(5, old)], 0) {
                 Err(CoreError::CorruptJournal { line: 5, reason }) => {
                     assert!(reason.contains(name), "{reason}");
-                    assert!(reason.contains("\"csnap3\""), "{reason}");
+                    assert!(reason.contains("\"csnap4\""), "{reason}");
                 }
                 other => panic!("expected a version rejection, got {other:?}"),
             }

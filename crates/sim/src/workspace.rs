@@ -31,7 +31,8 @@ use std::collections::BTreeSet;
 /// Bit masks of the packed per-job lifecycle byte, which the snapshot
 /// codec stores as is.
 pub(crate) mod flag {
-    /// Release event processed; the scheduler knows the job.
+    /// Released: set when `Kernel::seed_job` seeds the job, which delivers
+    /// its release interrupt at once.
     pub const RELEASED: u8 = 1 << 0;
     /// Lifecycle settled: completed, expired or abandoned.
     pub const RESOLVED: u8 = 1 << 1;

@@ -197,6 +197,32 @@ serve-smoke:
     cargo run --release -p cloudsched-cli -- recover --journal /tmp/serve-smoke-crash.wal --in tests/golden/stream_small.jsonl > /tmp/serve-smoke-recovered.txt 2> /tmp/serve-smoke-recover.err
     diff -u tests/golden/serve_stream_small.txt /tmp/serve-smoke-recovered.txt
     grep -F "vdover, 18 journaled arrivals" /tmp/serve-smoke-recover.err
+    just serve-cotimed
+
+# Co-timed crash drill (part of the CI smoke step): releases and deadlines
+# on a quarter-unit grid, every fifth arrival (0-based 5k+4) an exact
+# duplicate of the one before it at the same instant; crash right after
+# duplicate 204, recover, and match the uninterrupted run.
+serve-cotimed:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    python3 -c '
+    import random
+    rng = random.Random(20110516)
+    t = 0.0
+    for _ in range(100):
+        for _ in range(4):
+            t += rng.choice([0.0, 0.0, 0.25, 0.5])
+            w = 0.25 * rng.randint(2, 12)
+            p = w * rng.uniform(0.3, 0.9)
+            line = "{\"r\":%.2f,\"d\":%.2f,\"p\":%.6f,\"v\":%.6f}" % (t, t + w, p, p * rng.uniform(1.0, 2.0))
+            print(line)
+        print(line)
+    ' > /tmp/serve-cotimed.jsonl
+    cargo run --release -p cloudsched-cli -- serve --in /tmp/serve-cotimed.jsonl --scheduler vdover --k 7 --snapshot-every 8 --journal /tmp/serve-cotimed-full.wal > /tmp/serve-cotimed-full.txt
+    cargo run --release -p cloudsched-cli -- serve --in /tmp/serve-cotimed.jsonl --scheduler vdover --k 7 --snapshot-every 8 --journal /tmp/serve-cotimed-crash.wal --crash-after 204
+    cargo run --release -p cloudsched-cli -- recover --journal /tmp/serve-cotimed-crash.wal --in /tmp/serve-cotimed.jsonl > /tmp/serve-cotimed-recovered.txt
+    diff -u /tmp/serve-cotimed-full.txt /tmp/serve-cotimed-recovered.txt
 
 # Serve scale gate (mirrors the CI step): a deterministic 1e5-arrival λ=8
 # stream through `serve` must finish within 60 s with no journal and again

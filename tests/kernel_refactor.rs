@@ -608,6 +608,14 @@ fn queue_cell_digests() -> Vec<(String, u64)> {
     cells
 }
 
+/// Renders a pinned table one `("label", 0x…),` row per line, so a single
+/// assertion over two renders lists every row that moved.
+fn render_rows<L: AsRef<str>>(rows: &[(L, u64)]) -> String {
+    rows.iter()
+        .map(|(label, h)| format!("({:?}, {h:#018x}),\n", label.as_ref()))
+        .collect()
+}
+
 /// `(pattern/scheduler, digest)` over seeds 0..50, recorded when a
 /// reference `BinaryHeap` event-queue backend produced the same digest for
 /// every cell; the CTMC-pattern cells were re-pinned when job progress
@@ -650,12 +658,11 @@ const QUEUE_PINNED: &[(&str, u64)] = &[
 /// traffic.
 #[test]
 fn calendar_queue_digests_match_the_pinned_oracle() {
-    let got = queue_cell_digests();
-    assert_eq!(got.len(), QUEUE_PINNED.len(), "cell count");
-    for ((label, digest), (want_label, want)) in got.iter().zip(QUEUE_PINNED) {
-        assert_eq!(label, want_label);
-        assert_eq!(digest, want, "{label}: digest drifted");
-    }
+    assert_eq!(
+        render_rows(&queue_cell_digests()),
+        render_rows(QUEUE_PINNED),
+        "calendar-queue cells drifted from the pinned oracle"
+    );
 }
 
 /// Renders a job set as the service's JSONL arrival stream, ordered by
@@ -1274,12 +1281,11 @@ const ENTRY_POINT_PINNED: &[(&str, u64)] = &[
 /// each degradation policy.
 #[test]
 fn entry_point_digests_match_the_pinned_oracle() {
-    let got = entry_point_digests();
-    assert_eq!(got.len(), ENTRY_POINT_PINNED.len(), "case count");
-    for ((label, digest), (want_label, want)) in got.iter().zip(ENTRY_POINT_PINNED) {
-        assert_eq!(label, want_label);
-        assert_eq!(digest, want, "{label}: digest drifted");
-    }
+    assert_eq!(
+        render_rows(&entry_point_digests()),
+        render_rows(ENTRY_POINT_PINNED),
+        "entry-point rows drifted from the pinned oracle"
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -106,12 +106,42 @@ fn gapped_clean_instance(seed: u64) -> Instance {
     )
 }
 
+/// A clean stream on a quarter-unit grid: releases, deadlines and the
+/// rate switches (1 and 2, every quarter or half unit) all fall on it, so
+/// arrivals share instants with each other, with deadlines and with
+/// capacity boundaries. Ids follow release order; workloads and values
+/// are off-grid, so no two arrivals are alike.
+fn co_timed_clean_instance(seed: u64) -> Instance {
+    let mut rng = Pcg32::seed_from_u64(seed ^ 0xc071_0000);
+    let mut release = 0.0;
+    let tuples: Vec<(f64, f64, f64, f64)> = (0..14)
+        .map(|_| {
+            release += [0.0, 0.0, 0.25, 0.5][rng.next_index(4)];
+            let window = 0.5 + 0.25 * rng.next_index(8) as f64;
+            let workload = window * (0.3 + 0.6 * rng.next_f64());
+            let value = workload * (1.0 + rng.next_f64());
+            (release, release + window, workload, value)
+        })
+        .collect();
+    let segments: Vec<(f64, f64)> = (0..48)
+        .map(|i| ([0.25, 0.5][rng.next_index(2)], [1.0, 2.0][i % 2]))
+        .collect();
+    Instance::new(
+        JobSet::from_tuples(&tuples).unwrap(),
+        PiecewiseConstant::from_durations(&segments)
+            .unwrap()
+            .with_declared_bounds(1.0, 2.0)
+            .unwrap(),
+    )
+}
+
 /// `serve` drives the kernel with the calls a batch run makes (pump to a
 /// release, then seed the job), so on a clean stream its trace and value
 /// are byte-identical to a traced batch run's. The cases: a Table I
 /// workload; a stale completion of job 0 at 3.375 that crosses the rate
-/// change at 3.25 after the last pending deadline; and seeded gapped
-/// streams whose idle gaps outlast a capacity segment.
+/// change at 3.25 after the last pending deadline; seeded gapped streams
+/// whose idle gaps outlast a capacity segment; and seeded quarter-grid
+/// streams with co-timed releases, deadlines and rate switches.
 #[test]
 fn serve_matches_batch_kernel_on_clean_stream() {
     let stale_completion = Instance::new(
@@ -131,6 +161,7 @@ fn serve_matches_batch_kernel_on_clean_stream() {
         ("stale-completion".to_string(), stale_completion),
     ];
     cases.extend((0..16).map(|seed| (format!("gapped/{seed}"), gapped_clean_instance(seed))));
+    cases.extend((0..8).map(|seed| (format!("co-timed/{seed}"), co_timed_clean_instance(seed))));
     assert!(
         cases[0].1.job_count() >= 8,
         "scenario should be non-trivial"
@@ -458,6 +489,72 @@ fn strict_policy_aborts_on_the_first_corrupt_arrival() {
     );
 }
 
+/// An admitted arrival followed by a co-timed exact duplicate. Seeding
+/// releases the admitted job at once, so under `Degrade` every `arrival`
+/// reaches the trace in sequence order, and under `Strict` the admitted
+/// job's `arrival` precedes the `policy_abort` the duplicate causes.
+#[test]
+fn a_co_timed_duplicate_follows_the_admitted_arrival_into_the_trace() {
+    use cloudsched::obs::TraceEvent;
+    let stream = "{\"r\":0,\"d\":4,\"p\":1,\"v\":1}\n\
+                  {\"r\":1,\"d\":3,\"p\":1,\"v\":2}\n\
+                  {\"r\":1,\"d\":3,\"p\":1,\"v\":2}\n\
+                  {\"r\":2,\"d\":5,\"p\":1,\"v\":1}\n";
+    let capacity = Constant::new(1.0).unwrap();
+    let arrivals = |events: &[TraceEvent]| -> Vec<(usize, u64)> {
+        (0..events.len())
+            .filter_map(|i| match events[i] {
+                TraceEvent::Arrival { job, .. } => Some((i, job.0)),
+                _ => None,
+            })
+            .collect()
+    };
+
+    let mut cfg = ServiceConfig::new("vdover", 7.0);
+    let mut sched = by_name("vdover", 7.0, 5.0, 1.0, 1.0).unwrap();
+    let outcome = serve(&capacity, &cfg, sched.as_mut(), stream, None).unwrap();
+    let verdicts: Vec<(bool, DecisionReason)> = outcome
+        .decisions
+        .iter()
+        .map(|d| (d.admitted, d.reason))
+        .collect();
+    assert_eq!(
+        verdicts[1..3],
+        [
+            (true, DecisionReason::Admit),
+            (false, DecisionReason::Duplicate)
+        ]
+    );
+    let order: Vec<u64> = arrivals(&outcome.events).iter().map(|a| a.1).collect();
+    assert_eq!(
+        order,
+        [0, 1, 2, 3],
+        "degrade: arrivals out of sequence order"
+    );
+
+    cfg.policy = DegradationPolicy::Strict;
+    let mut sched = by_name("vdover", 7.0, 5.0, 1.0, 1.0).unwrap();
+    let outcome = serve(&capacity, &cfg, sched.as_mut(), stream, None).unwrap();
+    assert!(matches!(
+        outcome.aborted,
+        Some(CoreError::DuplicateRelease { id: 2, of: 1 })
+    ));
+    let abort = outcome
+        .events
+        .iter()
+        .position(|e| matches!(e, TraceEvent::PolicyAbort { .. }))
+        .expect("the abort is in the trace");
+    let admitted = arrivals(&outcome.events)
+        .into_iter()
+        .find(|a| a.1 == 1)
+        .expect("strict: the admitted job 1 never reached the trace");
+    assert!(
+        admitted.0 < abort,
+        "strict: job 1's arrival at event {} follows the abort at {abort}",
+        admitted.0
+    );
+}
+
 #[test]
 fn backpressure_follows_the_degradation_policy() {
     // Five co-released admissible jobs against queue_cap = 2.
@@ -682,23 +779,25 @@ fn render_cells(rows: &[(usize, &str, u64)]) -> String {
 
 /// Everything `serve` writes except the snapshot records — decisions,
 /// trace, abort, and the open / arrival / decision / trace journal lines —
-/// is pinned to digests recorded before the snapshot format changed. A
-/// snapshot-format change must leave every cell byte-identical.
+/// is pinned to digests, last re-pinned when seeding a job came to release
+/// it at once (an admitted job's trace lines now precede the next
+/// arrival's records). A snapshot-format change must leave every cell
+/// byte-identical.
 #[test]
 fn serve_outputs_outside_snapshots_match_the_pinned_digests() {
     const PINNED: [(usize, &str, u64); 12] = [
-        (1, "strict", 0x3319_670c_8f09_6472),
-        (1, "degrade", 0x8ee6_85e4_01fc_64ec),
-        (1, "best-effort", 0x4aeb_d741_7b2a_2845),
-        (2, "strict", 0xa720_c01c_6e7d_efd6),
-        (2, "degrade", 0xfc29_22d0_c7c8_eed5),
-        (2, "best-effort", 0x7099_8ed2_c5fd_614e),
-        (12, "strict", 0x5104_1551_1a08_8695),
-        (12, "degrade", 0x13ae_a9de_4ea0_421c),
-        (12, "best-effort", 0xa92b_6a74_b040_d69d),
-        (usize::MAX, "strict", 0x10cd_d6a6_b1ec_f973),
-        (usize::MAX, "degrade", 0x2bf1_c44f_8288_38e8),
-        (usize::MAX, "best-effort", 0xd4cf_58a9_43da_7743),
+        (1, "strict", 0x765d_8aa0_6731_8ef2),
+        (1, "degrade", 0x7352_4e2a_fc59_541c),
+        (1, "best-effort", 0x161e_67e8_e361_dee5),
+        (2, "strict", 0xccb2_eeac_949a_a7c6),
+        (2, "degrade", 0x7140_3ec6_c609_1631),
+        (2, "best-effort", 0x7841_3291_7049_f5c2),
+        (12, "strict", 0x7155_e035_3543_b367),
+        (12, "degrade", 0x0bfb_5e1a_2fd4_798e),
+        (12, "best-effort", 0x480e_5f2d_ed1d_833d),
+        (usize::MAX, "strict", 0x49d3_f5f7_ef74_2e39),
+        (usize::MAX, "degrade", 0x52f3_8608_c303_ef20),
+        (usize::MAX, "best-effort", 0x15e3_3738_6dab_9e5b),
     ];
     let actual = pinned_cell_digests(&PINNED, |l| !l.starts_with("{\"svc\":\"snapshot\""));
     assert_eq!(
@@ -709,24 +808,24 @@ fn serve_outputs_outside_snapshots_match_the_pinned_digests() {
 }
 
 /// The admission path's full output, snapshot records included, is pinned
-/// to digests (recorded with `csnap3` / `dover2` snapshot blobs). Any
+/// to digests (recorded with `csnap4` / `dover2` snapshot blobs). Any
 /// change to the service core must keep every `(queue_cap, policy)` cell
 /// byte-identical.
 #[test]
 fn serve_outputs_match_the_pinned_reference_digests() {
     const PINNED: [(usize, &str, u64); 12] = [
-        (1, "strict", 0x3319_670c_8f09_6472),
-        (1, "degrade", 0x1d83_521a_5052_6135),
-        (1, "best-effort", 0x7523_2dcb_d5e5_c2bc),
-        (2, "strict", 0xa720_c01c_6e7d_efd6),
-        (2, "degrade", 0xaf6a_068e_696d_84d4),
-        (2, "best-effort", 0x9d7c_1d7d_93b3_4623),
-        (12, "strict", 0x0ee8_8c58_1add_99f7),
-        (12, "degrade", 0x519a_c625_b8e0_ebf6),
-        (12, "best-effort", 0xeeaf_b16e_940e_caa4),
-        (usize::MAX, "strict", 0x6f7a_2556_ef28_cea5),
-        (usize::MAX, "degrade", 0xe64d_1f99_6570_bbf7),
-        (usize::MAX, "best-effort", 0xf99d_9c36_51dc_0ed2),
+        (1, "strict", 0x765d_8aa0_6731_8ef2),
+        (1, "degrade", 0x66a4_26b1_4c24_ee82),
+        (1, "best-effort", 0x32a0_7843_7d71_70a1),
+        (2, "strict", 0xccb2_eeac_949a_a7c6),
+        (2, "degrade", 0x1326_bb0b_cb0a_643c),
+        (2, "best-effort", 0xefde_d575_40c6_acd2),
+        (12, "strict", 0x2f5c_d04a_43b9_ea1b),
+        (12, "degrade", 0x942f_71aa_1ef3_d1fb),
+        (12, "best-effort", 0xe450_45bb_146a_2409),
+        (usize::MAX, "strict", 0xa55c_be2a_d33f_29b1),
+        (usize::MAX, "degrade", 0x2993_c700_3b34_8fd9),
+        (usize::MAX, "best-effort", 0xfd30_7421_b825_044f),
     ];
     let actual = pinned_cell_digests(&PINNED, |_| true);
     assert_eq!(
@@ -884,8 +983,9 @@ fn journals_with_older_snapshot_or_scheduler_blob_versions_are_rejected_by_name(
         .rposition(|l| l.starts_with("{\"svc\":\"snapshot\","))
         .expect("the crashed run took a snapshot");
     for (from, to, named) in [
-        ("\"blob\":\"csnap3;", "\"blob\":\"csnap2;", "csnap2"),
-        ("\"blob\":\"csnap3;", "\"blob\":\"csnap1;", "csnap1"),
+        ("\"blob\":\"csnap4;", "\"blob\":\"csnap3;", "csnap3"),
+        ("\"blob\":\"csnap4;", "\"blob\":\"csnap2;", "csnap2"),
+        ("\"blob\":\"csnap4;", "\"blob\":\"csnap1;", "csnap1"),
         ("dover2|", "dover1|", "dover1"),
     ] {
         let mut old = lines.clone();
