@@ -5,8 +5,6 @@
 //! * [`bounds`] — the competitive-ratio formulas of Theorems 1 and 3
 //!   (`f(k, δ)`, the achievable ratio, the upper bound, the optimal V-Dover
 //!   threshold `β*`) and Dover's classical `1/(1+√k)²`;
-//! * [`admissibility`] — instance classification (underloaded vs
-//!   overloaded necessary conditions);
 //! * [`adversary`] — the Theorem 3(3) construction: an input family `I_n`
 //!   containing one non-admissible job that drives every online algorithm's
 //!   competitive ratio to zero;
@@ -17,7 +15,6 @@
 
 #![warn(missing_docs)]
 
-pub mod admissibility;
 pub mod adversary;
 pub mod bounds;
 pub mod stats;

@@ -397,11 +397,12 @@ fn parse_row(obj: &str, suite: Option<&'static Schema>) -> Result<Row, String> {
             .find(|s| s.suite == bench)
             .ok_or(format!("unknown bench suite `{bench}`"))?,
     };
-    let values = schema
-        .fields
-        .iter()
-        .map(|&(name, kind)| parse_value(name, kind, next(name)?))
-        .collect::<Result<Vec<_>, _>>()?;
+    // The row's own storage, sized once: nothing else is allocated per
+    // line but the text values it owns.
+    let mut values = Vec::with_capacity(schema.fields.len());
+    for &(name, kind) in schema.fields {
+        values.push(parse_value(name, kind, next(name)?)?);
+    }
     if let Some(extra) = fields.next() {
         let (k, _) = extra?;
         return Err(format!("unexpected extra field `{k}`"));

@@ -13,6 +13,13 @@
 use crate::jsonl::{split_flat_object, unquote, JsonlWriter};
 use cloudsched_core::{JobId, Time};
 
+/// Every key [`TraceEvent::parse_jsonl`] reads, the most frequent first.
+#[rustfmt::skip]
+const JSONL_KEYS: [&str; 20] = [
+    "t", "ev", "job", "value", "remaining", "laxity", "depth", "queue", "act", "density", "rank",
+    "flip", "rate", "segment", "fault", "c_lo", "from", "to", "misses", "down_for",
+];
+
 /// Which scheduler queue a [`TraceEvent::QueueDepth`] sample refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueKind {
@@ -447,12 +454,12 @@ impl TraceEvent {
     /// This is a parser for the crate's own flat encoding (string values
     /// without escapes, numbers, fixed keys) — not a general JSON parser.
     pub fn parse_jsonl(line: &str) -> Result<TraceEvent, String> {
-        let fields = split_flat_object(line)?.collect::<Result<Vec<_>, _>>()?;
+        let slots = split_flat_object(line)?.slots(JSONL_KEYS)?;
         let get = |key: &str| -> Result<&str, String> {
-            fields
+            JSONL_KEYS
                 .iter()
-                .find(|(k, _)| *k == key)
-                .map(|(_, v)| *v)
+                .position(|&k| k == key)
+                .and_then(|i| slots[i])
                 .ok_or_else(|| format!("missing key `{key}` in `{line}`"))
         };
         let str_of = |key: &str| -> Result<&str, String> {

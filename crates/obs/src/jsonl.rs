@@ -11,7 +11,14 @@
 //!   of a simulation share their instant with a neighbour. Callers also
 //!   build their own records in the same buffer ([`JsonlWriter::record`]).
 //! * [`split_flat_object`] walks a line and yields borrowed
-//!   `(key, raw value)` pairs; nothing is copied.
+//!   `(key, raw value)` pairs; nothing is copied and nothing is
+//!   allocated. It scans bytes: every delimiter is ASCII, and ASCII
+//!   whitespace is skipped a byte at a time, while a non-ASCII char hands
+//!   the trim to `str::trim_start` / `trim_end`, so Unicode whitespace
+//!   such as U+00A0 is trimmed exactly as `str::trim` does.
+//!   [`FlatFields::slots`] drains a line into one slot per wanted key, so
+//!   a reader needs no `Vec` per line. A seeded fuzz holds the scanner to
+//!   the `str`-method splitter it replaced, `Err` text included.
 //!
 //! Numbers go through [`push_u64`] and [`push_f64`], which write digits
 //! without `core::fmt`: digit pairs from a table, and Ryu's shortest
@@ -200,15 +207,15 @@ fn str_field(out: &mut String, name: &str, s: &str) {
 /// A line that is not wrapped in braces; each malformed field surfaces as
 /// an `Err` item, after which the iterator ends.
 pub fn split_flat_object(line: &str) -> Result<FlatFields<'_>, String> {
+    let line = trim_end(trim_start(line));
     let body = line
-        .trim()
         .strip_prefix('{')
         .and_then(|s| s.strip_suffix('}'))
         .ok_or("record is not a flat JSON object")?;
     Ok(FlatFields {
         rest: body,
         // `{}` is an object with no fields.
-        done: body.trim().is_empty(),
+        done: trim_start(body).is_empty(),
     })
 }
 
@@ -220,39 +227,65 @@ pub struct FlatFields<'a> {
 }
 
 impl<'a> FlatFields<'a> {
+    /// Drains the fields into one slot per name in `keys`: slot `i` holds
+    /// the raw value of the first field named `keys[i]`, or `None`. Fields
+    /// with other names are checked and skipped.
+    ///
+    /// # Errors
+    /// The first malformed field's error, as the iterator yields it.
+    pub fn slots<const N: usize>(self, keys: [&str; N]) -> Result<[Option<&'a str>; N], String> {
+        let mut slots = [None; N];
+        for field in self {
+            let (key, value) = field?;
+            if let Some(i) = keys.iter().position(|&k| k == key) {
+                slots[i].get_or_insert(value);
+            }
+        }
+        Ok(slots)
+    }
+
+    /// Scans one field off the front of `s` (already trimmed at its
+    /// start). Every delimiter is an ASCII byte, so each index it cuts at
+    /// is a char boundary.
     fn field(&mut self, s: &'a str) -> Result<(&'a str, &'a str), String> {
-        let (key, after) = s
-            .strip_prefix('"')
-            .and_then(|s| s.split_once('"'))
-            .ok_or_else(|| format!("field `{s}` has no quoted key"))?;
+        let key_end = match s.as_bytes().first() {
+            Some(b'"') => find(s, 1, b'"'),
+            _ => None,
+        }
+        .ok_or_else(|| format!("field `{s}` has no quoted key"))?;
+        let key = &s[1..key_end];
         if key.is_empty() {
             return Err("record has an empty key".into());
         }
-        let after = after
-            .trim_start()
-            .strip_prefix(':')
-            .ok_or_else(|| format!("field `{key}` has no key/value colon"))?
-            .trim_start();
-        let (value, tail) = match after.strip_prefix('"') {
-            Some(inner) => {
-                let end = inner
-                    .find('"')
-                    .ok_or_else(|| format!("field `{key}` has an unterminated string"))?;
-                after.split_at(end + 2)
+        let after = trim_start(&s[key_end + 1..]);
+        if after.as_bytes().first() != Some(&b':') {
+            return Err(format!("field `{key}` has no key/value colon"));
+        }
+        let after = trim_start(&after[1..]);
+        if after.as_bytes().first() == Some(&b'"') {
+            let end = find(after, 1, b'"')
+                .ok_or_else(|| format!("field `{key}` has an unterminated string"))?;
+            let tail = trim_start(&after[end + 1..]);
+            match tail.as_bytes().first() {
+                None => self.done = true,
+                Some(b',') => self.rest = &tail[1..],
+                Some(_) => return Err(format!("field `{key}` is followed by `{tail}`")),
             }
-            None => after.split_at(after.find(',').unwrap_or(after.len())),
+            return Ok((key, &after[..=end]));
+        }
+        let value = match find(after, 0, b',') {
+            Some(comma) => {
+                self.rest = &after[comma + 1..];
+                &after[..comma]
+            }
+            None => {
+                self.done = true;
+                after
+            }
         };
-        let value = value.trim_end();
+        let value = trim_end(value);
         if value.is_empty() {
             return Err(format!("field `{key}` has no value"));
-        }
-        let tail = tail.trim_start();
-        if tail.is_empty() {
-            self.done = true;
-        } else {
-            self.rest = tail
-                .strip_prefix(',')
-                .ok_or_else(|| format!("field `{key}` is followed by `{tail}`"))?;
         }
         Ok((key, value))
     }
@@ -265,11 +298,44 @@ impl<'a> Iterator for FlatFields<'a> {
         if self.done {
             return None;
         }
-        let field = self.field(self.rest.trim_start());
+        let field = self.field(trim_start(self.rest));
         if field.is_err() {
             self.done = true;
         }
         Some(field)
+    }
+}
+
+/// The index of the first `byte` in `s` at or after `from`.
+fn find(s: &str, from: usize, byte: u8) -> Option<usize> {
+    s.as_bytes()[from..]
+        .iter()
+        .position(|&b| b == byte)
+        .map(|i| from + i)
+}
+
+/// `true` for the ASCII bytes `char::is_whitespace` accepts (tab, line
+/// feed, vertical tab, form feed, carriage return and space).
+fn is_ascii_space(b: u8) -> bool {
+    matches!(b, b'\t'..=b'\r' | b' ')
+}
+
+/// [`str::trim_start`], stepping over ASCII whitespace a byte at a time;
+/// a non-ASCII char hands the rest to `str::trim_start`.
+fn trim_start(s: &str) -> &str {
+    match s.bytes().position(|b| !is_ascii_space(b)) {
+        Some(i) if s.as_bytes()[i].is_ascii() => &s[i..],
+        Some(i) => s[i..].trim_start(),
+        None => "",
+    }
+}
+
+/// [`str::trim_end`], the mirror of [`trim_start`].
+fn trim_end(s: &str) -> &str {
+    match s.bytes().rposition(|b| !is_ascii_space(b)) {
+        Some(i) if s.as_bytes()[i].is_ascii() => &s[..=i],
+        Some(i) => s[..=i].trim_end(),
+        None => "",
     }
 }
 
@@ -283,6 +349,7 @@ pub fn unquote(raw: &str) -> Option<&str> {
 mod tests {
     use super::*;
     use crate::event::{DecisionAction, FaultKind, QueueKind};
+    use cloudsched_core::rng::Rng;
     use cloudsched_core::Time;
 
     /// One event of every kind, stamped at `t`.
@@ -576,5 +643,219 @@ mod tests {
             let fields: Result<Vec<_>, _> = split_flat_object(bad).unwrap().collect();
             assert!(fields.is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn slots_keep_the_first_value_of_each_named_key() {
+        let line = "{\"a\":1,\"skip\":\"x,y\",\"b\":\"s\",\"a\":2}";
+        let slots = split_flat_object(line).unwrap().slots(["a", "b", "c"]);
+        assert_eq!(slots, Ok([Some("1"), Some("\"s\""), None]));
+        // A malformed field after the named ones still fails the line.
+        let bad = split_flat_object("{\"a\":1,\"b\":}").unwrap().slots(["a"]);
+        assert_eq!(bad, Err("field `b` has no value".to_string()));
+    }
+
+    /// The `str`-method splitter the byte scanner replaced, kept as the
+    /// equivalence oracle.
+    struct OldFields<'a> {
+        rest: &'a str,
+        done: bool,
+    }
+
+    fn old_split_flat_object(line: &str) -> Result<OldFields<'_>, String> {
+        let body = line
+            .trim()
+            .strip_prefix('{')
+            .and_then(|s| s.strip_suffix('}'))
+            .ok_or("record is not a flat JSON object")?;
+        Ok(OldFields {
+            rest: body,
+            done: body.trim().is_empty(),
+        })
+    }
+
+    impl<'a> OldFields<'a> {
+        fn field(&mut self, s: &'a str) -> Result<(&'a str, &'a str), String> {
+            let (key, after) = s
+                .strip_prefix('"')
+                .and_then(|s| s.split_once('"'))
+                .ok_or_else(|| format!("field `{s}` has no quoted key"))?;
+            if key.is_empty() {
+                return Err("record has an empty key".into());
+            }
+            let after = after
+                .trim_start()
+                .strip_prefix(':')
+                .ok_or_else(|| format!("field `{key}` has no key/value colon"))?
+                .trim_start();
+            let (value, tail) = match after.strip_prefix('"') {
+                Some(inner) => {
+                    let end = inner
+                        .find('"')
+                        .ok_or_else(|| format!("field `{key}` has an unterminated string"))?;
+                    after.split_at(end + 2)
+                }
+                None => after.split_at(after.find(',').unwrap_or(after.len())),
+            };
+            let value = value.trim_end();
+            if value.is_empty() {
+                return Err(format!("field `{key}` has no value"));
+            }
+            let tail = tail.trim_start();
+            if tail.is_empty() {
+                self.done = true;
+            } else {
+                self.rest = tail
+                    .strip_prefix(',')
+                    .ok_or_else(|| format!("field `{key}` is followed by `{tail}`"))?;
+            }
+            Ok((key, value))
+        }
+    }
+
+    impl<'a> Iterator for OldFields<'a> {
+        type Item = Result<(&'a str, &'a str), String>;
+
+        fn next(&mut self) -> Option<Self::Item> {
+            if self.done {
+                return None;
+            }
+            let field = self.field(self.rest.trim_start());
+            if field.is_err() {
+                self.done = true;
+            }
+            Some(field)
+        }
+    }
+
+    /// Tokens the fuzz inserts: the delimiters, ASCII and Unicode
+    /// whitespace (U+0085, U+00A0, U+2003, U+3000), characters that look
+    /// like whitespace but are not (U+001C, U+200B), and multibyte letters.
+    const ALPHABET: [&str; 26] = [
+        "\"", "{", "}", ":", ",", " ", "\t", "\r", "\n", "\u{b}", "\u{c}", "\u{1c}", "\u{85}",
+        "\u{a0}", "\u{2003}", "\u{3000}", "\u{200b}", "é", "中", "😀", "a", "1", ".", "-", "\"\"",
+        "\":\"",
+    ];
+
+    /// Well-formed lines of every shape the workspace writes.
+    fn fuzz_seeds() -> Vec<String> {
+        let mut seeds: Vec<String> = every_kind(Time::new(2.5))
+            .iter()
+            .map(TraceEvent::to_jsonl)
+            .collect();
+        seeds.extend(
+            [
+                "{\"r\":0.5,\"d\":3.25,\"p\":1,\"v\":2}",
+                "{\"svc\":\"arrival\",\"seq\":7,\"r\":0.5,\"d\":3.25,\"p\":1,\"v\":2}",
+                "{\"svc\":\"decision\",\"seq\":0,\"job\":0,\"admit\":true,\"reason\":\"admit\"}",
+                "{ \"svc\" : \"snapshot\",\"seq\":4, \"blob\":\"csnap2;a,b:c;|d\" }",
+                "{\"bench\":\"fleet\",\"machines\":64,\"digest\":\"0123456789abcdef\"}",
+                "{}",
+                "",
+            ]
+            .map(String::from),
+        );
+        seeds
+    }
+
+    /// A char boundary of `s` drawn uniformly from its chars' starts and
+    /// its end.
+    fn boundary(s: &str, rng: &mut impl Rng) -> usize {
+        let n = s.chars().count();
+        s.char_indices()
+            .map(|(i, _)| i)
+            .chain([s.len()])
+            .nth(rng.next_index(n + 1))
+            .unwrap_or(s.len())
+    }
+
+    /// One to four random edits of a seed line: insert a token, delete a
+    /// char or replace a char with a token.
+    fn mutate(seed: &str, rng: &mut impl Rng, out: &mut String) {
+        out.clear();
+        out.push_str(seed);
+        for _ in 0..=rng.next_index(4) {
+            let at = boundary(out, rng);
+            let token = ALPHABET[rng.next_index(ALPHABET.len())];
+            let len = out[at..].chars().next().map_or(0, char::len_utf8);
+            match rng.next_index(3) {
+                0 => out.insert_str(at, token),
+                1 => out.replace_range(at..at + len, ""),
+                _ => out.replace_range(at..at + len, token),
+            }
+        }
+    }
+
+    /// Asserts the scanner and the oracle agree on `line`: the same
+    /// top-level result, then the same items, errors included, and the
+    /// same first-occurrence slots.
+    fn assert_same_split(line: &str) {
+        let new = split_flat_object(line).map(|f| f.collect::<Vec<_>>());
+        let old = old_split_flat_object(line).map(|f| f.collect::<Vec<_>>());
+        assert_eq!(new, old, "{line:?}");
+        let keys = ["t", "ev", "r", "svc", "a", "é"];
+        let slots = split_flat_object(line).and_then(|f| f.slots(keys));
+        let old_slots = old_split_flat_object(line).and_then(|f| {
+            let mut slots = [None; 6];
+            for field in f {
+                let (k, v) = field?;
+                if let Some(i) = keys.iter().position(|&name| name == k) {
+                    slots[i].get_or_insert(v);
+                }
+            }
+            Ok(slots)
+        });
+        assert_eq!(slots, old_slots, "{line:?}");
+    }
+
+    fn fuzz_splitter(seed: u64, lines: u64) {
+        use cloudsched_core::rng::Pcg32;
+        let seeds = fuzz_seeds();
+        let mut rng = Pcg32::seed_from_u64(seed);
+        let mut line = String::new();
+        for _ in 0..lines {
+            mutate(&seeds[rng.next_index(seeds.len())], &mut rng, &mut line);
+            assert_same_split(&line);
+        }
+    }
+
+    #[test]
+    fn splitter_matches_the_oracle_on_edge_lines() {
+        for seed in fuzz_seeds() {
+            assert_same_split(&seed);
+        }
+        for line in [
+            "{",
+            "}",
+            "{}}",
+            "{{}",
+            " \u{a0}{ \u{2003}}\u{85}",
+            "{\"a\"\u{a0}:\u{2003}1\u{a0}}",
+            "{\"a\":1\u{200b}}",
+            "{\"a\":1\u{1c}}",
+            "{\"a\":\"x\"\u{3000},\u{b}\"b\":2\u{c}}",
+            "{\"é\":\"中\",\"😀\":-1.5}",
+            "{\"a\":1,}",
+            "{\"a\":,\"b\":1}",
+            "{\"a\":\"\"}",
+            "{\"\":1}",
+            "{\"a\":\"open}",
+            "{\"a\":\"x\"y}",
+        ] {
+            assert_same_split(line);
+        }
+    }
+
+    #[test]
+    fn splitter_matches_the_oracle_on_1e5_mutated_lines() {
+        fuzz_splitter(0x5eed_f1a7, 100_000);
+    }
+
+    /// 1e7 more mutated lines; run with
+    /// `cargo test --release -p cloudsched-obs -- --ignored` (≈1 min).
+    #[test]
+    #[ignore = "release-mode sweep of 1e7 mutated lines"]
+    fn splitter_matches_the_oracle_on_1e7_mutated_lines() {
+        fuzz_splitter(0x5eed_f1a8, 10_000_000);
     }
 }

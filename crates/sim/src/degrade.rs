@@ -37,6 +37,7 @@
 use crate::report::RunReport;
 use cloudsched_core::{CoreError, Job, Time};
 use cloudsched_obs::FaultKind;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// What the engine does when the watchdog detects a broken assumption.
@@ -272,13 +273,20 @@ impl Watchdog {
             job.workload.to_bits(),
             job.value.to_bits(),
         ];
-        if let Some(&of) = self.seen.get(&key) {
-            self.stats.faults_detected += 1;
-            return Some(StreamFault {
-                kind: FaultKind::Duplicate,
-                error: CoreError::DuplicateRelease { id: job.id.0, of },
-            });
-        }
+        // One lookup: a clean job fills the vacant slot after its checks.
+        let slot = match self.seen.entry(key) {
+            Entry::Occupied(first) => {
+                self.stats.faults_detected += 1;
+                return Some(StreamFault {
+                    kind: FaultKind::Duplicate,
+                    error: CoreError::DuplicateRelease {
+                        id: job.id.0,
+                        of: *first.get(),
+                    },
+                });
+            }
+            Entry::Vacant(slot) => slot,
+        };
         if !job.individually_admissible(self.declared_lo) {
             self.stats.faults_detected += 1;
             return Some(StreamFault {
@@ -307,7 +315,7 @@ impl Watchdog {
                 }
             }
         }
-        self.seen.insert(key, job.id.0);
+        slot.insert(job.id.0);
         if density.is_finite() && density > 0.0 {
             self.min_density = self.min_density.min(density);
         }

@@ -36,7 +36,10 @@
 //! through the borrowing [`split_flat_object`]; without a journal
 //! (recovery's replay, or `serve` with no sink) nothing is rendered. So
 //! the journal costs a constant number of bytes and allocations per
-//! arrival, however long the stream.
+//! arrival, however long the stream. Reading allocates nothing per line
+//! either: [`parse_stream`] drains each line straight into its four
+//! `r`/`d`/`p`/`v` slots, and journal replay reuses one field buffer
+//! across records.
 //!
 //! ## Determinism and recovery
 //!
@@ -307,30 +310,38 @@ fn corrupt(line: usize, reason: impl Into<String>) -> CoreError {
 // `push_str` and `obs::jsonl`'s fmt-free `push_u64` / `push_f64`, whose
 // text is byte-identical to `{}` formatting: the shortest round-trip
 // form, so parse ∘ render is the identity. They render into the WAL's
-// reused buffer and parse through the borrowing `split_flat_object`.
+// reused buffer and parse through the borrowing `split_flat_object`,
+// into slots or one field buffer reused across lines.
 // ---------------------------------------------------------------------
 
-/// The fields of one flat record, borrowed from its line.
-struct Record<'a> {
+/// The fields of one flat record, borrowed from its line and held in a
+/// buffer the caller reuses from line to line.
+struct Record<'a, 'b> {
     line: usize,
     what: &'static str,
-    fields: Vec<(&'a str, &'a str)>,
+    fields: &'b [(&'a str, &'a str)],
 }
 
-impl<'a> Record<'a> {
-    fn parse(text: &'a str, line: usize, what: &'static str) -> Result<Self, CoreError> {
-        let fields = split_flat_object(text)
-            .and_then(|f| f.collect::<Result<Vec<_>, _>>())
-            .map_err(|e| corrupt(line, e))?;
+impl<'a, 'b> Record<'a, 'b> {
+    fn parse(
+        text: &'a str,
+        line: usize,
+        what: &'static str,
+        fields: &'b mut Vec<(&'a str, &'a str)>,
+    ) -> Result<Self, CoreError> {
+        fields.clear();
+        for field in split_flat_object(text).map_err(|e| corrupt(line, e))? {
+            fields.push(field.map_err(|e| corrupt(line, e))?);
+        }
         Ok(Record { line, what, fields })
     }
 
     fn raw(&self, key: &str) -> Result<&'a str, CoreError> {
-        self.fields
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| *v)
-            .ok_or_else(|| corrupt(self.line, format!("{} is missing key {key:?}", self.what)))
+        present(self.find(key), self.line, self.what, key)
+    }
+
+    fn find(&self, key: &str) -> Option<&'a str> {
+        self.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
     }
 
     fn text(&self, key: &str) -> Result<&'a str, CoreError> {
@@ -343,16 +354,7 @@ impl<'a> Record<'a> {
     }
 
     fn num(&self, key: &str) -> Result<f64, CoreError> {
-        self.raw(key)?
-            .parse::<f64>()
-            .ok()
-            .filter(|v| !v.is_nan())
-            .ok_or_else(|| {
-                corrupt(
-                    self.line,
-                    format!("{} key {key:?} is not a number", self.what),
-                )
-            })
+        number(self.find(key), self.line, self.what, key)
     }
 
     fn uint<T: std::str::FromStr>(&self, key: &str) -> Result<T, CoreError> {
@@ -374,15 +376,46 @@ impl<'a> Record<'a> {
     }
 }
 
+/// The raw value of `key`, or the error that names it missing.
+fn present<'a>(
+    raw: Option<&'a str>,
+    line: usize,
+    what: &str,
+    key: &str,
+) -> Result<&'a str, CoreError> {
+    raw.ok_or_else(|| corrupt(line, format!("{what} is missing key {key:?}")))
+}
+
+/// The value of `key` as a number that is not NaN.
+fn number(raw: Option<&str>, line: usize, what: &str, key: &str) -> Result<f64, CoreError> {
+    present(raw, line, what, key)?
+        .parse::<f64>()
+        .ok()
+        .filter(|v| !v.is_nan())
+        .ok_or_else(|| corrupt(line, format!("{what} key {key:?} is not a number")))
+}
+
 /// Parses an admission stream: one flat JSON object per line,
-/// `{"r":R,"d":D,"p":P,"v":V}`. Blank lines are skipped.
+/// `{"r":R,"d":D,"p":P,"v":V}`. Blank lines are skipped; other keys are
+/// ignored, and of two equal keys the first counts.
 pub fn parse_stream(text: &str) -> Result<Vec<Arrival>, CoreError> {
     let mut out = Vec::new();
     for (i, raw) in text.lines().enumerate() {
         let line = raw.trim();
-        if !line.is_empty() {
-            out.push(Record::parse(line, i + 1, "arrival")?.arrival()?);
+        if line.is_empty() {
+            continue;
         }
+        let lineno = i + 1;
+        let [r, d, p, v] = split_flat_object(line)
+            .and_then(|f| f.slots(["r", "d", "p", "v"]))
+            .map_err(|e| corrupt(lineno, e))?;
+        let num = |raw, key| number(raw, lineno, "arrival", key);
+        out.push(Arrival {
+            release: num(r, "r")?,
+            deadline: num(d, "d")?,
+            workload: num(p, "p")?,
+            value: num(v, "v")?,
+        });
     }
     Ok(out)
 }
@@ -884,7 +917,8 @@ fn svc_kind(line: &str, lineno: usize) -> Result<&str, CoreError> {
 /// Parses one `open` record (the journal's first line as `serve` writes
 /// it).
 fn parse_open(line: &str, lineno: usize) -> Result<JournalHeader, CoreError> {
-    let rec = Record::parse(line, lineno, "open record")?;
+    let mut fields = Vec::new();
+    let rec = Record::parse(line, lineno, "open record", &mut fields)?;
     if rec.raw("version")? != "1" {
         return Err(corrupt(lineno, "unsupported journal version"));
     }
@@ -908,6 +942,7 @@ fn parse_journal(journal: &str) -> Result<ParsedJournal<'_>, CoreError> {
     let mut decisions = BTreeMap::new();
     let mut snapshots = Vec::new();
     let mut trace = Vec::new();
+    let mut fields = Vec::new();
     for (i, raw) in journal.lines().enumerate() {
         let lineno = i + 1;
         let line = raw.trim();
@@ -933,7 +968,7 @@ fn parse_journal(journal: &str) -> Result<ParsedJournal<'_>, CoreError> {
                 header = Some(parse_open(line, lineno)?);
             }
             "arrival" => {
-                let rec = Record::parse(line, lineno, "arrival record")?;
+                let rec = Record::parse(line, lineno, "arrival record", &mut fields)?;
                 let seq: u64 = rec.uint("seq")?;
                 if arrivals.insert(seq, rec.arrival()?).is_some() {
                     return Err(corrupt(
@@ -943,7 +978,7 @@ fn parse_journal(journal: &str) -> Result<ParsedJournal<'_>, CoreError> {
                 }
             }
             "decision" => {
-                let rec = Record::parse(line, lineno, "decision record")?;
+                let rec = Record::parse(line, lineno, "decision record", &mut fields)?;
                 let seq: u64 = rec.uint("seq")?;
                 let admit = match rec.raw("admit")? {
                     "true" => true,
@@ -959,7 +994,7 @@ fn parse_journal(journal: &str) -> Result<ParsedJournal<'_>, CoreError> {
                 }
             }
             "snapshot" => {
-                let rec = Record::parse(line, lineno, "snapshot record")?;
+                let rec = Record::parse(line, lineno, "snapshot record", &mut fields)?;
                 let seq: u64 = rec.uint("seq")?;
                 if snapshots.last().is_some_and(|&(_, prev, _)| prev >= seq) {
                     return Err(corrupt(
@@ -972,7 +1007,8 @@ fn parse_journal(journal: &str) -> Result<ParsedJournal<'_>, CoreError> {
             "snapshot-unsupported" => {
                 // Informational: the run's scheduler could not checkpoint,
                 // so there is no snapshot to restore — replay handles it.
-                Record::parse(line, lineno, "snapshot-unsupported record")?.uint::<u64>("seq")?;
+                Record::parse(line, lineno, "snapshot-unsupported record", &mut fields)?
+                    .uint::<u64>("seq")?;
             }
             other => {
                 return Err(corrupt(
@@ -1169,22 +1205,72 @@ mod tests {
 
     #[test]
     fn malformed_streams_yield_typed_errors() {
-        for bad in [
-            "not json",
-            "{\"r\":0.5,\"d\":3}",                   // missing keys
-            "{\"r\":x,\"d\":3,\"p\":1,\"v\":2}",     // non-number
-            "{\"r\":NaN,\"d\":3,\"p\":1,\"v\":2}",   // NaN smuggling
-            "{\"r\":\"1\",\"d\":3,\"p\":1,\"v\":2}", // a string, not a number
-            "{\"r\":1,\"d\":3,\"p\":1,\"v\":2,}",    // trailing comma
-        ] {
-            assert!(
-                matches!(
-                    parse_stream(bad),
-                    Err(CoreError::CorruptJournal { line: 1, .. })
-                ),
-                "expected typed parse error for {bad:?}"
-            );
+        let not_a_number = "arrival key \"r\" is not a number";
+        let cases: &[(&str, usize, &str)] = &[
+            ("not json", 1, "record is not a flat JSON object"),
+            ("{\"r\":0.5,\"d\":3}", 1, "arrival is missing key \"p\""),
+            ("{\"r\":x,\"d\":3,\"p\":1,\"v\":2}", 1, not_a_number),
+            ("{\"r\":NaN,\"d\":3,\"p\":1,\"v\":2}", 1, not_a_number),
+            ("{\"r\":\"1\",\"d\":3,\"p\":1,\"v\":2}", 1, not_a_number),
+            (
+                "{\"r\":1,\"d\":3,\"p\":1,\"v\":2,}",
+                1,
+                "field `` has no quoted key",
+            ),
+            // The first of two equal keys is the one that counts.
+            ("{\"r\":x,\"d\":3,\"p\":1,\"v\":2,\"r\":1}", 1, not_a_number),
+            // Unicode whitespace is trimmed around tokens, not inside them.
+            ("{\"r\":1\u{a0}x,\"d\":3,\"p\":1,\"v\":2}", 1, not_a_number),
+            (
+                "{\"r\":\"1\"\u{2003}x,\"d\":3,\"p\":1,\"v\":2}",
+                1,
+                "field `r` is followed by `x,\"d\":3,\"p\":1,\"v\":2`",
+            ),
+            // Blank lines, CRLF endings included, still count.
+            (
+                "{\"r\":1,\"d\":3,\"p\":1,\"v\":2}\r\n\r\n \n{\"r\":1,\"d\"}",
+                4,
+                "field `d` has no key/value colon",
+            ),
+            (
+                "\n\n{\"r\":1,\"d\":\"3}",
+                3,
+                "field `d` has an unterminated string",
+            ),
+            ("{\"r\":1,\"\":3}", 1, "record has an empty key"),
+            ("{\"r\":1,\"d\": ,\"p\":1}", 1, "field `d` has no value"),
+            ("{\"r\":1,\"d\"x:3}", 1, "field `d` has no key/value colon"),
+            ("{\"r\":1,d:3}", 1, "field `d:3` has no quoted key"),
+            ("{\"r}", 1, "field `\"r` has no quoted key"),
+        ];
+        for &(bad, at, why) in cases {
+            match parse_stream(bad) {
+                Err(CoreError::CorruptJournal { line, reason }) => {
+                    assert_eq!((line, reason.as_str()), (at, why), "{bad:?}");
+                }
+                other => panic!("expected a typed parse error for {bad:?}, got {other:?}"),
+            }
         }
+    }
+
+    #[test]
+    fn stream_parser_takes_the_first_key_and_trims_unicode_whitespace() {
+        let want = Arrival {
+            release: 1.0,
+            deadline: 3.0,
+            workload: 1.0,
+            value: 2.0,
+        };
+        for good in [
+            "{\"r\":1,\"d\":3,\"p\":1,\"v\":2,\"r\":5}",
+            "{\"r\":1,\"r\":x,\"d\":3,\"p\":1,\"v\":2,\"note\":\"a,b:c\"}",
+            "\u{a0}{\u{2003}\"r\"\u{a0}:\u{2003}1\u{a0},\"d\":3\u{2003},\"p\" :1,\"v\":\t2\u{a0}}\u{2003}",
+            "\r\n{\"r\":1,\"d\":3,\"p\":1,\"v\":2}\r\n",
+        ] {
+            assert_eq!(parse_stream(good).unwrap(), vec![want], "{good:?}");
+        }
+        let crlf = "{\"r\":1,\"d\":3,\"p\":1,\"v\":2}\r\n\r\n{\"r\":1,\"d\":3,\"p\":1,\"v\":2}\r\n";
+        assert_eq!(parse_stream(crlf).unwrap(), vec![want, want]);
     }
 
     #[test]

@@ -17,7 +17,8 @@ test:
     cargo test -q --workspace
 
 # 1e8 random f64 bit patterns: the fmt-free number writer against
-# `format!("{x}")` (mirrors the CI step; about a minute in release).
+# `format!("{x}")`; 1e7 mutated lines: the flat-object splitter against
+# its `str`-method oracle (mirrors the CI step; about a minute in release).
 number-sweep:
     cargo test --release -p cloudsched-obs -- --ignored
 
