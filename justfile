@@ -140,7 +140,8 @@ fleet:
 # written to a scratch file — validates the harness, the cross-thread
 # digest invariance and the JSON schema — plus one `cloudsched fleet` run
 # per dispatch policy diffed byte-for-byte between serial and 2-thread
-# execution.
+# execution, and the serial λ = 12 value table per policy (plus one dover
+# run) diffed against its checked-in golden.
 fleet-smoke:
     #!/usr/bin/env bash
     set -euo pipefail
@@ -149,7 +150,11 @@ fleet-smoke:
         cargo run --release -p cloudsched-cli -- fleet --policy "$policy" --machines 4 --lambda 4 --horizon 12 --threads 1 > "/tmp/fleet-serial-$policy.txt"
         cargo run --release -p cloudsched-cli -- fleet --policy "$policy" --machines 4 --lambda 4 --horizon 12 --threads 2 > "/tmp/fleet-threaded-$policy.txt"
         diff -u "/tmp/fleet-serial-$policy.txt" "/tmp/fleet-threaded-$policy.txt"
+        cargo run --release -p cloudsched-cli -- fleet --policy "$policy" --machines 4 --lambda 12 --horizon 20 --threads 1 > "/tmp/fleet-golden-$policy.txt"
+        diff -u "tests/golden/fleet_m4_$policy.txt" "/tmp/fleet-golden-$policy.txt"
     done
+    cargo run --release -p cloudsched-cli -- fleet --policy p2c --scheduler dover --machines 4 --lambda 12 --horizon 20 --threads 1 > /tmp/fleet-golden-p2c-dover.txt
+    diff -u tests/golden/fleet_m4_p2c_dover.txt /tmp/fleet-golden-p2c-dover.txt
 
 # Fleet scale gate (mirrors the CI step): a 1024-machine fleet (≈490k
 # jobs, p2c dispatch) must finish within 3 s. Dispatch that reads O(1)
