@@ -103,14 +103,6 @@ impl TrapRound {
             opt_drop: l,
         })
     }
-
-    /// The theoretical best value any online algorithm can guarantee on this
-    /// round against the adaptive adversary: it either abandons the bait and
-    /// banks at most the filler (`l`), or chases the bait and salvages at
-    /// most one filler slot (`l/m`) after the drop.
-    pub fn online_guarantee(&self, p: TrapParams) -> f64 {
-        p.window.max(p.window / p.fillers as f64)
-    }
 }
 
 /// A §III-D-style *corrupt stream* for degradation testing: the trap's
@@ -229,10 +221,6 @@ mod tests {
         assert!((r.opt_stay_high - 35.0).abs() < 1e-12);
         let filler_total: f64 = r.jobs.iter().skip(1).map(|j| j.value).sum();
         assert!((r.opt_drop - filler_total).abs() < 1e-9);
-        // The adversarial ratio bound shrinks as fillers densify:
-        // guarantee / opt_stay_high = 1/(kδ) when abandoning the bait.
-        let g = r.online_guarantee(params());
-        assert!((g - 1.0).abs() < 1e-12);
     }
 
     #[test]

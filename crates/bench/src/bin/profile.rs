@@ -39,9 +39,10 @@ fn main() {
         .profiler(&profiler)
         .run(&mut *spec.build());
     let map = StretchMap::new(instance.capacity.clone());
-    let stretched = map
-        .stretch_jobs_profiled(&instance.jobs, &profiler)
-        .expect("stretch transform");
+    let stretched = {
+        let _span = profiler.span("stretch.forward");
+        map.stretch_jobs(&instance.jobs).expect("stretch transform")
+    };
     println!(
         "profiled V-Dover run: value {:.2}, {}/{} completed, {} stretched jobs",
         report.value,

@@ -10,8 +10,8 @@
 //! completed, events, preemptions, dispatches, folded in run order), and
 //! [`run_sweep_bench`] asserts all rows share one digest: whatever the
 //! mode or thread count, the sweep produces identical output bytes.
-//! Workspace reuse is additionally surfaced through the obs counters
-//! `sweep.workspace.runs` / `sweep.workspace.reuse_hits`.
+//! Workspace reuse is additionally totalled in
+//! [`SweepBenchOutcome::workspace_runs`] / [`SweepBenchOutcome::reuse_hits`].
 //!
 //! Timing flows through the [`cloudsched_obs::Clock`] seam
 //! ([`MonotonicClock`] — the bench crate is the sanctioned wall-clock
@@ -21,7 +21,7 @@ use crate::harness::{run_instance, run_instance_batch_in};
 use crate::row::{fnv1a, Row, Value, FNV_OFFSET, SWEEP_SCHEMA};
 use cloudsched_core::par::{parallel_map, parallel_map_with};
 use cloudsched_core::rng::{derive_seed, SEED_STREAM_TABLE1};
-use cloudsched_obs::{Clock, MetricsRegistry, MetricsSnapshot, MonotonicClock};
+use cloudsched_obs::{Clock, MonotonicClock};
 use cloudsched_sched::{SchedulerSpec, VDoverConfig};
 use cloudsched_sim::{RunOptions, RunReport, SimWorkspace};
 use cloudsched_workload::PaperScenario;
@@ -124,16 +124,17 @@ fn combine(cells: &[RunCell]) -> u64 {
     cells.iter().fold(FNV_OFFSET, |h, c| fnv1a(h, c.digest))
 }
 
-/// Everything `run_sweep_bench` produces: the schema rows plus a metrics
-/// snapshot carrying the workspace-reuse counters.
+/// Everything `run_sweep_bench` produces: the schema rows plus the
+/// workspace-reuse counters.
 #[derive(Debug, Clone)]
 pub struct SweepBenchOutcome {
     /// One row per `(mode, threads)` cell, in sweep order.
     pub rows: Vec<Row>,
-    /// Counters `sweep.workspace.runs` (workspace activations — one per
-    /// policy simulation) and `sweep.workspace.reuse_hits`, totalled over
+    /// Workspace activations — one per policy simulation — totalled over
     /// every `reuse`-mode cell.
-    pub metrics: MetricsSnapshot,
+    pub workspace_runs: u64,
+    /// The rows' `reuse_hits`, totalled over every `reuse`-mode cell.
+    pub reuse_hits: u64,
 }
 
 /// Runs the full sweep: for each thread count, a `fresh` cell and a
@@ -152,7 +153,7 @@ pub fn run_sweep_bench(
     let scenario = PaperScenario::table1(cfg.lambda);
     let specs = sweep_specs();
     let clock = MonotonicClock::new();
-    let mut metrics = MetricsRegistry::new();
+    let (mut workspace_runs, mut total_reuse_hits) = (0u64, 0u64);
     let mut rows: Vec<Row> = Vec::new();
 
     for &threads in &cfg.threads {
@@ -197,11 +198,8 @@ pub fn run_sweep_bench(
                 0
             };
             if mode == "reuse" {
-                metrics.incr(
-                    "sweep.workspace.runs",
-                    cells.iter().map(|c| c.ws_runs).sum(),
-                );
-                metrics.incr("sweep.workspace.reuse_hits", reuse_hits);
+                workspace_runs += cells.iter().map(|c| c.ws_runs).sum::<u64>();
+                total_reuse_hits += reuse_hits;
             }
             let row = Row::new(
                 &SWEEP_SCHEMA,
@@ -228,7 +226,8 @@ pub fn run_sweep_bench(
         .expect("sweep output diverged — equal bytes are a hard invariant");
     SweepBenchOutcome {
         rows,
-        metrics: metrics.snapshot(),
+        workspace_runs,
+        reuse_hits: total_reuse_hits,
     }
 }
 
@@ -276,9 +275,9 @@ mod tests {
         assert!(hits >= 1, "got {hits}");
         // One workspace activation per policy simulation: 2 reuse cells x
         // 3 runs x the 5-spec panel.
-        assert_eq!(outcome.metrics.counter("sweep.workspace.runs"), 30);
+        assert_eq!(outcome.workspace_runs, 30);
         assert_eq!(
-            outcome.metrics.counter("sweep.workspace.reuse_hits"),
+            outcome.reuse_hits,
             outcome
                 .rows
                 .iter()

@@ -8,14 +8,12 @@
 //! schedules of the two systems, so any constant-capacity offline algorithm
 //! (exact or approximate) can be applied to the varying-capacity problem.
 //!
-//! The paper uses `c_ref = c_lo`; [`StretchMap::new`] defaults to that but any
-//! positive reference rate works and is exposed for testing.
+//! The paper uses `c_ref = c_lo`, and so does [`StretchMap::new`].
 
 use crate::constant::Constant;
 use crate::piecewise::PiecewiseConstant;
 use crate::profile::CapacityProfile;
 use cloudsched_core::{CoreError, Job, JobSet, Schedule, Time};
-use cloudsched_obs::Profiler;
 
 /// A concrete stretch transformation for one piecewise-constant profile.
 #[derive(Debug, Clone)]
@@ -42,21 +40,6 @@ impl StretchMap {
         StretchMap { profile, c_ref }
     }
 
-    /// Builds the stretch map with an explicit reference rate.
-    ///
-    /// # Errors
-    /// If `c_ref` is not positive and finite.
-    pub fn with_reference(profile: PiecewiseConstant, c_ref: f64) -> Result<Self, CoreError> {
-        // NaN guard: the negated comparison also rejects NaN.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(c_ref > 0.0) || !c_ref.is_finite() {
-            return Err(CoreError::InvalidCapacityProfile {
-                reason: format!("stretch reference rate must be positive, got {c_ref}"),
-            });
-        }
-        Ok(StretchMap { profile, c_ref })
-    }
-
     /// The reference (post-transformation) constant rate.
     #[inline]
     pub fn c_ref(&self) -> f64 {
@@ -71,8 +54,7 @@ impl StretchMap {
 
     /// The transformed system's constant profile `c'(t') = c_ref`.
     pub fn transformed_profile(&self) -> Constant {
-        Constant::new(self.c_ref)
-            .expect("invariant: c_ref > 0 was validated at StretchMap construction")
+        Constant::new(self.c_ref).expect("invariant: a profile's c_lo is positive and finite")
     }
 
     /// Forward map `t' = T(t) = (1/c_ref) ∫_0^t c`.
@@ -123,19 +105,6 @@ impl StretchMap {
     /// system (the bijection, reverse direction).
     pub fn unstretch_schedule(&self, schedule: &Schedule) -> Result<Schedule, CoreError> {
         schedule.map_time(|t| self.inverse(t))
-    }
-
-    /// [`stretch_jobs`](Self::stretch_jobs) with a `stretch.forward` span
-    /// recorded on `profiler`. With a deterministic (null) clock the span
-    /// costs two virtual calls and records zeros, so the transform itself
-    /// stays wall-clock-free.
-    pub fn stretch_jobs_profiled(
-        &self,
-        jobs: &JobSet,
-        profiler: &Profiler,
-    ) -> Result<JobSet, CoreError> {
-        let _span = profiler.span("stretch.forward");
-        self.stretch_jobs(jobs)
     }
 }
 
@@ -260,30 +229,6 @@ mod tests {
         assert_eq!(sjs.get(JobId(1)).deadline, t(8.0));
         assert_eq!(sjs.total_value(), js.total_value());
         assert_eq!(sjs.total_workload(), js.total_workload());
-    }
-
-    #[test]
-    fn custom_reference_rate() {
-        let m = StretchMap::with_reference(profile(), 2.0).unwrap();
-        // T(2) = 2/2 = 1.
-        assert_eq!(m.forward(t(2.0)), t(1.0));
-        assert_eq!(m.transformed_profile().rate(), 2.0);
-        assert!(StretchMap::with_reference(profile(), 0.0).is_err());
-        assert!(StretchMap::with_reference(profile(), f64::NAN).is_err());
-    }
-
-    #[test]
-    fn profiled_variants_match_and_record_spans() {
-        let m = StretchMap::new(profile());
-        let js = JobSet::from_tuples(&[(0.0, 2.0, 1.0, 1.0), (2.0, 4.0, 3.0, 2.0)]).unwrap();
-        let prof = Profiler::deterministic();
-        let plain = m.stretch_jobs(&js).unwrap();
-        let profiled = m.stretch_jobs_profiled(&js, &prof).unwrap();
-        for (a, b) in plain.iter().zip(profiled.iter()) {
-            assert_eq!(a.release, b.release);
-            assert_eq!(a.deadline, b.deadline);
-        }
-        assert_eq!(prof.stats("stretch.forward").unwrap().count, 1);
     }
 
     #[test]

@@ -147,7 +147,6 @@ const COMMANDS: &[Command] = &[
         Flag::new("policy", OneOf(&["strict", "degrade", "best-effort"]), "degradation policy")
             .default("degrade"),
         Flag::new("crash-after", U64, "stop dead after this arrival (drills)"),
-        Flag::new("retries", U64, "journal write attempts").default("3"),
     ] },
     Command { name: "recover", about: "finish a crashed serve run from its journal", run: cmd_recover, flags: &[
         Flag::new("journal", Text("FILE"), "journal of the crashed run").required(),
@@ -512,12 +511,7 @@ fn cmd_trace(args: &Args) -> Result<(), CliError> {
 fn cmd_metrics(args: &Args) -> Result<(), CliError> {
     let instance = resolve_instance(args)?;
     let run = run_traced(&instance, &args.get::<String>("scheduler"))?;
-    let metrics = run
-        .report
-        .metrics
-        .as_ref()
-        .ok_or_else(|| "traced run carried no metrics snapshot".to_string())?;
-    print!("{}", metrics.render());
+    print!("{}", run.metrics.render());
     eprintln!(
         "{}: value {:.2} ({:.2}%), {}/{} completed",
         run.report.scheduler,
@@ -677,8 +671,7 @@ fn bench_sweep(quick: bool) -> Vec<cloudsched_bench::Row> {
     });
     eprintln!(
         "workspace counters: runs={} reuse_hits={}",
-        outcome.metrics.counter("sweep.workspace.runs"),
-        outcome.metrics.counter("sweep.workspace.reuse_hits"),
+        outcome.workspace_runs, outcome.reuse_hits,
     );
     outcome.rows
 }
@@ -712,12 +705,12 @@ fn bench_fleet(quick: bool) -> Vec<cloudsched_bench::Row> {
 /// `--machines M` at per-machine rate `--lambda`, dispatches the shared
 /// job stream with `--policy` (default p2c), runs one `--scheduler`
 /// instance per machine over `--threads` workers, and prints the
-/// per-machine value table plus the fleet fold with its conservation
+/// per-machine value table plus the fleet totals with their conservation
 /// check. Output is a pure function of `(seed, M, policy)` — the thread
 /// count never changes a byte of it.
 fn cmd_fleet(args: &Args) -> Result<(), CliError> {
+    use cloudsched_core::numeric::approx_eq;
     use cloudsched_core::rng::{derive_seed, FLEET_DISPATCH_RUN_OFFSET, SEED_STREAM_FLEET};
-    use cloudsched_insight::{fold_fleet, MachineValue};
     use cloudsched_sched::DispatchPolicy;
     use cloudsched_sim::{run_fleet, Scheduler};
     use cloudsched_workload::FleetScenario;
@@ -781,25 +774,49 @@ fn cmd_fleet(args: &Args) -> Result<(), CliError> {
         report.readmitted,
         report.unreclaimed
     );
-    let rows: Vec<MachineValue> = report
-        .per_machine
-        .iter()
-        .map(|m| MachineValue {
-            machine: m.machine,
-            jobs: m.jobs,
-            steals_in: m.steals_in,
-            realized: m.report.value,
-            arrived: m.report.value + m.report.expired_value + m.report.abandoned_value,
-            completed: m.report.completed,
-            missed: m.report.missed,
-        })
-        .collect();
-    let fold = fold_fleet(&rows, report.value);
-    print!("{}", fold.render());
-    if !fold.conserved {
+    // Realized and arrived value are summed in machine order, the order in
+    // which `run_fleet` sums `report.value`, so the two must agree.
+    println!("machine     jobs  steals-in  completed  missed      realized       arrived");
+    let (mut realized, mut arrived) = (0.0f64, 0.0f64);
+    for m in &report.per_machine {
+        let r = &m.report;
+        let machine_arrived = r.value + r.expired_value + r.abandoned_value;
+        realized += r.value;
+        arrived += machine_arrived;
+        println!(
+            "{:>7} {:>8} {:>10} {:>10} {:>7} {:>13.4} {:>13.4}",
+            m.machine, m.jobs, m.steals_in, r.completed, r.missed, r.value, machine_arrived
+        );
+    }
+    println!(
+        "{:>7} {:>8} {:>10} {:>10} {:>7} {:>13.4} {:>13.4}",
+        "fleet",
+        instance.jobs.len(),
+        report.steals,
+        report.completed,
+        report.missed,
+        realized,
+        arrived
+    );
+    let share = if arrived > 0.0 {
+        100.0 * realized / arrived
+    } else {
+        0.0
+    };
+    println!("realized share: {share:.2}%");
+    let conserved = approx_eq(realized, report.value);
+    println!(
+        "conservation: {}",
+        if conserved {
+            "machine-order realized sum matches the engine aggregate"
+        } else {
+            "MISMATCH — per-machine rows disagree with the engine aggregate"
+        }
+    );
+    if !conserved {
         return Err(CliError::Runtime(
-            "fleet fold failed conservation: per-machine rows disagree with \
-             the engine aggregate"
+            "fleet value table failed conservation: per-machine rows disagree \
+             with the engine aggregate"
                 .into(),
         ));
     }
@@ -976,7 +993,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     cfg.delta = args.get("delta");
     cfg.snapshot_every = args.get("snapshot-every");
     cfg.queue_cap = args.opt("queue-cap").unwrap_or(usize::MAX);
-    cfg.journal_attempts = u32::try_from(args.get::<u64>("retries")).unwrap_or(u32::MAX);
     cfg.crash_after = args.opt("crash-after");
     if let Some(policy) = DegradationPolicy::parse(&args.get::<String>("policy")) {
         cfg.policy = policy;

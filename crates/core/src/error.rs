@@ -118,14 +118,12 @@ pub enum CoreError {
         /// What was wrong with it.
         reason: String,
     },
-    /// A write-ahead journal append or sync failed even after the retry
-    /// budget was exhausted. Carries a rendered cause rather than the
-    /// underlying `io::Error` (which is neither `Clone` nor `PartialEq`).
+    /// A write-ahead journal append or sync failed. It is never retried.
+    /// Carries a rendered cause rather than the underlying `io::Error`
+    /// (which is neither `Clone` nor `PartialEq`).
     JournalWrite {
-        /// Rendered cause of the final failed attempt.
+        /// Rendered cause of the failure.
         reason: String,
-        /// Total attempts made (first try plus retries).
-        attempts: u32,
     },
     /// The streaming service's bounded admission queue overflowed under the
     /// `Strict` backpressure policy.
@@ -205,12 +203,7 @@ impl fmt::Display for CoreError {
                 f,
                 "admission queue overflow at arrival {seq}: {live} live jobs, capacity {cap}"
             ),
-            CoreError::JournalWrite { reason, attempts } => {
-                write!(
-                    f,
-                    "journal write failed after {attempts} attempts: {reason}"
-                )
-            }
+            CoreError::JournalWrite { reason } => write!(f, "journal write failed: {reason}"),
             CoreError::CorruptJournal { line, reason } => {
                 write!(f, "corrupt journal record at line {line}: {reason}")
             }
@@ -276,9 +269,8 @@ mod tests {
         assert!(e.to_string().contains("--seeds"));
         let e = CoreError::JournalWrite {
             reason: "disk full".into(),
-            attempts: 3,
         };
-        assert!(e.to_string().contains("3 attempts") && e.to_string().contains("disk full"));
+        assert_eq!(e.to_string(), "journal write failed: disk full");
         let e = CoreError::CorruptJournal {
             line: 17,
             reason: "bad svc record".into(),

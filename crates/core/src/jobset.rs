@@ -178,30 +178,6 @@ impl JobSet {
     pub fn all_individually_admissible(&self, c_lo: f64) -> bool {
         self.jobs.iter().all(|j| j.individually_admissible(c_lo))
     }
-
-    /// Returns a new set with value densities renormalised so the minimum
-    /// density is 1 (the paper's convention below Definition 3). Workloads and
-    /// timing are unchanged; values are scaled by a common factor.
-    pub fn normalize_min_density(&self) -> JobSet {
-        let min = self
-            .jobs
-            .iter()
-            .map(|j| j.value_density())
-            .fold(f64::INFINITY, f64::min);
-        // lint: allow(L001) — exact sign guard
-        if !min.is_finite() || min <= 0.0 {
-            return self.clone();
-        }
-        let jobs = self
-            .jobs
-            .iter()
-            .map(|j| Job {
-                value: j.value / min,
-                ..j.clone()
-            })
-            .collect();
-        JobSet::new(jobs).expect("scaling preserves validity")
-    }
 }
 
 impl std::ops::Index<JobId> for JobSet {
@@ -340,17 +316,5 @@ mod tests {
         // Tightest job: id 0 with d-r = 4, p = 2 => needs c_lo >= 0.5.
         assert!(s.all_individually_admissible(0.5));
         assert!(!s.all_individually_admissible(0.3));
-    }
-
-    #[test]
-    fn min_density_normalisation() {
-        let s = set().normalize_min_density();
-        let min = s
-            .iter()
-            .map(|j| j.value_density())
-            .fold(f64::INFINITY, f64::min);
-        assert!((min - 1.0).abs() < 1e-12);
-        // Ratios between densities preserved.
-        assert_eq!(s.importance_ratio(), Some(3.0));
     }
 }

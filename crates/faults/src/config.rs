@@ -103,10 +103,6 @@ impl StreamFaultConfig {
     }
 }
 
-/// Index into the streaming service's arrival sequence (0-based): crash
-/// points are expressed as "after the effects of arrival `i` were applied".
-pub type EventIdx = u64;
-
 /// A complete fault plan: one knob set per fault surface.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
@@ -116,13 +112,6 @@ pub struct FaultPlan {
     pub capacity: CapacityFaultConfig,
     /// Job-stream corruption.
     pub stream: StreamFaultConfig,
-    /// Seeded crash point for the streaming service: stop abruptly (no
-    /// drain, no final sync beyond what the WAL already made durable)
-    /// right after the arrival with this index was applied. `None` runs to
-    /// completion. Every named preset keeps this `None` — crash points
-    /// compose onto presets via [`FaultPlan::with_crash_after`], so preset
-    /// equality (and [`FaultPlan::name`]) is unaffected by them.
-    pub crash_after: Option<EventIdx>,
 }
 
 impl FaultPlan {
@@ -133,7 +122,6 @@ impl FaultPlan {
             oracle: OracleFaultConfig::none(),
             capacity: CapacityFaultConfig::none(),
             stream: StreamFaultConfig::none(),
-            crash_after: None,
         }
     }
 
@@ -158,7 +146,6 @@ impl FaultPlan {
                 value_spikes: 0,
                 spike_factor: 2.0,
             },
-            crash_after: None,
         }
     }
 
@@ -183,16 +170,7 @@ impl FaultPlan {
                 value_spikes: 2,
                 spike_factor: 3.0,
             },
-            crash_after: None,
         }
-    }
-
-    /// The same plan with a seeded crash point: the streaming service stops
-    /// abruptly after applying arrival `idx` (0-based). Composes onto any
-    /// preset without changing its [`FaultPlan::name`].
-    pub const fn with_crash_after(mut self, idx: EventIdx) -> Self {
-        self.crash_after = Some(idx);
-        self
     }
 
     /// Parses a preset name (`none`, `mild`, `harsh`).
@@ -205,19 +183,13 @@ impl FaultPlan {
         }
     }
 
-    /// Canonical preset name for display, or `custom`. Crash points are an
-    /// orthogonal harness knob, so they are stripped before the comparison:
-    /// `mild().with_crash_after(3)` still names `mild`.
+    /// Canonical preset name for display, or `custom`.
     pub fn name(&self) -> &'static str {
-        let base = FaultPlan {
-            crash_after: None,
-            ..*self
-        };
-        if base == FaultPlan::none() {
+        if *self == FaultPlan::none() {
             "none"
-        } else if base == FaultPlan::mild() {
+        } else if *self == FaultPlan::mild() {
             "mild"
-        } else if base == FaultPlan::harsh() {
+        } else if *self == FaultPlan::harsh() {
             "harsh"
         } else {
             "custom"
@@ -250,20 +222,6 @@ mod tests {
         assert!(!plan.capacity.active());
         assert_eq!(plan.stream.injected(), 0);
         assert_eq!(plan.oracle, OracleFaultConfig::none());
-    }
-
-    #[test]
-    fn crash_after_composes_without_renaming_presets() {
-        let plan = FaultPlan::mild().with_crash_after(3);
-        assert_eq!(plan.crash_after, Some(3));
-        assert_eq!(
-            plan.name(),
-            "mild",
-            "crash point must not rename the preset"
-        );
-        assert_ne!(plan, FaultPlan::mild(), "but it does change equality");
-        assert_eq!(FaultPlan::none().crash_after, None);
-        assert_eq!(FaultPlan::harsh().crash_after, None);
     }
 
     #[test]

@@ -14,15 +14,16 @@
 //! The journal discipline is classic WAL: the service appends the record of
 //! an arrival or decision and calls [`JournalSink::sync`] *before* applying
 //! its effects to the kernel, so after a crash the journal is always ahead
-//! of (or equal to) the applied state, never behind. [`RetryingJournal`]
-//! wraps any sink with a bounded, clock-free retry budget and converts
-//! exhausted budgets into [`CoreError::JournalWrite`] — the streaming
-//! service's backpressure/abort path picks it up from there.
+//! of (or equal to) the applied state, never behind. A failed append or
+//! sync is final: the service stops with a journal-write error instead of
+//! retrying. A retried append can duplicate or tear a record that was
+//! partly written, and a retried `sync_data` can report success after the
+//! kernel dropped the dirty pages, which would acknowledge an admission
+//! that is not durable.
 
 // The seam itself may open, append to and sync files (L011).
 #![allow(clippy::disallowed_types, clippy::disallowed_methods)]
 
-use cloudsched_core::CoreError;
 use std::io::{self, BufWriter, Write};
 
 /// An append-only, sync-able line sink — the durability seam of the
@@ -90,7 +91,7 @@ impl JournalSink for FileJournal {
 
 /// An in-memory journal for tests and deterministic replay: records every
 /// appended line, tracks the synced (durable) prefix, and can inject write
-/// failures at chosen points to exercise the retry path.
+/// failures at chosen points to exercise the service's abort path.
 #[derive(Debug, Default)]
 pub struct MemJournal {
     lines: Vec<String>,
@@ -105,8 +106,7 @@ impl MemJournal {
     }
 
     /// Makes the next `n` operations (appends or syncs) fail with an
-    /// injected I/O error, after which operations succeed again —
-    /// a transient fault for exercising [`RetryingJournal`].
+    /// injected I/O error, after which operations succeed again.
     pub fn fail_next(&mut self, n: u64) {
         self.fail_next = n;
     }
@@ -150,69 +150,6 @@ impl JournalSink for MemJournal {
     }
 }
 
-/// Wraps a [`JournalSink`] with a bounded retry budget. Retries are
-/// immediate — the deterministic core owns no clock, so there is no sleep
-/// between attempts; the budget bounds work, not wall time. When the budget
-/// is exhausted the last I/O error is rendered into
-/// [`CoreError::JournalWrite`] for the service's abort path.
-#[derive(Debug)]
-pub struct RetryingJournal<J> {
-    inner: J,
-    /// Maximum attempts per operation (first try included); at least 1.
-    attempts: u32,
-}
-
-impl<J: JournalSink> RetryingJournal<J> {
-    /// Wraps `inner` with an attempt budget (clamped to at least 1).
-    pub fn new(inner: J, attempts: u32) -> Self {
-        RetryingJournal {
-            inner,
-            attempts: attempts.max(1),
-        }
-    }
-
-    /// The wrapped sink.
-    pub fn inner(&self) -> &J {
-        &self.inner
-    }
-
-    fn retry<F>(&mut self, mut op: F) -> Result<(), CoreError>
-    where
-        F: FnMut(&mut J) -> io::Result<()>,
-    {
-        let mut last: Option<io::Error> = None;
-        for _ in 0..self.attempts {
-            match op(&mut self.inner) {
-                Ok(()) => return Ok(()),
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(CoreError::JournalWrite {
-            reason: last
-                .map(|e| e.to_string())
-                .unwrap_or_else(|| "unknown".into()),
-            attempts: self.attempts,
-        })
-    }
-
-    /// [`JournalSink::append`] with retries.
-    pub fn append(&mut self, line: &str) -> Result<(), CoreError> {
-        self.retry(|j| j.append(line))
-    }
-
-    /// [`JournalSink::sync`] with retries.
-    pub fn sync(&mut self) -> Result<(), CoreError> {
-        self.retry(|j| j.sync())
-    }
-
-    /// The WAL primitive: append `line` and make it durable, retrying each
-    /// step. Callers apply the record's effects only after this returns.
-    pub fn commit(&mut self, line: &str) -> Result<(), CoreError> {
-        self.append(line)?;
-        self.sync()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,38 +165,6 @@ mod tests {
         assert_eq!(j.synced_lines(), ["a", "b"]);
         j.append("c").unwrap();
         assert_eq!(j.synced_lines().len(), 2, "tail not durable yet");
-    }
-
-    #[test]
-    fn retrying_journal_rides_out_transient_failures() {
-        let mut j = RetryingJournal::new(MemJournal::new(), 3);
-        j.inner.fail_next(2); // first two attempts fail, third succeeds
-        j.append("survives").unwrap();
-        assert_eq!(j.inner().lines(), ["survives"]);
-        j.inner.fail_next(2);
-        j.sync().unwrap();
-        assert_eq!(j.inner().synced_lines(), ["survives"]);
-    }
-
-    #[test]
-    fn exhausted_budget_surfaces_journal_write_error() {
-        let mut j = RetryingJournal::new(MemJournal::new(), 2);
-        j.inner.fail_next(5);
-        match j.append("lost") {
-            Err(CoreError::JournalWrite { attempts, reason }) => {
-                assert_eq!(attempts, 2);
-                assert!(reason.contains("injected"));
-            }
-            other => panic!("expected JournalWrite, got {other:?}"),
-        }
-        assert!(j.inner().lines().is_empty());
-    }
-
-    #[test]
-    fn commit_is_append_plus_sync() {
-        let mut j = RetryingJournal::new(MemJournal::new(), 1);
-        j.commit("wal").unwrap();
-        assert_eq!(j.inner().synced_lines(), ["wal"]);
     }
 
     #[test]

@@ -32,8 +32,7 @@
 //!    streaming service. Deterministic code appends and syncs against the
 //!    [`JournalSink`] trait; `std::fs` is quarantined in [`FileJournal`]
 //!    (the lint L011 carve-out, mirroring the clock), with [`MemJournal`]
-//!    as the deterministic, fault-injectable test double and
-//!    [`RetryingJournal`] adding a bounded clock-free retry budget.
+//!    as the deterministic, fault-injectable test double.
 //!
 //! The crate is std-only and depends only on `cloudsched-core`.
 
@@ -50,7 +49,7 @@ pub mod tracer;
 
 pub use clock::{Clock, ManualClock, MonotonicClock, NullClock};
 pub use event::{DecisionAction, FaultKind, QueueKind, TraceEvent};
-pub use journal::{FileJournal, JournalSink, MemJournal, RetryingJournal};
+pub use journal::{FileJournal, JournalSink, MemJournal};
 pub use jsonl::{split_flat_object, unquote, FlatFields, JsonlWriter};
 pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use profile::{Profiler, SpanStats};

@@ -662,7 +662,6 @@ mod tests {
             events: 0,
             schedule: Some(sched),
             trajectory: None,
-            metrics: None,
         };
         let errs = audit_report(&jobs, &cap, &r).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("before release")));
@@ -753,7 +752,6 @@ mod tests {
             events: 0,
             schedule: Some(sched),
             trajectory: None,
-            metrics: None,
         };
         let errs = audit_report(&jobs, &cap, &r).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("executed")));

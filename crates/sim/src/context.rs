@@ -37,7 +37,6 @@ pub struct SimContext<'a> {
     jobs: &'a JobSet,
     remaining: &'a [f64],
     running: Option<JobId>,
-    current_rate: f64,
     c_lo: f64,
     c_hi: f64,
     // Scratch buffers owned by the kernel's workspace and drained by the
@@ -53,7 +52,6 @@ impl std::fmt::Debug for SimContext<'_> {
         f.debug_struct("SimContext")
             .field("now", &self.now)
             .field("running", &self.running)
-            .field("current_rate", &self.current_rate)
             .field("c_lo", &self.c_lo)
             .field("c_hi", &self.c_hi)
             .finish_non_exhaustive()
@@ -67,7 +65,6 @@ impl<'a> SimContext<'a> {
         jobs: &'a JobSet,
         remaining: &'a [f64],
         running: Option<JobId>,
-        current_rate: f64,
         c_lo: f64,
         c_hi: f64,
         timer_requests: &'a mut Vec<TimerRequest>,
@@ -80,7 +77,6 @@ impl<'a> SimContext<'a> {
             jobs,
             remaining,
             running,
-            current_rate,
             c_lo,
             c_hi,
             timer_requests,
@@ -115,12 +111,6 @@ impl<'a> SimContext<'a> {
         self.running
     }
 
-    /// Capacity right now — `c(t)` is observable up to the present.
-    #[inline]
-    pub fn current_rate(&self) -> f64 {
-        self.current_rate
-    }
-
     /// Declared lower capacity bound `c_lo` of the input class: the
     /// conservative future-capacity estimate available to V-Dover.
     #[inline]
@@ -134,23 +124,9 @@ impl<'a> SimContext<'a> {
         self.c_hi
     }
 
-    /// Conservative remaining processing-time estimate `t_c(T, c_lo)`
-    /// (paper notation: remaining workload divided by the worst-case rate).
-    #[inline]
-    pub fn conservative_remaining_time(&self, id: JobId) -> Duration {
-        Duration::new(self.remaining(id) / self.c_lo)
-    }
-
-    /// Conservative laxity (Definition 5):
-    /// `claxity(T) = d - now - p_r(T)/c_lo`.
-    #[inline]
-    pub fn conservative_laxity(&self, id: JobId) -> Duration {
-        self.job(id)
-            .laxity_with(self.now, self.remaining(id), self.c_lo)
-    }
-
-    /// Laxity under an arbitrary assumed constant future rate (used by the
-    /// Dover baseline with its capacity estimate `ĉ`).
+    /// Laxity under an assumed constant future rate: at `rate = c_lo()` it
+    /// is the conservative laxity of Definition 5, `d - now - p_r(T)/c_lo`;
+    /// the Dover baseline passes its capacity estimate `ĉ`.
     #[inline]
     pub fn laxity_with_rate(&self, id: JobId, rate: f64) -> Duration {
         self.job(id).laxity_with(self.now, self.remaining(id), rate)
@@ -261,7 +237,6 @@ mod tests {
             &js,
             &remaining,
             Some(JobId(0)),
-            3.0,
             1.0,
             4.0,
             &mut timers,
@@ -273,7 +248,6 @@ mod tests {
         assert_eq!(ctx.job(JobId(1)).value, 5.0);
         assert_eq!(ctx.remaining(JobId(1)), 1.0);
         assert_eq!(ctx.running(), Some(JobId(0)));
-        assert_eq!(ctx.current_rate(), 3.0);
         assert_eq!(ctx.c_lo(), 1.0);
         assert_eq!(ctx.c_hi(), 4.0);
     }
@@ -289,7 +263,6 @@ mod tests {
             &js,
             &remaining,
             None,
-            1.0,
             2.0,
             4.0,
             &mut timers,
@@ -297,8 +270,7 @@ mod tests {
             &mut tracer,
         );
         // Job 0: d=10, now=2, p_r=4, c_lo=2 => 10-2-2 = 6.
-        assert_eq!(ctx.conservative_laxity(JobId(0)).as_f64(), 6.0);
-        assert_eq!(ctx.conservative_remaining_time(JobId(0)).as_f64(), 2.0);
+        assert_eq!(ctx.laxity_with_rate(JobId(0), ctx.c_lo()).as_f64(), 6.0);
         // With an optimistic rate estimate laxity grows.
         assert_eq!(ctx.laxity_with_rate(JobId(0), 4.0).as_f64(), 7.0);
     }
@@ -314,7 +286,6 @@ mod tests {
             &js,
             &remaining,
             None,
-            1.0,
             1.0,
             1.0,
             &mut timers,
@@ -341,7 +312,6 @@ mod tests {
             &js,
             &remaining,
             None,
-            1.0,
             1.0,
             1.0,
             &mut timers,
@@ -382,7 +352,6 @@ mod tests {
             &js,
             &remaining,
             None,
-            1.0,
             2.0,
             4.0,
             &mut timers,
@@ -399,7 +368,6 @@ mod tests {
             &js,
             &remaining,
             None,
-            1.0,
             2.0,
             4.0,
             &mut timers,
@@ -443,7 +411,6 @@ mod tests {
             &js,
             &remaining,
             None,
-            1.0,
             1.0,
             1.0,
             &mut timers,

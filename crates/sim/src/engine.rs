@@ -368,7 +368,6 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
             self.jobs,
             &ws.remaining,
             self.st.running,
-            self.capacity.rate_at(self.st.now),
             self.st.c_lo,
             self.st.c_hi,
             &mut ws.timer_scratch,
@@ -848,7 +847,6 @@ impl<'a, P: CapacityProfile, T: Tracer> Kernel<'a, P, T> {
             outcome,
             schedule: self.st.schedule,
             trajectory: self.st.trajectory,
-            metrics: None,
         };
         let stats = self.watchdog.as_ref().map(|w| w.stats());
         (report, self.st.aborted, stats)

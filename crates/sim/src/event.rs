@@ -20,10 +20,16 @@
 //!
 //! Why not just the heap: a `BinaryHeap<Reverse<Event>>` drop-in is about
 //! 280 lines shorter and keeps every pinned digest, but it is slower end to
-//! end. Over 6 alternating pairs of 8 s perfbench fleet-p2c64 runs on a
-//! 2-core VM, `jobs_per_s` fell from a median of 2.57 M (2.11–2.83 M) to
-//! 2.12 M (2.00–2.35 M), −17%, lower in every pair, and arrival p50 rose
-//! 21%.
+//! end. It was last measured with the queue as it is now, holding only
+//! timers, deadlines and capacity markers: 6 alternating pairs of 8 s
+//! perfbench runs (seeds 1–6) on a 2-core VM.
+//! - fleet-p2c64 `jobs_per_s` fell from a median of 3.53 M to 3.17 M
+//!   (−10%), lower in 4 of 6 pairs.
+//! - serve-wal `jobs_per_s` fell from a median of 531 k to 450 k, lower in
+//!   5 of 6 pairs.
+//! - serve-wal `arrival_p99_us` rose from 3.1–3.7 to 5.3–5.7 µs on seeds
+//!   1–3. This may be an allocator-mode effect rather than the queue; it
+//!   was not isolated.
 
 use cloudsched_core::{JobId, Time};
 use std::cmp::Ordering;

@@ -1,7 +1,6 @@
 //! Run results.
 
 use cloudsched_core::{Outcome, Schedule};
-use cloudsched_obs::MetricsSnapshot;
 
 /// One point of the cumulative value-versus-time curve (the paper's Fig. 1).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,8 +49,4 @@ pub struct RunReport {
     pub schedule: Option<Schedule>,
     /// The value-vs-time curve, if recording was enabled.
     pub trajectory: Option<Vec<TrajectoryPoint>>,
-    /// Metrics snapshot, when the caller ran with a
-    /// [`cloudsched_obs::MetricsRegistry`] sink and attached its snapshot
-    /// (as `cloudsched::run_traced` does). The kernel never sets it.
-    pub metrics: Option<MetricsSnapshot>,
 }

@@ -74,8 +74,7 @@ use cloudsched_capacity::CapacityProfile;
 use cloudsched_core::{CoreError, Job, JobId, JobSet, Time};
 use cloudsched_obs::jsonl::{push_f64, push_u64};
 use cloudsched_obs::{
-    split_flat_object, unquote, FaultKind, JournalSink, JsonlWriter, RetryingJournal, TraceEvent,
-    Tracer,
+    split_flat_object, unquote, FaultKind, JournalSink, JsonlWriter, TraceEvent, Tracer,
 };
 use std::collections::BTreeMap;
 
@@ -97,19 +96,14 @@ pub struct ServiceConfig {
     pub snapshot_every: u64,
     /// What corrupt arrivals and queue overflow do to the run.
     pub policy: DegradationPolicy,
-    /// Retry budget per journal operation (see
-    /// [`cloudsched_obs::RetryingJournal`]).
-    pub journal_attempts: u32,
     /// Seeded crash point: stop abruptly (no drain, no further journal
     /// writes) right after applying the arrival with this 0-based index.
-    /// Matches `cloudsched-faults`' `FaultPlan::crash_after` (the faults
-    /// crate sits above this one, so the index type is plain here).
     pub crash_after: Option<u64>,
 }
 
 impl ServiceConfig {
     /// A config with conventional defaults: unbounded queue, snapshots
-    /// off, `Degrade` policy, 3 journal attempts, no crash point.
+    /// off, `Degrade` policy, no crash point.
     pub fn new(scheduler: &str, k: f64) -> Self {
         ServiceConfig {
             scheduler: scheduler.to_string(),
@@ -118,7 +112,6 @@ impl ServiceConfig {
             queue_cap: usize::MAX,
             snapshot_every: 0,
             policy: DegradationPolicy::Degrade,
-            journal_attempts: 3,
             crash_after: None,
         }
     }
@@ -282,8 +275,8 @@ pub struct JournalHeader {
 }
 
 impl JournalHeader {
-    /// The service config this journal was written under (crash point and
-    /// journal retries are harness knobs, not journaled).
+    /// The service config this journal was written under (the crash point
+    /// is a harness knob, not journaled).
     pub fn config(&self) -> ServiceConfig {
         ServiceConfig {
             scheduler: self.scheduler.clone(),
@@ -292,7 +285,6 @@ impl JournalHeader {
             queue_cap: self.queue_cap,
             snapshot_every: self.snapshot_every,
             policy: self.policy,
-            journal_attempts: 1,
             crash_after: None,
         }
     }
@@ -477,20 +469,27 @@ fn open_record(out: &mut String, cfg: &ServiceConfig, c_lo: f64, c_hi: f64, rate
 }
 
 // ---------------------------------------------------------------------
-// WAL wrapper: retries via RetryingJournal and renders every line into one
-// reused buffer — or does nothing at all when recovery (or an in-memory
-// `serve`) runs without a journal.
+// WAL wrapper: renders every line into one reused buffer and turns the
+// first failed append or sync into `JournalWrite` — or does nothing at all
+// when recovery (or an in-memory `serve`) runs without a journal. Nothing
+// is retried (see `cloudsched_obs::journal`).
 // ---------------------------------------------------------------------
 
 struct Wal<'a> {
-    sink: Option<RetryingJournal<&'a mut dyn JournalSink>>,
+    sink: Option<&'a mut dyn JournalSink>,
     writer: JsonlWriter,
 }
 
+fn journal_write(e: std::io::Error) -> CoreError {
+    CoreError::JournalWrite {
+        reason: e.to_string(),
+    }
+}
+
 impl<'a> Wal<'a> {
-    fn new(sink: Option<&'a mut dyn JournalSink>, attempts: u32) -> Self {
+    fn new(sink: Option<&'a mut dyn JournalSink>) -> Self {
         Wal {
-            sink: sink.map(|s| RetryingJournal::new(s, attempts)),
+            sink,
             writer: JsonlWriter::new(),
         }
     }
@@ -499,7 +498,7 @@ impl<'a> Wal<'a> {
     fn append_events(&mut self, events: &[TraceEvent]) -> Result<(), CoreError> {
         if let Some(j) = &mut self.sink {
             for ev in events {
-                j.append(self.writer.event(ev))?;
+                j.append(self.writer.event(ev)).map_err(journal_write)?;
             }
         }
         Ok(())
@@ -507,21 +506,19 @@ impl<'a> Wal<'a> {
 
     fn sync(&mut self) -> Result<(), CoreError> {
         match &mut self.sink {
-            Some(j) => j.sync(),
+            Some(j) => j.sync().map_err(journal_write),
             None => Ok(()),
         }
     }
 
-    /// Renders one service record with `render` and makes it durable.
-    /// Without a journal nothing is rendered.
+    /// Renders one service record with `render`, appends it and makes it
+    /// durable. Without a journal nothing is rendered.
     fn commit(&mut self, render: impl FnOnce(&mut String)) -> Result<(), CoreError> {
-        match &mut self.sink {
-            Some(j) => {
-                render(self.writer.record());
-                j.commit(self.writer.line())
-            }
-            None => Ok(()),
+        if let Some(j) = &mut self.sink {
+            render(self.writer.record());
+            j.append(self.writer.line()).map_err(journal_write)?;
         }
+        self.sync()
     }
 }
 
@@ -885,7 +882,7 @@ pub fn serve<P: CapacityProfile>(
     sink: Option<&mut dyn JournalSink>,
 ) -> Result<ServiceOutcome, CoreError> {
     let arrivals = parse_stream(stream)?;
-    let mut wal = Wal::new(sink, cfg.journal_attempts);
+    let mut wal = Wal::new(sink);
     let (c_lo, c_hi) = capacity.bounds();
     let rate = capacity.rate_at(Time::ZERO);
     wal.commit(|out| open_record(out, cfg, c_lo, c_hi, rate))?;
@@ -1074,7 +1071,7 @@ pub fn recover<P: CapacityProfile>(
     }
     let cfg = parsed.header.config();
     let stream_arrivals = parse_stream(stream)?;
-    let mut wal = Wal::new(None, 1);
+    let mut wal = Wal::new(None);
     let mut core = Core::new(capacity, &cfg);
 
     let start_seq = match parsed.snapshots.last() {

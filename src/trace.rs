@@ -9,17 +9,19 @@
 //! the deterministic shortest round-trip form.
 
 use cloudsched_capacity::Instance;
-use cloudsched_obs::{JsonlTracer, MetricsRegistry, Tee, WithProvenance};
+use cloudsched_obs::{JsonlTracer, MetricsRegistry, MetricsSnapshot, Tee, WithProvenance};
 use cloudsched_sim::{Run, RunOptions, RunReport};
 
-/// The result of a traced run: the JSONL event stream plus the usual report
-/// with a metrics snapshot attached.
+/// The result of a traced run: the JSONL event stream, the usual report and
+/// the metrics folded from the same events.
 #[derive(Debug, Clone)]
 pub struct TracedRun {
     /// One JSONL line per trace event, in emission order.
     pub jsonl: String,
-    /// The simulation report; `report.metrics` carries the folded snapshot.
+    /// The simulation report.
     pub report: RunReport,
+    /// The metrics registry's snapshot after the run.
+    pub metrics: MetricsSnapshot,
 }
 
 /// Runs `scheduler` (by factory name) over `instance` with a JSONL tracer
@@ -57,14 +59,12 @@ pub fn run_traced_with_provenance(
     let mut sched = cloudsched_sched::SchedulerSpec::for_instance(scheduler, instance)
         .map_err(|e| e.to_string())?
         .build();
+    let mut metrics = MetricsRegistry::for_sim();
     let mut run = |jsonl_tracer: &mut dyn cloudsched_obs::Tracer| -> RunReport {
-        let mut metrics = MetricsRegistry::for_sim();
         let mut sink = Tee(jsonl_tracer, &mut metrics);
-        let mut report = Run::new(&instance.jobs, &instance.capacity, RunOptions::lean())
+        Run::new(&instance.jobs, &instance.capacity, RunOptions::lean())
             .tracer(&mut sink)
-            .run(&mut *sched);
-        report.metrics = Some(metrics.snapshot());
-        report
+            .run(&mut *sched)
     };
     let (report, finished) = if provenance {
         let mut tracer = WithProvenance(JsonlTracer::new(Vec::new()));
@@ -77,7 +77,11 @@ pub fn run_traced_with_provenance(
     };
     let bytes = finished.map_err(|e| format!("trace sink: {e}"))?;
     let jsonl = String::from_utf8(bytes).map_err(|e| format!("trace sink: {e}"))?;
-    Ok(TracedRun { jsonl, report })
+    Ok(TracedRun {
+        jsonl,
+        report,
+        metrics: metrics.snapshot(),
+    })
 }
 
 #[cfg(test)]
@@ -92,9 +96,8 @@ mod tests {
         let b = run_traced(&instance, "vdover").unwrap();
         assert_eq!(a.jsonl, b.jsonl, "same instance must trace identically");
         assert!(!a.jsonl.is_empty());
-        let m = a.report.metrics.as_ref().expect("metrics snapshot");
         assert_eq!(
-            m.counter("jobs.arrived"),
+            a.metrics.counter("jobs.arrived"),
             instance.job_count() as u64,
             "every job arrives exactly once"
         );

@@ -766,8 +766,7 @@ fn snapshot_round_trip_restores_a_populated_calendar() {
 // ---------------------------------------------------------------------------
 
 /// Folds every field of a report into `h`: the counters and value sums
-/// bit for bit, each job's outcome, the schedule, the trajectory and the
-/// rendered metrics snapshot when one is attached.
+/// bit for bit, each job's outcome, the schedule and the trajectory.
 fn fold_report(mut h: u64, r: &RunReport, jobs: &JobSet) -> u64 {
     h = fnv1a_bytes(h, r.scheduler.as_bytes());
     for word in [
@@ -801,9 +800,6 @@ fn fold_report(mut h: u64, r: &RunReport, jobs: &JobSet) -> u64 {
             h = fnv1a_word(h, p.cumulative_value.to_bits());
         }
     }
-    if let Some(metrics) = &r.metrics {
-        h = fnv1a_bytes(h, metrics.render().as_bytes());
-    }
     h
 }
 
@@ -822,7 +818,8 @@ const PLAIN_CASES: &[&str] = &[
 ];
 
 /// Runs `name` on `instance` with the attachments `case` names and hashes
-/// the report, the trace bytes and (with a profiler) the span count. `ws`
+/// the report, the trace bytes (or the metrics snapshot's text) and (with
+/// a profiler) the span count. `ws`
 /// is one long-lived workspace shared by every `ws-reused*` case.
 fn plain_case_digest(instance: &Instance, name: &str, case: &str, ws: &mut SimWorkspace) -> u64 {
     use cloudsched_obs::{
@@ -875,10 +872,11 @@ fn plain_case_digest(instance: &Instance, name: &str, case: &str, ws: &mut SimWo
             (r, jsonl_bytes(t), spans)
         }
         "metrics" => {
+            // The snapshot's text goes where the trace bytes go: the
+            // digest folds it right after the report.
             let mut registry = MetricsRegistry::for_sim();
-            let mut r = run.tracer(&mut registry).run(sched);
-            r.metrics = Some(registry.snapshot());
-            (r, Vec::new(), 0)
+            let r = run.tracer(&mut registry).run(sched);
+            (r, registry.snapshot().render().into_bytes(), 0)
         }
         other => unreachable!("unknown case {other}"),
     };

@@ -70,7 +70,7 @@ fn metrics_obey_lifecycle_invariants() {
     let n = instance.job_count() as u64;
     for scheduler in ["edf", "dover-lo", "vdover"] {
         let run = run_traced(&instance, scheduler).unwrap();
-        let m = run.report.metrics.as_ref().expect("metrics snapshot");
+        let m = &run.metrics;
         let arrived = m.counter("jobs.arrived");
         let completed = m.counter("jobs.completed");
         let expired = m.counter("jobs.expired");
@@ -217,7 +217,7 @@ fn vdover_supplement_traffic_shows_up_under_overload() {
     // tracing sites are dead code.
     let instance = overloaded_instance();
     let run = run_traced(&instance, "vdover").unwrap();
-    let m = run.report.metrics.as_ref().unwrap();
+    let m = &run.metrics;
     assert!(
         m.counter("supp.enqueued") > 0,
         "overloaded V-Dover run never parked a job in the supplement queue"

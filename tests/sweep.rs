@@ -212,10 +212,7 @@ fn sweep_bench_cells_agree_and_round_trip_the_schema() {
     }
     // One workspace activation per policy simulation: 2 reuse cells x
     // 4 runs x the 5-spec Table-I panel.
-    assert_eq!(
-        outcome.metrics.counter("sweep.workspace.runs"),
-        2 * cfg.runs as u64 * 5,
-    );
+    assert_eq!(outcome.workspace_runs, 2 * cfg.runs as u64 * 5);
     let json = render_report(&outcome.rows);
     let back = parse_report(&json).expect("schema round trip");
     assert_eq!(back.len(), outcome.rows.len());
